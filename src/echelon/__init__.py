@@ -22,7 +22,6 @@ from .gauche import (
     KeeperState,
     LLQAnswer,
     Subordinate,
-    gauche_basis,
     gauche_rref,
     journal_vector,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "columns_independent",
     "equivalence_script",
     "format_op",
-    "gauche_basis",
     "gauche_rref",
     "gauss_jordan",
     "graph_relations",

@@ -18,9 +18,11 @@ from .scalars import GF, QQ, FieldSpec, parse_scalar
 from .systems import Affine, Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
 
-def parse_matrix(text: str, field: FieldSpec) -> Matrix:
-    """One matrix row per nonempty line of whitespace-separated scalar
-    literals; `#` starts a comment. All rows must have the same length."""
+def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> list[list]:
+    """The line loop shared by both input formats: `#` starts a comment,
+    blank lines are skipped, and every error names its line. Each row of an
+    augmented system carries its right-hand-side entry last; the coefficient
+    part must have the same width on every line."""
     rows: list[list] = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -28,53 +30,47 @@ def parse_matrix(text: str, field: FieldSpec) -> Matrix:
         if not line:
             continue
         try:
-            row = [parse_scalar(tok, field) for tok in line.split()]
-        except ParseError as exc:
+            tokens = _augmented_tokens(line.split()) if augmented else line.split()
+            row = [parse_scalar(tok, field) for tok in tokens]
+        except (ParseError, ZeroDivisionError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        entries = len(row) - augmented
         if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"line {lineno}: expected {width} entries, got {len(row)}")
+            width = entries
+        elif entries != width:
+            raise ParseError(f"line {lineno}: expected {width} entries, got {entries}")
         rows.append(row)
     if not rows:
-        raise ParseError("no matrix rows in input")
-    return Matrix.from_rows(rows, field)
+        raise ParseError(f"no {'system' if augmented else 'matrix'} rows in input")
+    return rows
+
+
+def _augmented_tokens(tokens: list[str]) -> list[str]:
+    """A system row's coefficient tokens followed by its right-hand side."""
+    if tokens.count("|") != 1:
+        raise ParseError("expected exactly one '|' separator")
+    cut = tokens.index("|")
+    left, right = tokens[:cut], tokens[cut + 1 :]
+    if not left:
+        raise ParseError("empty coefficient row")
+    if len(right) != 1:
+        raise ParseError("expected one right-hand-side entry")
+    return left + right
+
+
+def parse_matrix(text: str, field: FieldSpec) -> Matrix:
+    """One matrix row per nonempty line of whitespace-separated scalar
+    literals; `#` starts a comment. All rows must have the same length."""
+    return Matrix.from_rows(_scalar_rows(text, field, augmented=False), field)
 
 
 def parse_system(text: str, field: FieldSpec) -> LinearSystem:
     """Augmented format: a matrix row, a lone `|` token, then one
     right-hand-side entry, per line."""
-    coeff_rows: list[list] = []
-    rhs_entries: list = []
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens.count("|") != 1:
-            raise ParseError(f"line {lineno}: expected exactly one '|' separator")
-        cut = tokens.index("|")
-        left, right = tokens[:cut], tokens[cut + 1 :]
-        if not left:
-            raise ParseError(f"line {lineno}: empty coefficient row")
-        if len(right) != 1:
-            raise ParseError(f"line {lineno}: expected one right-hand-side entry")
-        try:
-            row = [parse_scalar(tok, field) for tok in left]
-            rhs = parse_scalar(right[0], field)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"line {lineno}: expected {width} entries, got {len(row)}")
-        coeff_rows.append(row)
-        rhs_entries.append(rhs)
-    if not coeff_rows:
-        raise ParseError("no system rows in input")
+    rows = _scalar_rows(text, field, augmented=True)
     return LinearSystem(
-        Matrix.from_rows(coeff_rows, field), Vector(tuple(rhs_entries), field)
+        Matrix.from_rows([row[:-1] for row in rows], field),
+        Vector(tuple(row[-1] for row in rows), field),
     )
 
 
@@ -111,47 +107,42 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _cmd_rref(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_rref(m, fmt) -> tuple[int, str]:
     res = gauche_rref(m)
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps({"rref": _matrix_json(res.rref)})
     return 0, format_matrix(res.rref)
 
 
-def _cmd_pivots(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_pivots(m, fmt) -> tuple[int, str]:
     pivots = gauche_rref(m).pivot_set
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps({"pivots": list(pivots)})
     return 0, " ".join(str(i) for i in pivots)
 
 
-def _cmd_basis(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_basis(m, fmt) -> tuple[int, str]:
     indices = gauche_rref(m).pivot_set
     columns = [m.column(j) for j in indices]
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps(
             {"indices": list(indices), "columns": [_vector_json(c) for c in columns]}
         )
     return 0, "\n".join(format_vector(c) for c in columns)
 
 
-def _cmd_null(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_null(m, fmt) -> tuple[int, str]:
     nb = null_basis(m)
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps(
             {"free": list(nb.free_indices), "basis": [_vector_json(v) for v in nb.basis]}
         )
     return 0, "\n".join(format_vector(v) for v in nb.basis)
 
 
-def _cmd_graph(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_graph(m, fmt) -> tuple[int, str]:
     rel = graph_relations(m)
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps(
             {
                 "free": list(rel.free_indices),
@@ -164,10 +155,9 @@ def _cmd_graph(args, field) -> tuple[int, str]:
     return 0, "\n".join(rel.lines())
 
 
-def _cmd_check(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_check(m, fmt) -> tuple[int, str]:
     violated = rref_violation(m)
-    if args.fmt == "json":
+    if fmt == "json":
         payload = {"rref": violated is None}
         if violated is not None:
             payload["violated"] = violated
@@ -177,32 +167,28 @@ def _cmd_check(args, field) -> tuple[int, str]:
     return 1, f"NOT RREF: {violated}"
 
 
-def _cmd_equiv(args, field) -> tuple[int, str]:
-    a = parse_matrix(_read(args.path_a), field)
-    b = parse_matrix(_read(args.path_b), field)
+def _cmd_equiv(a, b, fmt) -> tuple[int, str]:
     verdict = row_equivalent(a, b)
-    if args.fmt == "json":
+    if fmt == "json":
         return (0 if verdict else 1), json.dumps({"row_equivalent": verdict})
     return (0, "ROW-EQUIVALENT") if verdict else (1, "NOT ROW-EQUIVALENT")
 
 
-def _cmd_script(args, field) -> tuple[int, str]:
-    m = parse_matrix(_read(args.path), field)
+def _cmd_script(m, fmt) -> tuple[int, str]:
     ops = equivalence_script(m)
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps({"ops": [format_op(op) for op in ops]})
     return 0, "\n".join(format_op(op) for op in ops)
 
 
-def _cmd_solve(args, field) -> tuple[int, str]:
-    system = parse_system(_read(args.path), field)
+def _cmd_solve(system, fmt) -> tuple[int, str]:
     sol = solve(system)
     if isinstance(sol, Inconsistent):
-        if args.fmt == "json":
+        if fmt == "json":
             return 1, json.dumps({"consistent": False})
         return 1, "INCONSISTENT"
     assert isinstance(sol, Affine)
-    if args.fmt == "json":
+    if fmt == "json":
         return 0, json.dumps(
             {
                 "consistent": True,
@@ -215,11 +201,9 @@ def _cmd_solve(args, field) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _cmd_syseq(args, field) -> tuple[int, str]:
-    a = parse_system(_read(args.path_a), field)
-    b = parse_system(_read(args.path_b), field)
+def _cmd_syseq(a, b, fmt) -> tuple[int, str]:
     verdict = solution_equivalent(a, b)
-    if args.fmt == "json":
+    if fmt == "json":
         return (0 if verdict else 1), json.dumps({"solution_equivalent": verdict})
     return (0, "SOLUTION-EQUIVALENT") if verdict else (1, "NOT SOLUTION-EQUIVALENT")
 
@@ -278,9 +262,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handler = (_ONE_INPUT | _TWO_INPUT)[args.command][0]
+    paths = [args.path] if args.command in _ONE_INPUT else [args.path_a, args.path_b]
+    parse = parse_system if args.command in ("solve", "syseq") else parse_matrix
     try:
         field = _parse_field_flag(args.field)
-        code, output = handler(args, field)
+        inputs = [parse(_read(path), field) for path in paths]
+        code, output = handler(*inputs, args.fmt)
     except (EchelonError, OSError, ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,23 +47,24 @@ class KeeperState:
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
-        self.keeper_indices: list[int] = []
         self._leads: list[int] = []
         self._reduced: list[list[Scalar]] = []
         self._over_keepers: list[list[Scalar]] = []
 
-    def __len__(self) -> int:
-        return len(self.keeper_indices)
+    def llq(self, col: Vector) -> LLQAnswer:
+        """Can this column be written over the keepers to its left?
 
-    def _check(self, col: Vector) -> None:
+        With no keepers yet the span is the zero space, so the answer is
+        Subordinate(()) exactly when the column is zero. A Keeper answer
+        also admits the column as the next keeper, so a sweep eliminates
+        each column once.
+        """
         if col.dim != self.dim:
             raise ShapeError(f"column of dimension {col.dim}, keeper state expects {self.dim}")
         if col.field != self.field:
             raise FieldMismatchError(f"column in {col.field} against a {self.field} state")
-
-    def _eliminate(self, col: Vector) -> tuple[list[Scalar], list[Scalar]]:
-        """Residual of col against the reduced keepers, and the coefficients
-        expressing the eliminated part over the original keepers."""
+        # the residual of col against the reduced keepers, and the
+        # coefficients expressing the eliminated part over the original keepers
         residual = list(col.entries)
         coeffs = [self.field.zero()] * len(self._reduced)
         for i, lead in enumerate(self._leads):
@@ -77,35 +78,14 @@ class KeeperState:
             for j, a in enumerate(self._over_keepers[i]):
                 if a:
                     coeffs[j] = coeffs[j] + factor * a
-        return residual, coeffs
-
-    def llq(self, col: Vector) -> LLQAnswer:
-        """Can this column be written over the keepers to its left?
-
-        With no keepers yet the span is the zero space, so the answer is
-        Subordinate(()) exactly when the column is zero.
-        """
-        self._check(col)
-        residual, coeffs = self._eliminate(col)
-        if any(residual):
-            return Keeper()
-        return Subordinate(tuple(coeffs))
-
-    def admit(self, col: Vector, index: int) -> None:
-        """Record column `index` of the source matrix as the next keeper."""
-        self._check(col)
-        residual, coeffs = self._eliminate(col)
-        lead = None
-        for r, entry in enumerate(residual):
-            if entry:
-                lead = r
-                break
-        assert lead is not None, "cannot admit a column inside the keeper span"
+        lead = next((r for r, entry in enumerate(residual) if entry), None)
+        if lead is None:
+            return Subordinate(tuple(coeffs))
         scale = residual[lead].inv()
-        self.keeper_indices.append(index)
         self._leads.append(lead)
         self._reduced.append([scale * e for e in residual])
         self._over_keepers.append([-(scale * c) for c in coeffs] + [scale])
+        return Keeper()
 
 
 def journal_vector(answer: LLQAnswer, keepers_before: int, dim: int, field: FieldSpec) -> Vector:
@@ -125,11 +105,6 @@ class GaucheResult:
     pivot_set: tuple[int, ...]
     journals: tuple[Vector, ...]
 
-    @property
-    def basis_indices(self) -> tuple[int, ...]:
-        """Pivot columns, read as the column-space basis indices of the input."""
-        return self.pivot_set
-
 
 def gauche_rref(m: Matrix) -> GaucheResult:
     """Sweep the columns once, left to right, and assemble the RREF."""
@@ -137,19 +112,12 @@ def gauche_rref(m: Matrix) -> GaucheResult:
     journals: list[Vector] = []
     pivots: list[int] = []
     for n in range(1, m.cols + 1):
-        col = m.column(n)
-        answer = state.llq(col)
-        journals.append(journal_vector(answer, len(state), m.rows, m.field))
+        answer = state.llq(m.column(n))
+        journals.append(journal_vector(answer, len(pivots), m.rows, m.field))
         if isinstance(answer, Keeper):
-            state.admit(col, n)
             pivots.append(n)
     return GaucheResult(
         rref=Matrix.from_columns(journals),
         pivot_set=tuple(pivots),
         journals=tuple(journals),
     )
-
-
-def gauche_basis(m: Matrix) -> tuple[int, ...]:
-    """Indices of the keeper columns: a basis for the column space of m."""
-    return gauche_rref(m).pivot_set

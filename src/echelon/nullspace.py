@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gauche import Keeper, KeeperState, gauche_rref
+from .gauche import GaucheResult, Keeper, KeeperState, gauche_rref
 from .matrices import Matrix, Vector
 from .scalars import FieldSpec, Scalar
 
@@ -68,6 +68,37 @@ class GraphRelations:
             entries[pivot - 1] = acc
         return Vector(tuple(entries), self.field)
 
+    def basis(self) -> NullBasis:
+        """The null basis: free vector k carries 1 at its own free slot and
+        coefficient k of each pivot expression at that pivot's slot."""
+        dim = len(self.free_indices) + len(self.pivot_exprs)
+        vectors = []
+        for k, n in enumerate(self.free_indices):
+            entries = [self.field.zero()] * dim
+            entries[n - 1] = self.field.one()
+            for pivot, coeffs in self.pivot_exprs:
+                entries[pivot - 1] = coeffs[k]
+            vectors.append(Vector(tuple(entries), self.field))
+        return NullBasis(free_indices=self.free_indices, basis=tuple(vectors))
+
+
+def _relations(res: GaucheResult, q: int) -> GraphRelations:
+    """The free/pivot split of the first q columns of a swept matrix.
+
+    The sweep is prefix-stable: the keepers and journals among the first q
+    columns are those of the first q columns swept alone. Each pivot
+    variable equals the negated reduced-form entries of the free columns in
+    that pivot's row.
+    """
+    pivots = [s for s in res.pivot_set if s <= q]
+    kept = set(pivots)
+    free = tuple(n for n in range(1, q + 1) if n not in kept)
+    exprs = tuple(
+        (s, tuple(-res.journals[n - 1].entries[i] for n in free))
+        for i, s in enumerate(pivots)
+    )
+    return GraphRelations(free_indices=free, pivot_exprs=exprs, field=res.rref.field)
+
 
 def null_basis(m: Matrix) -> NullBasis:
     """Graph-normalized basis of the null space, one vector per free index.
@@ -75,28 +106,12 @@ def null_basis(m: Matrix) -> NullBasis:
     The basis vector for free index n carries 1 at slot n and, at each pivot
     slot, the negated reduced-form entry of column n in that pivot's row.
     """
-    res = gauche_rref(m)
-    pivots = res.pivot_set
-    free = tuple(n for n in range(1, m.cols + 1) if n not in pivots)
-    vectors = []
-    for n in free:
-        entries = [m.field.zero()] * m.cols
-        entries[n - 1] = m.field.one()
-        for i, s in enumerate(pivots, start=1):
-            entries[s - 1] = -res.rref.entry(i, n)
-        vectors.append(Vector(tuple(entries), m.field))
-    return NullBasis(free_indices=free, basis=tuple(vectors))
+    return _relations(gauche_rref(m), m.cols).basis()
 
 
 def graph_relations(m: Matrix) -> GraphRelations:
     """Express each pivot variable over the free variables."""
-    res = gauche_rref(m)
-    free = tuple(n for n in range(1, m.cols + 1) if n not in res.pivot_set)
-    exprs = tuple(
-        (s, tuple(-res.rref.entry(i, n) for n in free))
-        for i, s in enumerate(res.pivot_set, start=1)
-    )
-    return GraphRelations(free_indices=free, pivot_exprs=exprs, field=m.field)
+    return _relations(gauche_rref(m), m.cols)
 
 
 def null_contains(m: Matrix, v: Vector) -> bool:
@@ -114,13 +129,14 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """
     if a.rows != b.rows or a.cols != b.cols or a.field != b.field:
         return False
-    for w in null_basis(a).basis:
-        if not (b @ w).is_zero():
-            return False
-    for w in null_basis(b).basis:
-        if not (a @ w).is_zero():
-            return False
-    return True
+    return _mutually_annihilate(a, null_basis(a), b, null_basis(b))
+
+
+def _mutually_annihilate(a: Matrix, basis_a: NullBasis, b: Matrix, basis_b: NullBasis) -> bool:
+    """Does each matrix kill the other's null basis? For same-shaped a and b
+    with these null bases, that is equality of their null spaces."""
+    pairs = ((b, basis_a), (a, basis_b))
+    return all((m @ w).is_zero() for m, basis in pairs for w in basis.basis)
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> None:
@@ -144,12 +160,7 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     if k in js:
         raise ValueError(f"target column {k} is among the selected columns")
     state = KeeperState(m.field, m.rows)
-    kept_slots = []
-    for slot, j in enumerate(js):
-        col = m.column(j)
-        if isinstance(state.llq(col), Keeper):
-            state.admit(col, j)
-            kept_slots.append(slot)
+    kept_slots = [slot for slot, j in enumerate(js) if isinstance(state.llq(m.column(j)), Keeper)]
     answer = state.llq(m.column(k))
     if isinstance(answer, Keeper):
         return None
@@ -162,11 +173,10 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
 def columns_independent(m: Matrix, js: Sequence[int]) -> bool:
     """Do the selected columns form a linearly independent set?
 
-    Decided by the rank of the selected submatrix; the empty selection is
+    Decided by a restricted column sweep that stops at the first selected
+    column inside the span of those before it; the empty selection is
     independent.
     """
     _check_selection(m, js)
-    if not js:
-        return True
-    sub = m.take_columns(js)
-    return len(gauche_rref(sub).pivot_set) == len(js)
+    state = KeeperState(m.field, m.rows)
+    return all(isinstance(state.llq(m.column(j)), Keeper) for j in js)

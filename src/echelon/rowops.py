@@ -208,6 +208,14 @@ def format_op(op: RowOp) -> str:
     raise TypeError(f"not a row operation: {op!r}")
 
 
+def _row_index(token: str) -> int:
+    """A row index written in ASCII digits only; int() would also take
+    spellings such as `1_0`, `+1` or non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"malformed row index {token!r}")
+    return int(token)
+
+
 def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
     """Parse the one-op-per-line text form: `swap i j`, `scale i c`,
     `axpy i j c` (row i minus c times row j). `#` starts a comment."""
@@ -219,11 +227,11 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
         parts = line.split()
         try:
             if parts[0] == "swap" and len(parts) == 3:
-                op: RowOp = Swap(int(parts[1]), int(parts[2]))
+                op: RowOp = Swap(_row_index(parts[1]), _row_index(parts[2]))
             elif parts[0] == "scale" and len(parts) == 3:
-                op = Scale(int(parts[1]), parse_scalar(parts[2], field))
+                op = Scale(_row_index(parts[1]), parse_scalar(parts[2], field))
             elif parts[0] == "axpy" and len(parts) == 4:
-                op = Axpy(int(parts[1]), int(parts[2]), parse_scalar(parts[3], field))
+                op = Axpy(_row_index(parts[1]), _row_index(parts[2]), parse_scalar(parts[3], field))
             else:
                 raise InvalidOperationError(f"unrecognized row operation {line!r}")
         except (ValueError, IndexError, InvalidOperationError, ParseError) as exc:

@@ -8,7 +8,6 @@ fields raises FieldMismatchError rather than coercing.
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +23,33 @@ class FieldKind(enum.Enum):
     PRIME_FIELD = "prime_field"
 
 
+# Miller-Rabin with the primes 2..41 as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    """Deterministic Miller-Rabin; raises ValueError for n at or above
+    _MR_BOUND, where these bases no longer decide primality."""
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"modulus {n} is too large: primality is only decided below {_MR_BOUND}"
+        )
+    if n < 43:
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

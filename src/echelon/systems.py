@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import NullBasis, null_basis, null_equal
+from .nullspace import NullBasis, _mutually_annihilate, _relations
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ SolutionSet = Inconsistent | Affine
 
 def solve(system: LinearSystem) -> SolutionSet:
     """Solve exactly. The particular solution pins every free variable to
-    zero and reads the pivot variables off the reduced right-hand side."""
+    zero and reads the pivot variables off the reduced right-hand side; the
+    homogeneous basis is read off the same sweep, restricted to the
+    coefficient columns."""
     q = system.coeff.cols
     res = gauche_rref(system.augmented())
     if res.pivot_set and res.pivot_set[-1] == q + 1:
@@ -62,7 +64,7 @@ def solve(system: LinearSystem) -> SolutionSet:
     for i, s in enumerate(res.pivot_set):
         entries[s - 1] = reduced_rhs.entries[i]
     particular = Vector(tuple(entries), system.coeff.field)
-    return Affine(particular=particular, homogeneous=null_basis(system.coeff))
+    return Affine(particular=particular, homogeneous=_relations(res, q).basis())
 
 
 def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
@@ -86,7 +88,7 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     return (
         (b.coeff @ sol_a.particular) == b.rhs
         and (a.coeff @ sol_b.particular) == a.rhs
-        and null_equal(a.coeff, b.coeff)
+        and _mutually_annihilate(a.coeff, sol_a.homogeneous, b.coeff, sol_b.homogeneous)
     )
 
 

@@ -57,6 +57,18 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n3 x\n", QQ)
 
+    def test_zero_denominator_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.mat"
+        path.write_text("1 2\n3 1/0\n")
+        assert main(["rref", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: zero denominator in literal '1/0'\n"
+
+    def test_vanishing_denominator_over_gf_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "seven.mat"
+        path.write_text("1 2\n3 1/7\n")
+        assert main(["rref", str(path), "--field", "gf:7"]) == 2
+        assert capsys.readouterr().err == "error: line 2: denominator 7 vanishes in GF(7)\n"
+
 
 class TestParseSystem:
     def test_augmented_rows(self):
@@ -71,6 +83,12 @@ class TestParseSystem:
     def test_malformed_rows(self, text):
         with pytest.raises(ParseError):
             parse_system(text, QQ)
+
+    def test_zero_denominator_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "zero.sys"
+        path.write_text("1 2 | 1\n3 1/0 | 2\n")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: zero denominator in literal '1/0'\n"
 
 
 class TestGoldenOutputs:
@@ -227,6 +245,10 @@ class TestFieldFlag:
     def test_composite_modulus_rejected(self, t_path, capsys):
         assert main(["rref", t_path, "--field", "gf:6"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_modulus_too_large_to_decide_rejected(self, t_path, capsys):
+        assert main(["rref", t_path, "--field", f"gf:{2**89 - 1}"]) == 2
+        assert "too large" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, t_path, capsys):
         assert main(["rref", t_path, "--field", "r"]) == 2

@@ -15,7 +15,6 @@ from echelon import (
     Subordinate,
     Vector,
     apply_ops,
-    gauche_basis,
     gauche_rref,
     gauss_jordan,
     is_rref,
@@ -41,7 +40,7 @@ from helpers import (
 def state_with_keepers(m, indices):
     state = KeeperState(m.field, m.rows)
     for j in indices:
-        state.admit(m.column(j), j)
+        assert state.llq(m.column(j)) == Keeper()
     return state
 
 
@@ -85,17 +84,18 @@ class TestLLQ:
                 p, q = random_shape(rng, 6, 8)
                 m = random_matrix(rng, p, q, field)
                 state = KeeperState(field, p)
+                keepers = []
                 for j in range(1, q + 1):
                     col = m.column(j)
                     answer = state.llq(col)
                     if isinstance(answer, Subordinate):
                         acc = [field.zero()] * p
-                        for c, kept in zip(answer.coefficients, state.keeper_indices):
+                        for c, kept in zip(answer.coefficients, keepers):
                             kcol = m.column(kept)
                             acc = [a + c * e for a, e in zip(acc, kcol.entries)]
                         assert tuple(acc) == col.entries
                     else:
-                        state.admit(col, j)
+                        keepers.append(j)
 
 
 class TestJournalVector:
@@ -149,20 +149,27 @@ class TestGaucheRref:
         assert oracle.rref == j
         assert oracle.ops == ()
 
-    def test_basis_indices_alias_pivots(self):
-        res = gauche_rref(matrix_t())
-        assert res.basis_indices == res.pivot_set
+    def test_pivot_set_indexes_a_column_basis(self):
+        # every input column is the pivot columns combined by its journal
+        t = matrix_t()
+        res = gauche_rref(t)
+        keepers = t.take_columns(res.pivot_set)
+        for n, journal in enumerate(res.journals, start=1):
+            coeffs = Vector(journal.entries[: len(res.pivot_set)], QQ)
+            assert keepers @ coeffs == t.column(n)
 
 
 class TestGaucheBasis:
+    """The pivot set, read as the indices of a basis for the column space."""
+
     def test_worked_example(self):
-        assert gauche_basis(matrix_t()) == (1, 2, 5)
+        assert gauche_rref(matrix_t()).pivot_set == (1, 2, 5)
 
     def test_zero_matrix(self):
-        assert gauche_basis(Matrix.zero(2, 3, QQ)) == ()
+        assert gauche_rref(Matrix.zero(2, 3, QQ)).pivot_set == ()
 
     def test_repeated_column(self):
-        assert gauche_basis(mat([[2, 2], [1, 1]])) == (1,)
+        assert gauche_rref(mat([[2, 2], [1, 1]])).pivot_set == (1,)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -199,6 +199,14 @@ class TestOpText:
         with pytest.raises(ParseError, match="line 1"):
             parse_ops(text, QQ)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["swap 1_0 +1", "swap +1 2", "swap \u0661 2", "scale 1_0 2", "axpy 2 +1 3", "swap -1 2"],
+    )
+    def test_row_indices_are_plain_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="line 2: malformed row index"):
+            parse_ops("swap 1 2\n" + text + "\n", QQ)
+
     def test_gf7_script_roundtrip(self):
         m = random_matrix(random.Random(7), 4, 5, GF7)
         ops = gauss_jordan(m).ops

@@ -1,5 +1,6 @@
 """Field arithmetic: canonical forms, parsing, and the field axioms."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,38 @@ class TestFieldSpec:
     def test_prime_moduli_accepted(self):
         for p in (2, 3, 5, 7, 101, 32749):
             assert GF(p).modulus == p
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert GF(2**61 - 1).modulus == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprimes_rejected(self):
+        # Carmichael numbers, a strong pseudoprime to base 2, and one to
+        # every prime base up to 23
+        for bad in (561, 41041, 2047, 3825123056546413051):
+            with pytest.raises(ValueError, match="must be a prime"):
+                GF(bad)
+
+    def test_agrees_with_a_sieve(self):
+        limit = 3000
+        sieve = [False, False] + [True] * (limit - 2)
+        for n in range(2, limit):
+            if sieve[n]:
+                for k in range(n * n, limit, n):
+                    sieve[k] = False
+        for n in range(limit):
+            try:
+                GF(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == sieve[n], n
+
+    def test_modulus_above_the_certified_bound_rejected(self):
+        # 2**89 - 1 is prime, but above the bound where the bases decide
+        with pytest.raises(ValueError, match="too large"):
+            GF(2**89 - 1)
 
     def test_str(self):
         assert str(QQ) == "Q"

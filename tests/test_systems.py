@@ -1,4 +1,5 @@
 """Linear systems: exact solving, solution-set comparison, row equivalence."""
+import collections
 import random
 
 import pytest
@@ -9,12 +10,16 @@ from echelon import (
     FieldMismatchError,
     Inconsistent,
     InconsistentSystemError,
+    KeeperState,
     LinearSystem,
     Matrix,
     Scale,
     ShapeError,
     apply_ops,
+    columns_independent,
     gauche_rref,
+    graph_relations,
+    null_basis,
     row_equivalent,
     solution_equivalent,
     solve,
@@ -29,6 +34,7 @@ from helpers import (
     random_consistent_system,
     random_matrix,
     random_ops,
+    random_shape,
     sc,
     system_from_augmented,
     vec,
@@ -168,3 +174,70 @@ class TestRowEquivalent:
             else:
                 b = random_matrix(rng, p, q, field)
             assert row_equivalent(a, b) == null_equal(a, b)
+
+
+def _counted(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Calls of each KeeperState method, counted from outside the library:
+    `__init__` once per sweep, `llq` once per column eliminated, and any
+    other method would show up under its own name."""
+    counts = collections.Counter()
+    for name, fn in list(vars(KeeperState).items()):
+        if callable(fn):
+            monkeypatch.setattr(KeeperState, name, _counted(counts, name, fn))
+    return counts
+
+
+class TestOneSweepPerQuestion:
+    def test_rref_eliminates_each_column_once(self, sweeps):
+        for m in (matrix_t(), mat([[1, 2, 3, 4], [2, 4, 6, 9]]), Matrix.zero(2, 3, QQ)):
+            sweeps.clear()
+            gauche_rref(m)
+            assert sweeps == {"__init__": 1, "llq": m.cols}
+
+    def test_solve_sweeps_the_augmented_matrix_once(self, sweeps):
+        t = matrix_t()
+        assert isinstance(solve(LinearSystem(t, t.column(3))), Affine)
+        assert sweeps == {"__init__": 1, "llq": t.cols + 1}
+        sweeps.clear()
+        assert isinstance(solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))), Inconsistent)
+        assert sweeps["__init__"] == 1
+
+    def test_solution_equivalent_sweeps_each_system_once(self, sweeps):
+        t = matrix_t()
+        doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
+        a = LinearSystem(t, t.column(5))
+        b = LinearSystem(doubled, doubled.column(5))
+        assert solution_equivalent(a, b)
+        assert sweeps["__init__"] == 2
+
+    def test_null_space_views_sweep_once(self, sweeps):
+        null_basis(matrix_t())
+        assert sweeps["__init__"] == 1
+        sweeps.clear()
+        graph_relations(matrix_t())
+        assert sweeps["__init__"] == 1
+
+    def test_independence_stops_at_the_first_dependent_column(self, sweeps):
+        # column 3 = 3*column 1 + column 2, so columns 4 and 5 are never read
+        assert not columns_independent(matrix_t(), (1, 2, 3, 4, 5))
+        assert sweeps == {"__init__": 1, "llq": 3}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_homogeneous_part_is_the_null_basis(field):
+    rng = random.Random(64)
+    for _ in range(80):
+        p, q = random_shape(rng, 6, 8)
+        system = random_consistent_system(rng, p, q, field)
+        sol = solve(system)
+        assert isinstance(sol, Affine)
+        assert sol.homogeneous == null_basis(system.coeff)
