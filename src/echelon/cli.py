@@ -94,11 +94,12 @@ def _parse_field_flag(flag: str) -> FieldSpec:
     if flag.lower() == "q":
         return QQ
     if flag.lower().startswith("gf:"):
-        try:
-            p = int(flag[3:])
-        except ValueError:
-            raise ParseError(f"bad field flag {flag!r}: modulus must be an integer") from None
-        return GF(p)
+        digits = flag[3:]
+        # ASCII digits only, as for row indices: int() would also take
+        # spellings such as `3_1`, `+7`, ` 7` or non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"bad field flag {flag!r}: modulus must be an integer")
+        return GF(int(digits))
     raise ParseError(f"bad field flag {flag!r}: expected 'q' or 'gf:<p>'")
 
 

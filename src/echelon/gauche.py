@@ -36,20 +36,22 @@ class KeeperState:
     """Keeper columns admitted so far, plus an eliminated copy of them.
 
     The eliminated copy holds one normalized vector per keeper, with pairwise
-    distinct leading slots; each is tagged with its expression over the
-    original keepers. One forward pass against the copy, O(dim * keepers),
-    settles whether a candidate column lies in the keeper span and recovers
-    the exact combination coefficients. Those coefficients are unique because
-    the keeper set stays linearly independent by construction: a column is
-    only admitted when it falls outside the current span.
+    distinct leading slots; each carries, after its dim entries, its
+    expression over the original keepers, negated. One forward pass against
+    the copy, O(dim * keepers), settles whether a candidate column lies in
+    the keeper span and recovers the exact combination coefficients. Those
+    coefficients are unique because the keeper set stays linearly
+    independent by construction: a column is only admitted when it falls
+    outside the current span. The copy holds raw values (residues or
+    Fractions); Scalars appear only in the answers.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
+        self._zero = field.zero().value
         self._leads: list[int] = []
-        self._reduced: list[list[Scalar]] = []
-        self._over_keepers: list[list[Scalar]] = []
+        self._reduced: list[list] = []
 
     def llq(self, col: Vector) -> LLQAnswer:
         """Can this column be written over the keepers to its left?
@@ -63,28 +65,21 @@ class KeeperState:
             raise ShapeError(f"column of dimension {col.dim}, keeper state expects {self.dim}")
         if col.field != self.field:
             raise FieldMismatchError(f"column in {col.field} against a {self.field} state")
-        # the residual of col against the reduced keepers, and the
+        # the residual of col against the reduced keepers, followed by the
         # coefficients expressing the eliminated part over the original keepers
-        residual = list(col.entries)
-        coeffs = [self.field.zero()] * len(self._reduced)
-        for i, lead in enumerate(self._leads):
-            factor = residual[lead]
-            if not factor:
-                continue
-            u = self._reduced[i]
-            for r in range(self.dim):
-                if u[r]:
-                    residual[r] = residual[r] - factor * u[r]
-            for j, a in enumerate(self._over_keepers[i]):
-                if a:
-                    coeffs[j] = coeffs[j] + factor * a
-        lead = next((r for r, entry in enumerate(residual) if entry), None)
+        field = self.field
+        work = [e.value for e in col.entries]
+        work += [self._zero] * len(self._reduced)
+        for lead, u in zip(self._leads, self._reduced):
+            factor = work[lead]
+            if factor:
+                # u stops at its own keeper's coefficient; later ones stay
+                work[: len(u)] = field.axpy_row(work, factor, u)
+        lead = next((r for r in range(self.dim) if work[r]), None)
         if lead is None:
-            return Subordinate(tuple(coeffs))
-        scale = residual[lead].inv()
+            return Subordinate(tuple(Scalar._make(field, c) for c in work[self.dim :]))
         self._leads.append(lead)
-        self._reduced.append([scale * e for e in residual])
-        self._over_keepers.append([-(scale * c) for c in coeffs] + [scale])
+        self._reduced.append(field.scale_row(field.inverse(work[lead]), work + [-1]))
         return Keeper()
 
 

@@ -20,9 +20,10 @@ class Vector:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ShapeError("a vector needs at least one entry")
+        field = self.field
         for e in self.entries:
-            if e.spec != self.field:
-                raise FieldMismatchError(f"entry in {e.spec} inside a {self.field} vector")
+            if e.spec is not field and e.spec != field:
+                raise FieldMismatchError(f"entry in {e.spec} inside a {field} vector")
 
     @classmethod
     def from_values(cls, values: Iterable, field: FieldSpec) -> Vector:
@@ -79,9 +80,10 @@ class Matrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
                 f"got {len(self.entries)}"
             )
+        field = self.field
         for e in self.entries:
-            if e.spec != self.field:
-                raise FieldMismatchError(f"entry in {e.spec} inside a {self.field} matrix")
+            if e.spec is not field and e.spec != field:
+                raise FieldMismatchError(f"entry in {e.spec} inside a {field} matrix")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field: FieldSpec) -> Matrix:
@@ -145,18 +147,24 @@ class Matrix:
             )
         if v.field != self.field:
             raise FieldMismatchError(f"vector in {v.field} against a {self.field} matrix")
+        field, p = self.field, self.field.modulus
+        zero = field.zero().value
+        xs = [e.value for e in v.entries]
         out = []
-        for i in range(self.rows):
-            acc = self.field.zero()
-            base = i * self.cols
-            for j in range(self.cols):
-                acc = acc + self.entries[base + j] * v.entries[j]
-            out.append(acc)
-        return Vector(tuple(out), self.field)
+        for row in self.raw_rows():
+            acc = sum([a * x for a, x in zip(row, xs) if x], zero)
+            out.append(Scalar._make(field, acc if p is None else acc % p))
+        return Vector(tuple(out), field)
 
     def to_rows(self) -> list[list[Scalar]]:
         """Mutable row-of-lists copy, for elimination working storage."""
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+
+    def raw_rows(self) -> list[list]:
+        """Mutable row-of-lists copy of the raw values (residues or
+        Fractions), for the working storage of the raw-value kernels."""
+        values = [e.value for e in self.entries]
+        return [values[i : i + self.cols] for i in range(0, len(values), self.cols)]
 
     def with_entry(self, i: int, j: int, value) -> Matrix:
         """Copy of the matrix with one entry replaced (1-based indices)."""

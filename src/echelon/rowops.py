@@ -75,22 +75,16 @@ def rref_violation(m: Matrix) -> str | None:
     is the only nonzero entry in its column. Downright: pivots further right
     sit in lower rows. Bottom-zeros: all-zero rows come last.
     """
-    leads: list[int | None] = []
-    for i in range(1, m.rows + 1):
-        lead = None
-        for j in range(1, m.cols + 1):
-            if m.entry(i, j):
-                lead = j
-                break
-        leads.append(lead)
-    for i, lead in enumerate(leads, start=1):
-        if lead is not None and not m.entry(i, lead).is_one():
+    rows = m.raw_rows()
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    for row, lead in zip(rows, leads):
+        if lead is not None and row[lead] != 1:
             return "Pivots"
-    for i, lead in enumerate(leads, start=1):
+    for i, lead in enumerate(leads):
         if lead is None:
             continue
-        for i2 in range(1, m.rows + 1):
-            if i2 != i and m.entry(i2, lead):
+        for i2, row in enumerate(rows):
+            if i2 != i and row[lead]:
                 return "Insecurity"
     prev = 0
     for lead in leads:
@@ -122,10 +116,10 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
     """Eliminate left to right, clearing above and below each pivot as it is
     placed. Pivot choice is the first nonzero entry scanning top to bottom;
     exact arithmetic needs no magnitude pivoting."""
-    work = m.to_rows()
+    field = m.field
+    work = m.raw_rows()
     ops: list[RowOp] = []
     pivots: list[int] = []
-    one = m.field.one()
     pivot_row = 0
     for col in range(m.cols):
         pick = None
@@ -139,10 +133,10 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
             work[pick], work[pivot_row] = work[pivot_row], work[pick]
             ops.append(Swap(pivot_row + 1, pick + 1))
         pv = work[pivot_row][col]
-        if pv != one:
-            factor = pv.inv()
-            work[pivot_row] = [factor * x for x in work[pivot_row]]
-            ops.append(Scale(pivot_row + 1, factor))
+        if pv != 1:
+            factor = field.inverse(pv)
+            work[pivot_row] = field.scale_row(factor, work[pivot_row])
+            ops.append(Scale(pivot_row + 1, Scalar._make(field, factor)))
         prow = work[pivot_row]
         for r in range(m.rows):
             if r == pivot_row:
@@ -150,14 +144,15 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
             f = work[r][col]
             if not f:
                 continue
-            work[r] = [x - f * y for x, y in zip(work[r], prow)]
-            ops.append(Axpy(r + 1, pivot_row + 1, f))
+            work[r] = field.axpy_row(work[r], f, prow)
+            ops.append(Axpy(r + 1, pivot_row + 1, Scalar._make(field, f)))
         pivots.append(col + 1)
         pivot_row += 1
         if pivot_row == m.rows:
             break
+    entries = tuple(Scalar._make(field, x) for row in work for x in row)
     return ReductionResult(
-        rref=Matrix.from_rows(work, m.field),
+        rref=Matrix(m.rows, m.cols, entries, field),
         ops=tuple(ops),
         pivot_set=tuple(pivots),
     )
@@ -234,7 +229,9 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
                 op = Axpy(_row_index(parts[1]), _row_index(parts[2]), parse_scalar(parts[3], field))
             else:
                 raise InvalidOperationError(f"unrecognized row operation {line!r}")
-        except (ValueError, IndexError, InvalidOperationError, ParseError) as exc:
+        except (
+            ValueError, IndexError, ZeroDivisionError, InvalidOperationError, ParseError
+        ) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         ops.append(op)
     return tuple(ops)

@@ -4,6 +4,10 @@ Values are immutable and always canonical: rationals are reduced fractions
 with a positive denominator (backed by fractions.Fraction), prime-field
 values are the least nonnegative residue. Mixing scalars from different
 fields raises FieldMismatchError rather than coercing.
+
+Scalar is the type at the API boundary. The elimination kernels work on the
+raw values (Scalar.value) through the row arithmetic on FieldSpec, and wrap
+their results back into Scalars once.
 """
 from __future__ import annotations
 
@@ -54,17 +58,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _inv_mod(a: int, p: int) -> int:
-    """Inverse of a modulo prime p by the extended Euclidean algorithm."""
-    r0, r1 = a, p
-    s0, s1 = 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Names the field scalars live in: the rationals, or GF(p) for prime p."""
@@ -82,6 +75,30 @@ class FieldSpec:
     @property
     def is_rational(self) -> bool:
         return self.kind is FieldKind.RATIONALS
+
+    # Raw-value arithmetic shared by the elimination kernels. A raw value is
+    # what Scalar.value holds: a least residue over GF(p), a Fraction over Q.
+
+    def inverse(self, a):
+        """The inverse of the nonzero raw value a."""
+        if self.modulus is None:
+            return 1 / a
+        return pow(a, -1, self.modulus)
+
+    def scale_row(self, c, xs) -> list:
+        """The raw row c*xs."""
+        p = self.modulus
+        if p is None:
+            return [c * x for x in xs]
+        return [c * x % p for x in xs]
+
+    def axpy_row(self, xs, f, ys) -> list:
+        """The raw row xs - f*ys, as far as the shorter of xs and ys; the
+        Axpy row operation on raw values."""
+        p = self.modulus
+        if p is None:
+            return [x - f * y if y else x for x, y in zip(xs, ys)]
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
 
     def zero(self) -> Scalar:
         return Scalar(self, 0)
@@ -117,7 +134,7 @@ class Scalar:
                     raise ZeroDivisionError(
                         f"denominator {value.denominator} vanishes in {spec}"
                     )
-                value = value.numerator * _inv_mod(value.denominator % p, p)
+                value = value.numerator * spec.inverse(value.denominator % p)
             value = value % p
         self.spec = spec
         self.value = value
@@ -171,11 +188,7 @@ class Scalar:
     def inv(self) -> Scalar:
         if not self.value:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self.spec.is_rational:
-            return Scalar._make(
-                self.spec, Fraction(self.value.denominator, self.value.numerator)
-            )
-        return Scalar._make(self.spec, _inv_mod(self.value, self.spec.modulus))
+        return Scalar._make(self.spec, self.spec.inverse(self.value))
 
     def is_zero(self) -> bool:
         return not self.value
@@ -226,7 +239,7 @@ def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
 def as_scalar(value, spec: FieldSpec) -> Scalar:
     """Coerce an int, Fraction, literal string, or Scalar into the field."""
     if isinstance(value, Scalar):
-        if value.spec != spec:
+        if value.spec is not spec and value.spec != spec:
             raise FieldMismatchError(f"scalar in {value.spec} used in {spec}")
         return value
     if isinstance(value, str):

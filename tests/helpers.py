@@ -2,6 +2,8 @@
 random generators for matrices, vectors, row operations, and systems."""
 from __future__ import annotations
 
+import pytest
+
 from echelon import (
     GF,
     QQ,
@@ -16,6 +18,15 @@ from echelon import (
 
 GF7 = GF(7)
 FIELDS = (QQ, GF7)
+# the properties checked across fields: (field, entry bound), with GF(2),
+# a word-sized prime, and 64-bit entries over Q, where Fractions grow
+FIELD_CASES = [
+    pytest.param(QQ, 5, id="Q"),
+    pytest.param(GF7, 5, id="GF(7)"),
+    pytest.param(GF(2), 5, id="GF(2)"),
+    pytest.param(GF(32003), 5, id="GF(32003)"),
+    pytest.param(QQ, 2**63, id="Q-int64"),
+]
 
 # the running worked example: a 3x5 matrix with pivots in columns 1, 2, 5
 T_ROWS = [
@@ -51,8 +62,41 @@ def matrix_j(field=QQ) -> Matrix:
     return mat(J_ROWS, field)
 
 
-def random_matrix(rng, rows, cols, field) -> Matrix:
-    return mat([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], field)
+def random_int_rows(rng, rows, cols, bound=5) -> list[list[int]]:
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def random_matrix(rng, rows, cols, field, bound=5) -> Matrix:
+    return mat(random_int_rows(rng, rows, cols, bound), field)
+
+
+def random_low_rank_matrix(rng, rows, cols, rank, field, bound=5) -> Matrix:
+    """A product of random rows x rank and rank x cols integer factors, so
+    of rank at most `rank`; rank 0 gives the zero matrix."""
+    left = random_int_rows(rng, rows, rank, bound)
+    right = random_int_rows(rng, rank, cols, bound)
+    return mat(
+        [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left],
+        field,
+    )
+
+
+def random_low_rank_shape(rng, max_rows=6, max_cols=14) -> tuple[int, int, int]:
+    """rows, cols and a rank below min(rows, cols) where that is possible;
+    cols is often several times rows (a wide matrix)."""
+    rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    return rows, cols, rng.randint(0, max(0, min(rows, cols) - 1))
+
+
+def random_matrices(rng, field, bound, count):
+    """`count` random matrices of random_shape, then half as many
+    rank-deficient ones, many of them wide."""
+    for _ in range(count):
+        p, q = random_shape(rng)
+        yield random_matrix(rng, p, q, field, bound)
+    for _ in range(count // 2):
+        p, q, rank = random_low_rank_shape(rng)
+        yield random_low_rank_matrix(rng, p, q, rank, field, bound)
 
 
 def random_shape(rng, max_rows=8, max_cols=10) -> tuple[int, int]:

@@ -250,6 +250,11 @@ class TestFieldFlag:
         assert main(["rref", t_path, "--field", f"gf:{2**89 - 1}"]) == 2
         assert "too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["gf:3_1", "gf:+7", "gf: 7", "gf:\u0667"])
+    def test_modulus_is_plain_ascii_digits(self, t_path, capsys, flag):
+        assert main(["rref", t_path, "--field", flag]) == 2
+        assert "modulus must be an integer" in capsys.readouterr().err
+
     def test_unknown_field_rejected(self, t_path, capsys):
         assert main(["rref", t_path, "--field", "r"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from echelon import (
+    GF,
     QQ,
     FieldMismatchError,
     Matrix,
@@ -35,6 +36,14 @@ class TestConstruction:
     def test_foreign_entries_rejected(self):
         with pytest.raises(FieldMismatchError):
             Matrix(1, 2, (sc(1), sc(1, GF7)), QQ)
+        with pytest.raises(FieldMismatchError):
+            Vector((sc(1), sc(1, GF7)), QQ)
+
+    def test_equal_field_objects_accepted(self):
+        # GF(7) builds a new FieldSpec each call: equal, but not identical
+        assert GF(7) is not GF7
+        assert Matrix(1, 2, (sc(1, GF7), sc(2, GF(7))), GF(7)).field == GF7
+        assert Vector((sc(1, GF7), sc(2, GF(7))), GF(7)).field == GF7
 
     def test_from_columns_matches_from_rows(self):
         t = matrix_t()

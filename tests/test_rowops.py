@@ -24,11 +24,13 @@ from echelon import (
 )
 
 from helpers import (
+    FIELD_CASES,
     FIELDS,
     GF7,
     mat,
     matrix_j,
     matrix_t,
+    random_matrices,
     random_matrix,
     random_ops,
     random_shape,
@@ -103,12 +105,10 @@ class TestGaussJordan:
         assert result.rref == z
         assert result.ops == ()
 
-    @pytest.mark.parametrize("field", FIELDS, ids=str)
-    def test_replay_soundness(self, field):
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_replay_soundness(self, field, bound):
         rng = random.Random(61)
-        for _ in range(80):
-            p, q = random_shape(rng)
-            m = random_matrix(rng, p, q, field)
+        for m in random_matrices(rng, field, bound, 80):
             result = gauss_jordan(m)
             assert is_rref(result.rref)
             assert apply_ops(m, result.ops) == result.rref
@@ -167,12 +167,10 @@ class TestEquivalenceScript:
     def test_zero_matrix_script_is_empty(self):
         assert equivalence_script(Matrix.zero(3, 3, QQ)) == ()
 
-    @pytest.mark.parametrize("field", FIELDS, ids=str)
-    def test_script_property_on_random_matrices(self, field):
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_script_property_on_random_matrices(self, field, bound):
         rng = random.Random(88)
-        for _ in range(60):
-            p, q = random_shape(rng)
-            m = random_matrix(rng, p, q, field)
+        for m in random_matrices(rng, field, bound, 60):
             assert apply_ops(m, equivalence_script(m)) == gauche_rref(m).rref
 
 
@@ -206,6 +204,13 @@ class TestOpText:
     def test_row_indices_are_plain_ascii_digits(self, text):
         with pytest.raises(ParseError, match="line 2: malformed row index"):
             parse_ops("swap 1 2\n" + text + "\n", QQ)
+
+    @pytest.mark.parametrize(
+        ("op", "field"), [("scale 1 1/0", QQ), ("scale 1 1/7", GF7)], ids=["Q", "GF(7)"]
+    )
+    def test_zero_denominator_names_the_line(self, op, field):
+        with pytest.raises(ParseError, match="line 2: "):
+            parse_ops("swap 1 2\n" + op + "\n", field)
 
     def test_gf7_script_roundtrip(self):
         m = random_matrix(random.Random(7), 4, 5, GF7)
