@@ -35,23 +35,31 @@ LLQAnswer = Keeper | Subordinate
 class KeeperState:
     """Keeper columns admitted so far, plus an eliminated copy of them.
 
-    The eliminated copy holds one normalized vector per keeper, with pairwise
-    distinct leading slots; each carries, after its dim entries, its
-    expression over the original keepers, negated. One forward pass against
-    the copy, O(dim * keepers), settles whether a candidate column lies in
-    the keeper span and recovers the exact combination coefficients. Those
+    A column enters as an integer vector: its raw values times its scale,
+    the least common denominator over Q (1 over GF(p)). The eliminated copy
+    holds one integer row per keeper, with pairwise distinct leading slots
+    and pivot p_k, the row's entry there. After its dim residual entries a
+    row carries coefficients over the original keeper columns: for a keeper
+    row the residual plus that combination is zero. A candidate w is
+    eliminated against keeper k fraction-free (Bareiss):
+    w <- (p_k*w - w[lead_k]*u_k) / p_{k-1}, with p_{-1} = 1, where every
+    division is exact. Past the last keeper, with pivot p, the residual plus
+    the combination is p times the scaled candidate; so the candidate lies
+    in the keeper span exactly when its residual is zero, and its
+    coefficients are the rest divided by p times its scale. Over GF(p) each
+    keeper row is scaled to pivot 1, so the steps are the classical ones.
+    One forward pass, O(dim * keepers), settles the question. The
     coefficients are unique because the keeper set stays linearly
     independent by construction: a column is only admitted when it falls
-    outside the current span. The copy holds raw values (residues or
-    Fractions); Scalars appear only in the answers.
+    outside the current span. Scalars appear only in the answers.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
-        self._zero = field.zero().value
         self._leads: list[int] = []
-        self._reduced: list[list] = []
+        self._pivots: list[int] = []
+        self._reduced: list[list[int]] = []
 
     def llq(self, col: Vector) -> LLQAnswer:
         """Can this column be written over the keepers to its left?
@@ -65,21 +73,27 @@ class KeeperState:
             raise ShapeError(f"column of dimension {col.dim}, keeper state expects {self.dim}")
         if col.field != self.field:
             raise FieldMismatchError(f"column in {col.field} against a {self.field} state")
-        # the residual of col against the reduced keepers, followed by the
-        # coefficients expressing the eliminated part over the original keepers
+        # the residual of the scaled column against the reduced keepers,
+        # followed by the coefficients of the eliminated part
         field = self.field
-        work = [e.value for e in col.entries]
-        work += [self._zero] * len(self._reduced)
-        for lead, u in zip(self._leads, self._reduced):
+        work, scale = field.clear([e.value for e in col.entries])
+        work += [0] * len(self._reduced)
+        prev = 1
+        for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
             factor = work[lead]
-            if factor:
-                # u stops at its own keeper's coefficient; later ones stay
-                work[: len(u)] = field.axpy_row(work, factor, u)
+            if factor or pivot != prev:
+                # u stops at its own keeper's coefficient; later ones stay 0
+                work[: len(u)] = field.combine_row(pivot, work, factor, u, prev)
+            prev = pivot
         lead = next((r for r in range(self.dim) if work[r]), None)
         if lead is None:
-            return Subordinate(tuple(Scalar._make(field, c) for c in work[self.dim :]))
+            coeffs = field.quotients(work[self.dim :], prev * scale)
+            return Subordinate(tuple(Scalar._make(field, c) for c in coeffs))
+        # the keeper's own coefficient cancels its scaled, eliminated column
+        row, pivot = field.pivot_row(work + [-prev * scale], lead)
         self._leads.append(lead)
-        self._reduced.append(field.scale_row(field.inverse(work[lead]), work + [-1]))
+        self._pivots.append(pivot)
+        self._reduced.append(row)
         return Keeper()
 
 

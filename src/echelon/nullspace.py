@@ -90,14 +90,16 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     variable equals the negated reduced-form entries of the free columns in
     that pivot's row.
     """
+    field = res.rref.field
     pivots = [s for s in res.pivot_set if s <= q]
     kept = set(pivots)
     free = tuple(n for n in range(1, q + 1) if n not in kept)
-    exprs = tuple(
-        (s, tuple(-res.journals[n - 1].entries[i] for n in free))
-        for i, s in enumerate(pivots)
-    )
-    return GraphRelations(free_indices=free, pivot_exprs=exprs, field=res.rref.field)
+    free_journals = [res.journals[n - 1].entries for n in free]
+    exprs = []
+    for i, s in enumerate(pivots):
+        coeffs = field.negate_row([entries[i].value for entries in free_journals])
+        exprs.append((s, tuple(Scalar._make(field, c) for c in coeffs)))
+    return GraphRelations(free_indices=free, pivot_exprs=tuple(exprs), field=field)
 
 
 def null_basis(m: Matrix) -> NullBasis:

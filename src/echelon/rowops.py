@@ -115,12 +115,27 @@ class ReductionResult:
 def gauss_jordan(m: Matrix) -> ReductionResult:
     """Eliminate left to right, clearing above and below each pivot as it is
     placed. Pivot choice is the first nonzero entry scanning top to bottom;
-    exact arithmetic needs no magnitude pivoting."""
+    exact arithmetic needs no magnitude pivoting.
+
+    Row i is held as an integer row over the denominator prev * mus[i],
+    which divides to the classical row: prev is the last pivot placed (1
+    before the first), and mus[i] the least common denominator of input
+    row i until that row becomes a pivot row, then 1. Over Q the steps are
+    fraction-free Gauss-Jordan (Bareiss): with pivot p in the pivot row u,
+    every other row w becomes (p*w - w[col]*u) / prev, a division that is
+    always exact, and p becomes prev. Over GF(p) the pivot row is scaled to
+    1, so the steps are the classical ones. The logged coefficients are the
+    classical ones."""
     field = m.field
-    work = m.raw_rows()
+    work, mus = [], []
+    for row in m.raw_rows():
+        xs, d = field.clear(row)
+        work.append(xs)
+        mus.append(d)
     ops: list[RowOp] = []
     pivots: list[int] = []
     pivot_row = 0
+    prev = 1
     for col in range(m.cols):
         pick = None
         for r in range(pivot_row, m.rows):
@@ -131,26 +146,33 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
             continue
         if pick != pivot_row:
             work[pick], work[pivot_row] = work[pivot_row], work[pick]
+            mus[pick], mus[pivot_row] = mus[pivot_row], mus[pick]
             ops.append(Swap(pivot_row + 1, pick + 1))
-        pv = work[pivot_row][col]
-        if pv != 1:
-            factor = field.inverse(pv)
-            work[pivot_row] = field.scale_row(factor, work[pivot_row])
-            ops.append(Scale(pivot_row + 1, Scalar._make(field, factor)))
+        pv, d = work[pivot_row][col], prev * mus[pivot_row]
+        if pv != d:
+            ops.append(Scale(pivot_row + 1, Scalar._make(field, field.quotient(d, pv))))
+            work[pivot_row], pv = field.pivot_row(work[pivot_row], col)
+        mus[pivot_row] = 1
         prow = work[pivot_row]
         for r in range(m.rows):
             if r == pivot_row:
                 continue
             f = work[r][col]
-            if not f:
-                continue
-            work[r] = field.axpy_row(work[r], f, prow)
-            ops.append(Axpy(r + 1, pivot_row + 1, Scalar._make(field, f)))
+            if f:
+                c = field.quotient(f, prev * mus[r])
+                ops.append(Axpy(r + 1, pivot_row + 1, Scalar._make(field, c)))
+            if f or pv != prev:
+                work[r] = field.combine_row(pv, work[r], f, prow, prev)
+        prev = pv
         pivots.append(col + 1)
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    entries = tuple(Scalar._make(field, x) for row in work for x in row)
+    entries = tuple(
+        Scalar._make(field, x)
+        for row, mu in zip(work, mus)
+        for x in field.quotients(row, prev * mu)
+    )
     return ReductionResult(
         rref=Matrix(m.rows, m.cols, entries, field),
         ops=tuple(ops),

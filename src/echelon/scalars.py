@@ -5,9 +5,9 @@ with a positive denominator (backed by fractions.Fraction), prime-field
 values are the least nonnegative residue. Mixing scalars from different
 fields raises FieldMismatchError rather than coercing.
 
-Scalar is the type at the API boundary. The elimination kernels work on the
-raw values (Scalar.value) through the row arithmetic on FieldSpec, and wrap
-their results back into Scalars once.
+Scalar is the type at the API boundary. The elimination kernels work on
+integer rows over a denominator through the row arithmetic on FieldSpec, and
+wrap their results back into Scalars once.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError, ParseError
 
@@ -78,6 +79,8 @@ class FieldSpec:
 
     # Raw-value arithmetic shared by the elimination kernels. A raw value is
     # what Scalar.value holds: a least residue over GF(p), a Fraction over Q.
+    # The kernels hold a row as integers xs over a denominator d, standing
+    # for the raw row xs / d: fraction-free over Q, and d = 1 over GF(p).
 
     def inverse(self, a):
         """The inverse of the nonzero raw value a."""
@@ -92,13 +95,57 @@ class FieldSpec:
             return [c * x for x in xs]
         return [c * x % p for x in xs]
 
-    def axpy_row(self, xs, f, ys) -> list:
-        """The raw row xs - f*ys, as far as the shorter of xs and ys; the
-        Axpy row operation on raw values."""
+    def negate_row(self, xs) -> list:
+        """The raw row -xs."""
         p = self.modulus
         if p is None:
-            return [x - f * y if y else x for x, y in zip(xs, ys)]
-        return [(x - f * y) % p for x, y in zip(xs, ys)]
+            return [-x for x in xs]
+        return [-x % p for x in xs]
+
+    def clear(self, values) -> tuple[list[int], int]:
+        """The list of raw values as an integer row over a denominator: over
+        Q the least common denominator, over GF(p) the residues themselves
+        over 1."""
+        if self.modulus is not None:
+            return values, 1
+        d = lcm(*[v.denominator for v in values])
+        if d == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (d // v.denominator) for v in values], d
+
+    def combine_row(self, a, xs, f, ys, d=1) -> list:
+        """The integer row (a*xs - f*ys) / d, as far as the shorter of xs and
+        ys. Over Q the division must be exact, as in fraction-free
+        elimination; over GF(p) it is by the inverse of d."""
+        p = self.modulus
+        if p is None:
+            return [(a * x - f * y) // d for x, y in zip(xs, ys)]
+        if a == 1 and d == 1:
+            return [(x - f * y) % p for x, y in zip(xs, ys)]
+        c = self.inverse(d)
+        a, f = a * c % p, f * c % p
+        return [(a * x - f * y) % p for x, y in zip(xs, ys)]
+
+    def pivot_row(self, xs, i) -> tuple[list[int], int]:
+        """The integer row xs with its entry i made the pivot later steps
+        divide by, and that pivot: over Q the row as it is, over GF(p) the
+        row scaled so that the pivot is 1."""
+        if self.modulus is None:
+            return xs, xs[i]
+        return self.scale_row(self.inverse(xs[i]), xs), 1
+
+    def quotient(self, x, d):
+        """The raw value of the integer x over the nonzero integer d."""
+        if self.modulus is None:
+            return Fraction(x, d)
+        return x if d == 1 else x * self.inverse(d) % self.modulus
+
+    def quotients(self, xs, d) -> list:
+        """The raw values of the integer row xs over d; over Q one Fraction
+        per entry."""
+        if self.modulus is None:
+            return [Fraction(x, d) for x in xs]
+        return xs if d == 1 else self.scale_row(self.inverse(d), xs)
 
     def zero(self) -> Scalar:
         return Scalar(self, 0)
@@ -124,7 +171,7 @@ class Scalar:
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
-        if spec.is_rational:
+        if spec.modulus is None:
             if not isinstance(value, Fraction):
                 value = Fraction(value)
         else:
@@ -155,7 +202,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.is_rational:
+        if self.spec.modulus is None:
             return Scalar._make(self.spec, self.value + other.value)
         return Scalar._make(self.spec, (self.value + other.value) % self.spec.modulus)
 
@@ -163,7 +210,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.is_rational:
+        if self.spec.modulus is None:
             return Scalar._make(self.spec, self.value - other.value)
         return Scalar._make(self.spec, (self.value - other.value) % self.spec.modulus)
 
@@ -171,7 +218,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.is_rational:
+        if self.spec.modulus is None:
             return Scalar._make(self.spec, self.value * other.value)
         return Scalar._make(self.spec, (self.value * other.value) % self.spec.modulus)
 
@@ -181,7 +228,7 @@ class Scalar:
         return self * other.inv()
 
     def __neg__(self) -> Scalar:
-        if self.spec.is_rational:
+        if self.spec.modulus is None:
             return Scalar._make(self.spec, -self.value)
         return Scalar._make(self.spec, (-self.value) % self.spec.modulus)
 
@@ -208,7 +255,7 @@ class Scalar:
         return hash((self.spec, self.value))
 
     def __str__(self) -> str:
-        if self.spec.is_rational:
+        if self.spec.modulus is None:
             v = self.value
             return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
         return str(self.value)

@@ -2,6 +2,8 @@
 random generators for matrices, vectors, row operations, and systems."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from echelon import (
@@ -10,6 +12,7 @@ from echelon import (
     Axpy,
     LinearSystem,
     Matrix,
+    Scalar,
     Scale,
     Swap,
     Vector,
@@ -99,6 +102,36 @@ def random_matrices(rng, field, bound, count):
         yield random_low_rank_matrix(rng, p, q, rank, field, bound)
 
 
+def random_fraction_matrix(rng, rows, cols, field, bound=5) -> Matrix:
+    """Entries a/b with |a| <= bound and 1 <= b <= bound, b a unit of the
+    field."""
+    p = field.modulus
+
+    def entry() -> Fraction:
+        while True:
+            b = rng.randint(1, bound)
+            if p is None or b % p:
+                return Fraction(rng.randint(-bound, bound), b)
+
+    return mat([[entry() for _ in range(cols)] for _ in range(rows)], field)
+
+
+def random_fraction_matrices(rng, field, bound, count):
+    """`count` random a/b matrices of random_shape, then half as many
+    rank-deficient ones: low-rank integer matrices with each row scaled by a
+    random a/b, where that is nonzero in the field."""
+    for _ in range(count):
+        p, q = random_shape(rng)
+        yield random_fraction_matrix(rng, p, q, field, bound)
+    for _ in range(count // 2):
+        p, q, rank = random_low_rank_shape(rng)
+        low = random_low_rank_matrix(rng, p, q, rank, field, bound).to_rows()
+        scales = random_fraction_matrix(rng, p, 1, field, bound).column(1).entries
+        yield Matrix.from_rows(
+            [[c * x for x in row] if c else row for c, row in zip(scales, low)], field
+        )
+
+
 def random_shape(rng, max_rows=8, max_cols=10) -> tuple[int, int]:
     return rng.randint(1, max_rows), rng.randint(1, max_cols)
 
@@ -139,3 +172,83 @@ def system_from_augmented(aug: Matrix) -> LinearSystem:
     """Split an augmented matrix back into coefficient part and RHS column."""
     coeff = aug.take_columns(range(1, aug.cols))
     return LinearSystem(coeff, aug.column(aug.cols))
+
+
+# Reference kernels: the classical column sweep and Gauss-Jordan, one field
+# operation per entry and step on raw values (Fractions over Q, residues over
+# GF(p)). The fraction-free kernels in echelon must agree with them exactly.
+
+
+def _ref_inverse(field, a):
+    return 1 / a if field.modulus is None else pow(a, -1, field.modulus)
+
+
+def _ref_scale(field, c, xs) -> list:
+    p = field.modulus
+    return [c * x for x in xs] if p is None else [c * x % p for x in xs]
+
+
+def _ref_axpy(field, xs, f, ys) -> list:
+    """xs - f*ys, as far as the shorter of xs and ys."""
+    p = field.modulus
+    if p is None:
+        return [x - f * y for x, y in zip(xs, ys)]
+    return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+
+def reference_sweep(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """The journals and pivot set of the left-to-right column sweep. Each
+    keeper is stored normalized, followed by its expression over the
+    original keepers, negated."""
+    field, dim = m.field, m.rows
+    leads: list[int] = []
+    reduced: list[list] = []
+    journals, pivots = [], []
+    for n in range(1, m.cols + 1):
+        work = [e.value for e in m.column(n).entries] + [0] * len(reduced)
+        for lead, u in zip(leads, reduced):
+            if work[lead]:
+                work[: len(u)] = _ref_axpy(field, work, work[lead], u)
+        lead = next((r for r in range(dim) if work[r]), None)
+        if lead is None:
+            coeffs = work[dim:]
+        else:
+            leads.append(lead)
+            reduced.append(_ref_scale(field, _ref_inverse(field, work[lead]), work + [-1]))
+            coeffs = [0] * len(pivots) + [1]
+            pivots.append(n)
+        journals.append(Vector.from_values(coeffs + [0] * (dim - len(coeffs)), field))
+    return tuple(journals), tuple(pivots)
+
+
+def reference_gauss_jordan(m: Matrix) -> tuple[tuple, Matrix, tuple[int, ...]]:
+    """The op log, reduced form and pivot set of classical Gauss-Jordan:
+    first nonzero pivot top to bottom, the pivot row scaled to 1, then every
+    other row cleared in the pivot column."""
+    field = m.field
+    work = m.raw_rows()
+    ops, pivots = [], []
+    pivot_row = 0
+    for col in range(m.cols):
+        pick = next((r for r in range(pivot_row, m.rows) if work[r][col]), None)
+        if pick is None:
+            continue
+        if pick != pivot_row:
+            work[pick], work[pivot_row] = work[pivot_row], work[pick]
+            ops.append(Swap(pivot_row + 1, pick + 1))
+        pv = work[pivot_row][col]
+        if pv != 1:
+            factor = _ref_inverse(field, pv)
+            work[pivot_row] = _ref_scale(field, factor, work[pivot_row])
+            ops.append(Scale(pivot_row + 1, Scalar(field, factor)))
+        prow = work[pivot_row]
+        for r in range(m.rows):
+            f = work[r][col]
+            if r != pivot_row and f:
+                work[r] = _ref_axpy(field, work[r], f, prow)
+                ops.append(Axpy(r + 1, pivot_row + 1, Scalar(field, f)))
+        pivots.append(col + 1)
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    return tuple(ops), Matrix.from_rows(work, field), tuple(pivots)

@@ -2,6 +2,7 @@
 assembled reduced form, checked against the worked example and against the
 classical elimination oracle on random matrices."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,10 +33,14 @@ from helpers import (
     mat,
     matrix_j,
     matrix_t,
+    random_fraction_matrices,
+    random_fraction_matrix,
     random_matrices,
     random_matrix,
     random_ops,
     random_shape,
+    reference_gauss_jordan,
+    reference_sweep,
     sc,
     vec,
 )
@@ -248,3 +253,48 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     # the counters do count
     assert field.one() * field.one() + field.one() == sc(2, field)
     assert calls == ["__mul__", "__add__"]
+
+
+def test_kernels_do_no_fraction_arithmetic(monkeypatch):
+    """Over Q the sweep and the oracle eliminate on integers: no Fraction
+    +, -, * or / on a 20x21 input mixing 64-bit and a/b entries."""
+    rng = random.Random(2022)
+    big = random_matrix(rng, 20, 21, QQ, bound=2**63).to_rows()
+    small = random_fraction_matrix(rng, 20, 21, QQ, bound=9).to_rows()
+    m = Matrix.from_rows(
+        [[rng.choice(pair) for pair in zip(*rows)] for rows in zip(big, small)], QQ
+    )
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda a, b, op=op, name=name: calls.append(name) or op(a, b)
+        )
+    res = gauche_rref(m)
+    oracle = gauss_jordan(m)
+    assert calls == []
+    assert oracle.rref == res.rref
+    assert len(res.pivot_set) == 20
+    # the counters do count
+    half = Fraction(1, 2)
+    assert (half + half) * half - half / half == Fraction(-1, 2)
+    assert calls == ["__add__", "__mul__", "__truediv__", "__sub__"]
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_kernels_match_the_references(field, bound):
+    """The fraction-free sweep and oracle give exactly what the classical
+    loops give: the same journals and pivots, the same op log (so the same
+    `script` text) and reduced form, and the log replays to the sweep's
+    reduced form."""
+    rng = random.Random(30517)
+    matrices = [
+        *random_matrices(rng, field, bound, 40),
+        *random_fraction_matrices(rng, field, bound, 40),
+    ]
+    for m in matrices:
+        res = gauche_rref(m)
+        assert (res.journals, res.pivot_set) == reference_sweep(m)
+        oracle = gauss_jordan(m)
+        assert (oracle.ops, oracle.rref, oracle.pivot_set) == reference_gauss_jordan(m)
+        assert apply_ops(m, oracle.ops) == res.rref

@@ -86,6 +86,42 @@ class TestFieldSpec:
         assert str(QQ) == "Q"
         assert str(GF7) == "GF(7)"
 
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
+    def test_row_primitives_match_scalar_arithmetic(self, field):
+        """The kernels' integer-row primitives, each checked against Scalar
+        arithmetic, with denominators other than 1 over GF(p) too."""
+        rng = random.Random(404)
+
+        def scalars(raw):
+            return [Scalar(field, x) for x in raw]
+
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            a, f = rng.randint(-9, 9), rng.randint(-9, 9)
+            d = rng.choice([1, rng.randint(1, 6) * rng.choice([-1, 1])])
+            xs = [d * rng.randint(-50, 50) for _ in range(n)]
+            ys = [d * rng.randint(-50, 50) for _ in range(n)]
+            if field.modulus is not None:
+                xs, ys = [x % 7 for x in xs], [y % 7 for y in ys]
+            unit = Scalar(field, d)
+            combined = [
+                (Scalar(field, a) * x - Scalar(field, f) * y) / unit
+                for x, y in zip(scalars(xs), scalars(ys))
+            ]
+            assert scalars(field.combine_row(a, xs, f, ys, d)) == combined
+            assert scalars(field.quotients(xs, d)) == [x / unit for x in scalars(xs)]
+            assert Scalar(field, field.quotient(xs[0], d)) == Scalar(field, xs[0]) / unit
+            assert scalars(field.negate_row(xs)) == [-x for x in scalars(xs)]
+            values = [rng.choice([x, Fraction(x, 3)]) for x in xs]
+            ints, den = field.clear([Scalar(field, v).value for v in values])
+            assert all(type(x) is int for x in ints)
+            assert scalars(field.quotients(ints, den)) == scalars(values)
+            if xs[0]:
+                row, pivot = field.pivot_row(xs, 0)
+                lead = Scalar(field, xs[0])
+                assert scalars(field.quotients(row, pivot)) == [x / lead for x in scalars(xs)]
+                assert field.quotient(row[0], pivot) == 1
+
 
 class TestParse:
     def test_negative_integer(self):
