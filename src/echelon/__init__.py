@@ -23,7 +23,6 @@ from .gauche import (
     LLQAnswer,
     Subordinate,
     gauche_rref,
-    journal_vector,
 )
 from .matrices import Matrix, Vector, std_basis
 from .nullspace import (
@@ -51,7 +50,7 @@ from .rowops import (
     parse_ops,
     rref_violation,
 )
-from .scalars import GF, QQ, FieldKind, FieldSpec, Scalar, as_scalar, parse_scalar
+from .scalars import GF, QQ, FieldSpec, Scalar, as_scalar, parse_scalar
 from .systems import (
     Affine,
     Inconsistent,
@@ -68,7 +67,6 @@ __all__ = [
     "Affine",
     "Axpy",
     "EchelonError",
-    "FieldKind",
     "FieldMismatchError",
     "FieldSpec",
     "GF",
@@ -105,7 +103,6 @@ __all__ = [
     "gauss_jordan",
     "graph_relations",
     "is_rref",
-    "journal_vector",
     "null_basis",
     "null_contains",
     "null_equal",

@@ -14,11 +14,11 @@ from .gauche import gauche_rref
 from .matrices import Matrix, Vector
 from .nullspace import graph_relations, null_basis
 from .rowops import equivalence_script, format_op, rref_violation
-from .scalars import GF, QQ, FieldSpec, parse_scalar
+from .scalars import GF, QQ, FieldSpec, format_values, parse_value
 from .systems import Affine, Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
 
-def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> list[list]:
+def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
     """The line loop shared by both input formats: `#` starts a comment,
     blank lines are skipped, and every error names its line. Each row of an
     augmented system carries its right-hand-side entry last; the coefficient
@@ -31,8 +31,8 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> list[list]:
             continue
         try:
             tokens = _augmented_tokens(line.split()) if augmented else line.split()
-            row = [parse_scalar(tok, field) for tok in tokens]
-        except (ParseError, ZeroDivisionError) as exc:
+            row = [parse_value(tok, field) for tok in tokens]
+        except (ParseError, ZeroDivisionError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         entries = len(row) - augmented
         if width is None:
@@ -42,7 +42,7 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> list[list]:
         rows.append(row)
     if not rows:
         raise ParseError(f"no {'system' if augmented else 'matrix'} rows in input")
-    return rows
+    return Matrix._raw(len(rows), len(rows[0]), tuple(x for row in rows for x in row), field)
 
 
 def _augmented_tokens(tokens: list[str]) -> list[str]:
@@ -61,17 +61,14 @@ def _augmented_tokens(tokens: list[str]) -> list[str]:
 def parse_matrix(text: str, field: FieldSpec) -> Matrix:
     """One matrix row per nonempty line of whitespace-separated scalar
     literals; `#` starts a comment. All rows must have the same length."""
-    return Matrix.from_rows(_scalar_rows(text, field, augmented=False), field)
+    return _scalar_rows(text, field, augmented=False)
 
 
 def parse_system(text: str, field: FieldSpec) -> LinearSystem:
     """Augmented format: a matrix row, a lone `|` token, then one
     right-hand-side entry, per line."""
-    rows = _scalar_rows(text, field, augmented=True)
-    return LinearSystem(
-        Matrix.from_rows([row[:-1] for row in rows], field),
-        Vector(tuple(row[-1] for row in rows), field),
-    )
+    aug = _scalar_rows(text, field, augmented=True)
+    return LinearSystem(aug.take_columns(range(1, aug.cols)), aug.column(aug.cols))
 
 
 def format_matrix(m: Matrix) -> str:
@@ -80,14 +77,6 @@ def format_matrix(m: Matrix) -> str:
 
 def format_vector(v: Vector) -> str:
     return str(v)
-
-
-def _matrix_json(m: Matrix) -> list[list[str]]:
-    return [[str(m.entry(i, j)) for j in range(1, m.cols + 1)] for i in range(1, m.rows + 1)]
-
-
-def _vector_json(v: Vector) -> list[str]:
-    return [str(e) for e in v.entries]
 
 
 def _parse_field_flag(flag: str) -> FieldSpec:
@@ -111,7 +100,7 @@ def _read(path: str) -> str:
 def _cmd_rref(m, fmt) -> tuple[int, str]:
     res = gauche_rref(m)
     if fmt == "json":
-        return 0, json.dumps({"rref": _matrix_json(res.rref)})
+        return 0, json.dumps({"rref": [format_values(row) for row in res.rref.raw_rows()]})
     return 0, format_matrix(res.rref)
 
 
@@ -127,7 +116,7 @@ def _cmd_basis(m, fmt) -> tuple[int, str]:
     columns = [m.column(j) for j in indices]
     if fmt == "json":
         return 0, json.dumps(
-            {"indices": list(indices), "columns": [_vector_json(c) for c in columns]}
+            {"indices": list(indices), "columns": [format_values(c.values) for c in columns]}
         )
     return 0, "\n".join(format_vector(c) for c in columns)
 
@@ -136,7 +125,7 @@ def _cmd_null(m, fmt) -> tuple[int, str]:
     nb = null_basis(m)
     if fmt == "json":
         return 0, json.dumps(
-            {"free": list(nb.free_indices), "basis": [_vector_json(v) for v in nb.basis]}
+            {"free": list(nb.free_indices), "basis": [format_values(v.values) for v in nb.basis]}
         )
     return 0, "\n".join(format_vector(v) for v in nb.basis)
 
@@ -148,7 +137,7 @@ def _cmd_graph(m, fmt) -> tuple[int, str]:
             {
                 "free": list(rel.free_indices),
                 "relations": [
-                    {"pivot": pivot, "coefficients": [str(c) for c in coeffs]}
+                    {"pivot": pivot, "coefficients": format_values(coeffs)}
                     for pivot, coeffs in rel.pivot_exprs
                 ],
             }
@@ -193,8 +182,8 @@ def _cmd_solve(system, fmt) -> tuple[int, str]:
         return 0, json.dumps(
             {
                 "consistent": True,
-                "particular": _vector_json(sol.particular),
-                "basis": [_vector_json(v) for v in sol.homogeneous.basis],
+                "particular": format_values(sol.particular.values),
+                "basis": [format_values(v.values) for v in sol.homogeneous.basis],
             }
         )
     lines = [f"particular: {format_vector(sol.particular)}"]
@@ -268,7 +257,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         field = _parse_field_flag(args.field)
         inputs = [parse(_read(path), field) for path in paths]
-        code, output = handler(*inputs, args.fmt)
+        # answers print in full; input literals keep the interpreter's int
+        # digit limit (Python 3.11+), as reading a long one takes quadratic time
+        lift = getattr(sys, "set_int_max_str_digits", None)
+        limit = lift and sys.get_int_max_str_digits()
+        if lift:
+            lift(0)
+        try:
+            code, output = handler(*inputs, args.fmt)
+        finally:
+            if lift:
+                lift(limit)
     except (EchelonError, OSError, ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FieldMismatchError, ShapeError
-from .matrices import Matrix, Vector, std_basis
+from .matrices import Matrix, Vector
 from .scalars import FieldSpec, Scalar
 
 
@@ -24,9 +24,15 @@ class Keeper:
 
 @dataclass(frozen=True)
 class Subordinate:
-    """The column equals the keeper combination with these coefficients."""
+    """The column equals the keeper combination with these coefficients,
+    held as raw values of the field."""
 
-    coefficients: tuple[Scalar, ...]
+    values: tuple
+    field: FieldSpec
+
+    @property
+    def coefficients(self) -> tuple[Scalar, ...]:
+        return tuple(Scalar(self.field, v) for v in self.values)
 
 
 LLQAnswer = Keeper | Subordinate
@@ -51,7 +57,7 @@ class KeeperState:
     One forward pass, O(dim * keepers), settles the question. The
     coefficients are unique because the keeper set stays linearly
     independent by construction: a column is only admitted when it falls
-    outside the current span. Scalars appear only in the answers.
+    outside the current span. No Scalar is made.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -65,7 +71,7 @@ class KeeperState:
         """Can this column be written over the keepers to its left?
 
         With no keepers yet the span is the zero space, so the answer is
-        Subordinate(()) exactly when the column is zero. A Keeper answer
+        Subordinate((), field) exactly when the column is zero. A Keeper answer
         also admits the column as the next keeper, so a sweep eliminates
         each column once.
         """
@@ -76,7 +82,7 @@ class KeeperState:
         # the residual of the scaled column against the reduced keepers,
         # followed by the coefficients of the eliminated part
         field = self.field
-        work, scale = field.clear([e.value for e in col.entries])
+        work, scale = field.clear(list(col.values))
         work += [0] * len(self._reduced)
         prev = 1
         for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
@@ -87,25 +93,13 @@ class KeeperState:
             prev = pivot
         lead = next((r for r in range(self.dim) if work[r]), None)
         if lead is None:
-            coeffs = field.quotients(work[self.dim :], prev * scale)
-            return Subordinate(tuple(Scalar._make(field, c) for c in coeffs))
+            return Subordinate(tuple(field.quotients(work[self.dim :], prev * scale)), field)
         # the keeper's own coefficient cancels its scaled, eliminated column
         row, pivot = field.pivot_row(work + [-prev * scale], lead)
         self._leads.append(lead)
         self._pivots.append(pivot)
         self._reduced.append(row)
         return Keeper()
-
-
-def journal_vector(answer: LLQAnswer, keepers_before: int, dim: int, field: FieldSpec) -> Vector:
-    """The per-column record: e_{l+1} for the (l+1)th keeper, or the
-    subordinate coefficients padded with zeros to the full dimension."""
-    if isinstance(answer, Keeper):
-        assert keepers_before + 1 <= dim, "more keepers than rows is impossible"
-        return std_basis(dim, keepers_before + 1, field)
-    coeffs = answer.coefficients
-    assert len(coeffs) == keepers_before <= dim
-    return Vector(coeffs + (field.zero(),) * (dim - len(coeffs)), field)
 
 
 @dataclass(frozen=True)
@@ -116,15 +110,22 @@ class GaucheResult:
 
 
 def gauche_rref(m: Matrix) -> GaucheResult:
-    """Sweep the columns once, left to right, and assemble the RREF."""
-    state = KeeperState(m.field, m.rows)
+    """Sweep the columns once, left to right, and assemble the RREF: the
+    (l+1)th keeper journals as e_{l+1}, a subordinate column as its
+    coefficients padded with zeros."""
+    dim, field = m.rows, m.field
+    state = KeeperState(field, dim)
     journals: list[Vector] = []
     pivots: list[int] = []
     for n in range(1, m.cols + 1):
         answer = state.llq(m.column(n))
-        journals.append(journal_vector(answer, len(pivots), m.rows, m.field))
         if isinstance(answer, Keeper):
+            journal = [0] * dim
+            journal[len(pivots)] = 1
             pivots.append(n)
+        else:
+            journal = [*answer.values, *[0] * (dim - len(answer.values))]
+        journals.append(Vector._raw(tuple(journal), field))
     return GaucheResult(
         rref=Matrix.from_columns(journals),
         pivot_set=tuple(pivots),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .gauche import GaucheResult, Keeper, KeeperState, gauche_rref
 from .matrices import Matrix, Vector
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Scalar, format_values
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,15 @@ class NullBasis:
 
 @dataclass(frozen=True)
 class GraphRelations:
-    """x_pivot = sum(coefficient * x_free) rows, read off the reduced form.
+    """x_pivot = sum(coefficient * x_free) rows, read off the reduced form,
+    with the coefficients as raw values of the field.
 
     Every free variable is listed in every expression, zero coefficients
     included, so the textual form is stable.
     """
 
     free_indices: tuple[int, ...]
-    pivot_exprs: tuple[tuple[int, tuple[Scalar, ...]], ...]
+    pivot_exprs: tuple[tuple[int, tuple], ...]
     field: FieldSpec
 
     def lines(self) -> list[str]:
@@ -46,27 +47,10 @@ class GraphRelations:
                 out.append(f"x{pivot} = 0")
             else:
                 terms = " + ".join(
-                    f"{c}*x{n}" for c, n in zip(coeffs, self.free_indices)
+                    f"{c}*x{n}" for c, n in zip(format_values(coeffs), self.free_indices)
                 )
                 out.append(f"x{pivot} = {terms}")
         return out
-
-    def solution_for(self, free_values: Sequence[Scalar]) -> Vector:
-        """The full null-space vector with the given free-variable values."""
-        if len(free_values) != len(self.free_indices):
-            raise ValueError(
-                f"expected {len(self.free_indices)} free values, got {len(free_values)}"
-            )
-        dim = len(self.free_indices) + len(self.pivot_exprs)
-        entries = [self.field.zero()] * dim
-        for n, value in zip(self.free_indices, free_values):
-            entries[n - 1] = value
-        for pivot, coeffs in self.pivot_exprs:
-            acc = self.field.zero()
-            for c, value in zip(coeffs, free_values):
-                acc = acc + c * value
-            entries[pivot - 1] = acc
-        return Vector(tuple(entries), self.field)
 
     def basis(self) -> NullBasis:
         """The null basis: free vector k carries 1 at its own free slot and
@@ -74,11 +58,11 @@ class GraphRelations:
         dim = len(self.free_indices) + len(self.pivot_exprs)
         vectors = []
         for k, n in enumerate(self.free_indices):
-            entries = [self.field.zero()] * dim
-            entries[n - 1] = self.field.one()
+            values = [0] * dim
+            values[n - 1] = 1
             for pivot, coeffs in self.pivot_exprs:
-                entries[pivot - 1] = coeffs[k]
-            vectors.append(Vector(tuple(entries), self.field))
+                values[pivot - 1] = coeffs[k]
+            vectors.append(Vector._raw(tuple(values), self.field))
         return NullBasis(free_indices=self.free_indices, basis=tuple(vectors))
 
 
@@ -94,12 +78,12 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     pivots = [s for s in res.pivot_set if s <= q]
     kept = set(pivots)
     free = tuple(n for n in range(1, q + 1) if n not in kept)
-    free_journals = [res.journals[n - 1].entries for n in free]
-    exprs = []
-    for i, s in enumerate(pivots):
-        coeffs = field.negate_row([entries[i].value for entries in free_journals])
-        exprs.append((s, tuple(Scalar._make(field, c) for c in coeffs)))
-    return GraphRelations(free_indices=free, pivot_exprs=tuple(exprs), field=field)
+    free_journals = [res.journals[n - 1].values for n in free]
+    exprs = tuple(
+        (s, tuple(field.negate_row([values[i] for values in free_journals])))
+        for i, s in enumerate(pivots)
+    )
+    return GraphRelations(free_indices=free, pivot_exprs=exprs, field=field)
 
 
 def null_basis(m: Matrix) -> NullBasis:

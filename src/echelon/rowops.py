@@ -168,13 +168,9 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    entries = tuple(
-        Scalar._make(field, x)
-        for row, mu in zip(work, mus)
-        for x in field.quotients(row, prev * mu)
-    )
+    values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
     return ReductionResult(
-        rref=Matrix(m.rows, m.cols, entries, field),
+        rref=Matrix._raw(m.rows, m.cols, values, field),
         ops=tuple(ops),
         pivot_set=tuple(pivots),
     )
@@ -182,9 +178,10 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
 
 def apply_ops(m: Matrix, ops) -> Matrix:
     """Apply a sequence of row operations, in order, to a copy of m."""
-    work = m.to_rows()
+    field, p = m.field, m.field.modulus
+    work = m.raw_rows()
 
-    def row_of(i: int) -> list[Scalar]:
+    def row_of(i: int) -> list:
         if not 1 <= i <= m.rows:
             raise IndexError(f"row index {i} out of range 1..{m.rows}")
         return work[i - 1]
@@ -195,17 +192,18 @@ def apply_ops(m: Matrix, ops) -> Matrix:
             row_of(op.j)
             work[op.i - 1], work[op.j - 1] = work[op.j - 1], work[op.i - 1]
         elif isinstance(op, Scale):
-            if op.c.spec != m.field:
-                raise FieldMismatchError(f"scale in {op.c.spec} applied over {m.field}")
-            work[op.i - 1] = [op.c * x for x in row_of(op.i)]
+            if op.c.spec != field:
+                raise FieldMismatchError(f"scale in {op.c.spec} applied over {field}")
+            work[op.i - 1] = field.scale_row(op.c.value, row_of(op.i))
         elif isinstance(op, Axpy):
-            if op.c.spec != m.field:
-                raise FieldMismatchError(f"axpy in {op.c.spec} applied over {m.field}")
-            src = row_of(op.source)
-            work[op.target - 1] = [x - op.c * y for x, y in zip(row_of(op.target), src)]
+            if op.c.spec != field:
+                raise FieldMismatchError(f"axpy in {op.c.spec} applied over {field}")
+            c, src = op.c.value, row_of(op.source)
+            row = [x - c * y for x, y in zip(row_of(op.target), src)]
+            work[op.target - 1] = row if p is None else [x % p for x in row]
         else:
             raise TypeError(f"not a row operation: {op!r}")
-    return Matrix.from_rows(work, m.field)
+    return Matrix._raw(m.rows, m.cols, tuple(x for row in work for x in row), field)
 
 
 def equivalence_script(m: Matrix) -> tuple[RowOp, ...]:

@@ -5,13 +5,14 @@ with a positive denominator (backed by fractions.Fraction), prime-field
 values are the least nonnegative residue. Mixing scalars from different
 fields raises FieldMismatchError rather than coercing.
 
-Scalar is the type at the API boundary. The elimination kernels work on
-integer rows over a denominator through the row arithmetic on FieldSpec, and
-wrap their results back into Scalars once.
+Scalar is the type at the API boundary. Everything else works on raw
+values: a least residue over GF(p); over Q an int, or a Fraction where the
+value is not an integer. The elimination kernels hold integer rows over a
+denominator through the row arithmetic on FieldSpec. Literals are read by
+parse_value and written by format_values, for raw values and Scalars alike.
 """
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +20,8 @@ from math import lcm
 
 from .errors import FieldMismatchError, ParseError
 
-# optional '-', digits, optionally '/' and more digits; no whitespace inside
-_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
-
-
-class FieldKind(enum.Enum):
-    RATIONALS = "rationals"
-    PRIME_FIELD = "prime_field"
+# optional '-', digits, '/' and more digits; no whitespace inside
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
 
 
 # Miller-Rabin with the primes 2..41 as bases is exact below this bound
@@ -61,26 +57,30 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Names the field scalars live in: the rationals, or GF(p) for prime p."""
+    """Names the field scalars live in: GF(p) for a prime modulus p, the
+    rationals for modulus None."""
 
-    kind: FieldKind
     modulus: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is FieldKind.RATIONALS:
-            if self.modulus is not None:
-                raise ValueError("the rationals carry no modulus")
-        elif self.modulus is None or not _is_prime(self.modulus):
+        if self.modulus is not None and not _is_prime(self.modulus):
             raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.kind is FieldKind.RATIONALS
+    def raw(self, value):
+        """The raw value of an int or a Fraction: itself over Q; over GF(p)
+        its least residue, a/b meaning a times the inverse of b."""
+        p = self.modulus
+        if p is None:
+            return value
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
+            return value.numerator * pow(value.denominator, -1, p) % p
+        return value % p
 
-    # Raw-value arithmetic shared by the elimination kernels. A raw value is
-    # what Scalar.value holds: a least residue over GF(p), a Fraction over Q.
-    # The kernels hold a row as integers xs over a denominator d, standing
-    # for the raw row xs / d: fraction-free over Q, and d = 1 over GF(p).
+    # Raw-value arithmetic shared by the elimination kernels. The kernels
+    # hold a row as integers xs over a denominator d, standing for the raw
+    # row xs / d: fraction-free over Q, and d = 1 over GF(p).
 
     def inverse(self, a):
         """The inverse of the nonzero raw value a."""
@@ -154,15 +154,15 @@ class FieldSpec:
         return Scalar(self, 1)
 
     def __str__(self) -> str:
-        return "Q" if self.is_rational else f"GF({self.modulus})"
+        return "Q" if self.modulus is None else f"GF({self.modulus})"
 
 
-QQ = FieldSpec(FieldKind.RATIONALS)
+QQ = FieldSpec()
 
 
 def GF(p: int) -> FieldSpec:
     """The prime field with p elements."""
-    return FieldSpec(FieldKind.PRIME_FIELD, p)
+    return FieldSpec(p)
 
 
 class Scalar:
@@ -171,18 +171,9 @@ class Scalar:
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
-        if spec.modulus is None:
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-        else:
-            p = spec.modulus
-            if isinstance(value, Fraction):
-                if value.denominator % p == 0:
-                    raise ZeroDivisionError(
-                        f"denominator {value.denominator} vanishes in {spec}"
-                    )
-                value = value.numerator * spec.inverse(value.denominator % p)
-            value = value % p
+        value = spec.raw(value)
+        if spec.modulus is None and not isinstance(value, Fraction):
+            value = Fraction(value)
         self.spec = spec
         self.value = value
 
@@ -202,25 +193,19 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.modulus is None:
-            return Scalar._make(self.spec, self.value + other.value)
-        return Scalar._make(self.spec, (self.value + other.value) % self.spec.modulus)
+        return Scalar._make(self.spec, self.spec.raw(self.value + other.value))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.modulus is None:
-            return Scalar._make(self.spec, self.value - other.value)
-        return Scalar._make(self.spec, (self.value - other.value) % self.spec.modulus)
+        return Scalar._make(self.spec, self.spec.raw(self.value - other.value))
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        if self.spec.modulus is None:
-            return Scalar._make(self.spec, self.value * other.value)
-        return Scalar._make(self.spec, (self.value * other.value) % self.spec.modulus)
+        return Scalar._make(self.spec, self.spec.raw(self.value * other.value))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -228,9 +213,7 @@ class Scalar:
         return self * other.inv()
 
     def __neg__(self) -> Scalar:
-        if self.spec.modulus is None:
-            return Scalar._make(self.spec, -self.value)
-        return Scalar._make(self.spec, (-self.value) % self.spec.modulus)
+        return Scalar._make(self.spec, self.spec.raw(-self.value))
 
     def inv(self) -> Scalar:
         if not self.value:
@@ -255,32 +238,43 @@ class Scalar:
         return hash((self.spec, self.value))
 
     def __str__(self) -> str:
-        if self.spec.modulus is None:
-            v = self.value
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return str(self.value)
+        return format_values((self.value,))[0]
 
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self})"
 
 
-def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
-    """Parse an integer or "a/b" literal into a canonical Scalar.
+def parse_value(text: str, field: FieldSpec):
+    """The raw value of an integer or "a/b" literal in the field.
 
     Over GF(p) a fraction literal means a times the inverse of b; a
     denominator divisible by p is rejected with ZeroDivisionError, as is a
-    literal zero denominator over the rationals.
+    literal zero denominator. A number longer than the interpreter's int
+    digit limit raises its ValueError: reading one takes quadratic time.
     """
-    m = _LITERAL.fullmatch(text)
+    # ASCII only: int() alone also takes `+1`, `1_0`, ` 7` and non-ASCII digits
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        value = int(text)
+        return value if field.modulus is None else value % field.modulus
+    m = _FRACTION.fullmatch(text)
     if m is None:
         raise ParseError(f"malformed scalar literal {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Scalar(spec, num)
-    den = int(m.group(2))
+    num, den = int(m.group(1)), int(m.group(2))
     if den == 0:
         raise ZeroDivisionError(f"zero denominator in literal {text!r}")
-    return Scalar(spec, Fraction(num, den))
+    return field.raw(Fraction(num, den))
+
+
+def format_values(values) -> list[str]:
+    """The literal of each raw value: `n`, or `n/d` in lowest terms, as
+    parse_value reads it. Zeros, most of a null basis, skip the str call."""
+    return [str(v) if v else "0" for v in values]
+
+
+def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
+    """Parse an integer or "a/b" literal into a canonical Scalar (see
+    parse_value)."""
+    return Scalar(spec, parse_value(text, spec))
 
 
 def as_scalar(value, spec: FieldSpec) -> Scalar:

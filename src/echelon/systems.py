@@ -59,11 +59,11 @@ def solve(system: LinearSystem) -> SolutionSet:
     res = gauche_rref(system.augmented())
     if res.pivot_set and res.pivot_set[-1] == q + 1:
         return Inconsistent()
-    reduced_rhs = res.journals[q]
-    entries = [system.coeff.field.zero()] * q
+    reduced_rhs = res.journals[q].values
+    values = [0] * q
     for i, s in enumerate(res.pivot_set):
-        entries[s - 1] = reduced_rhs.entries[i]
-    particular = Vector(tuple(entries), system.coeff.field)
+        values[s - 1] = reduced_rhs[i]
+    particular = Vector._raw(tuple(values), system.coeff.field)
     return Affine(particular=particular, homogeneous=_relations(res, q).basis())
 
 

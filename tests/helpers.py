@@ -65,6 +65,10 @@ def matrix_j(field=QQ) -> Matrix:
     return mat(J_ROWS, field)
 
 
+def scalar_rows(m: Matrix) -> list[list[Scalar]]:
+    return [list(m.row(i).entries) for i in range(1, m.rows + 1)]
+
+
 def random_int_rows(rng, rows, cols, bound=5) -> list[list[int]]:
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
@@ -125,7 +129,7 @@ def random_fraction_matrices(rng, field, bound, count):
         yield random_fraction_matrix(rng, p, q, field, bound)
     for _ in range(count // 2):
         p, q, rank = random_low_rank_shape(rng)
-        low = random_low_rank_matrix(rng, p, q, rank, field, bound).to_rows()
+        low = scalar_rows(random_low_rank_matrix(rng, p, q, rank, field, bound))
         scales = random_fraction_matrix(rng, p, 1, field, bound).column(1).entries
         yield Matrix.from_rows(
             [[c * x for x in row] if c else row for c, row in zip(scales, low)], field

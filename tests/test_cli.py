@@ -5,15 +5,39 @@ import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import echelon.cli
-from echelon import QQ, Matrix, ParseError, apply_ops, parse_ops, row_equivalent
+from echelon import (
+    GF,
+    QQ,
+    Matrix,
+    ParseError,
+    Scalar,
+    apply_ops,
+    gauche_rref,
+    parse_ops,
+    row_equivalent,
+)
 from echelon.cli import format_matrix, main, parse_matrix, parse_system
 
-from helpers import GF7, matrix_t, random_matrix, vec
+from helpers import (
+    GF7,
+    matrix_t,
+    random_fraction_matrix,
+    random_low_rank_matrix,
+    random_matrix,
+    sc,
+    vec,
+)
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT == 0, reason="no int digit limit in this interpreter"
+)
 
 T_TEXT = "2 1 7 -7 2\n-3 4 -5 -6 3\n1 1 4 -5 2\n"
 
@@ -69,6 +93,26 @@ class TestParseMatrix:
         assert main(["rref", str(path), "--field", "gf:7"]) == 2
         assert capsys.readouterr().err == "error: line 2: denominator 7 vanishes in GF(7)\n"
 
+    @needs_digit_limit
+    def test_oversized_literal_names_the_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: .*limit"):
+            parse_matrix("1 2\n3 " + "9" * (DIGIT_LIMIT + 1) + "\n", QQ)
+
+    @pytest.mark.parametrize(
+        "token", ["+1", "1_0", "\u0661", "--1", "-", "1/", "/2", "1/-2", "1e3", "0x1", "\u22121"]
+    )
+    def test_rejected_spellings(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_matrix(f"1 2\n3 {token}\n", QQ)
+        assert str(err.value) == f"line 2: malformed scalar literal {token!r}"
+
+    @pytest.mark.parametrize(
+        ("token", "value"), [("-0", 0), ("007", 7), ("0/5", 0), ("-3/6", Fraction(-1, 2))]
+    )
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
+    def test_accepted_spellings(self, token, value, field):
+        assert parse_matrix(f"1 {token}", field).entry(1, 2) == sc(value, field)
+
 
 class TestParseSystem:
     def test_augmented_rows(self):
@@ -83,6 +127,11 @@ class TestParseSystem:
     def test_malformed_rows(self, text):
         with pytest.raises(ParseError):
             parse_system(text, QQ)
+
+    @needs_digit_limit
+    def test_oversized_literal_names_the_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: .*limit"):
+            parse_system("1 2 | 3\n4 5 | -" + "9" * (DIGIT_LIMIT + 1) + "\n", QQ)
 
     def test_zero_denominator_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "zero.sys"
@@ -235,6 +284,57 @@ class TestJsonFormat:
             "particular": ["1", "2"],
             "basis": [],
         }
+
+
+class TestLongAnswers:
+    @needs_digit_limit
+    def test_answers_over_the_digit_limit_print_in_full(self, tmp_path, capsys):
+        # 64-bit a/b entries: the reduced form has entries of 4,792 digits
+        m = random_fraction_matrix(random.Random(2022), 16, 17, QQ, bound=2**63)
+        path = tmp_path / "wide.mat"
+        path.write_text(format_matrix(m) + "\n")
+        assert main(["rref", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = format_matrix(gauche_rref(m).rref) + "\n"
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+        assert capsys.readouterr().out == expected
+        assert max(len(token) for token in expected.split()) > DIGIT_LIMIT
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
+    """rref, null, check and solve on a wide low-rank input read, reduce
+    and print raw values: no Scalar is made on the way."""
+    m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
+    mat_path, sys_path = tmp_path / "m.mat", tmp_path / "m.sys"
+    mat_path.write_text(format_matrix(m) + "\n")
+    sys_path.write_text(
+        "".join(" | ".join(row.rsplit(" ", 1)) + "\n" for row in format_matrix(m).splitlines())
+    )
+    calls = []
+    init, make = Scalar.__init__, Scalar._make
+    monkeypatch.setattr(
+        Scalar, "__init__", lambda s, spec, v: calls.append("__init__") or init(s, spec, v)
+    )
+    monkeypatch.setattr(
+        Scalar, "_make", staticmethod(lambda spec, v: calls.append("_make") or make(spec, v))
+    )
+    flag = "q" if field.modulus is None else f"gf:{field.modulus}"
+    for cmd, path, code in [
+        ("rref", mat_path, 0), ("null", mat_path, 0), ("check", mat_path, 1),
+        ("solve", sys_path, 0),
+    ]:
+        for fmt in ("plain", "json"):
+            assert main([cmd, str(path), "--field", flag, "--format", fmt]) == code
+    assert capsys.readouterr().err == ""
+    assert calls == []
+    # the counters do count
+    Scalar(field, 2)
+    Scalar._make(field, 2)
+    assert calls == ["__init__", "_make"]
 
 
 class TestFieldFlag:

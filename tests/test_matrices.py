@@ -1,5 +1,6 @@
 """Matrix and vector basics: construction, access, products, equality."""
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,10 +13,24 @@ from echelon import (
     Matrix,
     ShapeError,
     Vector,
+    parse_scalar,
     std_basis,
 )
+from echelon.cli import format_matrix, parse_matrix
 
-from helpers import GF7, T_ROWS, mat, matrix_j, matrix_t, random_matrix, sc, vec
+from helpers import (
+    FIELD_CASES,
+    GF7,
+    T_ROWS,
+    mat,
+    matrix_j,
+    matrix_t,
+    random_fraction_matrices,
+    random_matrices,
+    random_matrix,
+    sc,
+    vec,
+)
 
 
 class TestConstruction:
@@ -38,6 +53,8 @@ class TestConstruction:
             Matrix(1, 2, (sc(1), sc(1, GF7)), QQ)
         with pytest.raises(FieldMismatchError):
             Vector((sc(1), sc(1, GF7)), QQ)
+        with pytest.raises(FieldMismatchError):
+            Matrix.from_columns([vec([1, 2]), vec([1, 2], GF7)])
 
     def test_equal_field_objects_accepted(self):
         # GF(7) builds a new FieldSpec each call: equal, but not identical
@@ -147,6 +164,32 @@ class TestUtilities:
     def test_augment_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             matrix_t().augment(vec([1, 2]))
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_parsed_entries_are_canonical_scalars(field, bound):
+    """Storage holds raw values, but entries, entry, row and column give
+    the Scalars parse_scalar makes of each token: Fraction-backed over Q,
+    integer tokens included, so inverses are exact."""
+    rng = random.Random(6060)
+    for m in [
+        *random_matrices(rng, field, bound, 12),
+        *random_fraction_matrices(rng, field, bound, 12),
+    ]:
+        text = format_matrix(m)
+        expected = [[parse_scalar(tok, field) for tok in line.split()] for line in text.splitlines()]
+        parsed = parse_matrix(text, field)
+        assert parsed.entries == tuple(s for row in expected for s in row)
+        for i, row in enumerate(expected, start=1):
+            assert parsed.row(i).entries == tuple(row)
+            for j, s in enumerate(row, start=1):
+                assert parsed.entry(i, j) == s
+                assert parsed.column(j).entries[i - 1] == s
+        for s in parsed.entries:
+            assert type(s.value) is (int if field.modulus else Fraction)
+            if s:
+                assert s * s.inv() == field.one()
+                assert type(s.inv().value) is type(s.value)
 
 
 @st.composite

@@ -102,8 +102,11 @@ class TestGraphRelations:
             m = random_matrix(rng, p, q, field)
             rel = graph_relations(m)
             values = [sc(rng.randint(-5, 5), field) for _ in rel.free_indices]
-            v = rel.solution_for(values)
+            v = Vector.zero(q, field)
+            for c, w in zip(values, rel.basis().basis):
+                v = v + c * w
             assert null_contains(m, v)
+            assert [v.entries[n - 1] for n in rel.free_indices] == values
 
 
 class TestNullContains:
