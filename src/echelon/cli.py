@@ -198,65 +198,69 @@ def _cmd_syseq(a, b, fmt) -> tuple[int, str]:
     return (0, "SOLUTION-EQUIVALENT") if verdict else (1, "NOT SOLUTION-EQUIVALENT")
 
 
-_ONE_INPUT = {
-    "rref": (_cmd_rref, "print the reduced row echelon form"),
-    "pivots": (_cmd_pivots, "print the pivot column indices"),
-    "basis": (_cmd_basis, "print the column-space basis columns of the input"),
-    "null": (_cmd_null, "print a null-space basis, one vector per line"),
-    "graph": (_cmd_graph, "print pivot variables as expressions in the free variables"),
-    "check": (_cmd_check, "report RREF or the first violated condition"),
-    "script": (_cmd_script, "print a row-operation log reducing the input"),
-    "solve": (_cmd_solve, "solve an augmented system (rows like 'a b c | d')"),
-}
-
-_TWO_INPUT = {
-    "equiv": (_cmd_equiv, "decide row equivalence of two matrices"),
-    "syseq": (_cmd_syseq, "decide solution equivalence of two consistent systems"),
+_COMMANDS = {
+    "rref": (_cmd_rref, parse_matrix, 1, "print the reduced row echelon form"),
+    "pivots": (_cmd_pivots, parse_matrix, 1, "print the pivot column indices"),
+    "basis": (_cmd_basis, parse_matrix, 1, "print the column-space basis columns of the input"),
+    "null": (_cmd_null, parse_matrix, 1, "print a null-space basis, one vector per line"),
+    "graph": (
+        _cmd_graph, parse_matrix, 1, "print pivot variables as expressions in the free variables"
+    ),
+    "check": (_cmd_check, parse_matrix, 1, "report RREF or the first violated condition"),
+    "script": (_cmd_script, parse_matrix, 1, "print a row-operation log reducing the input"),
+    "solve": (_cmd_solve, parse_system, 1, "solve an augmented system (rows like 'a b c | d')"),
+    "equiv": (_cmd_equiv, parse_matrix, 2, "decide row equivalence of two matrices"),
+    "syseq": (
+        _cmd_syseq, parse_system, 2, "decide solution equivalence of two consistent systems"
+    ),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    parser = argparse.ArgumentParser(
+        prog="echelon",
+        description="Exact linear algebra: reduced echelon forms, null spaces, and systems.",
+        epilog="commands:\n"
+        + "\n".join(
+            f"  {name:<7} {' '.join(['FILE'] * count):<10} {help_text}"
+            for name, (_, _, count, help_text) in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("files", nargs="+", metavar="FILE", help="input file")
+    parser.add_argument(
         "--field",
         default="q",
         metavar="FIELD",
         help="scalar field: 'q' for rationals (default), 'gf:<p>' for a prime field",
     )
-    common.add_argument(
+    parser.add_argument(
         "--format",
         dest="fmt",
         choices=("plain", "json"),
         default="plain",
         help="output format (default plain)",
     )
-    parser = argparse.ArgumentParser(
-        prog="echelon",
-        description="Exact linear algebra: reduced echelon forms, null spaces, and systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _ONE_INPUT.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("path", help="input file")
-    for name, (_, help_text) in _TWO_INPUT.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("path_a", help="first input file")
-        p.add_argument("path_b", help="second input file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # intermixed: parse_args ends FILE at the first option, so in
+        # `equiv A --field gf:7 B` the B would be an unrecognized argument
+        args = parser.parse_intermixed_args(argv)
+        handler, parse, count, _ = _COMMANDS[args.command]
+        if len(args.files) != count:
+            parser.error(
+                f"{args.command} takes {count} FILE{'s' * (count > 1)}, got {len(args.files)}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = (_ONE_INPUT | _TWO_INPUT)[args.command][0]
-    paths = [args.path] if args.command in _ONE_INPUT else [args.path_a, args.path_b]
-    parse = parse_system if args.command in ("solve", "syseq") else parse_matrix
     try:
         field = _parse_field_flag(args.field)
-        inputs = [parse(_read(path), field) for path in paths]
+        inputs = [parse(_read(path), field) for path in args.files]
         # answers print in full; input literals keep the interpreter's int
         # digit limit (Python 3.11+), as reading a long one takes quadratic time
         lift = getattr(sys, "set_int_max_str_digits", None)

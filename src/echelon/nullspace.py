@@ -80,7 +80,7 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     free = tuple(n for n in range(1, q + 1) if n not in kept)
     free_journals = [res.journals[n - 1].values for n in free]
     exprs = tuple(
-        (s, tuple(field.negate_row([values[i] for values in free_journals])))
+        (s, tuple(field.scale_row(-1, [values[i] for values in free_journals])))
         for i, s in enumerate(pivots)
     )
     return GraphRelations(free_indices=free, pivot_exprs=exprs, field=field)

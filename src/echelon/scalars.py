@@ -95,13 +95,6 @@ class FieldSpec:
             return [c * x for x in xs]
         return [c * x % p for x in xs]
 
-    def negate_row(self, xs) -> list:
-        """The raw row -xs."""
-        p = self.modulus
-        if p is None:
-            return [-x for x in xs]
-        return [-x % p for x in xs]
-
     def clear(self, values) -> tuple[list[int], int]:
         """The list of raw values as an integer row over a denominator: over
         Q the least common denominator, over GF(p) the residues themselves
@@ -171,6 +164,8 @@ class Scalar:
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
         value = spec.raw(value)
         if spec.modulus is None and not isinstance(value, Fraction):
             value = Fraction(value)
@@ -285,6 +280,4 @@ def as_scalar(value, spec: FieldSpec) -> Scalar:
         return value
     if isinstance(value, str):
         return parse_scalar(value, spec)
-    if isinstance(value, (int, Fraction)):
-        return Scalar(spec, value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
+    return Scalar(spec, value)

@@ -1,4 +1,5 @@
 """Command-line surface: file parsing, golden outputs, exit codes."""
+import argparse
 import json
 import os
 import random
@@ -376,6 +377,94 @@ class TestErrorPaths:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "x"]) == 2
+
+
+class TestArgumentForms:
+    """One flat parser reads every command: options may sit anywhere after
+    `echelon`, each command takes its own number of files, and --help lists
+    the commands."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.mat").write_text(T_TEXT)
+        (tmp_path / "b.mat").write_text("1 1 4 -5 2\n4 2 14 -14 4\n-3 4 -5 -6 3\n")
+        (tmp_path / "a.sys").write_text("1 2 | 3\n4 5 | 6\n")
+        (tmp_path / "b.sys").write_text("4 5 | 6\n2 4 | 6\n")
+
+    @pytest.mark.parametrize(
+        ("mixed", "last"),
+        [
+            (
+                ["equiv", "a.mat", "--field", "gf:7", "b.mat"],
+                ["equiv", "a.mat", "b.mat", "--field", "gf:7"],
+            ),
+            (
+                ["syseq", "a.sys", "--format", "json", "b.sys"],
+                ["syseq", "a.sys", "b.sys", "--format", "json"],
+            ),
+            (["rref", "--format", "json", "a.mat"], ["rref", "a.mat", "--format", "json"]),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_options_between_files(self, mixed, last, capsys):
+        assert main(last) == 0
+        expected = capsys.readouterr()
+        assert expected.out and not expected.err
+        assert main(mixed) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize(
+        ("argv", "error"),
+        [
+            (["rref", "a.mat", "b.mat"], "rref takes 1 FILE, got 2"),
+            (["equiv", "a.mat"], "equiv takes 2 FILEs, got 1"),
+            (["syseq", "a.sys"], "syseq takes 2 FILEs, got 1"),
+            (["rref"], "the following arguments are required: FILE"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_wrong_file_count_is_a_usage_error(self, argv, error, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: echelon ")
+        assert argv[0] in captured.err
+        assert captured.err.splitlines()[-1] == f"echelon: error: {error}"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rref", "--help"]], ids=" ".join)
+    def test_help_lists_every_command(self, argv, capsys):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = "rref pivots basis null graph check script solve equiv syseq".split()
+        assert list(echelon.cli._COMMANDS) == names
+        for name, (*_, help_text) in echelon.cli._COMMANDS.items():
+            assert any(
+                line.split()[:1] == [name] and line.endswith(help_text) for line in lines
+            ), name
+
+
+def test_one_parser_per_call(t_path, capsys, monkeypatch):
+    """main builds one ArgumentParser per call, whatever the command: no
+    subparser and no parent parser."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs),
+    )
+    for argv, code in [
+        (["rref", t_path], 0), (["equiv", t_path, t_path], 0), (["rref"], 2), (["--help"], 0),
+    ]:
+        made.clear()
+        assert main(argv) == code
+        assert made == [1], argv
+    capsys.readouterr()
+    # the counter does count
+    made.clear()
+    argparse.ArgumentParser()
+    assert made == [1]
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=str)

@@ -33,6 +33,13 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             field.zero().inv()
 
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
+    @pytest.mark.parametrize("value", [1.5, 0.1, "3", None], ids=repr)
+    def test_non_int_non_fraction_values_rejected(self, field, value):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"^cannot interpret {name} as a scalar$"):
+            Scalar(field, value)
+
     def test_mixed_fields_rejected(self):
         with pytest.raises(FieldMismatchError):
             sc(1) + sc(1, GF7)
@@ -111,7 +118,9 @@ class TestFieldSpec:
             assert scalars(field.combine_row(a, xs, f, ys, d)) == combined
             assert scalars(field.quotients(xs, d)) == [x / unit for x in scalars(xs)]
             assert Scalar(field, field.quotient(xs[0], d)) == Scalar(field, xs[0]) / unit
-            assert scalars(field.negate_row(xs)) == [-x for x in scalars(xs)]
+            assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
+            c = rng.choice([1, -1]) * rng.randint(1, 6)
+            assert scalars(field.scale_row(c, xs)) == [Scalar(field, c) * x for x in scalars(xs)]
             values = [rng.choice([x, Fraction(x, 3)]) for x in xs]
             ints, den = field.clear([Scalar(field, v).value for v in values])
             assert all(type(x) is int for x in ints)
