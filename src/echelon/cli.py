@@ -1,7 +1,9 @@
 """Command-line surface: parse matrices and systems from files, run the
-toolkit operations, and print deterministic plain text (or the same data as
-JSON). Exit status is 0 for success/true verdicts, 1 for false verdicts, and
-2 for usage, parse, or data errors.
+toolkit operations, and print deterministic plain text or the same data as
+JSON. Each command returns its exit code, JSON payload and plain text, built
+from one set of formatted strings; main prints one of the two. Exit status is
+0 for success/true verdicts, 1 for false verdicts, and 2 for usage, parse, or
+data errors.
 """
 from __future__ import annotations
 
@@ -11,11 +13,11 @@ import sys
 
 from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
-from .matrices import Matrix, Vector
+from .matrices import Matrix
 from .nullspace import graph_relations, null_basis
 from .rowops import equivalence_script, format_op, rref_violation
 from .scalars import GF, QQ, FieldSpec, format_values, parse_value
-from .systems import Affine, Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
+from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
 
 def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
@@ -75,10 +77,6 @@ def format_matrix(m: Matrix) -> str:
     return str(m)
 
 
-def format_vector(v: Vector) -> str:
-    return str(v)
-
-
 def _parse_field_flag(flag: str) -> FieldSpec:
     if flag.lower() == "q":
         return QQ
@@ -93,109 +91,81 @@ def _parse_field_flag(flag: str) -> FieldSpec:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file as UTF-8 text; a bad byte names its line, as the row loop counts lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "x" stands for its line
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"line {line}: not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
 
 
-def _cmd_rref(m, fmt) -> tuple[int, str]:
-    res = gauche_rref(m)
-    if fmt == "json":
-        return 0, json.dumps({"rref": [format_values(row) for row in res.rref.raw_rows()]})
-    return 0, format_matrix(res.rref)
+def _rows_text(rows: list[list[str]]) -> str:
+    return "\n".join(map(" ".join, rows))
 
 
-def _cmd_pivots(m, fmt) -> tuple[int, str]:
-    pivots = gauche_rref(m).pivot_set
-    if fmt == "json":
-        return 0, json.dumps({"pivots": list(pivots)})
-    return 0, " ".join(str(i) for i in pivots)
+def _verdict(key: str, text: str, holds: bool) -> tuple[int, dict, str]:
+    return (0 if holds else 1), {key: holds}, text if holds else f"NOT {text}"
 
 
-def _cmd_basis(m, fmt) -> tuple[int, str]:
-    indices = gauche_rref(m).pivot_set
-    columns = [m.column(j) for j in indices]
-    if fmt == "json":
-        return 0, json.dumps(
-            {"indices": list(indices), "columns": [format_values(c.values) for c in columns]}
-        )
-    return 0, "\n".join(format_vector(c) for c in columns)
+def _cmd_rref(m) -> tuple[int, dict, str]:
+    rows = [format_values(row) for row in gauche_rref(m).rref.raw_rows()]
+    return 0, {"rref": rows}, _rows_text(rows)
 
 
-def _cmd_null(m, fmt) -> tuple[int, str]:
+def _cmd_pivots(m) -> tuple[int, dict, str]:
+    pivots = list(gauche_rref(m).pivot_set)
+    return 0, {"pivots": pivots}, " ".join(map(str, pivots))
+
+
+def _cmd_basis(m) -> tuple[int, dict, str]:
+    indices = list(gauche_rref(m).pivot_set)
+    columns = [format_values(m.column(j).values) for j in indices]
+    return 0, {"indices": indices, "columns": columns}, _rows_text(columns)
+
+
+def _cmd_null(m) -> tuple[int, dict, str]:
     nb = null_basis(m)
-    if fmt == "json":
-        return 0, json.dumps(
-            {"free": list(nb.free_indices), "basis": [format_values(v.values) for v in nb.basis]}
-        )
-    return 0, "\n".join(format_vector(v) for v in nb.basis)
+    basis = [format_values(v.values) for v in nb.basis]
+    return 0, {"free": list(nb.free_indices), "basis": basis}, _rows_text(basis)
 
 
-def _cmd_graph(m, fmt) -> tuple[int, str]:
+def _cmd_graph(m) -> tuple[int, dict, str]:
     rel = graph_relations(m)
-    if fmt == "json":
-        return 0, json.dumps(
-            {
-                "free": list(rel.free_indices),
-                "relations": [
-                    {"pivot": pivot, "coefficients": format_values(coeffs)}
-                    for pivot, coeffs in rel.pivot_exprs
-                ],
-            }
-        )
-    return 0, "\n".join(rel.lines())
+    exprs = [{"pivot": p, "coefficients": format_values(c)} for p, c in rel.pivot_exprs]
+    return 0, {"free": list(rel.free_indices), "relations": exprs}, "\n".join(rel.lines())
 
 
-def _cmd_check(m, fmt) -> tuple[int, str]:
+def _cmd_check(m) -> tuple[int, dict, str]:
     violated = rref_violation(m)
-    if fmt == "json":
-        payload = {"rref": violated is None}
-        if violated is not None:
-            payload["violated"] = violated
-        return (0 if violated is None else 1), json.dumps(payload)
     if violated is None:
-        return 0, "RREF"
-    return 1, f"NOT RREF: {violated}"
+        return 0, {"rref": True}, "RREF"
+    return 1, {"rref": False, "violated": violated}, f"NOT RREF: {violated}"
 
 
-def _cmd_equiv(a, b, fmt) -> tuple[int, str]:
-    verdict = row_equivalent(a, b)
-    if fmt == "json":
-        return (0 if verdict else 1), json.dumps({"row_equivalent": verdict})
-    return (0, "ROW-EQUIVALENT") if verdict else (1, "NOT ROW-EQUIVALENT")
+def _cmd_equiv(a, b) -> tuple[int, dict, str]:
+    return _verdict("row_equivalent", "ROW-EQUIVALENT", row_equivalent(a, b))
 
 
-def _cmd_script(m, fmt) -> tuple[int, str]:
-    ops = equivalence_script(m)
-    if fmt == "json":
-        return 0, json.dumps({"ops": [format_op(op) for op in ops]})
-    return 0, "\n".join(format_op(op) for op in ops)
+def _cmd_script(m) -> tuple[int, dict, str]:
+    ops = [format_op(op) for op in equivalence_script(m)]
+    return 0, {"ops": ops}, "\n".join(ops)
 
 
-def _cmd_solve(system, fmt) -> tuple[int, str]:
+def _cmd_solve(system) -> tuple[int, dict, str]:
     sol = solve(system)
     if isinstance(sol, Inconsistent):
-        if fmt == "json":
-            return 1, json.dumps({"consistent": False})
-        return 1, "INCONSISTENT"
-    assert isinstance(sol, Affine)
-    if fmt == "json":
-        return 0, json.dumps(
-            {
-                "consistent": True,
-                "particular": format_values(sol.particular.values),
-                "basis": [format_values(v.values) for v in sol.homogeneous.basis],
-            }
-        )
-    lines = [f"particular: {format_vector(sol.particular)}"]
-    lines.extend(f"homogeneous: {format_vector(v)}" for v in sol.homogeneous.basis)
-    return 0, "\n".join(lines)
+        return 1, {"consistent": False}, "INCONSISTENT"
+    particular = format_values(sol.particular.values)
+    basis = [format_values(v.values) for v in sol.homogeneous.basis]
+    text = _rows_text([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
+    return 0, {"consistent": True, "particular": particular, "basis": basis}, text
 
 
-def _cmd_syseq(a, b, fmt) -> tuple[int, str]:
-    verdict = solution_equivalent(a, b)
-    if fmt == "json":
-        return (0 if verdict else 1), json.dumps({"solution_equivalent": verdict})
-    return (0, "SOLUTION-EQUIVALENT") if verdict else (1, "NOT SOLUTION-EQUIVALENT")
+def _cmd_syseq(a, b) -> tuple[int, dict, str]:
+    return _verdict("solution_equivalent", "SOLUTION-EQUIVALENT", solution_equivalent(a, b))
 
 
 _COMMANDS = {
@@ -268,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         if lift:
             lift(0)
         try:
-            code, output = handler(*inputs, args.fmt)
+            code, payload, text = handler(*inputs)
+            output = json.dumps(payload) if args.fmt == "json" else text
         finally:
             if lift:
                 lift(limit)

@@ -41,6 +41,9 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 T_TEXT = "2 1 7 -7 2\n-3 4 -5 -6 3\n1 1 4 -5 2\n"
+J_TEXT = "1 0 3 -2 0\n0 1 1 -3 0\n0 0 0 0 1\n"
+T_SYSTEM = "2 1 7 -7 2 | 2\n-3 4 -5 -6 3 | 3\n1 1 4 -5 2 | 2\n"
+EYE_TEXT = "1 0 0\n0 1 0\n0 0 1\n"
 
 
 @pytest.fixture
@@ -53,7 +56,7 @@ def t_path(tmp_path):
 @pytest.fixture
 def eye_path(tmp_path):
     path = tmp_path / "I.mat"
-    path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    path.write_text(EYE_TEXT)
     return str(path)
 
 
@@ -113,6 +116,29 @@ class TestParseMatrix:
     @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
     def test_accepted_spellings(self, token, value, field):
         assert parse_matrix(f"1 {token}", field).entry(1, 2) == sc(value, field)
+
+
+class TestFileEncoding:
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_read_alike(self, eol, tmp_path):
+        path = tmp_path / "T.mat"
+        path.write_bytes(T_TEXT.replace("\n", eol).encode())
+        assert parse_matrix(echelon.cli._read(str(path)), QQ) == matrix_t()
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("cmd", ["rref", "equiv"])
+    def test_undecodable_byte_names_its_line(self, cmd, eol, t_path, tmp_path, capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"1 2" + eol + b"\xff 3" + eol)
+        # for equiv the bad file is the second one
+        assert main([cmd, *[t_path] * (cmd == "equiv"), str(bad)]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: not UTF-8: invalid start byte 0xff\n")
+
+    def test_truncated_character_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sys"
+        bad.write_bytes(b"1 2 | 3\n# caf\xc3\xa9\n4 5 | \xe2\x82")
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8: unexpected end of data 0xe2\n"
 
 
 class TestParseSystem:
@@ -176,7 +202,7 @@ class TestGoldenOutputs:
 class TestEquiv:
     def test_row_equivalent_pair(self, t_path, tmp_path, capsys):
         j_path = tmp_path / "J.mat"
-        j_path.write_text("1 0 3 -2 0\n0 1 1 -3 0\n0 0 0 0 1\n")
+        j_path.write_text(J_TEXT)
         assert main(["equiv", t_path, str(j_path)]) == 0
         assert capsys.readouterr().out == "ROW-EQUIVALENT\n"
 
@@ -221,7 +247,7 @@ class TestScript:
 class TestSolve:
     def test_consistent_system(self, tmp_path, capsys):
         path = tmp_path / "sys.txt"
-        path.write_text("2 1 7 -7 2 | 2\n-3 4 -5 -6 3 | 3\n1 1 4 -5 2 | 2\n")
+        path.write_text(T_SYSTEM)
         assert main(["solve", str(path)]) == 0
         assert capsys.readouterr().out == (
             "particular: 0 0 0 0 1\nhomogeneous: -3 -1 1 0 0\nhomogeneous: 2 3 0 1 0\n"
@@ -260,7 +286,61 @@ class TestSyseq:
         assert "error:" in capsys.readouterr().err
 
 
+# name: (command, input file texts, exit code, exact stdout of --format json)
+JSON_GOLDENS = {
+    "pivots": ("pivots", [T_TEXT], 0, '{"pivots": [1, 2, 5]}\n'),
+    "basis": (
+        "basis", [T_TEXT], 0,
+        '{"indices": [1, 2, 5], "columns": '
+        '[["2", "-3", "1"], ["1", "4", "1"], ["2", "3", "2"]]}\n',
+    ),
+    "null": (
+        "null", [T_TEXT], 0,
+        '{"free": [3, 4], "basis": [["-3", "-1", "1", "0", "0"], ["2", "3", "0", "1", "0"]]}\n',
+    ),
+    "graph": (
+        "graph", [T_TEXT], 0,
+        '{"free": [3, 4], "relations": [{"pivot": 1, "coefficients": ["-3", "2"]}, '
+        '{"pivot": 2, "coefficients": ["-1", "3"]}, {"pivot": 5, "coefficients": ["0", "0"]}]}\n',
+    ),
+    "check-pass": ("check", [EYE_TEXT], 0, '{"rref": true}\n'),
+    "check-fail": ("check", [T_TEXT], 1, '{"rref": false, "violated": "Pivots"}\n'),
+    "script": (
+        "script", [T_TEXT], 0,
+        '{"ops": ["scale 1 1/2", "axpy 2 1 -3", "axpy 3 1 1", "scale 2 2/11", "axpy 1 2 1/2", '
+        '"axpy 3 2 1/2", "scale 3 11/5", "axpy 1 3 5/11", "axpy 2 3 12/11"]}\n',
+    ),
+    "script-reduced": ("script", [EYE_TEXT], 0, '{"ops": []}\n'),
+    "solve-consistent": (
+        "solve", [T_SYSTEM], 0,
+        '{"consistent": true, "particular": ["0", "0", "0", "0", "1"], '
+        '"basis": [["-3", "-1", "1", "0", "0"], ["2", "3", "0", "1", "0"]]}\n',
+    ),
+    "solve-inconsistent": ("solve", ["1 1 | 0\n1 1 | 1\n"], 1, '{"consistent": false}\n'),
+    "equiv-true": ("equiv", [T_TEXT, J_TEXT], 0, '{"row_equivalent": true}\n'),
+    "equiv-false": ("equiv", ["1 0\n0 1\n", "1 0\n0 0\n"], 1, '{"row_equivalent": false}\n'),
+    "syseq-true": (
+        "syseq", ["1 2 | 3\n0 1 | 1\n", "2 4 | 6\n0 1 | 1\n"], 0,
+        '{"solution_equivalent": true}\n',
+    ),
+    "syseq-false": (
+        "syseq", ["1 0 | 1\n0 1 | 0\n", "1 0 | 0\n0 1 | 1\n"], 1,
+        '{"solution_equivalent": false}\n',
+    ),
+}
+
+
 class TestJsonFormat:
+    @pytest.mark.parametrize(
+        ("cmd", "texts", "code", "out"), JSON_GOLDENS.values(), ids=JSON_GOLDENS
+    )
+    def test_exact_stdout(self, cmd, texts, code, out, tmp_path, capsys):
+        paths = [tmp_path / f"in{k}.txt" for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text)
+        assert main([cmd, *map(str, paths), "--format", "json"]) == code
+        assert capsys.readouterr() == (out, "")
+
     def test_rref(self, t_path, capsys):
         assert main(["rref", t_path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -307,8 +387,9 @@ class TestLongAnswers:
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
-    """rref, null, check and solve on a wide low-rank input read, reduce
-    and print raw values: no Scalar is made on the way."""
+    """Every command but script (whose logged coefficients are Scalars) reads,
+    reduces and prints raw values on a wide low-rank input: no Scalar is made
+    on the way."""
     m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
     mat_path, sys_path = tmp_path / "m.mat", tmp_path / "m.sys"
     mat_path.write_text(format_matrix(m) + "\n")
@@ -324,12 +405,14 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
         Scalar, "_make", staticmethod(lambda spec, v: calls.append("_make") or make(spec, v))
     )
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
-    for cmd, path, code in [
-        ("rref", mat_path, 0), ("null", mat_path, 0), ("check", mat_path, 1),
-        ("solve", sys_path, 0),
+    for cmd, paths, code in [
+        ("rref", [mat_path], 0), ("pivots", [mat_path], 0), ("basis", [mat_path], 0),
+        ("null", [mat_path], 0), ("graph", [mat_path], 0), ("check", [mat_path], 1),
+        ("solve", [sys_path], 0), ("equiv", [mat_path, mat_path], 0),
+        ("syseq", [sys_path, sys_path], 0),
     ]:
         for fmt in ("plain", "json"):
-            assert main([cmd, str(path), "--field", flag, "--format", fmt]) == code
+            assert main([cmd, *map(str, paths), "--field", flag, "--format", fmt]) == code
     assert capsys.readouterr().err == ""
     assert calls == []
     # the counters do count

@@ -1,0 +1,37 @@
+"""Runtime invariants read from the source with `ast`: the toolkit imports
+only the standard library, and the bench's verifier does not import the
+toolkit it checks."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """The top-level names of every absolute import in a source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "echelon").glob("*.py")), ids=lambda p: p.name
+)
+def test_toolkit_imports_only_the_standard_library(path):
+    """Pure standard library (`__main__` imports the package by name); this
+    also keeps `perfbench` out of the toolkit."""
+    imports = absolute_imports(path)
+    assert "perfbench" not in imports
+    assert sorted(imports - sys.stdlib_module_names - {"echelon"}) == []
+
+
+def test_bench_verifier_does_not_import_the_toolkit():
+    """The verifier checks the toolkit's answers, so it must not share its code."""
+    assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
