@@ -14,7 +14,7 @@ import sys
 from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
 from .matrices import Matrix
-from .nullspace import graph_relations, null_basis
+from .nullspace import graph_relations, null_basis, relation_lines
 from .rowops import equivalence_script, format_op, rref_violation
 from .scalars import GF, QQ, FieldSpec, format_values, parse_value
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
@@ -134,8 +134,10 @@ def _cmd_null(m) -> tuple[int, dict, str]:
 
 def _cmd_graph(m) -> tuple[int, dict, str]:
     rel = graph_relations(m)
-    exprs = [{"pivot": p, "coefficients": format_values(c)} for p, c in rel.pivot_exprs]
-    return 0, {"free": list(rel.free_indices), "relations": exprs}, "\n".join(rel.lines())
+    exprs = [(p, format_values(c)) for p, c in rel.pivot_exprs]
+    relations = [{"pivot": p, "coefficients": c} for p, c in exprs]
+    text = "\n".join(relation_lines(rel.free_indices, exprs))
+    return 0, {"free": list(rel.free_indices), "relations": relations}, text
 
 
 def _cmd_check(m) -> tuple[int, dict, str]:

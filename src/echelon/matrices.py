@@ -167,6 +167,12 @@ class Matrix:
         return Vector._raw(self.values[j - 1 :: self.cols], self.field)
 
     def __matmul__(self, v):
+        """The product with the column vector v. The vector is cleared once
+        to integers over its least common denominator (1 over GF(p)), its
+        zero entries dropped; each row's dot product runs on raw values, so
+        an integer matrix needs only int arithmetic, and each output entry
+        is divided once: an int where the quotient is whole, else a
+        Fraction; over GF(p) its least residue."""
         if not isinstance(v, Vector):
             return NotImplemented
         if v.dim != self.cols:
@@ -175,12 +181,15 @@ class Matrix:
             )
         if v.field != self.field:
             raise FieldMismatchError(f"vector in {v.field} against a {self.field} matrix")
-        p, xs = self.field.modulus, v.values
-        out = []
-        for row in self.raw_rows():
-            acc = sum([a * x for a, x in zip(row, xs) if x])
-            out.append(acc if p is None else acc % p)
-        return Vector._raw(tuple(out), self.field)
+        field, values, cols = self.field, self.values, self.cols
+        xs, d = field.clear(v.values)
+        nonzero = [(j, x) for j, x in enumerate(xs) if x]
+        accs = [
+            sum([values[i + j] * x for j, x in nonzero]) for i in range(0, len(values), cols)
+        ]
+        p = field.modulus
+        out = field.quotients(accs, d) if p is None else [acc % p for acc in accs]
+        return Vector._raw(tuple(out), field)
 
     def raw_rows(self) -> list[list]:
         """Mutable row-of-lists copy of the raw values, for the working

@@ -41,16 +41,8 @@ class GraphRelations:
     field: FieldSpec
 
     def lines(self) -> list[str]:
-        out = []
-        for pivot, coeffs in self.pivot_exprs:
-            if not self.free_indices:
-                out.append(f"x{pivot} = 0")
-            else:
-                terms = " + ".join(
-                    f"{c}*x{n}" for c, n in zip(format_values(coeffs), self.free_indices)
-                )
-                out.append(f"x{pivot} = {terms}")
-        return out
+        exprs = [(pivot, format_values(coeffs)) for pivot, coeffs in self.pivot_exprs]
+        return relation_lines(self.free_indices, exprs)
 
     def basis(self) -> NullBasis:
         """The null basis: free vector k carries 1 at its own free slot and
@@ -64,6 +56,17 @@ class GraphRelations:
                 values[pivot - 1] = coeffs[k]
             vectors.append(Vector._raw(tuple(values), self.field))
         return NullBasis(free_indices=self.free_indices, basis=tuple(vectors))
+
+
+def relation_lines(free_indices: tuple[int, ...], exprs) -> list[str]:
+    """One `x<pivot> = c*x<free> + ...` line per pair of a pivot and the
+    literals of its coefficients; `x<pivot> = 0` when nothing is free."""
+    if not free_indices:
+        return [f"x{pivot} = 0" for pivot, _ in exprs]
+    return [
+        f"x{pivot} = " + " + ".join(f"{c}*x{n}" for c, n in zip(literals, free_indices))
+        for pivot, literals in exprs
+    ]
 
 
 def _relations(res: GaucheResult, q: int) -> GraphRelations:

@@ -134,10 +134,12 @@ class FieldSpec:
         return x if d == 1 else x * self.inverse(d) % self.modulus
 
     def quotients(self, xs, d) -> list:
-        """The raw values of the integer row xs over d; over Q one Fraction
-        per entry."""
+        """The raw values of the row xs over the nonzero integer d; over Q
+        an int where the quotient is whole, else a Fraction. The kernels
+        pass integers; the matrix-vector product passes row sums, which are
+        Fractions where the matrix holds Fractions."""
         if self.modulus is None:
-            return [Fraction(x, d) for x in xs]
+            return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
         return xs if d == 1 else self.scale_row(self.inverse(d), xs)
 
     def zero(self) -> Scalar:

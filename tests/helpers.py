@@ -136,6 +136,11 @@ def random_fraction_matrices(rng, field, bound, count):
         )
 
 
+def random_fraction_vector(rng, dim, field, bound=5) -> Vector:
+    """Entries a/b as in random_fraction_matrix."""
+    return random_fraction_matrix(rng, dim, 1, field, bound).column(1)
+
+
 def random_shape(rng, max_rows=8, max_cols=10) -> tuple[int, int]:
     return rng.randint(1, max_rows), rng.randint(1, max_cols)
 
@@ -147,8 +152,8 @@ def random_vector(rng, dim, field) -> Vector:
 def random_ops(rng, rows, field, max_len=20) -> list:
     """A random sequence of legal row operations for a `rows`-row matrix.
 
-    Scale coefficients stay in {-4..4} minus zero, which is nonzero in every
-    field used here.
+    Scale coefficients stay in {-4..4} minus zero; one that vanishes in the
+    field (an even one over GF(2)) becomes 1.
     """
     ops = []
     for _ in range(rng.randint(0, max_len)):
@@ -157,8 +162,8 @@ def random_ops(rng, rows, field, max_len=20) -> list:
             i, j = rng.sample(range(1, rows + 1), 2)
             ops.append(Swap(i, j))
         elif kind == "scale":
-            c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
-            ops.append(Scale(rng.randint(1, rows), sc(c, field)))
+            c = sc(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), field)
+            ops.append(Scale(rng.randint(1, rows), c if c else field.one()))
         else:
             t, s = rng.sample(range(1, rows + 1), 2)
             ops.append(Axpy(t, s, sc(rng.randint(-4, 4), field)))
@@ -178,9 +183,47 @@ def system_from_augmented(aug: Matrix) -> LinearSystem:
     return LinearSystem(coeff, aug.column(aug.cols))
 
 
-# Reference kernels: the classical column sweep and Gauss-Jordan, one field
-# operation per entry and step on raw values (Fractions over Q, residues over
-# GF(p)). The fraction-free kernels in echelon must agree with them exactly.
+def random_fraction_system(rng, rows, cols, field, bound=5) -> LinearSystem:
+    """A consistent system with a/b entries: the right-hand side is the
+    reference product with an a/b solution."""
+    m = random_fraction_matrix(rng, rows, cols, field, bound)
+    return LinearSystem(m, reference_matvec(m, random_fraction_vector(rng, cols, field, bound)))
+
+
+def with_free_entry_moved(rng, m: Matrix) -> Matrix | None:
+    """The reduced form of m (by reference_gauss_jordan) with one free entry,
+    in a pivot row right of its pivot and in a nonpivot column, raised by 1:
+    again a reduced form with the same pivots, but a different null space.
+    None when the reduced form has no free entry."""
+    _, r, pivots = reference_gauss_jordan(m)
+    spots = [
+        (i, j)
+        for i, s in enumerate(pivots, start=1)
+        for j in range(s + 1, m.cols + 1)
+        if j not in pivots
+    ]
+    if not spots:
+        return None
+    i, j = rng.choice(spots)
+    return r.with_entry(i, j, r.entry(i, j) + m.field.one())
+
+
+# Reference kernels: the matrix-vector product in Scalar arithmetic, and the
+# classical column sweep and Gauss-Jordan on raw values (Fractions over Q,
+# residues over GF(p)); each does one field operation per entry and step. The
+# fraction-free kernels in echelon must agree with them exactly.
+
+
+def reference_matvec(m: Matrix, v: Vector) -> Vector:
+    """m times v in Scalar arithmetic: one field multiply and one add per
+    entry of every row."""
+    out = []
+    for i in range(1, m.rows + 1):
+        acc = m.field.zero()
+        for a, x in zip(m.row(i).entries, v.entries):
+            acc = acc + a * x
+        out.append(acc)
+    return Vector(tuple(out), m.field)
 
 
 def _ref_inverse(field, a):

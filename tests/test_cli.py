@@ -421,6 +421,24 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
     assert calls == ["__init__", "_make"]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_graph_formats_each_coefficient_once(fmt, t_path, capsys, monkeypatch):
+    """Both renderings of `graph` come from one list of literals: on T (3
+    pivot expressions over 2 free variables) 6 values are formatted."""
+    formatted = []
+    fmt_values = echelon.cli.format_values
+
+    def counted(values):
+        formatted.extend(values)
+        return fmt_values(values)
+
+    monkeypatch.setattr(echelon.cli, "format_values", counted)
+    monkeypatch.setattr(echelon.nullspace, "format_values", counted)
+    assert main(["graph", t_path, "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(formatted) == 6
+
+
 class TestFieldFlag:
     def test_prime_field_reduction(self, t_path, capsys):
         assert main(["rref", t_path, "--field", "gf:7"]) == 0

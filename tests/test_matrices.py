@@ -26,8 +26,11 @@ from helpers import (
     matrix_j,
     matrix_t,
     random_fraction_matrices,
+    random_fraction_vector,
     random_matrices,
     random_matrix,
+    random_vector,
+    reference_matvec,
     sc,
     vec,
 )
@@ -120,11 +123,11 @@ class TestMatVecMul:
         assert (t @ Vector.zero(5, QQ)).is_zero()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^cannot multiply 3x5 matrix by a 3-vector$"):
             matrix_t() @ vec([1, 2, 3])
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(FieldMismatchError, match=r"^vector in GF\(7\) against a Q matrix$"):
             matrix_t() @ vec([0, 0, 0, 0, 1], GF7)
 
 
@@ -223,3 +226,32 @@ def test_mat_vec_mul_is_linear(field):
         lhs = m @ (a * u + b * v)
         rhs = a * (m @ u) + b * (m @ v)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_product_matches_reference(field, bound):
+    """m @ v is the Scalar-arithmetic product, for a/b matrices held as
+    Fractions or parsed to ints, and a/b, integer, zero and one-nonzero
+    vectors. Over Q each entry is an int, or a Fraction that is not whole."""
+    rng = random.Random(909)
+    for m in [
+        *random_matrices(rng, field, bound, 12),
+        *random_fraction_matrices(rng, field, bound, 24),
+    ]:
+        q = m.cols
+        # numerators and denominators odd and nonzero in every field used
+        c = Fraction(rng.choice([-1, 3, -5, 2**61 + 1]), rng.choice([1, 3, 5, 2**31 - 1]))
+        vectors = [
+            random_fraction_vector(rng, q, field, bound),
+            random_vector(rng, q, field),
+            Vector.zero(q, field),
+            sc(c, field) * std_basis(q, rng.randint(1, q), field),
+        ]
+        for a in (m, parse_matrix(format_matrix(m), field)):
+            for v in vectors:
+                product = a @ v
+                assert product == reference_matvec(a, v)
+                if field.modulus is None:
+                    assert all(type(x) is int or x.denominator != 1 for x in product.values)
+                else:
+                    assert all(type(x) is int and 0 <= x < field.modulus for x in product.values)

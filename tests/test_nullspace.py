@@ -22,15 +22,18 @@ from echelon import (
 )
 
 from helpers import (
+    FIELD_CASES,
     FIELDS,
     GF7,
     mat,
     matrix_t,
+    random_fraction_matrix,
     random_matrix,
     random_ops,
     random_shape,
     sc,
     vec,
+    with_free_entry_moved,
 )
 
 
@@ -144,19 +147,30 @@ class TestNullEqual:
             m = random_matrix(rng, p, q, field)
             assert null_equal(m, apply_ops(m, random_ops(rng, p, field)))
 
-    @pytest.mark.parametrize("field", FIELDS, ids=str)
-    def test_agrees_with_reduced_form_equality(self, field):
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_agrees_with_reduced_form_equality(self, field, bound):
+        """On integer and a/b inputs; b is a row-operation image of a, an
+        unrelated matrix, or a's reduced form with one free entry moved,
+        which never has a's null space."""
         rng = random.Random(331)
-        for _ in range(40):
+        moved_pairs = 0
+        for k in range(60):
             p, q = random_shape(rng, 5, 6)
-            a = random_matrix(rng, p, q, field)
-            if rng.random() < 0.5:
+            a = (random_fraction_matrix if k % 2 else random_matrix)(rng, p, q, field, bound)
+            pick = rng.random()
+            moved = with_free_entry_moved(rng, a) if pick < 0.4 else None
+            if moved is not None:
+                b = apply_ops(moved, random_ops(rng, p, field))
+                assert not null_equal(a, b)
+                moved_pairs += 1
+            elif pick < 0.7:
                 b = apply_ops(a, random_ops(rng, p, field))
             else:
-                b = random_matrix(rng, p, q, field)
+                b = random_fraction_matrix(rng, p, q, field, bound)
             same_null = null_equal(a, b)
             same_rref = gauche_rref(a).rref == gauche_rref(b).rref
             assert same_null == same_rref
+        assert moved_pairs >= 10
 
 
 class TestColumnInSpan:

@@ -7,9 +7,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from echelon import GF, QQ, FieldMismatchError, ParseError, Scalar, parse_scalar
+from echelon import (
+    GF,
+    QQ,
+    Affine,
+    FieldMismatchError,
+    ParseError,
+    Scalar,
+    gauche_rref,
+    gauss_jordan,
+    null_basis,
+    parse_scalar,
+    solve,
+)
 
-from helpers import GF7, sc
+from helpers import (
+    FIELD_CASES,
+    GF7,
+    matrix_t,
+    random_fraction_matrices,
+    random_fraction_vector,
+    random_matrices,
+    sc,
+    system_from_augmented,
+)
 
 
 class TestArithmetic:
@@ -187,6 +208,40 @@ class TestCanonicalForm:
     def test_zero_is_zero_over_one(self):
         s = parse_scalar("0/5", QQ)
         assert (s.value.numerator, s.value.denominator) == (0, 1)
+
+    def test_quotients_are_ints_where_whole(self):
+        quotients = QQ.quotients([6, -3, 4, 0, -8], -2)
+        assert quotients == [-3, Fraction(3, 2), -2, 0, 4]
+        assert [type(x) for x in quotients] == [int, Fraction, int, int, int]
+
+    @pytest.mark.parametrize(
+        ("field", "bound"), [case for case in FIELD_CASES if case.values[0] is QQ]
+    )
+    def test_results_over_q_hold_canonical_raw_values(self, field, bound):
+        """Over Q the raw values of gauche_rref, gauss_jordan, null_basis,
+        solve and @ are ints, or Fractions that are not whole: the worked
+        example reduces to ints only, not Fraction(3, 1)."""
+
+        def canonical(values):
+            return all(type(x) is int or x.denominator != 1 for x in values)
+
+        assert all(type(x) is int for x in gauche_rref(matrix_t()).rref.values)
+        rng = random.Random(5150)
+        for m in [
+            *random_matrices(rng, field, bound, 12),
+            *random_fraction_matrices(rng, field, bound, 12),
+        ]:
+            res = gauche_rref(m)
+            assert canonical(res.rref.values)
+            assert all(canonical(j.values) for j in res.journals)
+            assert canonical(gauss_jordan(m).rref.values)
+            assert all(canonical(v.values) for v in null_basis(m).basis)
+            assert canonical((m @ random_fraction_vector(rng, m.cols, field, bound)).values)
+            if m.cols > 1:
+                sol = solve(system_from_augmented(m))
+                if isinstance(sol, Affine):
+                    assert canonical(sol.particular.values)
+                    assert all(canonical(v.values) for v in sol.homogeneous.basis)
 
 
 @st.composite

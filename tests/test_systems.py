@@ -27,17 +27,20 @@ from echelon import (
 )
 
 from helpers import (
+    FIELD_CASES,
     FIELDS,
     mat,
     matrix_j,
     matrix_t,
     random_consistent_system,
+    random_fraction_system,
     random_matrix,
     random_ops,
     random_shape,
     sc,
     system_from_augmented,
     vec,
+    with_free_entry_moved,
 )
 
 
@@ -129,22 +132,37 @@ class TestSolutionEquivalent:
         with pytest.raises(ShapeError):
             solution_equivalent(a, b)
 
-    @pytest.mark.parametrize("field", FIELDS, ids=str)
-    def test_chain_to_augmented_row_equivalence(self, field):
-        # same solutions <-> the augmented matrices reduce identically
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_chain_to_augmented_row_equivalence(self, field, bound):
+        """Same solutions <-> the augmented matrices reduce identically, on
+        integer and a/b systems. b is a row-operation image of a, an
+        unrelated system, or a's reduced augmented form with one free
+        entry moved (a coefficient, or the right-hand side of a pivot row),
+        which keeps b consistent but never gives it a's solutions."""
         rng = random.Random(62)
-        for _ in range(40):
+        moved_pairs = 0
+        for k in range(60):
             p, q = rng.randint(1, 5), rng.randint(1, 5)
-            a = random_consistent_system(rng, p, q, field)
-            if rng.random() < 0.6:
+            if k % 2:
+                a = random_fraction_system(rng, p, q, field, bound)
+            else:
+                a = random_consistent_system(rng, p, q, field)
+            pick = rng.random()
+            moved = with_free_entry_moved(rng, a.augmented()) if pick < 0.4 else None
+            if moved is not None:
+                b = system_from_augmented(apply_ops(moved, random_ops(rng, p, field, max_len=10)))
+                assert not solution_equivalent(a, b)
+                moved_pairs += 1
+            elif pick < 0.7:
                 b = system_from_augmented(
                     apply_ops(a.augmented(), random_ops(rng, p, field, max_len=10))
                 )
             else:
-                b = random_consistent_system(rng, p, q, field)
+                b = random_fraction_system(rng, p, q, field, bound)
             same_solutions = solution_equivalent(a, b)
             same_reduced = gauche_rref(a.augmented()).rref == gauche_rref(b.augmented()).rref
             assert same_solutions == same_reduced
+        assert moved_pairs >= 10
 
 
 class TestRowEquivalent:
