@@ -1,4 +1,4 @@
-"""RREF by a left-to-right column sweep, with one journal vector per column.
+"""RREF by a left-to-right column sweep, with one journal per column.
 
 Each column is classified against the keeper columns to its left: a column
 inside their span is subordinate and journaled with its unique combination
@@ -104,30 +104,32 @@ class KeeperState:
 
 @dataclass(frozen=True)
 class GaucheResult:
+    """The RREF and its pivot set. The journals are not stored apart: they
+    are the RREF's columns, in order."""
+
     rref: Matrix
     pivot_set: tuple[int, ...]
-    journals: tuple[Vector, ...]
+
+    @property
+    def journals(self) -> tuple[Vector, ...]:
+        return tuple(self.rref.column(n) for n in range(1, self.rref.cols + 1))
 
 
 def gauche_rref(m: Matrix) -> GaucheResult:
-    """Sweep the columns once, left to right, and assemble the RREF: the
-    (l+1)th keeper journals as e_{l+1}, a subordinate column as its
-    coefficients padded with zeros."""
-    dim, field = m.rows, m.field
+    """Sweep the columns once, left to right, and write each journal into
+    its column of the RREF: the (l+1)th keeper journals as e_{l+1}, a
+    subordinate column as its coefficients over the keepers, zero below."""
+    dim, cols, field = m.rows, m.cols, m.field
     state = KeeperState(field, dim)
-    journals: list[Vector] = []
+    values = [0] * (dim * cols)
     pivots: list[int] = []
-    for n in range(1, m.cols + 1):
-        answer = state.llq(m.column(n))
+    for j in range(cols):
+        answer = state.llq(m.column(j + 1))
         if isinstance(answer, Keeper):
-            journal = [0] * dim
-            journal[len(pivots)] = 1
-            pivots.append(n)
+            values[len(pivots) * cols + j] = 1
+            pivots.append(j + 1)
         else:
-            journal = [*answer.values, *[0] * (dim - len(answer.values))]
-        journals.append(Vector._raw(tuple(journal), field))
+            values[j : len(answer.values) * cols : cols] = answer.values
     return GaucheResult(
-        rref=Matrix.from_columns(journals),
-        pivot_set=tuple(pivots),
-        journals=tuple(journals),
+        rref=Matrix._raw(dim, cols, tuple(values), field), pivot_set=tuple(pivots)
     )

@@ -2,9 +2,10 @@
 
 Storage is row-major and immutable: a tuple of raw values (see scalars),
 set once through `__dict__`, as the classes are frozen. The public
-constructors take Scalars and reject entries from another field; internal
-code builds from raw values with `_raw`, unchecked. `entries` and `entry`
-make Scalars on demand. All external indices are 1-based, so "column 1" is
+constructors take ints, Fractions, literals or Scalars, coerce each entry
+once with as_raw and reject Scalars from another field; internal code
+builds from raw values with `_raw`, unchecked. `entries` and `entry` make
+Scalars on demand. All external indices are 1-based, so "column 1" is
 the leftmost column and "entry 1" the top of a vector.
 """
 from __future__ import annotations
@@ -13,17 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ShapeError
-from .scalars import FieldSpec, Scalar, as_scalar, format_values
-
-
-def _raw_values(entries: Iterable[Scalar], field: FieldSpec, kind: str) -> tuple:
-    """The raw values of Scalars, each of which must lie in the field."""
-    values = []
-    for e in entries:
-        if e.spec is not field and e.spec != field:
-            raise FieldMismatchError(f"entry in {e.spec} inside a {field} {kind}")
-        values.append(e.value)
-    return tuple(values)
+from .scalars import FieldSpec, Scalar, as_raw, format_values
 
 
 @dataclass(frozen=True, init=False)
@@ -31,10 +22,10 @@ class Vector:
     values: tuple
     field: FieldSpec
 
-    def __init__(self, entries: Sequence[Scalar], field: FieldSpec):
+    def __init__(self, entries: Sequence, field: FieldSpec):
         if not entries:
             raise ShapeError("a vector needs at least one entry")
-        self.__dict__.update(values=_raw_values(entries, field, "vector"), field=field)
+        self.__dict__.update(values=tuple(as_raw(e, field) for e in entries), field=field)
 
     @classmethod
     def _raw(cls, values: tuple, field: FieldSpec) -> Vector:
@@ -44,15 +35,15 @@ class Vector:
 
     @classmethod
     def from_values(cls, values: Iterable, field: FieldSpec) -> Vector:
-        return cls(tuple(as_scalar(v, field) for v in values), field)
+        return cls(tuple(values), field)
 
     @classmethod
     def zero(cls, dim: int, field: FieldSpec) -> Vector:
-        return cls((field.zero(),) * dim, field)
+        return cls((0,) * dim, field)
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, v) for v in self.values)
+        return tuple(Scalar._make(self.field, v) for v in self.values)
 
     @property
     def dim(self) -> int:
@@ -91,14 +82,14 @@ class Matrix:
     values: tuple  # row-major
     field: FieldSpec
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar], field: FieldSpec):
+    def __init__(self, rows: int, cols: int, entries: Sequence, field: FieldSpec):
         if rows < 1 or cols < 1:
             raise ShapeError("matrices must have at least one row and one column")
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        values = _raw_values(entries, field, "matrix")
+        values = tuple(as_raw(e, field) for e in entries)
         self.__dict__.update(rows=rows, cols=cols, values=values, field=field)
 
     @classmethod
@@ -112,12 +103,10 @@ class Matrix:
         if not rows:
             raise ShapeError("no rows given")
         width = len(rows[0])
-        entries: list[Scalar] = []
         for row in rows:
             if len(row) != width:
                 raise ShapeError(f"ragged rows: expected {width} entries, got {len(row)}")
-            entries.extend(as_scalar(v, field) for v in row)
-        return cls(len(rows), width, tuple(entries), field)
+        return cls(len(rows), width, [v for row in rows for v in row], field)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector]) -> Matrix:
@@ -135,17 +124,15 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> Matrix:
-        zero, one = field.zero(), field.one()
-        entries = tuple(one if r == c else zero for r in range(n) for c in range(n))
-        return cls(n, n, entries, field)
+        return cls(n, n, [int(r == c) for r in range(n) for c in range(n)], field)
 
     @classmethod
     def zero(cls, rows: int, cols: int, field: FieldSpec) -> Matrix:
-        return cls(rows, cols, (field.zero(),) * (rows * cols), field)
+        return cls(rows, cols, (0,) * (rows * cols), field)
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, v) for v in self.values)
+        return tuple(Scalar._make(self.field, v) for v in self.values)
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
@@ -153,7 +140,7 @@ class Matrix:
             raise IndexError(f"row index {i} out of range 1..{self.rows}")
         if not 1 <= j <= self.cols:
             raise IndexError(f"column index {j} out of range 1..{self.cols}")
-        return Scalar(self.field, self.values[(i - 1) * self.cols + (j - 1)])
+        return Scalar._make(self.field, self.values[(i - 1) * self.cols + (j - 1)])
 
     def row(self, i: int) -> Vector:
         if not 1 <= i <= self.rows:
@@ -200,9 +187,9 @@ class Matrix:
     def with_entry(self, i: int, j: int, value) -> Matrix:
         """Copy of the matrix with one entry replaced (1-based indices)."""
         self.entry(i, j)  # bounds check
-        s = as_scalar(value, self.field)
         k = (i - 1) * self.cols + (j - 1)
-        return Matrix(self.rows, self.cols, self.entries[:k] + (s,) + self.entries[k + 1 :], self.field)
+        values = self.values[:k] + (as_raw(value, self.field),) + self.values[k + 1 :]
+        return Matrix._raw(self.rows, self.cols, values, self.field)
 
     def take_columns(self, js: Sequence[int]) -> Matrix:
         """Submatrix of the given columns, in the given order (1-based)."""

@@ -77,13 +77,12 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     variable equals the negated reduced-form entries of the free columns in
     that pivot's row.
     """
-    field = res.rref.field
+    field, values, cols = res.rref.field, res.rref.values, res.rref.cols
     pivots = [s for s in res.pivot_set if s <= q]
     kept = set(pivots)
     free = tuple(n for n in range(1, q + 1) if n not in kept)
-    free_journals = [res.journals[n - 1].values for n in free]
     exprs = tuple(
-        (s, tuple(field.scale_row(-1, [values[i] for values in free_journals])))
+        (s, tuple(field.scale_row(-1, [values[i * cols + n - 1] for n in free])))
         for i, s in enumerate(pivots)
     )
     return GraphRelations(free_indices=free, pivot_exprs=exprs, field=field)

@@ -1,15 +1,16 @@
 """Exact scalars over the rationals or a prime field GF(p).
 
-Values are immutable and always canonical: rationals are reduced fractions
-with a positive denominator (backed by fractions.Fraction), prime-field
-values are the least nonnegative residue. Mixing scalars from different
-fields raises FieldMismatchError rather than coercing.
+Every field element has one form, its raw value: over Q an int, or a
+reduced Fraction where the value is not an integer; over GF(p) the least
+nonnegative residue. FieldSpec.raw is the only canonicalizer, and as_raw
+the one coercion of an int, Fraction, literal or Scalar to a raw value.
+Mixing values from different fields raises FieldMismatchError rather than
+coercing.
 
-Scalar is the type at the API boundary. Everything else works on raw
-values: a least residue over GF(p); over Q an int, or a Fraction where the
-value is not an integer. The elimination kernels hold integer rows over a
-denominator through the row arithmetic on FieldSpec. Literals are read by
-parse_value and written by format_values, for raw values and Scalars alike.
+Scalar is the type at the API boundary: one raw value with its field.
+Everything else works on raw values. The elimination kernels hold integer
+rows over a denominator through the row arithmetic on FieldSpec. Literals
+are read by parse_value and written by format_values.
 """
 from __future__ import annotations
 
@@ -67,16 +68,19 @@ class FieldSpec:
             raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
 
     def raw(self, value):
-        """The raw value of an int or a Fraction: itself over Q; over GF(p)
-        its least residue, a/b meaning a times the inverse of b."""
+        """The raw value of an int or a Fraction: over Q an int where the
+        value is whole, else the Fraction; over GF(p) its least residue, a/b
+        meaning a times the inverse of b."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
         p = self.modulus
+        if not isinstance(value, Fraction):
+            return int(value) if p is None else value % p
         if p is None:
-            return value
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        return value % p
+            return value.numerator if value.denominator == 1 else value
+        if value.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     # Raw-value arithmetic shared by the elimination kernels. The kernels
     # hold a row as integers xs over a denominator d, standing for the raw
@@ -85,7 +89,7 @@ class FieldSpec:
     def inverse(self, a):
         """The inverse of the nonzero raw value a."""
         if self.modulus is None:
-            return 1 / a
+            return self.quotient(1, a)
         return pow(a, -1, self.modulus)
 
     def scale_row(self, c, xs) -> list:
@@ -128,25 +132,24 @@ class FieldSpec:
         return self.scale_row(self.inverse(xs[i]), xs), 1
 
     def quotient(self, x, d):
-        """The raw value of the integer x over the nonzero integer d."""
-        if self.modulus is None:
-            return Fraction(x, d)
-        return x if d == 1 else x * self.inverse(d) % self.modulus
+        """The raw value of x over the nonzero d, as quotients gives it."""
+        return self.quotients((x,), d)[0]
 
     def quotients(self, xs, d) -> list:
-        """The raw values of the row xs over the nonzero integer d; over Q
-        an int where the quotient is whole, else a Fraction. The kernels
-        pass integers; the matrix-vector product passes row sums, which are
-        Fractions where the matrix holds Fractions."""
+        """The raw values of the row xs over the nonzero d; over Q an int
+        where the quotient is whole, else a Fraction. The kernels pass
+        integers; the matrix-vector product passes row sums, which are
+        Fractions where the matrix holds Fractions; inverse passes 1 over a
+        raw value."""
         if self.modulus is None:
             return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
         return xs if d == 1 else self.scale_row(self.inverse(d), xs)
 
     def zero(self) -> Scalar:
-        return Scalar(self, 0)
+        return Scalar._make(self, 0)
 
     def one(self) -> Scalar:
-        return Scalar(self, 1)
+        return Scalar._make(self, 1)
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
@@ -161,18 +164,14 @@ def GF(p: int) -> FieldSpec:
 
 
 class Scalar:
-    """One field element; Fraction-backed over Q, residue-backed over GF(p)."""
+    """One field element: its field and its raw value, as FieldSpec.raw
+    gives it."""
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
-        value = spec.raw(value)
-        if spec.modulus is None and not isinstance(value, Fraction):
-            value = Fraction(value)
         self.spec = spec
-        self.value = value
+        self.value = spec.raw(value)
 
     @staticmethod
     def _make(spec: FieldSpec, value) -> Scalar:
@@ -271,15 +270,21 @@ def format_values(values) -> list[str]:
 def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
     """Parse an integer or "a/b" literal into a canonical Scalar (see
     parse_value)."""
-    return Scalar(spec, parse_value(text, spec))
+    return Scalar._make(spec, parse_value(text, spec))
+
+
+def as_raw(value, spec: FieldSpec):
+    """The raw value of an int, Fraction, literal string, or Scalar of the
+    field."""
+    if isinstance(value, Scalar):
+        if value.spec is not spec and value.spec != spec:
+            raise FieldMismatchError(f"scalar in {value.spec} used in {spec}")
+        return value.value
+    if isinstance(value, str):
+        return parse_value(value, spec)
+    return spec.raw(value)
 
 
 def as_scalar(value, spec: FieldSpec) -> Scalar:
     """Coerce an int, Fraction, literal string, or Scalar into the field."""
-    if isinstance(value, Scalar):
-        if value.spec is not spec and value.spec != spec:
-            raise FieldMismatchError(f"scalar in {value.spec} used in {spec}")
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value, spec)
-    return Scalar(spec, value)
+    return Scalar._make(spec, as_raw(value, spec))

@@ -59,7 +59,7 @@ def solve(system: LinearSystem) -> SolutionSet:
     res = gauche_rref(system.augmented())
     if res.pivot_set and res.pivot_set[-1] == q + 1:
         return Inconsistent()
-    reduced_rhs = res.journals[q].values
+    reduced_rhs = res.rref.column(q + 1).values
     values = [0] * q
     for i, s in enumerate(res.pivot_set):
         values[s - 1] = reduced_rhs[i]

@@ -45,6 +45,14 @@ J_ROWS = [
 ]
 
 
+def is_canonical(x, field) -> bool:
+    """Is x a raw value in its one form: over Q an int, or a Fraction that
+    is not whole; over GF(p) an int in 0..p-1?"""
+    if field.modulus is None:
+        return type(x) is int or type(x) is Fraction and x.denominator != 1
+    return type(x) is int and 0 <= x < field.modulus
+
+
 def mat(rows, field=QQ) -> Matrix:
     return Matrix.from_rows(rows, field)
 
@@ -227,7 +235,8 @@ def reference_matvec(m: Matrix, v: Vector) -> Vector:
 
 
 def _ref_inverse(field, a):
-    return 1 / a if field.modulus is None else pow(a, -1, field.modulus)
+    """Exact over Q: a raw value may be an int, and 1 / a is then a float."""
+    return Fraction(1, a) if field.modulus is None else pow(a, -1, field.modulus)
 
 
 def _ref_scale(field, c, xs) -> list:

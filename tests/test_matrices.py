@@ -22,6 +22,7 @@ from helpers import (
     FIELD_CASES,
     GF7,
     T_ROWS,
+    is_canonical,
     mat,
     matrix_j,
     matrix_t,
@@ -172,8 +173,9 @@ class TestUtilities:
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
 def test_parsed_entries_are_canonical_scalars(field, bound):
     """Storage holds raw values, but entries, entry, row and column give
-    the Scalars parse_scalar makes of each token: Fraction-backed over Q,
-    integer tokens included, so inverses are exact."""
+    the Scalars parse_scalar makes of each token. Each holds its one
+    canonical raw value (over Q an int where the value is whole, else a
+    Fraction), and its inverse is exact and canonical too: never a float."""
     rng = random.Random(6060)
     for m in [
         *random_matrices(rng, field, bound, 12),
@@ -189,10 +191,10 @@ def test_parsed_entries_are_canonical_scalars(field, bound):
                 assert parsed.entry(i, j) == s
                 assert parsed.column(j).entries[i - 1] == s
         for s in parsed.entries:
-            assert type(s.value) is (int if field.modulus else Fraction)
+            assert is_canonical(s.value, field)
             if s:
                 assert s * s.inv() == field.one()
-                assert type(s.inv().value) is type(s.value)
+                assert is_canonical(s.inv().value, field)
 
 
 @st.composite

@@ -11,19 +11,26 @@ from echelon import (
     GF,
     QQ,
     Affine,
+    Axpy,
     FieldMismatchError,
+    Matrix,
     ParseError,
     Scalar,
+    Scale,
+    Vector,
+    as_scalar,
     gauche_rref,
     gauss_jordan,
     null_basis,
     parse_scalar,
     solve,
 )
+from echelon.scalars import parse_value
 
 from helpers import (
     FIELD_CASES,
     GF7,
+    is_canonical,
     matrix_t,
     random_fraction_matrices,
     random_fraction_vector,
@@ -31,6 +38,8 @@ from helpers import (
     sc,
     system_from_augmented,
 )
+
+Q_CASES = [case for case in FIELD_CASES if case.values[0] is QQ]
 
 
 class TestArithmetic:
@@ -48,6 +57,13 @@ class TestArithmetic:
         assert sc("1/2") - sc("1/3") == sc("1/6")
         assert sc(3) / sc(-2) == sc("-3/2")
         assert sc(2, GF7) / sc(3, GF7) == sc(3, GF7)  # 3 * 3 = 9 = 2
+
+    def test_rational_inverse_is_exact(self):
+        """Over Q the inverse of a raw int is a Fraction, never the float
+        1 / a, and the inverse of 1/3 is the int 3."""
+        results = [QQ.inverse(2), QQ.inverse(Fraction(1, 3)), Scalar(QQ, 3).inv().value]
+        assert results == [Fraction(1, 2), 3, Fraction(1, 3)]
+        assert [type(x) for x in results] == [Fraction, int, Fraction]
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
     def test_inverse_of_zero_rejected(self, field):
@@ -214,16 +230,54 @@ class TestCanonicalForm:
         assert quotients == [-3, Fraction(3, 2), -2, 0, 4]
         assert [type(x) for x in quotients] == [int, Fraction, int, int, int]
 
-    @pytest.mark.parametrize(
-        ("field", "bound"), [case for case in FIELD_CASES if case.values[0] is QQ]
-    )
+    @pytest.mark.parametrize(("field", "bound"), Q_CASES)
+    def test_every_entry_point_stores_canonical_raw_values(self, field, bound):
+        """Over Q every way in gives a value its one raw form, an int or a
+        Fraction that is not whole: literals, Scalar, the public matrix and
+        vector constructors, and the coefficients Gauss-Jordan logs."""
+        rng = random.Random(4242)
+
+        def entry():
+            d = rng.choice([1, 2, 3])
+            return Fraction(rng.randint(-bound, bound) * rng.choice([1, d]), d)
+
+        rows = [[entry() for _ in range(5)] for _ in range(4)]
+        values = [
+            parse_value("4/2", field),
+            parse_value("0/5", field),
+            parse_value("-7/3", field),
+            Scalar(field, 3).value,
+            Scalar(field, Fraction(6, 3)).value,
+            as_scalar("9/3", field).value,
+        ]
+        assert values == [2, 0, Fraction(-7, 3), 3, 2, 3]
+        m = Matrix.from_rows(rows, field)
+        built = [
+            m,
+            Matrix(2, 2, (Fraction(4, 2), "6/3", sc("1/2"), 0), field),
+            Matrix.identity(3, field),
+            Matrix.zero(2, 3, field),
+            m.with_entry(2, 3, Fraction(8, 4)).with_entry(1, 1, "-10/5"),
+            Vector.from_values(rows[0], field),
+            Vector((Fraction(3, 1), "0/4", sc(5)), field),
+            Vector.zero(3, field),
+        ]
+        for x in built:
+            values.extend(x.values)
+        for r in random_fraction_matrices(rng, field, bound, 12):
+            for op in gauss_jordan(r).ops:
+                if isinstance(op, (Scale, Axpy)):
+                    values.append(op.c.value)
+        assert all(is_canonical(x, field) for x in values)
+
+    @pytest.mark.parametrize(("field", "bound"), Q_CASES)
     def test_results_over_q_hold_canonical_raw_values(self, field, bound):
         """Over Q the raw values of gauche_rref, gauss_jordan, null_basis,
         solve and @ are ints, or Fractions that are not whole: the worked
         example reduces to ints only, not Fraction(3, 1)."""
 
         def canonical(values):
-            return all(type(x) is int or x.denominator != 1 for x in values)
+            return all(is_canonical(x, field) for x in values)
 
         assert all(type(x) is int for x in gauche_rref(matrix_t()).rref.values)
         rng = random.Random(5150)
