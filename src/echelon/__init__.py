@@ -43,14 +43,13 @@ from .rowops import (
     Scale,
     Swap,
     apply_ops,
-    equivalence_script,
     format_op,
     gauss_jordan,
     is_rref,
     parse_ops,
     rref_violation,
 )
-from .scalars import GF, QQ, FieldSpec, Scalar, as_scalar, parse_scalar
+from .scalars import GF, QQ, FieldSpec, Scalar, as_scalar
 from .systems import (
     Affine,
     Inconsistent,
@@ -97,7 +96,6 @@ __all__ = [
     "as_scalar",
     "column_in_span",
     "columns_independent",
-    "equivalence_script",
     "format_op",
     "gauche_rref",
     "gauss_jordan",
@@ -107,7 +105,6 @@ __all__ = [
     "null_contains",
     "null_equal",
     "parse_ops",
-    "parse_scalar",
     "row_equivalent",
     "rref_violation",
     "solution_equivalent",

@@ -15,7 +15,7 @@ from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
 from .matrices import Matrix
 from .nullspace import graph_relations, null_basis, relation_lines
-from .rowops import equivalence_script, format_op, rref_violation
+from .rowops import format_op, gauss_jordan, rref_violation
 from .scalars import GF, QQ, FieldSpec, format_values, parse_value
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
@@ -71,10 +71,6 @@ def parse_system(text: str, field: FieldSpec) -> LinearSystem:
     right-hand-side entry, per line."""
     aug = _scalar_rows(text, field, augmented=True)
     return LinearSystem(aug.take_columns(range(1, aug.cols)), aug.column(aug.cols))
-
-
-def format_matrix(m: Matrix) -> str:
-    return str(m)
 
 
 def _parse_field_flag(flag: str) -> FieldSpec:
@@ -152,7 +148,7 @@ def _cmd_equiv(a, b) -> tuple[int, dict, str]:
 
 
 def _cmd_script(m) -> tuple[int, dict, str]:
-    ops = [format_op(op) for op in equivalence_script(m)]
+    ops = [format_op(op) for op in gauss_jordan(m).ops]
     return 0, {"ops": ops}, "\n".join(ops)
 
 

@@ -2,16 +2,19 @@
 
 Storage is row-major and immutable: a tuple of raw values (see scalars),
 set once through `__dict__`, as the classes are frozen. The public
-constructors take ints, Fractions, literals or Scalars, coerce each entry
-once with as_raw and reject Scalars from another field; internal code
-builds from raw values with `_raw`, unchecked. `entries` and `entry` make
-Scalars on demand. All external indices are 1-based, so "column 1" is
+constructors `Vector(entries, field)`, `Matrix(rows, cols, entries, field)`
+and `Matrix.from_rows` take ints, Fractions, literals or Scalars, coerce
+each entry once with as_raw and reject Scalars from another field;
+`Vector.zero`, `std_basis`, `Matrix.identity` and `Matrix.zero` build from
+ints. `row`, `column` and `take_columns` slice the raw values, and internal
+code builds from raw values with `_raw`, unchecked. `entries` and `entry`
+make Scalars on demand. All external indices are 1-based, so "column 1" is
 the leftmost column and "entry 1" the top of a vector.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, ShapeError
 from .scalars import FieldSpec, Scalar, as_raw, format_values
@@ -34,10 +37,6 @@ class Vector:
         return v
 
     @classmethod
-    def from_values(cls, values: Iterable, field: FieldSpec) -> Vector:
-        return cls(tuple(values), field)
-
-    @classmethod
     def zero(cls, dim: int, field: FieldSpec) -> Vector:
         return cls((0,) * dim, field)
 
@@ -51,18 +50,6 @@ class Vector:
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    def __add__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ShapeError(f"cannot add vectors of dimension {self.dim} and {other.dim}")
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)), self.field)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, Scalar):
-            return NotImplemented
-        return Vector(tuple(scalar * e for e in self.entries), self.field)
 
     def __str__(self) -> str:
         return " ".join(format_values(self.values))
@@ -107,20 +94,6 @@ class Matrix:
             if len(row) != width:
                 raise ShapeError(f"ragged rows: expected {width} entries, got {len(row)}")
         return cls(len(rows), width, [v for row in rows for v in row], field)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Vector]) -> Matrix:
-        if not columns:
-            raise ShapeError("no columns given")
-        dim = columns[0].dim
-        field = columns[0].field
-        for c in columns:
-            if c.dim != dim:
-                raise ShapeError("columns differ in dimension")
-            if c.field is not field and c.field != field:
-                raise FieldMismatchError(f"entry in {c.field} inside a {field} matrix")
-        values = tuple(x for row in zip(*[c.values for c in columns]) for x in row)
-        return cls._raw(dim, len(columns), values, field)
 
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> Matrix:
@@ -193,7 +166,14 @@ class Matrix:
 
     def take_columns(self, js: Sequence[int]) -> Matrix:
         """Submatrix of the given columns, in the given order (1-based)."""
-        return Matrix.from_columns([self.column(j) for j in js])
+        if not js:
+            raise ShapeError("no columns given")
+        for j in js:
+            if not 1 <= j <= self.cols:
+                raise IndexError(f"column index {j} out of range 1..{self.cols}")
+        values, cols = self.values, self.cols
+        picked = tuple(values[i + j - 1] for i in range(0, len(values), cols) for j in js)
+        return Matrix._raw(self.rows, len(js), picked, self.field)
 
     def augment(self, rhs: Vector) -> Matrix:
         if rhs.dim != self.rows:

@@ -10,8 +10,8 @@ column and linear independence of a column selection.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .gauche import GaucheResult, Keeper, KeeperState, gauche_rref
 from .matrices import Matrix, Vector

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatchError, InvalidOperationError, ParseError
 from .matrices import Matrix
-from .scalars import FieldSpec, Scalar, parse_scalar
+from .scalars import FieldSpec, Scalar, as_scalar
 
 
 def _check_row_index(i: int) -> None:
@@ -177,8 +177,9 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:
-    """Apply a sequence of row operations, in order, to a copy of m."""
-    field, p = m.field, m.field.modulus
+    """Apply a sequence of row operations, in order, to a copy of m; every
+    entry an op writes is canonical, as FieldSpec.raw gives it."""
+    field, raw = m.field, m.field.raw
     work = m.raw_rows()
 
     def row_of(i: int) -> list:
@@ -194,23 +195,15 @@ def apply_ops(m: Matrix, ops) -> Matrix:
         elif isinstance(op, Scale):
             if op.c.spec != field:
                 raise FieldMismatchError(f"scale in {op.c.spec} applied over {field}")
-            work[op.i - 1] = field.scale_row(op.c.value, row_of(op.i))
+            work[op.i - 1] = [raw(op.c.value * x) for x in row_of(op.i)]
         elif isinstance(op, Axpy):
             if op.c.spec != field:
                 raise FieldMismatchError(f"axpy in {op.c.spec} applied over {field}")
             c, src = op.c.value, row_of(op.source)
-            row = [x - c * y for x, y in zip(row_of(op.target), src)]
-            work[op.target - 1] = row if p is None else [x % p for x in row]
+            work[op.target - 1] = [raw(x - c * y) for x, y in zip(row_of(op.target), src)]
         else:
             raise TypeError(f"not a row operation: {op!r}")
     return Matrix._raw(m.rows, m.cols, tuple(x for row in work for x in row), field)
-
-
-def equivalence_script(m: Matrix) -> tuple[RowOp, ...]:
-    """A row-operation sequence taking m to its RREF, witnessing that the
-    column-sweep result is row equivalent to m (uniqueness makes the two
-    reduction routes land on the same matrix)."""
-    return gauss_jordan(m).ops
 
 
 def format_op(op: RowOp) -> str:
@@ -244,9 +237,9 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
             if parts[0] == "swap" and len(parts) == 3:
                 op: RowOp = Swap(_row_index(parts[1]), _row_index(parts[2]))
             elif parts[0] == "scale" and len(parts) == 3:
-                op = Scale(_row_index(parts[1]), parse_scalar(parts[2], field))
+                op = Scale(_row_index(parts[1]), as_scalar(parts[2], field))
             elif parts[0] == "axpy" and len(parts) == 4:
-                op = Axpy(_row_index(parts[1]), _row_index(parts[2]), parse_scalar(parts[3], field))
+                op = Axpy(_row_index(parts[1]), _row_index(parts[2]), as_scalar(parts[3], field))
             else:
                 raise InvalidOperationError(f"unrecognized row operation {line!r}")
         except (

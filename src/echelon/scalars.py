@@ -267,12 +267,6 @@ def format_values(values) -> list[str]:
     return [str(v) if v else "0" for v in values]
 
 
-def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
-    """Parse an integer or "a/b" literal into a canonical Scalar (see
-    parse_value)."""
-    return Scalar._make(spec, parse_value(text, spec))
-
-
 def as_raw(value, spec: FieldSpec):
     """The raw value of an int, Fraction, literal string, or Scalar of the
     field."""

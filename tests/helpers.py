@@ -58,7 +58,7 @@ def mat(rows, field=QQ) -> Matrix:
 
 
 def vec(values, field=QQ) -> Vector:
-    return Vector.from_values(values, field)
+    return Vector(tuple(values), field)
 
 
 def sc(value, field=QQ):
@@ -216,10 +216,11 @@ def with_free_entry_moved(rng, m: Matrix) -> Matrix | None:
     return r.with_entry(i, j, r.entry(i, j) + m.field.one())
 
 
-# Reference kernels: the matrix-vector product in Scalar arithmetic, and the
-# classical column sweep and Gauss-Jordan on raw values (Fractions over Q,
-# residues over GF(p)); each does one field operation per entry and step. The
-# fraction-free kernels in echelon must agree with them exactly.
+# Reference kernels: the matrix-vector product and linear combinations of
+# vectors in Scalar arithmetic, and the classical column sweep and
+# Gauss-Jordan on raw values (Fractions over Q, residues over GF(p)); each
+# does one field operation per entry and step. The fraction-free kernels in
+# echelon must agree with them exactly.
 
 
 def reference_matvec(m: Matrix, v: Vector) -> Vector:
@@ -232,6 +233,17 @@ def reference_matvec(m: Matrix, v: Vector) -> Vector:
             acc = acc + a * x
         out.append(acc)
     return Vector(tuple(out), m.field)
+
+
+def reference_combination(terms, dim: int, field) -> Vector:
+    """The sum of c*v over the (Scalar c, Vector v) terms in Scalar
+    arithmetic: one field multiply and one add per entry of every term. The
+    zero vector of dimension dim when there are no terms."""
+    acc = [field.zero()] * dim
+    for c, v in terms:
+        assert v.dim == dim
+        acc = [a + c * x for a, x in zip(acc, v.entries)]
+    return Vector(tuple(acc), field)
 
 
 def _ref_inverse(field, a):
@@ -273,7 +285,7 @@ def reference_sweep(m: Matrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
             reduced.append(_ref_scale(field, _ref_inverse(field, work[lead]), work + [-1]))
             coeffs = [0] * len(pivots) + [1]
             pivots.append(n)
-        journals.append(Vector.from_values(coeffs + [0] * (dim - len(coeffs)), field))
+        journals.append(Vector(tuple(coeffs + [0] * (dim - len(coeffs))), field))
     return tuple(journals), tuple(pivots)
 
 

@@ -23,7 +23,7 @@ from echelon import (
     parse_ops,
     row_equivalent,
 )
-from echelon.cli import format_matrix, main, parse_matrix, parse_system
+from echelon.cli import main, parse_matrix, parse_system
 
 from helpers import (
     GF7,
@@ -220,8 +220,8 @@ class TestEquiv:
             a = random_matrix(rng, 3, 4, QQ)
             b = random_matrix(rng, 3, 4, QQ)
             pa, pb = tmp_path / "ra.mat", tmp_path / "rb.mat"
-            pa.write_text(format_matrix(a) + "\n")
-            pb.write_text(format_matrix(b) + "\n")
+            pa.write_text(str(a) + "\n")
+            pb.write_text(str(b) + "\n")
             expected = 0 if row_equivalent(a, b) else 1
             assert main(["equiv", str(pa), str(pb)]) == expected
 
@@ -237,7 +237,7 @@ class TestScript:
         assert main(["rref", t_path]) == 0
         rref_text = capsys.readouterr().out
         replayed = apply_ops(matrix_t(), parse_ops(script_text, QQ))
-        assert format_matrix(replayed) + "\n" == rref_text
+        assert str(replayed) + "\n" == rref_text
 
     def test_reduced_input_gives_empty_script(self, eye_path, capsys):
         assert main(["script", eye_path]) == 0
@@ -373,12 +373,12 @@ class TestLongAnswers:
         # 64-bit a/b entries: the reduced form has entries of 4,792 digits
         m = random_fraction_matrix(random.Random(2022), 16, 17, QQ, bound=2**63)
         path = tmp_path / "wide.mat"
-        path.write_text(format_matrix(m) + "\n")
+        path.write_text(str(m) + "\n")
         assert main(["rref", str(path)]) == 0
         assert sys.get_int_max_str_digits() == DIGIT_LIMIT
         sys.set_int_max_str_digits(0)
         try:
-            expected = format_matrix(gauche_rref(m).rref) + "\n"
+            expected = str(gauche_rref(m).rref) + "\n"
         finally:
             sys.set_int_max_str_digits(DIGIT_LIMIT)
         assert capsys.readouterr().out == expected
@@ -392,9 +392,9 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
     on the way."""
     m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
     mat_path, sys_path = tmp_path / "m.mat", tmp_path / "m.sys"
-    mat_path.write_text(format_matrix(m) + "\n")
+    mat_path.write_text(str(m) + "\n")
     sys_path.write_text(
-        "".join(" | ".join(row.rsplit(" ", 1)) + "\n" for row in format_matrix(m).splitlines())
+        "".join(" | ".join(row.rsplit(" ", 1)) + "\n" for row in str(m).splitlines())
     )
     calls = []
     init, make = Scalar.__init__, Scalar._make
@@ -573,7 +573,7 @@ def test_parse_print_roundtrip(field):
     rng = random.Random(404)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), field)
-        assert parse_matrix(format_matrix(m), field) == m
+        assert parse_matrix(str(m), field) == m
 
 
 def _run_cli(*args):

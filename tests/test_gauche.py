@@ -239,7 +239,7 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
     field = GF(32003)
     rng = random.Random(2021)
     m = random_matrix(rng, 20, 21, field, bound=16001)
-    v = Vector.from_values([rng.randint(0, 32002) for _ in range(21)], field)
+    v = Vector(tuple(rng.randint(0, 32002) for _ in range(21)), field)
     calls = []
     for name in ("__add__", "__sub__", "__mul__"):
         op = getattr(Scalar, name)

@@ -1,11 +1,16 @@
-"""Runtime invariants read from the source with `ast`: the toolkit imports
-only the standard library, and the bench's verifier does not import the
-toolkit it checks."""
+"""Runtime invariants: read from the source with `ast`, the toolkit imports
+only the standard library and the bench's verifier does not import the
+toolkit it checks; at run time, importing the CLI leaves `typing` unloaded,
+and the package's `__all__` names exactly its public attributes."""
 import ast
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import echelon
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +40,31 @@ def test_toolkit_imports_only_the_standard_library(path):
 def test_bench_verifier_does_not_import_the_toolkit():
     """The verifier checks the toolkit's answers, so it must not share its code."""
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
+
+
+def test_cli_import_leaves_typing_unloaded():
+    """A fresh isolated interpreter without `site`, as the bench's worker
+    runs: `import echelon.cli` must not pull in `typing`."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import echelon.cli; "
+        "print('typing' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
+
+
+def test_export_list_matches_the_public_names():
+    """Every name in `__all__` resolves, and every public attribute of the
+    package that is not a submodule is listed."""
+    assert len(set(echelon.__all__)) == len(echelon.__all__)
+    for name in echelon.__all__:
+        assert hasattr(echelon, name), name
+    public = {
+        name
+        for name, value in vars(echelon).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(echelon.__all__)) == []

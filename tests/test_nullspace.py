@@ -31,6 +31,7 @@ from helpers import (
     random_matrix,
     random_ops,
     random_shape,
+    reference_combination,
     sc,
     vec,
     with_free_entry_moved,
@@ -105,9 +106,7 @@ class TestGraphRelations:
             m = random_matrix(rng, p, q, field)
             rel = graph_relations(m)
             values = [sc(rng.randint(-5, 5), field) for _ in rel.free_indices]
-            v = Vector.zero(q, field)
-            for c, w in zip(values, rel.basis().basis):
-                v = v + c * w
+            v = reference_combination(zip(values, rel.basis().basis), q, field)
             assert null_contains(m, v)
             assert [v.entries[n - 1] for n in rel.free_indices] == values
 
@@ -256,9 +255,7 @@ def test_independence_matches_exhaustive_search_over_gf7():
         for combo in itertools.product(range(7), repeat=size):
             if not any(combo):
                 continue
-            acc = Vector.zero(p, GF7)
-            for c, col in zip(combo, cols):
-                acc = acc + sc(c, GF7) * col
+            acc = reference_combination([(sc(c, GF7), col) for c, col in zip(combo, cols)], p, GF7)
             if acc.is_zero():
                 dependent = True
                 break

@@ -18,11 +18,11 @@ from echelon import (
     Scalar,
     Scale,
     Vector,
+    apply_ops,
     as_scalar,
     gauche_rref,
     gauss_jordan,
     null_basis,
-    parse_scalar,
     solve,
 )
 from echelon.scalars import parse_value
@@ -171,19 +171,19 @@ class TestFieldSpec:
 
 class TestParse:
     def test_negative_integer(self):
-        s = parse_scalar("-7", QQ)
+        s = as_scalar("-7", QQ)
         assert s.value == Fraction(-7, 1)
 
     def test_canonicalization(self):
-        assert parse_scalar("4/6", QQ) == sc("2/3")
-        assert str(parse_scalar("4/6", QQ)) == "2/3"
+        assert as_scalar("4/6", QQ) == sc("2/3")
+        assert str(as_scalar("4/6", QQ)) == "2/3"
 
     def test_reduction_mod_p(self):
-        assert parse_scalar("9", GF7) == sc(2, GF7)
-        assert parse_scalar("-1", GF7) == sc(6, GF7)
+        assert as_scalar("9", GF7) == sc(2, GF7)
+        assert as_scalar("-1", GF7) == sc(6, GF7)
 
     def test_fraction_literal_over_prime_field(self):
-        assert parse_scalar("4/6", GF7) == sc(3, GF7)  # 4 * inv(6) = 4 * 6 = 24 = 3
+        assert as_scalar("4/6", GF7) == sc(3, GF7)  # 4 * inv(6) = 4 * 6 = 24 = 3
 
     @pytest.mark.parametrize(
         "text",
@@ -191,19 +191,19 @@ class TestParse:
     )
     def test_malformed_literals(self, text):
         with pytest.raises(ParseError):
-            parse_scalar(text, QQ)
+            as_scalar(text, QQ)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            parse_scalar("3/0", QQ)
+            as_scalar("3/0", QQ)
         with pytest.raises(ZeroDivisionError):
-            parse_scalar("3/0", GF7)
+            as_scalar("3/0", GF7)
 
     def test_denominator_divisible_by_p(self):
         with pytest.raises(ZeroDivisionError):
-            parse_scalar("2/7", GF7)
+            as_scalar("2/7", GF7)
         with pytest.raises(ZeroDivisionError):
-            parse_scalar("2/14", GF7)
+            as_scalar("2/14", GF7)
 
 
 class TestCanonicalForm:
@@ -215,14 +215,14 @@ class TestCanonicalForm:
 
     def test_rational_canonical_invariants(self):
         for text in ("4/6", "-10/4", "0/5", "7/1", "-3"):
-            s = parse_scalar(text, QQ)
+            s = as_scalar(text, QQ)
             assert s.value.denominator > 0
             import math
 
             assert math.gcd(abs(s.value.numerator), s.value.denominator) in (0, 1)
 
     def test_zero_is_zero_over_one(self):
-        s = parse_scalar("0/5", QQ)
+        s = as_scalar("0/5", QQ)
         assert (s.value.numerator, s.value.denominator) == (0, 1)
 
     def test_quotients_are_ints_where_whole(self):
@@ -234,7 +234,9 @@ class TestCanonicalForm:
     def test_every_entry_point_stores_canonical_raw_values(self, field, bound):
         """Over Q every way in gives a value its one raw form, an int or a
         Fraction that is not whole: literals, Scalar, the public matrix and
-        vector constructors, and the coefficients Gauss-Jordan logs."""
+        vector constructors, the coefficients Gauss-Jordan logs, and the
+        entries apply_ops writes, whether it replays a log or scales by a
+        Fraction that is not whole."""
         rng = random.Random(4242)
 
         def entry():
@@ -252,22 +254,28 @@ class TestCanonicalForm:
         ]
         assert values == [2, 0, Fraction(-7, 3), 3, 2, 3]
         m = Matrix.from_rows(rows, field)
+        small = Matrix.from_rows([[2, 4], [1, 3]], field)
+        half = sc(Fraction(1, 2), field)
         built = [
             m,
             Matrix(2, 2, (Fraction(4, 2), "6/3", sc("1/2"), 0), field),
             Matrix.identity(3, field),
             Matrix.zero(2, 3, field),
             m.with_entry(2, 3, Fraction(8, 4)).with_entry(1, 1, "-10/5"),
-            Vector.from_values(rows[0], field),
+            Vector(tuple(rows[0]), field),
             Vector((Fraction(3, 1), "0/4", sc(5)), field),
             Vector.zero(3, field),
+            apply_ops(small, gauss_jordan(small).ops),
+            apply_ops(small, [Scale(1, half), Axpy(2, 1, half)]),
         ]
         for x in built:
             values.extend(x.values)
         for r in random_fraction_matrices(rng, field, bound, 12):
-            for op in gauss_jordan(r).ops:
+            ops = gauss_jordan(r).ops
+            for op in ops:
                 if isinstance(op, (Scale, Axpy)):
                     values.append(op.c.value)
+            values.extend(apply_ops(r, ops).values)
         assert all(is_canonical(x, field) for x in values)
 
     @pytest.mark.parametrize(("field", "bound"), Q_CASES)
@@ -307,13 +315,13 @@ def rational_scalars(draw):
 
 @given(rational_scalars())
 def test_parse_format_roundtrip_rationals(s):
-    assert parse_scalar(str(s), QQ) == s
+    assert as_scalar(str(s), QQ) == s
 
 
 @given(st.integers(0, 6))
 def test_parse_format_roundtrip_gf7(r):
     s = Scalar(GF7, r)
-    assert parse_scalar(str(s), GF7) == s
+    assert as_scalar(str(s), GF7) == s
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
