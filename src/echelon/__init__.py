@@ -16,14 +16,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .gauche import (
-    GaucheResult,
-    Keeper,
-    KeeperState,
-    LLQAnswer,
-    Subordinate,
-    gauche_rref,
-)
+from .gauche import GaucheResult, Keeper, KeeperState, LLQAnswer, Subordinate, gauche_rref
 from .matrices import Matrix, Vector, std_basis
 from .nullspace import (
     GraphRelations,

@@ -8,8 +8,8 @@ data errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import cache
 
 from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
@@ -184,7 +184,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="echelon",
         description="Exact linear algebra: reduced echelon forms, null spaces, and systems.",
@@ -237,7 +239,10 @@ def main(argv: list[str] | None = None) -> int:
             lift(0)
         try:
             code, payload, text = handler(*inputs)
-            output = json.dumps(payload) if args.fmt == "json" else text
+            output = text
+            if args.fmt == "json":
+                import json  # plain output never loads it
+                output = json.dumps(payload)
         finally:
             if lift:
                 lift(limit)

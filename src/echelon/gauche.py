@@ -10,29 +10,29 @@ basis) for its column space, indexed by the pivot set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldMismatchError, ShapeError
 from .matrices import Matrix, Vector
-from .scalars import FieldSpec, Scalar
+from .scalars import FieldSpec, Frozen, Scalar
 
 
-@dataclass(frozen=True)
-class Keeper:
+class Keeper(Frozen):
     """The column lies outside the span of the keepers to its left."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Subordinate:
+
+class Subordinate(Frozen):
     """The column equals the keeper combination with these coefficients,
     held as raw values of the field."""
 
-    values: tuple
-    field: FieldSpec
+    __slots__ = ("values", "field")
+
+    def __init__(self, values: tuple, field: FieldSpec):
+        self._freeze(values, field)
 
     @property
     def coefficients(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.field, v) for v in self.values)
+        return tuple(Scalar._make(self.field, v) for v in self.values)
 
 
 LLQAnswer = Keeper | Subordinate
@@ -102,13 +102,14 @@ class KeeperState:
         return Keeper()
 
 
-@dataclass(frozen=True)
-class GaucheResult:
+class GaucheResult(Frozen):
     """The RREF and its pivot set. The journals are not stored apart: they
     are the RREF's columns, in order."""
 
-    rref: Matrix
-    pivot_set: tuple[int, ...]
+    __slots__ = ("rref", "pivot_set")
+
+    def __init__(self, rref: Matrix, pivot_set: tuple[int, ...]):
+        self._freeze(rref, pivot_set)
 
     @property
     def journals(self) -> tuple[Vector, ...]:
@@ -130,6 +131,4 @@ def gauche_rref(m: Matrix) -> GaucheResult:
             pivots.append(j + 1)
         else:
             values[j : len(answer.values) * cols : cols] = answer.values
-    return GaucheResult(
-        rref=Matrix._raw(dim, cols, tuple(values), field), pivot_set=tuple(pivots)
-    )
+    return GaucheResult(Matrix._raw(dim, cols, tuple(values), field), tuple(pivots))

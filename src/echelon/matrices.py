@@ -1,7 +1,7 @@
 """Dense exact matrices and column vectors.
 
 Storage is row-major and immutable: a tuple of raw values (see scalars),
-set once through `__dict__`, as the classes are frozen. The public
+held in a read-only slot of a Frozen value class. The public
 constructors `Vector(entries, field)`, `Matrix(rows, cols, entries, field)`
 and `Matrix.from_rows` take ints, Fractions, literals or Scalars, coerce
 each entry once with as_raw and reject Scalars from another field;
@@ -14,27 +14,18 @@ the leftmost column and "entry 1" the top of a vector.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import FieldMismatchError, ShapeError
-from .scalars import FieldSpec, Scalar, as_raw, format_values
+from .scalars import FieldSpec, Frozen, Scalar, as_raw, format_values
 
 
-@dataclass(frozen=True, init=False)
-class Vector:
-    values: tuple
-    field: FieldSpec
+class Vector(Frozen):
+    __slots__ = ("values", "field")
 
     def __init__(self, entries: Sequence, field: FieldSpec):
         if not entries:
             raise ShapeError("a vector needs at least one entry")
-        self.__dict__.update(values=tuple(as_raw(e, field) for e in entries), field=field)
-
-    @classmethod
-    def _raw(cls, values: tuple, field: FieldSpec) -> Vector:
-        v = cls.__new__(cls)
-        v.__dict__.update(values=values, field=field)
-        return v
+        self._freeze(tuple(as_raw(e, field) for e in entries), field)
 
     @classmethod
     def zero(cls, dim: int, field: FieldSpec) -> Vector:
@@ -62,12 +53,8 @@ def std_basis(dim: int, i: int, field: FieldSpec) -> Vector:
     return Vector._raw(tuple(int(k == i) for k in range(1, dim + 1)), field)
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
-    rows: int
-    cols: int
-    values: tuple  # row-major
-    field: FieldSpec
+class Matrix(Frozen):
+    __slots__ = ("rows", "cols", "values", "field")  # values row-major
 
     def __init__(self, rows: int, cols: int, entries: Sequence, field: FieldSpec):
         if rows < 1 or cols < 1:
@@ -76,14 +63,7 @@ class Matrix:
             raise ShapeError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        values = tuple(as_raw(e, field) for e in entries)
-        self.__dict__.update(rows=rows, cols=cols, values=values, field=field)
-
-    @classmethod
-    def _raw(cls, rows: int, cols: int, values: tuple, field: FieldSpec) -> Matrix:
-        m = cls.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, values=values, field=field)
-        return m
+        self._freeze(rows, cols, tuple(as_raw(e, field) for e in entries), field)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field: FieldSpec) -> Matrix:
@@ -136,17 +116,13 @@ class Matrix:
         if not isinstance(v, Vector):
             return NotImplemented
         if v.dim != self.cols:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} matrix by a {v.dim}-vector"
-            )
+            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} matrix by a {v.dim}-vector")
         if v.field != self.field:
             raise FieldMismatchError(f"vector in {v.field} against a {self.field} matrix")
         field, values, cols = self.field, self.values, self.cols
         xs, d = field.clear(v.values)
         nonzero = [(j, x) for j, x in enumerate(xs) if x]
-        accs = [
-            sum([values[i + j] * x for j, x in nonzero]) for i in range(0, len(values), cols)
-        ]
+        accs = [sum([values[i + j] * x for j, x in nonzero]) for i in range(0, len(values), cols)]
         p = field.modulus
         out = field.quotients(accs, d) if p is None else [acc % p for acc in accs]
         return Vector._raw(tuple(out), field)

@@ -11,24 +11,23 @@ column and linear independence of a column selection.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .gauche import GaucheResult, Keeper, KeeperState, gauche_rref
 from .matrices import Matrix, Vector
-from .scalars import FieldSpec, Scalar, format_values
+from .scalars import FieldSpec, Frozen, Scalar, format_values
 
 
-@dataclass(frozen=True)
-class NullBasis:
+class NullBasis(Frozen):
     """One basis vector per free index, graph-normalized: entry 1 at its own
     free slot, 0 at every other free slot."""
 
-    free_indices: tuple[int, ...]
-    basis: tuple[Vector, ...]
+    __slots__ = ("free_indices", "basis")
+
+    def __init__(self, free_indices: tuple[int, ...], basis: tuple[Vector, ...]):
+        self._freeze(free_indices, basis)
 
 
-@dataclass(frozen=True)
-class GraphRelations:
+class GraphRelations(Frozen):
     """x_pivot = sum(coefficient * x_free) rows, read off the reduced form,
     with the coefficients as raw values of the field.
 
@@ -36,9 +35,10 @@ class GraphRelations:
     included, so the textual form is stable.
     """
 
-    free_indices: tuple[int, ...]
-    pivot_exprs: tuple[tuple[int, tuple], ...]
-    field: FieldSpec
+    __slots__ = ("free_indices", "pivot_exprs", "field")
+
+    def __init__(self, free_indices: tuple[int, ...], pivot_exprs: tuple, field: FieldSpec):
+        self._freeze(free_indices, pivot_exprs, field)
 
     def lines(self) -> list[str]:
         exprs = [(pivot, format_values(coeffs)) for pivot, coeffs in self.pivot_exprs]

@@ -8,58 +8,51 @@ never emitted, so an input already in reduced form yields an empty script.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldMismatchError, InvalidOperationError, ParseError
 from .matrices import Matrix
-from .scalars import FieldSpec, Scalar, as_scalar
+from .scalars import FieldSpec, Frozen, Scalar, as_scalar
 
 
-def _check_row_index(i: int) -> None:
-    if i < 1:
-        raise IndexError(f"row index {i} out of range (rows are 1-based)")
+def _check_row_indices(*rows: int) -> None:
+    for i in rows:
+        if i < 1:
+            raise IndexError(f"row index {i} out of range (rows are 1-based)")
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Frozen):
     """Interchange rows i and j."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self) -> None:
-        _check_row_index(self.i)
-        _check_row_index(self.j)
-        if self.i == self.j:
+    def __init__(self, i: int, j: int):
+        _check_row_indices(i, j)
+        if i == j:
             raise InvalidOperationError("swap of a row with itself")
+        self._freeze(i, j)
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Frozen):
     """Multiply row i by the nonzero scalar c."""
 
-    i: int
-    c: Scalar
+    __slots__ = ("i", "c")
 
-    def __post_init__(self) -> None:
-        _check_row_index(self.i)
-        if not self.c:
+    def __init__(self, i: int, c: Scalar):
+        _check_row_indices(i)
+        if not c:
             raise InvalidOperationError("scale by zero is not invertible")
+        self._freeze(i, c)
 
 
-@dataclass(frozen=True)
-class Axpy:
+class Axpy(Frozen):
     """Subtract c times row `source` from row `target` (the workhorse)."""
 
-    target: int
-    source: int
-    c: Scalar
+    __slots__ = ("target", "source", "c")
 
-    def __post_init__(self) -> None:
-        _check_row_index(self.target)
-        _check_row_index(self.source)
-        if self.target == self.source:
+    def __init__(self, target: int, source: int, c: Scalar):
+        _check_row_indices(target, source)
+        if target == source:
             raise InvalidOperationError("axpy of a row against itself")
+        self._freeze(target, source, c)
 
 
 RowOp = Swap | Scale | Axpy
@@ -105,11 +98,11 @@ def is_rref(m: Matrix) -> bool:
     return rref_violation(m) is None
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    rref: Matrix
-    ops: tuple[RowOp, ...]
-    pivot_set: tuple[int, ...]
+class ReductionResult(Frozen):
+    __slots__ = ("rref", "ops", "pivot_set")
+
+    def __init__(self, rref: Matrix, ops: tuple[RowOp, ...], pivot_set: tuple[int, ...]):
+        self._freeze(rref, ops, pivot_set)
 
 
 def gauss_jordan(m: Matrix) -> ReductionResult:
@@ -169,11 +162,7 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         if pivot_row == m.rows:
             break
     values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
-    return ReductionResult(
-        rref=Matrix._raw(m.rows, m.cols, values, field),
-        ops=tuple(ops),
-        pivot_set=tuple(pivots),
-    )
+    return ReductionResult(Matrix._raw(m.rows, m.cols, values, field), tuple(ops), tuple(pivots))
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:

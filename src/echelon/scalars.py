@@ -15,7 +15,6 @@ are read by parse_value and written by format_values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,9 +34,7 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError for n at or above
     _MR_BOUND, where these bases no longer decide primality."""
     if n >= _MR_BOUND:
-        raise ValueError(
-            f"modulus {n} is too large: primality is only decided below {_MR_BOUND}"
-        )
+        raise ValueError(f"modulus {n} is too large: primality is only decided below {_MR_BOUND}")
     if n < 43:
         return n in _MR_BASES
     d, s = n - 1, 0
@@ -56,16 +53,63 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+_set = object.__setattr__  # writes a field past Frozen.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes. A subclass names its fields in
+    __slots__; its __init__ checks the arguments and sets each field once
+    with _freeze, and _raw builds an instance unchecked. Equality, hash and
+    the Name(field=value, ...) repr follow the class and the fields; fields
+    are read-only, and pickling goes through the constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, *values):
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(obj, name, value)
+        return obj
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FieldSpec(Frozen):
     """Names the field scalars live in: GF(p) for a prime modulus p, the
     rationals for modulus None."""
 
-    modulus: int | None = None
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None and not _is_prime(modulus):
+            raise ValueError(f"modulus must be a prime, got {modulus!r}")
+        self._freeze(modulus)
 
     def raw(self, value):
         """The raw value of an int or a Fraction: over Q an int where the

@@ -7,44 +7,40 @@ variables pinned to zero) plus the null space of the coefficient matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
 from .nullspace import NullBasis, _mutually_annihilate, _relations
+from .scalars import Frozen
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    coeff: Matrix
-    rhs: Vector
+class LinearSystem(Frozen):
+    __slots__ = ("coeff", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.rhs.dim != self.coeff.rows:
-            raise ShapeError(
-                f"{self.coeff.rows}-row system with a {self.rhs.dim}-entry right-hand side"
-            )
-        if self.rhs.field != self.coeff.field:
-            raise FieldMismatchError(
-                f"right-hand side in {self.rhs.field} against {self.coeff.field}"
-            )
+    def __init__(self, coeff: Matrix, rhs: Vector):
+        if rhs.dim != coeff.rows:
+            raise ShapeError(f"{coeff.rows}-row system with a {rhs.dim}-entry right-hand side")
+        if rhs.field != coeff.field:
+            raise FieldMismatchError(f"right-hand side in {rhs.field} against {coeff.field}")
+        self._freeze(coeff, rhs)
 
     def augmented(self) -> Matrix:
         return self.coeff.augment(self.rhs)
 
 
-@dataclass(frozen=True)
-class Inconsistent:
+class Inconsistent(Frozen):
     """No solution: the reduced augmented matrix has a pivot in the RHS column."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Affine:
+
+class Affine(Frozen):
     """All solutions: particular plus any combination of the homogeneous basis."""
 
-    particular: Vector
-    homogeneous: NullBasis
+    __slots__ = ("particular", "homogeneous")
+
+    def __init__(self, particular: Vector, homogeneous: NullBasis):
+        self._freeze(particular, homogeneous)
 
 
 SolutionSet = Inconsistent | Affine
@@ -82,9 +78,7 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     sol_a = solve(a)
     sol_b = solve(b)
     if isinstance(sol_a, Inconsistent) or isinstance(sol_b, Inconsistent):
-        raise InconsistentSystemError(
-            "solution equivalence is only defined for consistent systems"
-        )
+        raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
     return (
         (b.coeff @ sol_a.particular) == b.rhs
         and (a.coeff @ sol_b.particular) == a.rhs

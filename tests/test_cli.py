@@ -546,8 +546,10 @@ class TestArgumentForms:
 
 
 def test_one_parser_per_call(t_path, capsys, monkeypatch):
-    """main builds one ArgumentParser per call, whatever the command: no
-    subparser and no parent parser."""
+    """The first main call in a process builds one ArgumentParser, whatever
+    the command (no subparser, no parent parser), and later calls build
+    none: they reuse it, with the same exit code, stdout and stderr as the
+    call that built it."""
     made = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(
@@ -555,13 +557,22 @@ def test_one_parser_per_call(t_path, capsys, monkeypatch):
         "__init__",
         lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs),
     )
-    for argv, code in [
-        (["rref", t_path], 0), (["equiv", t_path, t_path], 0), (["rref"], 2), (["--help"], 0),
-    ]:
+    argvs = [["rref", t_path], ["equiv", t_path, t_path], ["rref"], ["--help"]]
+    codes = [0, 0, 2, 0]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    for first, code in zip(argvs, codes):
+        echelon.cli.build_parser.cache_clear()  # as in a fresh process
         made.clear()
-        assert main(argv) == code
-        assert made == [1], argv
-    capsys.readouterr()
+        built = run(first)
+        assert made == [1] and built[0] == code, first
+        assert [run(argv)[0] for argv in argvs] == codes
+        assert run(first) == built, first
+        assert made == [1], first
     # the counter does count
     made.clear()
     argparse.ArgumentParser()

@@ -1,7 +1,8 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library and the bench's verifier does not import the
-toolkit it checks; at run time, importing the CLI leaves `typing` unloaded,
-and the package's `__all__` names exactly its public attributes."""
+toolkit it checks; at run time, importing the CLI leaves `typing`,
+`dataclasses`, `inspect`, `ast` and `json` unloaded, and the package's
+`__all__` names exactly its public attributes."""
 import ast
 import subprocess
 import sys
@@ -42,18 +43,27 @@ def test_bench_verifier_does_not_import_the_toolkit():
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
 
 
-def test_cli_import_leaves_typing_unloaded():
+UNNEEDED_AT_IMPORT = ("typing", "dataclasses", "inspect", "ast", "json")
+
+
+def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
     """A fresh isolated interpreter without `site`, as the bench's worker
-    runs: `import echelon.cli` must not pull in `typing`."""
+    runs: `import echelon.cli` must not pull in `typing`, `dataclasses`,
+    `inspect`, `ast` or `json`, and a `--format json` job in that
+    interpreter still prints its JSON."""
+    path = tmp_path / "m.mat"
+    path.write_text("2 4\n1 3\n")
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import echelon.cli; "
-        "print('typing' in sys.modules)"
+        f"print([name for name in {UNNEEDED_AT_IMPORT!r} if name in sys.modules]); "
+        "sys.exit(echelon.cli.main(['rref', sys.argv[2], '--format', 'json']))"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src"), str(path)],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "False\n"
+    assert out.stdout == '[]\n{"rref": [["1", "0"], ["0", "1"]]}\n'
+    assert out.stderr == ""
 
 
 def test_export_list_matches_the_public_names():

@@ -60,6 +60,21 @@ class TestRowOpConstruction:
         with pytest.raises(IndexError):
             Scale(-1, sc(2))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Swap(1, 0),
+            lambda: Swap(0, 0),
+            lambda: Axpy(0, 1, sc(2)),
+            lambda: Axpy(1, 0, sc(2)),
+        ],
+        ids=["swap-second", "swap-self", "axpy-target", "axpy-source"],
+    )
+    def test_every_row_index_checked_first(self, make):
+        """Both indices of a swap or an axpy are checked, before the self test."""
+        with pytest.raises(IndexError, match="out of range"):
+            make()
+
 
 class TestValidator:
     def test_worked_example_reduced_form(self):
