@@ -212,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="plain",
         help="output format (default plain)",
     )
+    # preset, or parse_intermixed_args renders the usage text on every call
+    parser.usage = parser.format_usage()[7:]
     return parser
 
 

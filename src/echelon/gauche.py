@@ -32,7 +32,7 @@ class Subordinate(Frozen):
 
     @property
     def coefficients(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar._make(self.field, v) for v in self.values)
+        return tuple(Scalar._raw(self.field, v) for v in self.values)
 
 
 LLQAnswer = Keeper | Subordinate

@@ -23,9 +23,10 @@ class Vector(Frozen):
     __slots__ = ("values", "field")
 
     def __init__(self, entries: Sequence, field: FieldSpec):
-        if not entries:
+        values = tuple(as_raw(e, field) for e in entries)
+        if not values:
             raise ShapeError("a vector needs at least one entry")
-        self._freeze(tuple(as_raw(e, field) for e in entries), field)
+        self._freeze(values, field)
 
     @classmethod
     def zero(cls, dim: int, field: FieldSpec) -> Vector:
@@ -33,7 +34,7 @@ class Vector(Frozen):
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar._make(self.field, v) for v in self.values)
+        return tuple(Scalar._raw(self.field, v) for v in self.values)
 
     @property
     def dim(self) -> int:
@@ -85,7 +86,7 @@ class Matrix(Frozen):
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar._make(self.field, v) for v in self.values)
+        return tuple(Scalar._raw(self.field, v) for v in self.values)
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
@@ -93,7 +94,7 @@ class Matrix(Frozen):
             raise IndexError(f"row index {i} out of range 1..{self.rows}")
         if not 1 <= j <= self.cols:
             raise IndexError(f"column index {j} out of range 1..{self.cols}")
-        return Scalar._make(self.field, self.values[(i - 1) * self.cols + (j - 1)])
+        return Scalar._raw(self.field, self.values[(i - 1) * self.cols + (j - 1)])
 
     def row(self, i: int) -> Vector:
         if not 1 <= i <= self.rows:

@@ -140,10 +140,10 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         if pick != pivot_row:
             work[pick], work[pivot_row] = work[pivot_row], work[pick]
             mus[pick], mus[pivot_row] = mus[pivot_row], mus[pick]
-            ops.append(Swap(pivot_row + 1, pick + 1))
+            ops.append(Swap._raw(pivot_row + 1, pick + 1))
         pv, d = work[pivot_row][col], prev * mus[pivot_row]
         if pv != d:
-            ops.append(Scale(pivot_row + 1, Scalar._make(field, field.quotient(d, pv))))
+            ops.append(Scale._raw(pivot_row + 1, Scalar._raw(field, field.quotient(d, pv))))
             work[pivot_row], pv = field.pivot_row(work[pivot_row], col)
         mus[pivot_row] = 1
         prow = work[pivot_row]
@@ -153,7 +153,7 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
             f = work[r][col]
             if f:
                 c = field.quotient(f, prev * mus[r])
-                ops.append(Axpy(r + 1, pivot_row + 1, Scalar._make(field, c)))
+                ops.append(Axpy._raw(r + 1, pivot_row + 1, Scalar._raw(field, c)))
             if f or pv != prev:
                 work[r] = field.combine_row(pv, work[r], f, prow, prev)
         prev = pv

@@ -7,8 +7,9 @@ the one coercion of an int, Fraction, literal or Scalar to a raw value.
 Mixing values from different fields raises FieldMismatchError rather than
 coercing.
 
-Scalar is the type at the API boundary: one raw value with its field.
-Everything else works on raw values. The elimination kernels hold integer
+Scalar is the type at the API boundary: one raw value with its field, an
+immutable value like every class built on Frozen. Everything else works on
+raw values. The elimination kernels hold integer
 rows over a denominator through the row arithmetic on FieldSpec. Literals
 are read by parse_value and written by format_values.
 """
@@ -107,6 +108,8 @@ class FieldSpec(Frozen):
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int | None = None):
+        if modulus is not None and not isinstance(modulus, int):
+            raise TypeError(f"modulus must be an int or None, got {type(modulus).__name__}")
         if modulus is not None and not _is_prime(modulus):
             raise ValueError(f"modulus must be a prime, got {modulus!r}")
         self._freeze(modulus)
@@ -190,10 +193,10 @@ class FieldSpec(Frozen):
         return xs if d == 1 else self.scale_row(self.inverse(d), xs)
 
     def zero(self) -> Scalar:
-        return Scalar._make(self, 0)
+        return Scalar._raw(self, 0)
 
     def one(self) -> Scalar:
-        return Scalar._make(self, 1)
+        return Scalar._raw(self, 1)
 
     def __str__(self) -> str:
         return "Q" if self.modulus is None else f"GF({self.modulus})"
@@ -207,23 +210,14 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec(p)
 
 
-class Scalar:
+class Scalar(Frozen):
     """One field element: its field and its raw value, as FieldSpec.raw
     gives it."""
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
-        self.spec = spec
-        self.value = spec.raw(value)
-
-    @staticmethod
-    def _make(spec: FieldSpec, value) -> Scalar:
-        # internal fast path: value is already canonical for spec
-        s = Scalar.__new__(Scalar)
-        s.spec = spec
-        s.value = value
-        return s
+        self._freeze(spec, spec.raw(value))
 
     def _check(self, other: Scalar) -> None:
         if self.spec is not other.spec and self.spec != other.spec:
@@ -233,19 +227,19 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar._make(self.spec, self.spec.raw(self.value + other.value))
+        return Scalar._raw(self.spec, self.spec.raw(self.value + other.value))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar._make(self.spec, self.spec.raw(self.value - other.value))
+        return Scalar._raw(self.spec, self.spec.raw(self.value - other.value))
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return Scalar._make(self.spec, self.spec.raw(self.value * other.value))
+        return Scalar._raw(self.spec, self.spec.raw(self.value * other.value))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -253,12 +247,12 @@ class Scalar:
         return self * other.inv()
 
     def __neg__(self) -> Scalar:
-        return Scalar._make(self.spec, self.spec.raw(-self.value))
+        return Scalar._raw(self.spec, self.spec.raw(-self.value))
 
     def inv(self) -> Scalar:
         if not self.value:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return Scalar._make(self.spec, self.spec.inverse(self.value))
+        return Scalar._raw(self.spec, self.spec.inverse(self.value))
 
     def is_zero(self) -> bool:
         return not self.value
@@ -268,14 +262,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return bool(self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.spec == other.spec and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
 
     def __str__(self) -> str:
         return format_values((self.value,))[0]
@@ -325,4 +311,4 @@ def as_raw(value, spec: FieldSpec):
 
 def as_scalar(value, spec: FieldSpec) -> Scalar:
     """Coerce an int, Fraction, literal string, or Scalar into the field."""
-    return Scalar._make(spec, as_raw(value, spec))
+    return Scalar._raw(spec, as_raw(value, spec))

@@ -397,12 +397,12 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
         "".join(" | ".join(row.rsplit(" ", 1)) + "\n" for row in str(m).splitlines())
     )
     calls = []
-    init, make = Scalar.__init__, Scalar._make
+    init, raw = Scalar.__init__, Scalar._raw
     monkeypatch.setattr(
         Scalar, "__init__", lambda s, spec, v: calls.append("__init__") or init(s, spec, v)
     )
     monkeypatch.setattr(
-        Scalar, "_make", staticmethod(lambda spec, v: calls.append("_make") or make(spec, v))
+        Scalar, "_raw", classmethod(lambda cls, spec, v: calls.append("_raw") or raw(spec, v))
     )
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
     for cmd, paths, code in [
@@ -417,8 +417,8 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
     assert calls == []
     # the counters do count
     Scalar(field, 2)
-    Scalar._make(field, 2)
-    assert calls == ["__init__", "_make"]
+    Scalar._raw(field, 2)
+    assert calls == ["__init__", "_raw"]
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
@@ -577,6 +577,26 @@ def test_one_parser_per_call(t_path, capsys, monkeypatch):
     made.clear()
     argparse.ArgumentParser()
     assert made == [1]
+
+
+def test_usage_rendered_once(t_path, capsys, monkeypatch):
+    """Valid calls after the first main call do not render the usage text:
+    the parser keeps it from when it was built."""
+    assert main(["rref", t_path]) == 0
+    rendered = []
+    format_usage = argparse.ArgumentParser.format_usage
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "format_usage",
+        lambda self: rendered.append(1) or format_usage(self),
+    )
+    for argv in (["rref", t_path], ["equiv", t_path, "--field", "gf:7", t_path], ["null", t_path]):
+        assert main(argv) == 0
+    assert rendered == []
+    # the counter does count
+    assert main(["rref"]) == 2
+    assert rendered
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=str)

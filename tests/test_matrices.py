@@ -50,6 +50,8 @@ class TestConstruction:
             mat([])
         with pytest.raises(ShapeError):
             Vector((), QQ)
+        with pytest.raises(ShapeError):
+            Vector((x for x in ()), QQ)  # a generator is truthy before it is read
 
     def test_entry_count_must_match_shape(self):
         with pytest.raises(ShapeError):

@@ -13,6 +13,7 @@ from echelon import (
     Affine,
     Axpy,
     FieldMismatchError,
+    FieldSpec,
     Matrix,
     ParseError,
     Scalar,
@@ -89,6 +90,12 @@ class TestFieldSpec:
         for bad in (0, 1, 4, 6, 91):
             with pytest.raises(ValueError):
                 GF(bad)
+
+    @pytest.mark.parametrize("modulus", [7.0, Fraction(7)], ids=repr)
+    def test_non_int_modulus_rejected(self, modulus):
+        name = type(modulus).__name__
+        with pytest.raises(TypeError, match=f"^modulus must be an int or None, got {name}$"):
+            FieldSpec(modulus)
 
     def test_prime_moduli_accepted(self):
         for p in (2, 3, 5, 7, 101, 32749):

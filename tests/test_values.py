@@ -20,10 +20,12 @@ from echelon import (
     Matrix,
     NullBasis,
     ReductionResult,
+    Scalar,
     Scale,
     Subordinate,
     Swap,
     Vector,
+    gauss_jordan,
 )
 from echelon.scalars import Frozen
 
@@ -40,6 +42,7 @@ NB_TEXT = f"NullBasis(free_indices=(2,), basis=({V_TEXT},))"
 # (build a fresh instance, one other value per field, the expected repr)
 CASES = {
     "FieldSpec": (lambda: FieldSpec(7), (5,), "FieldSpec(modulus=7)"),
+    "Scalar": (lambda: Scalar(QQ, Fraction(3, 4)), (GF7, 5), "Scalar(Q, 3/4)"),
     "Vector": (lambda: Vector((1, 2), QQ), ((1, 3), GF7), V_TEXT),
     "Matrix": (lambda: Matrix(1, 2, (1, "1/2"), QQ), (2, 1, (1, 2), GF7), M_TEXT),
     "Keeper": (Keeper, (), "Keeper()"),
@@ -119,6 +122,19 @@ def test_value_semantics(name):
 def test_classes_with_the_same_fields_differ():
     assert Keeper() != Inconsistent()
     assert Vector((3, 1), QQ) != Subordinate((3, 1), QQ)
+
+
+def test_logged_coefficients_are_read_only():
+    """A coefficient in the op log of gauss_jordan is a value too: writing
+    or deleting its fields fails, and the op and its hash stay as they were."""
+    op = gauss_jordan(Matrix.from_rows([[2, 4], [1, 3]], QQ)).ops[0]
+    key = hash(op)
+    for field, value in (("value", 99), ("spec", GF7)):
+        with pytest.raises(AttributeError):
+            setattr(op.c, field, value)
+        with pytest.raises(AttributeError):
+            delattr(op.c, field)
+    assert repr(op) == "Scale(i=1, c=Scalar(Q, 1/2))" and hash(op) == key
 
 
 def test_every_value_class_is_covered():
