@@ -41,19 +41,30 @@ LLQAnswer = Keeper | Subordinate
 class KeeperState:
     """Keeper columns admitted so far, plus an eliminated copy of them.
 
-    A column enters as an integer vector: its raw values times its scale,
-    the least common denominator over Q (1 over GF(p)). The eliminated copy
-    holds one integer row per keeper, with pairwise distinct leading slots
-    and pivot p_k, the row's entry there. After its dim residual entries a
-    row carries coefficients over the original keeper columns: for a keeper
-    row the residual plus that combination is zero. A candidate w is
-    eliminated against keeper k fraction-free (Bareiss):
-    w <- (p_k*w - w[lead_k]*u_k) / p_{k-1}, with p_{-1} = 1, where every
-    division is exact. Past the last keeper, with pivot p, the residual plus
-    the combination is p times the scaled candidate; so the candidate lies
-    in the keeper span exactly when its residual is zero, and its
-    coefficients are the rest divided by p times its scale. Over GF(p) each
-    keeper row is scaled to pivot 1, so the steps are the classical ones.
+    The eliminated copy holds one row per keeper, with pairwise distinct
+    leading slots. After its dim residual entries a row carries
+    coefficients over the original keeper columns: for a keeper row the
+    residual plus that combination is zero. A candidate is eliminated
+    against every keeper in turn; past the last one it lies in the keeper
+    span exactly when its residual is zero, and the rest are its
+    coefficients.
+
+    Over Q a column enters as an integer vector: its raw values times its
+    scale, the least common denominator. Each keeper row has pivot p_k, its
+    entry at its leading slot, and a candidate w is eliminated against
+    keeper k fraction-free (Bareiss): w <- (p_k*w - w[lead_k]*u_k) /
+    p_{k-1}, with p_{-1} = 1, where every division is exact. Past the last
+    keeper, with pivot p, the residual plus the combination is p times the
+    scaled candidate, so the coefficients are the rest divided by p times
+    the scale.
+
+    Over GF(p) every row is packed into one int (see FieldSpec), and each
+    keeper row holds least residues scaled to pivot 1. Against keeper k the
+    candidate takes one multiply-add, w <- w + (p - f)*u_k with f its
+    residue at lead_k; at most dim keepers fit, so slot_bits(dim) bounds
+    every slot, and the candidate is unpacked and reduced once, after the
+    last keeper.
+
     One forward pass, O(dim * keepers), settles the question. The
     coefficients are unique because the keeper set stays linearly
     independent by construction: a column is only admitted when it falls
@@ -65,7 +76,8 @@ class KeeperState:
         self.dim = dim
         self._leads: list[int] = []
         self._pivots: list[int] = []
-        self._reduced: list[list[int]] = []
+        self._reduced: list = []
+        self._bits = None if field.modulus is None else field.slot_bits(dim)
 
     def llq(self, col: Vector) -> LLQAnswer:
         """Can this column be written over the keepers to its left?
@@ -79,26 +91,39 @@ class KeeperState:
             raise ShapeError(f"column of dimension {col.dim}, keeper state expects {self.dim}")
         if col.field != self.field:
             raise FieldMismatchError(f"column in {col.field} against a {self.field} state")
-        # the residual of the scaled column against the reduced keepers,
+        # the residual of the (scaled) column against the reduced keepers,
         # followed by the coefficients of the eliminated part
-        field = self.field
-        work, scale = field.clear(list(col.values))
-        work += [0] * len(self._reduced)
-        prev = 1
-        for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
-            factor = work[lead]
-            if factor or pivot != prev:
-                # u stops at its own keeper's coefficient; later ones stay 0
-                work[: len(u)] = field.combine_row(pivot, work, factor, u, prev)
-            prev = pivot
-        lead = next((r for r in range(self.dim) if work[r]), None)
+        field, dim, p, w = self.field, self.dim, self.field.modulus, self._bits
+        if p is None:
+            work, scale = field.clear(list(col.values))
+            work += [0] * len(self._reduced)
+            prev = 1
+            for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
+                factor = work[lead]
+                if factor or pivot != prev:
+                    # u stops at its own keeper's coefficient; later ones stay 0
+                    work[: len(u)] = field.combine_row(pivot, work, factor, u, prev)
+                prev = pivot
+            scale *= prev
+        else:
+            packed = field.pack(col.values, w)
+            for lead, u in zip(self._leads, self._reduced):
+                f = field.slot(packed, lead, w)
+                if f:
+                    packed += (p - f) * u
+            work, scale = field.unpack(packed, dim + len(self._reduced), w), 1
+        lead = next((r for r in range(dim) if work[r]), None)
         if lead is None:
-            return Subordinate(tuple(field.quotients(work[self.dim :], prev * scale)), field)
+            coefficients = work[dim:] if scale == 1 else field.quotients(work[dim:], scale)
+            return Subordinate(tuple(coefficients), field)
         # the keeper's own coefficient cancels its scaled, eliminated column
-        row, pivot = field.pivot_row(work + [-prev * scale], lead)
         self._leads.append(lead)
-        self._pivots.append(pivot)
-        self._reduced.append(row)
+        if p is None:
+            self._pivots.append(work[lead])
+            self._reduced.append(work + [-scale])
+        else:
+            c = field.inverse(work[lead])
+            self._reduced.append(field.pack(field.scale_row(c, work) + [p - c], w))
         return Keeper()
 
 

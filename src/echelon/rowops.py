@@ -108,17 +108,25 @@ class ReductionResult(Frozen):
 def gauss_jordan(m: Matrix) -> ReductionResult:
     """Eliminate left to right, clearing above and below each pivot as it is
     placed. Pivot choice is the first nonzero entry scanning top to bottom;
-    exact arithmetic needs no magnitude pivoting.
-
-    Row i is held as an integer row over the denominator prev * mus[i],
-    which divides to the classical row: prev is the last pivot placed (1
-    before the first), and mus[i] the least common denominator of input
-    row i until that row becomes a pivot row, then 1. Over Q the steps are
-    fraction-free Gauss-Jordan (Bareiss): with pivot p in the pivot row u,
-    every other row w becomes (p*w - w[col]*u) / prev, a division that is
-    always exact, and p becomes prev. Over GF(p) the pivot row is scaled to
-    1, so the steps are the classical ones. The logged coefficients are the
+    exact arithmetic needs no magnitude pivoting. Rows are eliminated
+    fraction-free on integers over Q, and as packed ints, one multiply-add
+    per row and pivot, over GF(p). The logged coefficients are the
     classical ones."""
+    if m.field.modulus is None:
+        values, ops, pivots = _fraction_free_gauss_jordan(m)
+    else:
+        values, ops, pivots = _packed_gauss_jordan(m)
+    return ReductionResult(Matrix._raw(m.rows, m.cols, values, m.field), ops, pivots)
+
+
+def _fraction_free_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
+    """Over Q, row i is held as an integer row over the denominator
+    prev * mus[i], which divides to the classical row: prev is the last
+    pivot placed (1 before the first), and mus[i] the least common
+    denominator of input row i until that row becomes a pivot row, then 1.
+    The steps are fraction-free Gauss-Jordan (Bareiss): with pivot p in the
+    pivot row u, every other row w becomes (p*w - w[col]*u) / prev, a
+    division that is always exact, and p becomes prev."""
     field = m.field
     work, mus = [], []
     for row in m.raw_rows():
@@ -144,7 +152,6 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         pv, d = work[pivot_row][col], prev * mus[pivot_row]
         if pv != d:
             ops.append(Scale._raw(pivot_row + 1, Scalar._raw(field, field.quotient(d, pv))))
-            work[pivot_row], pv = field.pivot_row(work[pivot_row], col)
         mus[pivot_row] = 1
         prow = work[pivot_row]
         for r in range(m.rows):
@@ -162,7 +169,48 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         if pivot_row == m.rows:
             break
     values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
-    return ReductionResult(Matrix._raw(m.rows, m.cols, values, field), tuple(ops), tuple(pivots))
+    return values, tuple(ops), tuple(pivots)
+
+
+def _packed_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
+    """Over GF(p), every row is packed into one int (see FieldSpec). The
+    pivot row is unpacked, reduced and scaled to pivot 1 when it is chosen;
+    every other row w with residue f in the pivot column takes one
+    multiply-add, w + (p - f)*u. A row takes at most one update per pivot,
+    so slot_bits(min(rows, cols)) bounds every slot, and each row is
+    unpacked once more at the end."""
+    field, p, cols = m.field, m.field.modulus, m.cols
+    w = field.slot_bits(min(m.rows, cols))
+    work = [field.pack(row, w) for row in m.raw_rows()]
+    ops: list[RowOp] = []
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(cols):
+        pick = next((r for r in range(pivot_row, m.rows) if field.slot(work[r], col, w)), None)
+        if pick is None:
+            continue
+        if pick != pivot_row:
+            work[pick], work[pivot_row] = work[pivot_row], work[pick]
+            ops.append(Swap._raw(pivot_row + 1, pick + 1))
+        prow = field.unpack(work[pivot_row], cols, w)
+        if prow[col] != 1:
+            c = field.inverse(prow[col])
+            ops.append(Scale._raw(pivot_row + 1, Scalar._raw(field, c)))
+            prow = field.scale_row(c, prow)
+        u = work[pivot_row] = field.pack(prow, w)
+        for r in range(m.rows):
+            if r == pivot_row:
+                continue
+            f = field.slot(work[r], col, w)
+            if f:
+                ops.append(Axpy._raw(r + 1, pivot_row + 1, Scalar._raw(field, f)))
+                work[r] += (p - f) * u
+        pivots.append(col + 1)
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    values = tuple(x for row in work for x in field.unpack(row, cols, w))
+    return values, tuple(ops), tuple(pivots)
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:

@@ -9,17 +9,25 @@ coercing.
 
 Scalar is the type at the API boundary: one raw value with its field, an
 immutable value like every class built on Frozen. Everything else works on
-raw values. The elimination kernels hold integer
-rows over a denominator through the row arithmetic on FieldSpec. Literals
-are read by parse_value and written by format_values.
+raw values. Through the row arithmetic on FieldSpec the elimination kernels
+hold a row over Q as integers over a denominator, and over GF(p) as one
+packed int whose fixed-width slots are reduced mod p only when read.
+Literals are read by parse_value and written by format_values.
 """
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
 from .errors import FieldMismatchError, ParseError
+
+# typecodes by item size: packed slots of 1, 2, 4 or 8 bytes convert in
+# one call; on a big-endian machine every width takes the byte path
+_SLOT_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QIHB"}
+if sys.byteorder != "little":
+    _SLOT_CODES = {}
 
 # optional '-', digits, '/' and more digits; no whitespace inside
 _FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
@@ -55,6 +63,7 @@ def _is_prime(n: int) -> bool:
 
 
 _set = object.__setattr__  # writes a field past Frozen.__setattr__
+_new = object.__new__
 
 
 class Frozen:
@@ -68,10 +77,39 @@ class Frozen:
 
     @classmethod
     def _raw(cls, *values):
-        obj = object.__new__(cls)
+        obj = _new(cls)
         for name, value in zip(cls.__slots__, values):
             _set(obj, name, value)
         return obj
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The op log builds a Scalar and a Scale or an Axpy per eliminated
+        # entry, so for two and three fields _raw is unrolled: each field
+        # is set through its slot's own descriptor.
+        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+        if len(setters) == 2:
+            set_a, set_b = setters
+
+            def _raw(a, b):
+                obj = _new(cls)
+                set_a(obj, a)
+                set_b(obj, b)
+                return obj
+
+        elif len(setters) == 3:
+            set_a, set_b, set_c = setters
+
+            def _raw(a, b, c):
+                obj = _new(cls)
+                set_a(obj, a)
+                set_b(obj, b)
+                set_c(obj, c)
+                return obj
+
+        else:
+            return
+        cls._raw = staticmethod(_raw)
 
     def _freeze(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -129,9 +167,14 @@ class FieldSpec(Frozen):
             raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
         return value.numerator * pow(value.denominator, -1, p) % p
 
-    # Raw-value arithmetic shared by the elimination kernels. The kernels
-    # hold a row as integers xs over a denominator d, standing for the raw
-    # row xs / d: fraction-free over Q, and d = 1 over GF(p).
+    # Raw-value arithmetic shared by the elimination kernels. Over Q the
+    # kernels hold a row as integers xs over a denominator d, standing for
+    # the raw row xs / d, and eliminate fraction-free. Over GF(p) they hold
+    # a row packed into one nonnegative int: entry j is the slot of w bits
+    # at bit w*j, standing for its residue mod p. A row update W + c*U, with
+    # c and the slots of U least residues, adds at most (p-1)**2 to a slot,
+    # so slots are reduced only when read; slot_bits picks w so that no
+    # slot reaches 2**w first.
 
     def inverse(self, a):
         """The inverse of the nonzero raw value a."""
@@ -157,40 +200,58 @@ class FieldSpec(Frozen):
             return [v.numerator for v in values], 1
         return [v.numerator * (d // v.denominator) for v in values], d
 
-    def combine_row(self, a, xs, f, ys, d=1) -> list:
-        """The integer row (a*xs - f*ys) / d, as far as the shorter of xs and
-        ys. Over Q the division must be exact, as in fraction-free
-        elimination; over GF(p) it is by the inverse of d."""
-        p = self.modulus
-        if p is None:
-            return [(a * x - f * y) // d for x, y in zip(xs, ys)]
-        if a == 1 and d == 1:
-            return [(x - f * y) % p for x, y in zip(xs, ys)]
-        c = self.inverse(d)
-        a, f = a * c % p, f * c % p
-        return [(a * x - f * y) % p for x, y in zip(xs, ys)]
+    def combine_row(self, a, xs, f, ys, d) -> list:
+        """Over Q, the integer row (a*xs - f*ys) / d, as far as the shorter
+        of xs and ys; the division must be exact, as in fraction-free
+        elimination."""
+        return [(a * x - f * y) // d for x, y in zip(xs, ys)]
 
-    def pivot_row(self, xs, i) -> tuple[list[int], int]:
-        """The integer row xs with its entry i made the pivot later steps
-        divide by, and that pivot: over Q the row as it is, over GF(p) the
-        row scaled so that the pivot is 1."""
-        if self.modulus is None:
-            return xs, xs[i]
-        return self.scale_row(self.inverse(xs[i]), xs), 1
+    def slot_bits(self, updates: int) -> int:
+        """Over GF(p), the slot width w of packed rows that take at most
+        `updates` row updates before a slot is read: the least of 8, 16, 32
+        and 64 bits that holds (p-1) + updates*(p-1)**2, else whole bytes."""
+        p = self.modulus
+        bits = ((p - 1) * (1 + updates * (p - 1))).bit_length()
+        return next((w for w in (8, 16, 32, 64) if bits <= w), -(-bits // 8) * 8)
+
+    def pack(self, xs, w: int) -> int:
+        """The row of least residues xs packed into w-bit slots."""
+        # imported on first use, so that starting the CLI does not load it
+        import array
+
+        size = w // 8
+        code = _SLOT_CODES.get(size)
+        if code is None:
+            return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]), "little")
+        return int.from_bytes(array.array(code, xs), "little")
+
+    def unpack(self, packed: int, n: int, w: int) -> list[int]:
+        """The least residues of the first n slots of a packed row."""
+        p, size = self.modulus, w // 8
+        data = packed.to_bytes(n * size, "little")
+        code = _SLOT_CODES.get(size)
+        if code is None:
+            slots = [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
+        else:
+            slots = memoryview(data).cast(code)
+        return [x % p for x in slots]
+
+    def slot(self, packed: int, j: int, w: int) -> int:
+        """The least residue of slot j of a packed row."""
+        return (packed >> w * j & (1 << w) - 1) % self.modulus
 
     def quotient(self, x, d):
-        """The raw value of x over the nonzero d, as quotients gives it."""
+        """Over Q, the raw value of x over the nonzero d, as quotients gives
+        it."""
         return self.quotients((x,), d)[0]
 
     def quotients(self, xs, d) -> list:
-        """The raw values of the row xs over the nonzero d; over Q an int
+        """Over Q, the raw values of the row xs over the nonzero d: an int
         where the quotient is whole, else a Fraction. The kernels pass
         integers; the matrix-vector product passes row sums, which are
         Fractions where the matrix holds Fractions; inverse passes 1 over a
         raw value."""
-        if self.modulus is None:
-            return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
-        return xs if d == 1 else self.scale_row(self.inverse(d), xs)
+        return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
 
     def zero(self) -> Scalar:
         return Scalar._raw(self, 0)

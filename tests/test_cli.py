@@ -1,5 +1,6 @@
 """Command-line surface: file parsing, golden outputs, exit codes."""
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -328,6 +329,39 @@ JSON_GOLDENS = {
         '{"solution_equivalent": false}\n',
     ),
 }
+
+
+# SHA-256 of stdout on seeded 40x41 inputs, where a packed GF(p) row takes
+# dozens of updates before it is reduced: (modulus, command): (exit code,
+# digest); solve reads the same rows with the last entry as right-hand side
+LARGE_GOLDENS = {
+    (32003, "rref"): (0, "7c811664f11e3d48c821299fdea684170d76bd373153a1b2811b027dcca4b788"),
+    (32003, "script"): (0, "18b81ddbc000e9fcb760f6d884fabc0c511748e4d03d1cb55374fc2e5db4d3f0"),
+    (32003, "null"): (0, "4fc0b227a4341fc4380a5e8d5e602e953426073b235fd3056b7461c3d930d298"),
+    (32003, "solve"): (0, "311183a487185a15f88b46c42fc391bec17758ba7ee3b8f6015b8f25f9800bb6"),
+    (2, "rref"): (0, "255bf4ee0563eecfbf5c3a39618ce78263016a33ac77d7855b2e5b7142120a89"),
+    (2, "script"): (0, "77f592a2dc56568dd9889faf443f0fe9791783bc1265f723d5b6136cb90533a9"),
+    (2, "null"): (0, "9db6b00825aeac7b997b2dd46e24447326034555e34c41f6f19c285becae1ec4"),
+    (2, "solve"): (0, "5be209e221507222779d54c4737949c0379480feb04c18f63758de3372635ad9"),
+}
+
+
+@pytest.mark.parametrize(
+    ("p", "cmd"), LARGE_GOLDENS, ids=[f"GF({p})-{cmd}" for p, cmd in LARGE_GOLDENS]
+)
+def test_large_gf_goldens(p, cmd, tmp_path, capsys):
+    rng = random.Random(p)
+    rows = [[rng.randrange(p) for _ in range(41)] for _ in range(40)]
+    if cmd == "solve":
+        text = "".join(" ".join(map(str, row[:-1])) + f" | {row[-1]}\n" for row in rows)
+    else:
+        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, digest = LARGE_GOLDENS[p, cmd]
+    assert main([cmd, "--field", f"gf:{p}", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, "")
 
 
 class TestJsonFormat:

@@ -1,7 +1,7 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library and the bench's verifier does not import the
 toolkit it checks; at run time, importing the CLI leaves `typing`,
-`dataclasses`, `inspect`, `ast` and `json` unloaded, and the package's
+`dataclasses`, `inspect`, `ast`, `json` and `array` unloaded, and the package's
 `__all__` names exactly its public attributes."""
 import ast
 import subprocess
@@ -43,14 +43,14 @@ def test_bench_verifier_does_not_import_the_toolkit():
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
 
 
-UNNEEDED_AT_IMPORT = ("typing", "dataclasses", "inspect", "ast", "json")
+UNNEEDED_AT_IMPORT = ("typing", "dataclasses", "inspect", "ast", "json", "array")
 
 
 def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
     """A fresh isolated interpreter without `site`, as the bench's worker
     runs: `import echelon.cli` must not pull in `typing`, `dataclasses`,
-    `inspect`, `ast` or `json`, and a `--format json` job in that
-    interpreter still prints its JSON."""
+    `inspect`, `ast`, `json` or `array` (only packed GF(p) rows need it),
+    and a `--format json` job in that interpreter still prints its JSON."""
     path = tmp_path / "m.mat"
     path.write_text("2 4\n1 3\n")
     code = (

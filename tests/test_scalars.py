@@ -139,8 +139,12 @@ class TestFieldSpec:
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
     def test_row_primitives_match_scalar_arithmetic(self, field):
-        """The kernels' integer-row primitives, each checked against Scalar
-        arithmetic, with denominators other than 1 over GF(p) too."""
+        """The kernels' row primitives, each checked against Scalar
+        arithmetic: over Q the fraction-free integer rows, with
+        denominators other than 1; over GF(p) packed rows, at slot widths
+        from one byte to wider than 64 bits, after random updates and with
+        every slot at the bound its width is chosen for, (p-1) + updates *
+        (p-1)**2."""
         rng = random.Random(404)
 
         def scalars(raw):
@@ -148,32 +152,51 @@ class TestFieldSpec:
 
         for _ in range(200):
             n = rng.randint(1, 6)
-            a, f = rng.randint(-9, 9), rng.randint(-9, 9)
-            d = rng.choice([1, rng.randint(1, 6) * rng.choice([-1, 1])])
-            xs = [d * rng.randint(-50, 50) for _ in range(n)]
-            ys = [d * rng.randint(-50, 50) for _ in range(n)]
-            if field.modulus is not None:
-                xs, ys = [x % 7 for x in xs], [y % 7 for y in ys]
-            unit = Scalar(field, d)
-            combined = [
-                (Scalar(field, a) * x - Scalar(field, f) * y) / unit
-                for x, y in zip(scalars(xs), scalars(ys))
-            ]
-            assert scalars(field.combine_row(a, xs, f, ys, d)) == combined
-            assert scalars(field.quotients(xs, d)) == [x / unit for x in scalars(xs)]
-            assert Scalar(field, field.quotient(xs[0], d)) == Scalar(field, xs[0]) / unit
-            assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
             c = rng.choice([1, -1]) * rng.randint(1, 6)
+            if field.modulus is None:
+                a, f = rng.randint(-9, 9), rng.randint(-9, 9)
+                d = rng.choice([1, rng.randint(1, 6) * rng.choice([-1, 1])])
+                xs = [d * rng.randint(-50, 50) for _ in range(n)]
+                ys = [d * rng.randint(-50, 50) for _ in range(n)]
+                unit = Scalar(field, d)
+                combined = [
+                    (Scalar(field, a) * x - Scalar(field, f) * y) / unit
+                    for x, y in zip(scalars(xs), scalars(ys))
+                ]
+                assert scalars(field.combine_row(a, xs, f, ys, d)) == combined
+                assert scalars(field.quotients(xs, d)) == [x / unit for x in scalars(xs)]
+                assert Scalar(field, field.quotient(xs[0], d)) == Scalar(field, xs[0]) / unit
+                values = [rng.choice([x, Fraction(x, 3)]) for x in xs]
+                ints, den = field.clear([Scalar(field, v).value for v in values])
+                assert all(type(x) is int for x in ints)
+                assert scalars(field.quotients(ints, den)) == scalars(values)
+            else:
+                p = field.modulus
+                xs = [rng.randrange(p) for _ in range(n)]
+                assert field.clear(xs) == (xs, 1)
+                if xs[0]:
+                    assert Scalar(field, field.inverse(xs[0])) == Scalar(field, xs[0]).inv()
+                for updates in (1, 7, 300, 2**70):
+                    w = field.slot_bits(updates)
+                    assert w % 8 == 0 and (p - 1) + updates * (p - 1) ** 2 < 2**w
+                    assert field.unpack(field.pack(xs, w), n, w) == xs
+                    # random updates W + (p - f)*U, read back mod p
+                    packed, expected = field.pack(xs, w), scalars(xs)
+                    for _ in range(min(updates, 5)):
+                        ys, f = [rng.randrange(p) for _ in range(n)], rng.randrange(1, p)
+                        packed += (p - f) * field.pack(ys, w)
+                        expected = [x - Scalar(field, f) * y for x, y in zip(expected, scalars(ys))]
+                    assert scalars(field.unpack(packed, n, w)) == expected
+                    assert [field.slot(packed, j, w) for j in range(n)] == [
+                        x.value for x in expected
+                    ]
+                    # the heaviest slots the width allows: no carry crosses
+                    # into the next slot
+                    top = field.pack([p - 1] * n, w) * (1 + updates * (p - 1))
+                    heaviest = Scalar(field, p - 1) * Scalar(field, 1 + updates * (p - 1))
+                    assert scalars(field.unpack(top, n, w)) == [heaviest] * n
+            assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
             assert scalars(field.scale_row(c, xs)) == [Scalar(field, c) * x for x in scalars(xs)]
-            values = [rng.choice([x, Fraction(x, 3)]) for x in xs]
-            ints, den = field.clear([Scalar(field, v).value for v in values])
-            assert all(type(x) is int for x in ints)
-            assert scalars(field.quotients(ints, den)) == scalars(values)
-            if xs[0]:
-                row, pivot = field.pivot_row(xs, 0)
-                lead = Scalar(field, xs[0])
-                assert scalars(field.quotients(row, pivot)) == [x / lead for x in scalars(xs)]
-                assert field.quotient(row[0], pivot) == 1
 
 
 class TestParse:

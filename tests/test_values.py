@@ -97,8 +97,12 @@ def test_value_semantics(name):
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert repr(a) == text
 
-    # each variant is built unchecked, so it differs from a in that field only
+    # built unchecked from its fields, the value is the same
     fields = [getattr(a, field) for field in cls.__slots__]
+    rebuilt = cls._raw(*fields)
+    assert type(rebuilt) is cls and rebuilt == a and repr(rebuilt) == text
+
+    # each variant is built unchecked, so it differs from a in that field only
     assert len(others) == len(fields)
     for k, other in enumerate(others):
         variant = cls._raw(*fields[:k], other, *fields[k + 1 :])
@@ -117,6 +121,17 @@ def test_value_semantics(name):
 
     copy = pickle.loads(pickle.dumps(a))
     assert type(copy) is cls and copy == a and hash(copy) == hash(a)
+
+
+def test_subclass_builds_its_own_values():
+    """A subclass that adds no fields inherits them, and _raw builds an
+    instance of the subclass."""
+
+    class Tagged(Axpy):
+        pass
+
+    op = Tagged._raw(2, 1, sc(-3))
+    assert type(op) is Tagged and op == Tagged(2, 1, sc(-3)) and op != Axpy(2, 1, sc(-3))
 
 
 def test_classes_with_the_same_fields_differ():
