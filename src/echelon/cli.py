@@ -8,6 +8,7 @@ data errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -16,7 +17,7 @@ from .gauche import gauche_rref
 from .matrices import Matrix
 from .nullspace import graph_relations, null_basis, relation_lines
 from .rowops import format_op, gauss_jordan, rref_violation
-from .scalars import GF, QQ, FieldSpec, format_values, parse_value
+from .scalars import GF, QQ, FieldSpec, data_lines, format_values, parse_value, text_lines
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
 
@@ -27,10 +28,7 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
     part must have the same width on every line."""
     rows: list[list] = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         try:
             tokens = _augmented_tokens(line.split()) if augmented else line.split()
             row = [parse_value(tok, field) for tok in tokens]
@@ -87,14 +85,13 @@ def _parse_field_flag(flag: str) -> FieldSpec:
 
 
 def _read(path: str) -> str:
-    """The file as UTF-8 text; a bad byte names its line, as the row loop counts lines."""
+    """The file as UTF-8 text; a bad byte names its line, as data_lines counts lines."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; "x" stands for its line
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len(text_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(f"line {line}: not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
 
 
@@ -257,4 +254,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, as `head` does: stdout goes to devnull so the
+        # flush at exit raises nothing, and 141 is 128 + SIGPIPE, as in a shell
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

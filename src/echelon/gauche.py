@@ -102,7 +102,7 @@ class KeeperState:
                 factor = work[lead]
                 if factor or pivot != prev:
                     # u stops at its own keeper's coefficient; later ones stay 0
-                    work[: len(u)] = field.combine_row(pivot, work, factor, u, prev)
+                    work[: len(u)] = [(pivot * x - factor * y) // prev for x, y in zip(work, u)]
                 prev = pivot
             scale *= prev
         else:

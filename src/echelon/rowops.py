@@ -8,9 +8,11 @@ never emitted, so an input already in reduced form yields an empty script.
 """
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .errors import FieldMismatchError, InvalidOperationError, ParseError
 from .matrices import Matrix
-from .scalars import FieldSpec, Frozen, Scalar, as_scalar
+from .scalars import FieldSpec, Frozen, Scalar, as_scalar, data_lines
 
 
 def _check_row_indices(*rows: int) -> None:
@@ -69,28 +71,16 @@ def rref_violation(m: Matrix) -> str | None:
     sit in lower rows. Bottom-zeros: all-zero rows come last.
     """
     rows = m.raw_rows()
-    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
-    for row, lead in zip(rows, leads):
-        if lead is not None and row[lead] != 1:
-            return "Pivots"
-    for i, lead in enumerate(leads):
-        if lead is None:
-            continue
-        for i2, row in enumerate(rows):
-            if i2 != i and row[lead]:
-                return "Insecurity"
-    prev = 0
-    for lead in leads:
-        if lead is not None:
-            if lead < prev:
-                return "Downright"
-            prev = lead
-    seen_zero_row = False
-    for lead in leads:
-        if lead is None:
-            seen_zero_row = True
-        elif seen_zero_row:
-            return "Bottom-zeros"
+    # (row index, pivot column) of each nonzero row, top to bottom
+    pivots = [(i, next(compress(count(), row))) for i, row in enumerate(rows) if any(row)]
+    if any(rows[i][j] != 1 for i, j in pivots):
+        return "Pivots"
+    if any(row[j] for i, j in pivots for k, row in enumerate(rows) if k != i):
+        return "Insecurity"
+    if pivots != sorted(pivots, key=lambda pivot: pivot[1]):
+        return "Downright"
+    if [i for i, _ in pivots] != list(range(len(pivots))):
+        return "Bottom-zeros"
     return None
 
 
@@ -128,21 +118,14 @@ def _fraction_free_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
     pivot row u, every other row w becomes (p*w - w[col]*u) / prev, a
     division that is always exact, and p becomes prev."""
     field = m.field
-    work, mus = [], []
-    for row in m.raw_rows():
-        xs, d = field.clear(row)
-        work.append(xs)
-        mus.append(d)
+    cleared = [field.clear(row) for row in m.raw_rows()]
+    work, mus = [xs for xs, _ in cleared], [d for _, d in cleared]
     ops: list[RowOp] = []
     pivots: list[int] = []
     pivot_row = 0
     prev = 1
     for col in range(m.cols):
-        pick = None
-        for r in range(pivot_row, m.rows):
-            if work[r][col]:
-                pick = r
-                break
+        pick = next((r for r in range(pivot_row, m.rows) if work[r][col]), None)
         if pick is None:
             continue
         if pick != pivot_row:
@@ -162,7 +145,7 @@ def _fraction_free_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
                 c = field.quotient(f, prev * mus[r])
                 ops.append(Axpy._raw(r + 1, pivot_row + 1, Scalar._raw(field, c)))
             if f or pv != prev:
-                work[r] = field.combine_row(pv, work[r], f, prow, prev)
+                work[r] = [(pv * x - f * y) // prev for x, y in zip(work[r], prow)]
         prev = pv
         pivots.append(col + 1)
         pivot_row += 1
@@ -265,10 +248,7 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
     """Parse the one-op-per-line text form: `swap i j`, `scale i c`,
     `axpy i j c` (row i minus c times row j). `#` starts a comment."""
     ops: list[RowOp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         try:
             if parts[0] == "swap" and len(parts) == 3:

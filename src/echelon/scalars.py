@@ -2,17 +2,18 @@
 
 Every field element has one form, its raw value: over Q an int, or a
 reduced Fraction where the value is not an integer; over GF(p) the least
-nonnegative residue. FieldSpec.raw is the only canonicalizer, and as_raw
-the one coercion of an int, Fraction, literal or Scalar to a raw value.
-Mixing values from different fields raises FieldMismatchError rather than
-coercing.
+nonnegative residue. FieldSpec.raw puts an int or a Fraction in that form,
+and FieldSpec.quotients an integer quotient; as_raw is the one coercion of
+an int, Fraction, literal or Scalar to a raw value. Mixing values from
+different fields raises FieldMismatchError rather than coercing.
 
 Scalar is the type at the API boundary: one raw value with its field, an
 immutable value like every class built on Frozen. Everything else works on
 raw values. Through the row arithmetic on FieldSpec the elimination kernels
 hold a row over Q as integers over a denominator, and over GF(p) as one
 packed int whose fixed-width slots are reduced mod p only when read.
-Literals are read by parse_value and written by format_values.
+Literals are read by parse_value and written by format_values; every input
+format reads its lines through data_lines.
 """
 from __future__ import annotations
 
@@ -200,12 +201,6 @@ class FieldSpec(Frozen):
             return [v.numerator for v in values], 1
         return [v.numerator * (d // v.denominator) for v in values], d
 
-    def combine_row(self, a, xs, f, ys, d) -> list:
-        """Over Q, the integer row (a*xs - f*ys) / d, as far as the shorter
-        of xs and ys; the division must be exact, as in fraction-free
-        elimination."""
-        return [(a * x - f * y) // d for x, y in zip(xs, ys)]
-
     def slot_bits(self, updates: int) -> int:
         """Over GF(p), the slot width w of packed rows that take at most
         `updates` row updates before a slot is read: the least of 8, 16, 32
@@ -329,6 +324,22 @@ class Scalar(Frozen):
 
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self})"
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of text, broken only at LF, CRLF and CR, unlike str.splitlines."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def data_lines(text: str):
+    """(line number, line) for each line of text that holds data, the line
+    stripped of its `#` comment and surrounding whitespace."""
+    for lineno, raw in enumerate(text_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_value(text: str, field: FieldSpec):

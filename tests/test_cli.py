@@ -28,6 +28,7 @@ from echelon.cli import main, parse_matrix, parse_system
 
 from helpers import (
     GF7,
+    mat,
     matrix_t,
     random_fraction_matrix,
     random_low_rank_matrix,
@@ -134,6 +135,22 @@ class TestFileEncoding:
         # for equiv the bad file is the second one
         assert main([cmd, *[t_path] * (cmd == "equiv"), str(bad)]) == 2
         assert capsys.readouterr() == ("", "error: line 2: not UTF-8: invalid start byte 0xff\n")
+
+    @pytest.mark.parametrize("space", ["\f", "\v", "\x85", "\u2028"], ids=repr)
+    def test_only_line_endings_break_lines(self, space, tmp_path):
+        """Other characters that str.splitlines breaks at stay whitespace
+        between entries."""
+        path = tmp_path / "space.mat"
+        path.write_bytes(f"1{space}2\n3{space}4\n".encode())
+        assert parse_matrix(echelon.cli._read(str(path)), QQ) == mat([[1, 2], [3, 4]])
+        wide = f"1 2{space}3 4\r5 6 7 8\r"
+        assert parse_matrix(wide, QQ) == mat([[1, 2, 3, 4], [5, 6, 7, 8]])
+
+    def test_undecodable_byte_counts_lines_as_the_reader_does(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"1\x0c2\r3\x0b4\r\n5 \xff\r")
+        assert main(["rref", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8: invalid start byte 0xff\n"
 
     def test_truncated_character_names_its_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.sys"
@@ -641,17 +658,31 @@ def test_parse_print_roundtrip(field):
         assert parse_matrix(str(m), field) == m
 
 
-def _run_cli(*args):
-    """Run `python -m echelon ARGS` in a child process that imports the
-    echelon package under test, not some other installed copy."""
+def _cli_child(*args):
+    """The argv and environment of `python -m echelon ARGS` in a child
+    process that imports the echelon package under test, not some other
+    installed copy."""
     package_root = str(Path(echelon.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "echelon", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return [sys.executable, "-m", "echelon", *args], {**os.environ, "PYTHONPATH": path}
+
+
+def _run_cli(*args):
+    argv, env = _cli_child(*args)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
+def test_closed_pipe_exits_141_quietly(tmp_path):
+    """A reader that stops early, as `head -1` does, ends the command with
+    128 + SIGPIPE and nothing on stderr, not a BrokenPipeError traceback."""
+    path = tmp_path / "ones.mat"
+    path.write_text(" ".join(["1"] * 800) + "\n")  # 799 null vectors, over 1 MB
+    argv, env = _cli_child("null", str(path))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"-1 1 0")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_console_entry_point(t_path):

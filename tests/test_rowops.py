@@ -1,10 +1,13 @@
 """Row operations: the validator, the recorded elimination, and replay."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from echelon import (
+    GF,
     QQ,
+    RREF_CONDITIONS,
     Axpy,
     InvalidOperationError,
     Matrix,
@@ -30,6 +33,7 @@ from helpers import (
     matrix_j,
     matrix_t,
     random_matrices,
+    random_low_rank_matrix,
     random_matrix,
     random_ops,
     random_shape,
@@ -100,6 +104,43 @@ class TestValidator:
     def test_free_column_mutation_can_stay_reduced(self):
         # entries in nonpivot columns above the pivot line are unconstrained
         assert is_rref(matrix_j().with_entry(1, 3, 4))
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF7, GF(32003)], ids=str)
+    def test_each_planted_violation_is_the_one_named(self, field):
+        """Across shapes 1 x n, n x 1, wide, tall and square, at every rank
+        up to the smaller side: both routes give an RREF, and a violation
+        planted as the benchmark's check corpus plants it is exactly the one
+        named. A scaled pivot row breaks Pivots, row 1 plus row 2
+        Insecurity, rows 1 and 2 swapped Downright, and a zero row moved to
+        the top Bottom-zeros."""
+        rng = random.Random(15)
+        planted = set()
+        for rows, cols in [(1, 7), (7, 1), (6, 40), (12, 4), (5, 5)]:
+            for rank in range(min(rows, cols) + 1):
+                m = random_low_rank_matrix(rng, rows, cols, rank, field)
+                reduced = gauche_rref(m)
+                good = reduced.rref.raw_rows()
+                cases = [(good, None), (gauss_jordan(m).rref.raw_rows(), None)]
+                # the rank of m itself, which may fall short of the factors'
+                nonzero = len(reduced.pivot_set)
+                if nonzero and field != GF(2):
+                    bad, i = [row[:] for row in good], rng.randrange(nonzero)
+                    c = rng.choice([-1, 2, Fraction(1, 3)] if field == QQ else range(2, 7))
+                    bad[i] = [c * x for x in bad[i]]
+                    cases.append((bad, "Pivots"))
+                if nonzero >= 2:
+                    bad = [row[:] for row in good]
+                    bad[0] = [x + y for x, y in zip(bad[0], bad[1])]
+                    cases.append((bad, "Insecurity"))
+                    cases.append((good[1:2] + good[:1] + good[2:], "Downright"))
+                if 0 < nonzero < rows:
+                    cases.append((good[-1:] + good[:-1], "Bottom-zeros"))
+                for case, name in cases:
+                    r = Matrix.from_rows(case, field)
+                    assert rref_violation(r) == name
+                    assert is_rref(r) is (name is None)
+                    planted.add(name)
+        assert planted == {None, *RREF_CONDITIONS[field == GF(2) :]}
 
 
 class TestGaussJordan:
@@ -202,6 +243,15 @@ class TestOpText:
     def test_parse_skips_comments_and_blanks(self):
         ops = parse_ops("# preamble\n\nswap 1 2  # trailing\n", QQ)
         assert ops == (Swap(1, 2),)
+
+    def test_parse_breaks_lines_as_the_matrix_reader_does(self):
+        """Only LF, CRLF and CR end a line; form feed, vertical tab, U+0085
+        and U+2028 separate tokens, and an error quotes its line as written."""
+        text = "swap 1\f2\r\nscale\x852 3\raxpy 3\u20281\v2\n"
+        assert parse_ops(text, QQ) == (Swap(1, 2), Scale(2, sc(3)), Axpy(3, 1, sc(2)))
+        with pytest.raises(ParseError) as err:
+            parse_ops(text + "frob\f 1\r", QQ)
+        assert str(err.value) == "line 4: unrecognized row operation 'frob\\x0c 1'"
 
     @pytest.mark.parametrize(
         "text",
