@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
+from functools import cache, partial
+from itertools import chain
 
 from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
@@ -25,13 +26,28 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
     """The line loop shared by both input formats: `#` starts a comment,
     blank lines are skipped, and every error names its line. Each row of an
     augmented system carries its right-hand-side entry last; the coefficient
-    part must have the same width on every line."""
+    part must have the same width on every line.
+
+    An ASCII line without `/`, `+` or `_` is read by int() in one call. If
+    int() rejects it, or the line holds other literals, its tokens go
+    through parse_value, so every diagnostic is the same on either path."""
     rows: list[list] = []
     width = None
+    # each distinct literal of the file is parsed once: parse_value depends
+    # on nothing but the token and the field
+    p, literal = field.modulus, cache(partial(parse_value, field=field))
     for lineno, line in data_lines(text):
         try:
             tokens = _augmented_tokens(line.split()) if augmented else line.split()
-            row = [parse_value(tok, field) for tok in tokens]
+            row = None
+            if line.isascii() and not ("/" in line or "+" in line or "_" in line):
+                try:
+                    row = list(map(int, tokens))
+                    row = row if p is None else [x % p for x in row]
+                except ValueError:
+                    pass
+            if row is None:
+                row = list(map(literal, tokens))
         except (ParseError, ZeroDivisionError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         entries = len(row) - augmented
@@ -42,7 +58,7 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
         rows.append(row)
     if not rows:
         raise ParseError(f"no {'system' if augmented else 'matrix'} rows in input")
-    return Matrix._raw(len(rows), len(rows[0]), tuple(x for row in rows for x in row), field)
+    return Matrix._raw(len(rows), len(rows[0]), tuple(chain.from_iterable(rows)), field)
 
 
 def _augmented_tokens(tokens: list[str]) -> list[str]:

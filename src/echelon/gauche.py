@@ -91,11 +91,18 @@ class KeeperState:
             raise ShapeError(f"column of dimension {col.dim}, keeper state expects {self.dim}")
         if col.field != self.field:
             raise FieldMismatchError(f"column in {col.field} against a {self.field} state")
+        coefficients = self.eliminate(col.values)
+        return Keeper() if coefficients is None else Subordinate(coefficients, self.field)
+
+    def eliminate(self, values) -> tuple | None:
+        """llq on a column of dim raw values of the field, unchecked: None
+        when the column is admitted as the next keeper, else the tuple of its
+        coefficients over the keepers."""
         # the residual of the (scaled) column against the reduced keepers,
         # followed by the coefficients of the eliminated part
         field, dim, p, w = self.field, self.dim, self.field.modulus, self._bits
         if p is None:
-            work, scale = field.clear(list(col.values))
+            work, scale = field.clear(values)
             work += [0] * len(self._reduced)
             prev = 1
             for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
@@ -106,7 +113,7 @@ class KeeperState:
                 prev = pivot
             scale *= prev
         else:
-            packed = field.pack(col.values, w)
+            packed = field.pack(values, w)
             for lead, u in zip(self._leads, self._reduced):
                 f = field.slot(packed, lead, w)
                 if f:
@@ -114,8 +121,7 @@ class KeeperState:
             work, scale = field.unpack(packed, dim + len(self._reduced), w), 1
         lead = next((r for r in range(dim) if work[r]), None)
         if lead is None:
-            coefficients = work[dim:] if scale == 1 else field.quotients(work[dim:], scale)
-            return Subordinate(tuple(coefficients), field)
+            return tuple(work[dim:] if scale == 1 else field.quotients(work[dim:], scale))
         # the keeper's own coefficient cancels its scaled, eliminated column
         self._leads.append(lead)
         if p is None:
@@ -124,7 +130,7 @@ class KeeperState:
         else:
             c = field.inverse(work[lead])
             self._reduced.append(field.pack(field.scale_row(c, work) + [p - c], w))
-        return Keeper()
+        return None
 
 
 class GaucheResult(Frozen):
@@ -146,14 +152,15 @@ def gauche_rref(m: Matrix) -> GaucheResult:
     its column of the RREF: the (l+1)th keeper journals as e_{l+1}, a
     subordinate column as its coefficients over the keepers, zero below."""
     dim, cols, field = m.rows, m.cols, m.field
-    state = KeeperState(field, dim)
+    # the state takes its shape and field from m, so its columns need no check
+    eliminate, entries = KeeperState(field, dim).eliminate, m.values
     values = [0] * (dim * cols)
     pivots: list[int] = []
     for j in range(cols):
-        answer = state.llq(m.column(j + 1))
-        if isinstance(answer, Keeper):
+        coefficients = eliminate(entries[j::cols])
+        if coefficients is None:
             values[len(pivots) * cols + j] = 1
             pivots.append(j + 1)
         else:
-            values[j : len(answer.values) * cols : cols] = answer.values
+            values[j : len(coefficients) * cols : cols] = coefficients
     return GaucheResult(Matrix._raw(dim, cols, tuple(values), field), tuple(pivots))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .gauche import GaucheResult, Keeper, KeeperState, gauche_rref
+from .gauche import GaucheResult, KeeperState, gauche_rref
 from .matrices import Matrix, Vector
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
@@ -147,14 +147,14 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     _check_selection(m, js)
     if k in js:
         raise ValueError(f"target column {k} is among the selected columns")
-    state = KeeperState(m.field, m.rows)
-    kept_slots = [slot for slot, j in enumerate(js) if isinstance(state.llq(m.column(j)), Keeper)]
-    answer = state.llq(m.column(k))
-    if isinstance(answer, Keeper):
+    eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
+    kept_slots = [slot for slot, j in enumerate(js) if eliminate(values[j - 1 :: cols]) is None]
+    answer = eliminate(values[k - 1 :: cols])
+    if answer is None:
         return None
     coeffs = [m.field.zero()] * len(js)
-    for c, slot in zip(answer.coefficients, kept_slots):
-        coeffs[slot] = c
+    for c, slot in zip(answer, kept_slots):
+        coeffs[slot] = Scalar._raw(m.field, c)
     return tuple(coeffs)
 
 
@@ -166,5 +166,5 @@ def columns_independent(m: Matrix, js: Sequence[int]) -> bool:
     independent.
     """
     _check_selection(m, js)
-    state = KeeperState(m.field, m.rows)
-    return all(isinstance(state.llq(m.column(j)), Keeper) for j in js)
+    eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
+    return all(eliminate(values[j - 1 :: cols]) is None for j in js)

@@ -70,7 +70,8 @@ def rref_violation(m: Matrix) -> str | None:
     is the only nonzero entry in its column. Downright: pivots further right
     sit in lower rows. Bottom-zeros: all-zero rows come last.
     """
-    rows = m.raw_rows()
+    values, cols = m.values, m.cols
+    rows = [values[i : i + cols] for i in range(0, len(values), cols)]
     # (row index, pivot column) of each nonzero row, top to bottom
     pivots = [(i, next(compress(count(), row))) for i, row in enumerate(rows) if any(row)]
     if any(rows[i][j] != 1 for i, j in pivots):

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import echelon.cli
 from echelon import (
@@ -24,9 +26,11 @@ from echelon import (
     parse_ops,
     row_equivalent,
 )
+from echelon.scalars import parse_value
 from echelon.cli import main, parse_matrix, parse_system
 
 from helpers import (
+    FIELD_CASES,
     GF7,
     mat,
     matrix_t,
@@ -183,6 +187,105 @@ class TestParseSystem:
         path.write_text("1 2 | 1\n3 1/0 | 2\n")
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 2: zero denominator in literal '1/0'\n"
+
+
+def _literal_lines(bound):
+    """Rows of int, negative, a/b and repeated literals, some of them
+    malformed or with a zero denominator, so that lines take both parse
+    paths and some fail."""
+    ints = st.integers(-bound, bound).map(str)
+    fractions = st.builds("{}/{}".format, st.integers(-bound, bound), st.integers(0, bound))
+    repeated = st.sampled_from(["1", "-1", "2/3"])
+    odd = st.sampled_from(["007", "-0", "+1", "1_0", "--1", "1.5", "\u0663"])
+    literal = st.one_of(ints, ints, fractions, repeated, odd)
+    row = st.integers(1, 5).map(lambda width: st.lists(literal, min_size=width, max_size=width))
+    return row.flatmap(lambda rows: st.lists(rows, min_size=1, max_size=5))
+
+
+def _reference_rows(lines, field):
+    """Each token through parse_value on its own, as rows of (type, raw
+    value) pairs, or the first error's message with its line number."""
+    rows = []
+    for lineno, tokens in enumerate(lines, start=1):
+        try:
+            rows.append([parse_value(token, field) for token in tokens])
+        except (ParseError, ZeroDivisionError, ValueError) as exc:
+            return f"line {lineno}: {exc}"
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def _typed_rows(parse):
+    """The matrix parse() returns as rows of (type, raw value) pairs, or the
+    message of its ParseError."""
+    try:
+        m = parse()
+    except ParseError as exc:
+        return str(exc)
+    values, cols = m.values, m.cols
+    return [[(type(x), x) for x in values[i : i + cols]] for i in range(0, len(values), cols)]
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+@given(data=st.data())
+def test_line_paths_match_per_token_parsing(field, bound, data):
+    """Integer lines read in one call and other lines read through the
+    literal table give the raw values, and the diagnostics, that parsing
+    every token on its own gives."""
+    lines = data.draw(_literal_lines(bound))
+    sep = data.draw(st.sampled_from([" ", "\t", " \f", "\v "]))
+    expected = _reference_rows(lines, field)
+    text = "".join(sep.join(tokens) + "\n" for tokens in lines)
+    assert _typed_rows(lambda: parse_matrix(text, field)) == expected
+    if len(lines[0]) > 1:
+        system = "".join(sep.join([*t[:-1], "|", t[-1]]) + "\n" for t in lines)
+        assert _typed_rows(lambda: parse_system(system, field).augmented()) == expected
+
+
+class TestPinnedDiagnostics:
+    """Exact stderr and exit code 2 on inputs that int() reads otherwise
+    than the literal grammar, or that fail on the one-call line path."""
+
+    def _run(self, tmp_path, capsys, cmd, text, flag="q"):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode())
+        code = main([cmd, str(path), "--field", flag])
+        out, err = capsys.readouterr()
+        assert out == ""
+        return code, err
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "--1", "1.5", "-"])
+    @pytest.mark.parametrize("flag", ["q", "gf:32003"])
+    def test_rejected_tokens(self, token, flag, tmp_path, capsys):
+        got = self._run(tmp_path, capsys, "rref", f"1 2\n3 {token}\n", flag)
+        assert got == (2, f"error: line 2: malformed scalar literal {token!r}\n")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("flag", ["q", "gf:32003"])
+    def test_digit_limit(self, flag, tmp_path, capsys):
+        long = "9" * (DIGIT_LIMIT + 1)
+        with pytest.raises(ValueError) as limit:
+            int(long)
+        got = self._run(tmp_path, capsys, "rref", f"1 2\n3 {long}\n", flag)
+        assert got == (2, f"error: line 2: {limit.value}\n")
+
+    @pytest.mark.parametrize("space", ["\f", "\v"], ids=repr)
+    def test_form_feed_and_vertical_tab_separate_entries(self, space, tmp_path, capsys):
+        got = self._run(tmp_path, capsys, "rref", f"1{space}2\n3{space}--1\n")
+        assert got == (2, "error: line 2: malformed scalar literal '--1'\n")
+        path = tmp_path / "ok.txt"
+        path.write_bytes(f"1{space}2\n3{space}4\n".encode())
+        assert main(["rref", str(path)]) == 0
+        assert capsys.readouterr() == ("1 0\n0 1\n", "")
+
+    def test_integer_system_row(self, tmp_path, capsys):
+        got = self._run(tmp_path, capsys, "rref", "1 2\n3 | 4\n")
+        assert got == (2, "error: line 2: malformed scalar literal '|'\n")
+        got = self._run(tmp_path, capsys, "solve", "1 2 | 3\n4 5 | 6 7\n")
+        assert got == (2, "error: line 2: expected one right-hand-side entry\n")
+
+    def test_repeated_vanishing_denominator_names_its_first_line(self, tmp_path, capsys):
+        got = self._run(tmp_path, capsys, "rref", "1 2\n3 1/32003\n1/32003 4\n", "gf:32003")
+        assert got == (2, "error: line 2: denominator 32003 vanishes in GF(32003)\n")
 
 
 class TestGoldenOutputs:

@@ -205,8 +205,9 @@ def _counted(counts, name, fn):
 @pytest.fixture
 def sweeps(monkeypatch):
     """Calls of each KeeperState method, counted from outside the library:
-    `__init__` once per sweep, `llq` once per column eliminated, and any
-    other method would show up under its own name."""
+    `__init__` once per sweep, `eliminate` once per column eliminated (the
+    checked `llq` wraps it), and any other method would show up under its
+    own name."""
     counts = collections.Counter()
     for name, fn in list(vars(KeeperState).items()):
         if callable(fn):
@@ -219,12 +220,12 @@ class TestOneSweepPerQuestion:
         for m in (matrix_t(), mat([[1, 2, 3, 4], [2, 4, 6, 9]]), Matrix.zero(2, 3, QQ)):
             sweeps.clear()
             gauche_rref(m)
-            assert sweeps == {"__init__": 1, "llq": m.cols}
+            assert sweeps == {"__init__": 1, "eliminate": m.cols}
 
     def test_solve_sweeps_the_augmented_matrix_once(self, sweeps):
         t = matrix_t()
         assert isinstance(solve(LinearSystem(t, t.column(3))), Affine)
-        assert sweeps == {"__init__": 1, "llq": t.cols + 1}
+        assert sweeps == {"__init__": 1, "eliminate": t.cols + 1}
         sweeps.clear()
         assert isinstance(solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))), Inconsistent)
         assert sweeps["__init__"] == 1
@@ -244,10 +245,16 @@ class TestOneSweepPerQuestion:
         graph_relations(matrix_t())
         assert sweeps["__init__"] == 1
 
+    def test_llq_eliminates_through_the_raw_entry(self, sweeps):
+        state = KeeperState(QQ, 3)
+        for j in (1, 2, 3):
+            state.llq(matrix_t().column(j))
+        assert sweeps == {"__init__": 1, "llq": 3, "eliminate": 3}
+
     def test_independence_stops_at_the_first_dependent_column(self, sweeps):
         # column 3 = 3*column 1 + column 2, so columns 4 and 5 are never read
         assert not columns_independent(matrix_t(), (1, 2, 3, 4, 5))
-        assert sweeps == {"__init__": 1, "llq": 3}
+        assert sweeps == {"__init__": 1, "eliminate": 3}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
