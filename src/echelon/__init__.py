@@ -3,9 +3,9 @@
 Computes reduced row echelon forms two independent ways: a left-to-right
 column sweep that never touches a row, and classical Gauss-Jordan with a
 replayable row-operation log. On top of the reduced form it exposes the
-null space as a graph over the free coordinates, span and independence
-tests for column selections, null-space-based row-equivalence checks, and
-exact solving of linear systems, all over Q or GF(p).
+null space as a graph over the free coordinates, column span and
+independence tests, row equivalence by reduced forms (the tests check it
+against null_equal's null-space test), and exact solving, over Q or GF(p).
 """
 
 from .errors import (

@@ -39,21 +39,21 @@ LLQAnswer = Keeper | Subordinate
 
 
 class KeeperState:
-    """Keeper columns admitted so far, plus an eliminated copy of them.
+    """Keeper columns admitted so far, as one record per keeper: its
+    leading slot and its eliminated row, never written after admission.
 
-    The eliminated copy holds one row per keeper, with pairwise distinct
-    leading slots. After its dim residual entries a row carries
-    coefficients over the original keeper columns: for a keeper row the
-    residual plus that combination is zero. A candidate is eliminated
-    against every keeper in turn; past the last one it lies in the keeper
-    span exactly when its residual is zero, and the rest are its
+    The leading slots are pairwise distinct. After its dim residual entries
+    a row carries coefficients over the original keeper columns: for a
+    keeper row the residual plus that combination is zero. A candidate is
+    eliminated against every keeper in turn; past the last one it lies in
+    the keeper span exactly when its residual is zero, and the rest are its
     coefficients.
 
     Over Q a column enters as an integer vector: its raw values times its
-    scale, the least common denominator. Each keeper row has pivot p_k, its
-    entry at its leading slot, and a candidate w is eliminated against
-    keeper k fraction-free (Bareiss): w <- (p_k*w - w[lead_k]*u_k) /
-    p_{k-1}, with p_{-1} = 1, where every division is exact. Past the last
+    scale, the least common denominator. Keeper row u_k has pivot p_k =
+    u_k[lead_k], and a candidate w is eliminated against keeper k
+    fraction-free (Bareiss): w <- (p_k*w - w[lead_k]*u_k) / p_{k-1}, with
+    p_{-1} = 1, where every division is exact. Past the last
     keeper, with pivot p, the residual plus the combination is p times the
     scaled candidate, so the coefficients are the rest divided by p times
     the scale.
@@ -74,9 +74,7 @@ class KeeperState:
     def __init__(self, field: FieldSpec, dim: int):
         self.field = field
         self.dim = dim
-        self._leads: list[int] = []
-        self._pivots: list[int] = []
-        self._reduced: list = []
+        self._keepers: list[tuple] = []
         self._bits = None if field.modulus is None else field.slot_bits(dim)
 
     def llq(self, col: Vector) -> LLQAnswer:
@@ -103,10 +101,10 @@ class KeeperState:
         field, dim, p, w = self.field, self.dim, self.field.modulus, self._bits
         if p is None:
             work, scale = field.clear(values)
-            work += [0] * len(self._reduced)
+            work += [0] * len(self._keepers)
             prev = 1
-            for lead, pivot, u in zip(self._leads, self._pivots, self._reduced):
-                factor = work[lead]
+            for lead, u in self._keepers:
+                factor, pivot = work[lead], u[lead]
                 if factor or pivot != prev:
                     # u stops at its own keeper's coefficient; later ones stay 0
                     work[: len(u)] = [(pivot * x - factor * y) // prev for x, y in zip(work, u)]
@@ -114,22 +112,20 @@ class KeeperState:
             scale *= prev
         else:
             packed = field.pack(values, w)
-            for lead, u in zip(self._leads, self._reduced):
+            for lead, u in self._keepers:
                 f = field.slot(packed, lead, w)
                 if f:
                     packed += (p - f) * u
-            work, scale = field.unpack(packed, dim + len(self._reduced), w), 1
+            work, scale = field.unpack(packed, dim + len(self._keepers), w), 1
         lead = next((r for r in range(dim) if work[r]), None)
         if lead is None:
             return tuple(work[dim:] if scale == 1 else field.quotients(work[dim:], scale))
         # the keeper's own coefficient cancels its scaled, eliminated column
-        self._leads.append(lead)
         if p is None:
-            self._pivots.append(work[lead])
-            self._reduced.append(work + [-scale])
+            self._keepers.append((lead, work + [-scale]))
         else:
             c = field.inverse(work[lead])
-            self._reduced.append(field.pack(field.scale_row(c, work) + [p - c], w))
+            self._keepers.append((lead, field.pack(field.scale_row(c, work) + [p - c], w)))
         return None
 
 

@@ -47,11 +47,18 @@ class Vector(Frozen):
         return " ".join(format_values(self.values))
 
 
+def index_offset(kind: str, i: int, n: int) -> int:
+    """The 0-based offset of the 1-based index i into n slots; IndexError,
+    naming the kind of index, when i is not in 1..n."""
+    if not 1 <= i <= n:
+        raise IndexError(f"{kind} index {i} out of range 1..{n}")
+    return i - 1
+
+
 def std_basis(dim: int, i: int, field: FieldSpec) -> Vector:
     """The unit vector with a 1 in slot i (1-based) and zeros elsewhere."""
-    if not 1 <= i <= dim:
-        raise IndexError(f"basis index {i} out of range 1..{dim}")
-    return Vector._raw(tuple(int(k == i) for k in range(1, dim + 1)), field)
+    k = index_offset("basis", i, dim)
+    return Vector._raw(tuple(int(r == k) for r in range(dim)), field)
 
 
 class Matrix(Frozen):
@@ -90,22 +97,16 @@ class Matrix(Frozen):
 
     def entry(self, i: int, j: int) -> Scalar:
         """Entry in row i, column j (1-based)."""
-        if not 1 <= i <= self.rows:
-            raise IndexError(f"row index {i} out of range 1..{self.rows}")
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column index {j} out of range 1..{self.cols}")
-        return Scalar._raw(self.field, self.values[(i - 1) * self.cols + (j - 1)])
+        k = index_offset("row", i, self.rows) * self.cols + index_offset("column", j, self.cols)
+        return Scalar._raw(self.field, self.values[k])
 
     def row(self, i: int) -> Vector:
-        if not 1 <= i <= self.rows:
-            raise IndexError(f"row index {i} out of range 1..{self.rows}")
-        start = (i - 1) * self.cols
+        start = index_offset("row", i, self.rows) * self.cols
         return Vector._raw(self.values[start : start + self.cols], self.field)
 
     def column(self, j: int) -> Vector:
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column index {j} out of range 1..{self.cols}")
-        return Vector._raw(self.values[j - 1 :: self.cols], self.field)
+        start = index_offset("column", j, self.cols)
+        return Vector._raw(self.values[start :: self.cols], self.field)
 
     def __matmul__(self, v):
         """The product with the column vector v. The vector is cleared once
@@ -136,8 +137,7 @@ class Matrix(Frozen):
 
     def with_entry(self, i: int, j: int, value) -> Matrix:
         """Copy of the matrix with one entry replaced (1-based indices)."""
-        self.entry(i, j)  # bounds check
-        k = (i - 1) * self.cols + (j - 1)
+        k = index_offset("row", i, self.rows) * self.cols + index_offset("column", j, self.cols)
         values = self.values[:k] + (as_raw(value, self.field),) + self.values[k + 1 :]
         return Matrix._raw(self.rows, self.cols, values, self.field)
 
@@ -145,11 +145,9 @@ class Matrix(Frozen):
         """Submatrix of the given columns, in the given order (1-based)."""
         if not js:
             raise ShapeError("no columns given")
-        for j in js:
-            if not 1 <= j <= self.cols:
-                raise IndexError(f"column index {j} out of range 1..{self.cols}")
         values, cols = self.values, self.cols
-        picked = tuple(values[i + j - 1] for i in range(0, len(values), cols) for j in js)
+        offsets = [index_offset("column", j, cols) for j in js]
+        picked = tuple(values[i + j] for i in range(0, len(values), cols) for j in offsets)
         return Matrix._raw(self.rows, len(js), picked, self.field)
 
     def augment(self, rhs: Vector) -> Matrix:

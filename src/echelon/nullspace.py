@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .gauche import GaucheResult, KeeperState, gauche_rref
-from .matrices import Matrix, Vector
+from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
 
@@ -127,12 +127,12 @@ def _mutually_annihilate(a: Matrix, basis_a: NullBasis, b: Matrix, basis_b: Null
     return all((m @ w).is_zero() for m, basis in pairs for w in basis.basis)
 
 
-def _check_selection(m: Matrix, js: Sequence[int]) -> None:
-    for j in js:
-        if not 1 <= j <= m.cols:
-            raise IndexError(f"column index {j} out of range 1..{m.cols}")
+def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:
+    """The 0-based offsets of the columns js, which must be pairwise distinct."""
+    offsets = [index_offset("column", j, m.cols) for j in js]
     if len(set(js)) != len(js):
         raise ValueError("selected column indices must be pairwise distinct")
+    return offsets
 
 
 def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] | None:
@@ -142,14 +142,12 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     columns that are themselves dependent on earlier ones get coefficient
     zero. An empty selection spans only the zero vector.
     """
-    if not 1 <= k <= m.cols:
-        raise IndexError(f"column index {k} out of range 1..{m.cols}")
-    _check_selection(m, js)
+    target, offsets = index_offset("column", k, m.cols), _check_selection(m, js)
     if k in js:
         raise ValueError(f"target column {k} is among the selected columns")
     eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
-    kept_slots = [slot for slot, j in enumerate(js) if eliminate(values[j - 1 :: cols]) is None]
-    answer = eliminate(values[k - 1 :: cols])
+    kept_slots = [slot for slot, j in enumerate(offsets) if eliminate(values[j::cols]) is None]
+    answer = eliminate(values[target::cols])
     if answer is None:
         return None
     coeffs = [m.field.zero()] * len(js)
@@ -165,6 +163,6 @@ def columns_independent(m: Matrix, js: Sequence[int]) -> bool:
     column inside the span of those before it; the empty selection is
     independent.
     """
-    _check_selection(m, js)
+    offsets = _check_selection(m, js)
     eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
-    return all(eliminate(values[j - 1 :: cols]) is None for j in js)
+    return all(eliminate(values[j::cols]) is None for j in offsets)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import compress, count
 
 from .errors import FieldMismatchError, InvalidOperationError, ParseError
-from .matrices import Matrix
+from .matrices import Matrix, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, as_scalar, data_lines
 
 
@@ -103,14 +103,10 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
     fraction-free on integers over Q, and as packed ints, one multiply-add
     per row and pivot, over GF(p). The logged coefficients are the
     classical ones."""
-    if m.field.modulus is None:
-        values, ops, pivots = _fraction_free_gauss_jordan(m)
-    else:
-        values, ops, pivots = _packed_gauss_jordan(m)
-    return ReductionResult(Matrix._raw(m.rows, m.cols, values, m.field), ops, pivots)
+    return (_fraction_free_gauss_jordan if m.field.modulus is None else _packed_gauss_jordan)(m)
 
 
-def _fraction_free_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
+def _fraction_free_gauss_jordan(m: Matrix) -> ReductionResult:
     """Over Q, row i is held as an integer row over the denominator
     prev * mus[i], which divides to the classical row: prev is the last
     pivot placed (1 before the first), and mus[i] the least common
@@ -153,10 +149,10 @@ def _fraction_free_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
         if pivot_row == m.rows:
             break
     values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
-    return values, tuple(ops), tuple(pivots)
+    return ReductionResult(Matrix._raw(m.rows, m.cols, values, field), tuple(ops), tuple(pivots))
 
 
-def _packed_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
+def _packed_gauss_jordan(m: Matrix) -> ReductionResult:
     """Over GF(p), every row is packed into one int (see FieldSpec). The
     pivot row is unpacked, reduced and scaled to pivot 1 when it is chosen;
     every other row w with residue f in the pivot column takes one
@@ -194,7 +190,7 @@ def _packed_gauss_jordan(m: Matrix) -> tuple[tuple, tuple, tuple]:
         if pivot_row == m.rows:
             break
     values = tuple(x for row in work for x in field.unpack(row, cols, w))
-    return values, tuple(ops), tuple(pivots)
+    return ReductionResult(Matrix._raw(m.rows, cols, values, field), tuple(ops), tuple(pivots))
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:
@@ -204,15 +200,12 @@ def apply_ops(m: Matrix, ops) -> Matrix:
     work = m.raw_rows()
 
     def row_of(i: int) -> list:
-        if not 1 <= i <= m.rows:
-            raise IndexError(f"row index {i} out of range 1..{m.rows}")
-        return work[i - 1]
+        return work[index_offset("row", i, m.rows)]
 
     for op in ops:
         if isinstance(op, Swap):
-            row_of(op.i)
-            row_of(op.j)
-            work[op.i - 1], work[op.j - 1] = work[op.j - 1], work[op.i - 1]
+            i, j = index_offset("row", op.i, m.rows), index_offset("row", op.j, m.rows)
+            work[i], work[j] = work[j], work[i]
         elif isinstance(op, Scale):
             if op.c.spec != field:
                 raise FieldMismatchError(f"scale in {op.c.spec} applied over {field}")

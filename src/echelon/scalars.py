@@ -360,7 +360,11 @@ def parse_value(text: str, field: FieldSpec):
     num, den = int(m.group(1)), int(m.group(2))
     if den == 0:
         raise ZeroDivisionError(f"zero denominator in literal {text!r}")
-    return field.raw(Fraction(num, den))
+    if field.modulus is None:
+        return field.raw(Fraction(num, den))
+    if den % field.modulus == 0:
+        raise ZeroDivisionError(f"denominator {den} vanishes in {field}")
+    return num * pow(den, -1, field.modulus) % field.modulus
 
 
 def format_values(values) -> list[str]:

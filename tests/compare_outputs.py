@@ -6,8 +6,10 @@ OLD_SRC and NEW_SRC are the `src` directories of two checkouts. For each
 workload of perfbench/corpus.py and each seed, the corpus is built once in a
 temporary directory, and every job runs through `echelon.cli.main` under each
 tree in a child process, in `--format plain` and `--format json`. The exit
-code, stdout and stderr of each run are compared. Prints the number of runs
-and each one that differs; exits 1 if any does.
+code, stdout and stderr of each run are compared; a job that raises records
+`raised <Type>: <message>` in place of its exit code. Prints the number of
+runs and each one that differs; exits 1 if any does, and 2, with the child's
+stderr, if a child itself fails (for example, when a tree does not import).
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import corpus  # noqa: E402
 
 # run in a child process: argv 1 is the src directory, argv 2 a JSON file of
-# argvs; prints one JSON list of [exit code, stdout, stderr] per argv
+# argvs; prints one JSON list of [exit code or raise, stdout, stderr] per argv
 _CHILD = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -34,7 +36,10 @@ results = []
 for argv in json.load(open(sys.argv[2])):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # a raise is a differing run, not a dead child
+            code = f"raised {type(exc).__name__}: {exc}"
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
@@ -42,9 +47,11 @@ json.dump(results, sys.stdout)
 
 def _outputs(src: str, argvs_path: str) -> list:
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, src, argvs_path],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _CHILD, src, argvs_path], capture_output=True, text=True
     )
+    if child.returncode != 0:
+        sys.stderr.write(f"the child under {src} exited {child.returncode}:\n{child.stderr}")
+        sys.exit(2)
     return json.loads(child.stdout)
 
 

@@ -283,6 +283,11 @@ class TestPinnedDiagnostics:
         got = self._run(tmp_path, capsys, "solve", "1 2 | 3\n4 5 | 6 7\n")
         assert got == (2, "error: line 2: expected one right-hand-side entry\n")
 
+    @pytest.mark.parametrize("literal", ["7/7", "14/7", "0/7"])
+    def test_vanishing_denominator_of_a_cancelling_fraction(self, literal, tmp_path, capsys):
+        got = self._run(tmp_path, capsys, "rref", f"1 2\n{literal} 1\n", "gf:7")
+        assert got == (2, "error: line 2: denominator 7 vanishes in GF(7)\n")
+
     def test_repeated_vanishing_denominator_names_its_first_line(self, tmp_path, capsys):
         got = self._run(tmp_path, capsys, "rref", "1 2\n3 1/32003\n1/32003 4\n", "gf:32003")
         assert got == (2, "error: line 2: denominator 32003 vanishes in GF(32003)\n")

@@ -1,9 +1,13 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library and the bench's verifier does not import the
 toolkit it checks; at run time, importing the CLI leaves `typing`,
-`dataclasses`, `inspect`, `ast`, `json` and `array` unloaded, and the package's
-`__all__` names exactly its public attributes."""
+`dataclasses`, `inspect`, `ast`, `json` and `array` unloaded, the package's
+`__all__` names exactly its public attributes, and the README's library
+quick start prints what its comments say."""
 import ast
+import contextlib
+import io
+import re
 import subprocess
 import sys
 import types
@@ -78,3 +82,18 @@ def test_export_list_matches_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(echelon.__all__)) == []
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    """The first `python` block under "Library quick start" runs as printed:
+    the RREF, the pivot set (1, 2, 5), journal 3 as 3 1 0 and the
+    particular solution 0 0 0 0 1."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == (
+        "1 0 3 -2 0\n0 1 1 -3 0\n0 0 0 0 1\n(1, 2, 5)\n3 1 0\n0 0 0 0 1\n"
+    )

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 from echelon import (
     GF,
     QQ,
+    Axpy,
     FieldMismatchError,
     Matrix,
+    Scale,
     ShapeError,
+    Swap,
     Vector,
+    apply_ops,
     as_scalar,
+    column_in_span,
+    columns_independent,
     std_basis,
 )
 from echelon.cli import parse_matrix
@@ -199,6 +205,43 @@ class TestTakeColumns:
             js = [rng.randint(1, q) for _ in range(rng.randint(1, 2 * q))]
             picked = Matrix.from_rows([[row[j - 1] for j in js] for row in m.raw_rows()], field)
             assert m.take_columns(js) == picked
+
+
+T = matrix_t()  # 3x5
+
+# (call of a 1-based index, kind of index, slots); the op constructors check
+# only the lower bound, so ops are built unchecked to reach apply_ops' check
+INDEX_SITES = {
+    "std_basis": (lambda i: std_basis(4, i, QQ), "basis", 4),
+    "entry row": (lambda i: T.entry(i, 1), "row", 3),
+    "entry column": (lambda i: T.entry(1, i), "column", 5),
+    "entry row before column": (lambda i: T.entry(i, 0), "row", 3),
+    "with_entry row": (lambda i: T.with_entry(i, 1, 0), "row", 3),
+    "with_entry column": (lambda i: T.with_entry(1, i, 0), "column", 5),
+    "with_entry row before column": (lambda i: T.with_entry(i, 6, 0), "row", 3),
+    "row": (lambda i: T.row(i), "row", 3),
+    "column": (lambda i: T.column(i), "column", 5),
+    "take_columns": (lambda i: T.take_columns([1, i]), "column", 5),
+    "selection": (lambda i: columns_independent(T, [1, i]), "column", 5),
+    "span selection": (lambda i: column_in_span(T, 2, [1, i]), "column", 5),
+    "span target": (lambda i: column_in_span(T, i, [1]), "column", 5),
+    "apply_ops swap": (lambda i: apply_ops(T, [Swap._raw(1, i)]), "row", 3),
+    "apply_ops scale": (lambda i: apply_ops(T, [Scale._raw(i, sc(2))]), "row", 3),
+    "apply_ops axpy target": (lambda i: apply_ops(T, [Axpy._raw(i, 1, sc(2))]), "row", 3),
+    "apply_ops axpy source": (lambda i: apply_ops(T, [Axpy._raw(1, i, sc(2))]), "row", 3),
+}
+
+
+@pytest.mark.parametrize("past_end", [False, True], ids=["0", "n+1"])
+@pytest.mark.parametrize("site", INDEX_SITES)
+def test_every_index_site_names_the_kind_and_range(site, past_end):
+    """Public indices are 1-based: index 0 and index n+1 raise the one
+    IndexError text at every site, and an entry reports its row first."""
+    call, kind, n = INDEX_SITES[site]
+    i = n + 1 if past_end else 0
+    with pytest.raises(IndexError) as err:
+        call(i)
+    assert str(err.value) == f"{kind} index {i} out of range 1..{n}"
 
 
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)

@@ -270,7 +270,9 @@ class TestOpText:
             parse_ops("swap 1 2\n" + text + "\n", QQ)
 
     @pytest.mark.parametrize(
-        ("op", "field"), [("scale 1 1/0", QQ), ("scale 1 1/7", GF7)], ids=["Q", "GF(7)"]
+        ("op", "field"),
+        [("scale 1 1/0", QQ), ("scale 1 1/7", GF7), ("scale 1 7/7", GF7)],
+        ids=["Q", "GF(7)", "GF(7) cancelling"],
     )
     def test_zero_denominator_names_the_line(self, op, field):
         with pytest.raises(ParseError, match="line 2: "):

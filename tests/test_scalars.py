@@ -228,6 +228,13 @@ class TestParse:
         with pytest.raises(ZeroDivisionError):
             as_scalar("2/14", GF7)
 
+    @pytest.mark.parametrize("text", ["7/7", "14/7", "0/7", "-7/7", "49/7"])
+    def test_vanishing_denominator_is_rejected_before_the_fraction_cancels(self, text):
+        """b^-1 must exist for a/b to mean a * b^-1 in GF(p), whatever a is."""
+        for read in (parse_value, as_scalar):
+            with pytest.raises(ZeroDivisionError, match=r"^denominator 7 vanishes in GF\(7\)$"):
+                read(text, GF7)
+
 
 class TestCanonicalForm:
     def test_recanonicalizing_is_identity(self):
