@@ -16,7 +16,7 @@ from itertools import chain
 from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
 from .matrices import Matrix
-from .nullspace import graph_relations, null_basis, relation_lines
+from .nullspace import basis_rows, graph_relations, relation_lines
 from .rowops import format_op, gauss_jordan, rref_violation
 from .scalars import GF, QQ, FieldSpec, data_lines, format_values, parse_value, text_lines
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
@@ -136,9 +136,10 @@ def _cmd_basis(m) -> tuple[int, dict, str]:
 
 
 def _cmd_null(m) -> tuple[int, dict, str]:
-    nb = null_basis(m)
-    basis = [format_values(v.values) for v in nb.basis]
-    return 0, {"free": list(nb.free_indices), "basis": basis}, _rows_text(basis)
+    rel = graph_relations(m)
+    exprs = [(p, format_values(c)) for p, c in rel.pivot_exprs]
+    basis = basis_rows(rel.free_indices, exprs, "0", "1")
+    return 0, {"free": list(rel.free_indices), "basis": basis}, _rows_text(basis)
 
 
 def _cmd_graph(m) -> tuple[int, dict, str]:
@@ -170,7 +171,11 @@ def _cmd_solve(system) -> tuple[int, dict, str]:
     if isinstance(sol, Inconsistent):
         return 1, {"consistent": False}, "INCONSISTENT"
     particular = format_values(sol.particular.values)
-    basis = [format_values(v.values) for v in sol.homogeneous.basis]
+    free, vectors = sol.homogeneous.free_indices, sol.homogeneous.basis
+    # a pivot's coefficients over the free variables sit in its slot of the vectors
+    pivots = set(range(1, len(particular) + 1)).difference(free)
+    exprs = [(s, format_values([v.values[s - 1] for v in vectors])) for s in pivots]
+    basis = basis_rows(free, exprs, "0", "1")
     text = _rows_text([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
     return 0, {"consistent": True, "particular": particular, "basis": basis}, text
 

@@ -10,6 +10,8 @@ basis) for its column space, indexed by the pivot set.
 """
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import FieldMismatchError, ShapeError
 from .matrices import Matrix, Vector
 from .scalars import FieldSpec, Frozen, Scalar
@@ -117,7 +119,8 @@ class KeeperState:
                 if f:
                     packed += (p - f) * u
             work, scale = field.unpack(packed, dim + len(self._keepers), w), 1
-        lead = next((r for r in range(dim) if work[r]), None)
+        # range(dim) stops the search at the residual: coefficients follow it
+        lead = next(compress(range(dim), work), None)
         if lead is None:
             return tuple(work[dim:] if scale == 1 else field.quotients(work[dim:], scale))
         # the keeper's own coefficient cancels its scaled, eliminated column

@@ -45,17 +45,28 @@ class GraphRelations(Frozen):
         return relation_lines(self.free_indices, exprs)
 
     def basis(self) -> NullBasis:
-        """The null basis: free vector k carries 1 at its own free slot and
-        coefficient k of each pivot expression at that pivot's slot."""
-        dim = len(self.free_indices) + len(self.pivot_exprs)
-        vectors = []
-        for k, n in enumerate(self.free_indices):
-            values = [0] * dim
-            values[n - 1] = 1
-            for pivot, coeffs in self.pivot_exprs:
-                values[pivot - 1] = coeffs[k]
-            vectors.append(Vector._raw(tuple(values), self.field))
-        return NullBasis(free_indices=self.free_indices, basis=tuple(vectors))
+        """The null basis: free vector k, laid out by basis_rows from the raw
+        coefficients, carries 1 at its own free slot and coefficient k of
+        each pivot expression at that pivot's slot."""
+        rows = basis_rows(self.free_indices, self.pivot_exprs, 0, 1)
+        vectors = tuple(Vector._raw(tuple(row), self.field) for row in rows)
+        return NullBasis(free_indices=self.free_indices, basis=vectors)
+
+
+def basis_rows(free_indices: tuple[int, ...], exprs, zero, one) -> list[list]:
+    """Row k of the null basis for each free index n = free_indices[k], from
+    the pairs of a pivot and its coefficients over the free variables: `one`
+    at slot n, coefficient k of each pivot at that pivot's slot, `zero`
+    elsewhere. Raw values give the basis vectors, literals the printed rows."""
+    template = [zero] * (len(free_indices) + len(exprs))
+    rows = []
+    for k, n in enumerate(free_indices):
+        row = template.copy()
+        row[n - 1] = one
+        for pivot, coeffs in exprs:
+            row[pivot - 1] = coeffs[k]
+        rows.append(row)
+    return rows
 
 
 def relation_lines(free_indices: tuple[int, ...], exprs) -> list[str]:

@@ -320,7 +320,7 @@ class Scalar(Frozen):
         return bool(self.value)
 
     def __str__(self) -> str:
-        return format_values((self.value,))[0]
+        return str(self.value)
 
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self})"
@@ -369,7 +369,7 @@ def parse_value(text: str, field: FieldSpec):
 
 def format_values(values) -> list[str]:
     """The literal of each raw value: `n`, or `n/d` in lowest terms, as
-    parse_value reads it. Zeros, most of a null basis, skip the str call."""
+    parse_value reads it. Zeros, most of a sparse row, skip the str call."""
     return [str(v) if v else "0" for v in values]
 
 

@@ -2,7 +2,11 @@
 
     python tests/compare_outputs.py OLD_SRC NEW_SRC [--seeds 1,2]
 
-OLD_SRC and NEW_SRC are the `src` directories of two checkouts. For each
+OLD_SRC and NEW_SRC are the `src` directories of two checkouts. Either may
+instead name a git revision of this repository (`HEAD~1`, a commit hash):
+that revision's `src/` is exported with `git archive` to a temporary
+directory, so `python tests/compare_outputs.py HEAD src` checks the working
+tree against the last commit in one command. For each
 workload of perfbench/corpus.py and each seed, the corpus is built once in a
 temporary directory, and every job runs through `echelon.cli.main` under each
 tree in a child process, in `--format plain` and `--format json`. The exit
@@ -14,6 +18,7 @@ stderr, if a child itself fails (for example, when a tree does not import).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -55,23 +60,44 @@ def _outputs(src: str, argvs_path: str) -> list:
     return json.loads(child.stdout)
 
 
+def _src_dir(arg: str, stack: contextlib.ExitStack) -> str:
+    """arg itself when it is a directory, else the `src` of git revision arg,
+    exported to a temporary directory that lives as long as the stack."""
+    if os.path.isdir(arg):
+        return os.path.abspath(arg)
+    tmp = stack.enter_context(tempfile.TemporaryDirectory())
+    archive = subprocess.run(["git", "-C", ROOT, "archive", arg, "src"], capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(f"{arg} is neither a directory nor a git revision with a src/:\n")
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        sys.exit(2)
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+    return os.path.join(tmp, "src")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("old_src")
-    ap.add_argument("new_src")
+    ap.add_argument("old_src", help="a src directory or a git revision")
+    ap.add_argument("new_src", help="a src directory or a git revision")
     ap.add_argument("--seeds", default="1,2", help="comma-separated corpus seeds")
     args = ap.parse_args()
+    with contextlib.ExitStack() as stack:
+        old_src, new_src = (_src_dir(src, stack) for src in (args.old_src, args.new_src))
+        return _compare(old_src, new_src, args.seeds)
+
+
+def _compare(old_src: str, new_src: str, seeds: str) -> int:
     runs = differ = 0
     for workload in sorted(corpus.WORKLOADS):
-        for seed in map(int, args.seeds.split(",")):
+        for seed in map(int, seeds.split(",")):
             with tempfile.TemporaryDirectory() as work:
                 jobs = corpus.build(workload, seed, work)
                 argvs = [job.argv + ["--format", fmt] for job in jobs for fmt in ("plain", "json")]
                 argvs_path = os.path.join(work, "argvs.json")
                 with open(argvs_path, "w") as fh:
                     json.dump(argvs, fh)
-                old = _outputs(os.path.abspath(args.old_src), argvs_path)
-                new = _outputs(os.path.abspath(args.new_src), argvs_path)
+                old = _outputs(old_src, argvs_path)
+                new = _outputs(new_src, argvs_path)
             for argv, a, b in zip(argvs, old, new):
                 if a != b:
                     differ += 1

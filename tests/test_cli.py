@@ -1,12 +1,15 @@
 """Command-line surface: file parsing, golden outputs, exit codes."""
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,13 +21,18 @@ import echelon.cli
 from echelon import (
     GF,
     QQ,
+    Inconsistent,
+    LinearSystem,
     Matrix,
     ParseError,
     Scalar,
+    Vector,
     apply_ops,
     gauche_rref,
+    null_basis,
     parse_ops,
     row_equivalent,
+    solve,
 )
 from echelon.scalars import parse_value
 from echelon.cli import main, parse_matrix, parse_system
@@ -35,9 +43,11 @@ from helpers import (
     mat,
     matrix_t,
     random_fraction_matrix,
+    random_fraction_vector,
     random_low_rank_matrix,
     random_matrix,
     sc,
+    scalar_rows,
     vec,
 )
 
@@ -596,6 +606,121 @@ def test_graph_formats_each_coefficient_once(fmt, t_path, capsys, monkeypatch):
     assert main(["graph", t_path, "--format", fmt]) == 0
     capsys.readouterr()
     assert len(formatted) == 6
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize(
+    ("cmd", "text", "count"), [("null", T_TEXT, 6), ("solve", T_SYSTEM, 11)], ids=["null", "solve"]
+)
+def test_null_and_solve_format_each_coefficient_once(
+    cmd, text, count, fmt, tmp_path, capsys, monkeypatch
+):
+    """`null` renders from the relation coefficients: on T (3 pivots over 2
+    free variables) it formats 6 values and makes no Vector. `solve` on T's
+    system formats its particular solution (5 values) and the 3 x 2
+    coefficients that its homogeneous lines are laid out from."""
+    formatted, vectors = [], []
+    fmt_values, raw = echelon.cli.format_values, Vector._raw
+
+    def counted(values):
+        formatted.extend(values)
+        return fmt_values(values)
+
+    monkeypatch.setattr(echelon.cli, "format_values", counted)
+    monkeypatch.setattr(echelon.nullspace, "format_values", counted)
+    monkeypatch.setattr(Vector, "_raw", staticmethod(lambda v, f: vectors.append(v) or raw(v, f)))
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert main([cmd, str(path), "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(formatted) == count
+    # the Vector counter counts: solve's answer is made of Vectors
+    assert bool(vectors) == (cmd == "solve")
+
+
+def _render(rows: list[list[str]]) -> str:
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def _reference_null(m: Matrix) -> tuple[int, str, dict]:
+    """null's exit code, stdout and JSON payload, each entry of each
+    null_basis vector rendered on its own."""
+    nb = null_basis(m)
+    basis = [[str(x) for x in v.entries] for v in nb.basis]
+    return 0, _render(basis), {"free": list(nb.free_indices), "basis": basis}
+
+
+def _reference_solve(system: LinearSystem) -> tuple[int, str, dict]:
+    """solve's exit code, stdout and JSON payload, each entry of each vector
+    of the solution set rendered on its own."""
+    sol = solve(system)
+    if isinstance(sol, Inconsistent):
+        return 1, "INCONSISTENT\n", {"consistent": False}
+    particular = [str(x) for x in sol.particular.entries]
+    basis = [[str(x) for x in v.entries] for v in sol.homogeneous.basis]
+    text = _render([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
+    return 0, text, {"consistent": True, "particular": particular, "basis": basis}
+
+
+def _null_space_case(rng, field, bound, kind) -> Matrix:
+    """A zero matrix (every column free), a matrix of full column rank (no
+    column free), or a wide low-rank matrix with each column scaled by an
+    a/b unit."""
+    rows = rng.randint(1, 5)
+    if kind == "zero":
+        return Matrix.zero(rows, rng.randint(1, 12), field)
+    if kind == "full":
+        # unit upper triangular over the first cols rows, a/b entries
+        # everywhere else, then the rows shuffled
+        cols = rng.randint(1, rows)
+        noise = [list(r) for r in random_fraction_matrix(rng, rows, cols, field, bound).raw_rows()]
+        for i in range(cols):
+            noise[i][: i + 1] = [0] * i + [1]
+        rng.shuffle(noise)
+        return Matrix.from_rows(noise, field)
+    cols = rng.randint(rows, 4 * rows + 4)
+    low = random_low_rank_matrix(rng, rows, cols, rng.randint(0, rows - 1), field, bound)
+    scales = random_fraction_matrix(rng, 1, cols, field, bound).row(1).entries
+    units = [c if c else field.one() for c in scales]
+    return Matrix.from_rows([[c * x for c, x in zip(units, r)] for r in scalar_rows(low)], field)
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+@given(kind=st.sampled_from(["zero", "full", "wide"]), rng=st.randoms(use_true_random=False))
+def test_null_and_solve_print_what_their_vectors_hold(field, bound, kind, rng):
+    """`null` and `solve`, laid out from literals of the relation
+    coefficients, print in plain text and JSON what rendering each entry of
+    null_basis(m) and solve(system) on its own prints."""
+    m = _null_space_case(rng, field, bound, kind)
+    if rng.random() < 0.7:
+        rhs = m @ random_fraction_vector(rng, m.cols, field, bound)
+    else:
+        rhs = random_fraction_vector(rng, m.rows, field, bound)
+    flag = "q" if field.modulus is None else f"gf:{field.modulus}"
+    with tempfile.TemporaryDirectory() as work:
+        mat_path, sys_path = Path(work, "m.mat"), Path(work, "m.sys")
+        mat_path.write_text(f"{m}\n")
+        sys_path.write_text("".join(f"{m.row(i + 1)} | {b}\n" for i, b in enumerate(rhs.entries)))
+        for cmd, path, (code, text, payload) in [
+            ("null", mat_path, _reference_null(m)),
+            ("solve", sys_path, _reference_solve(LinearSystem(m, rhs))),
+        ]:
+            argv = [cmd, str(path), "--field", flag]
+            assert _cli(argv) == (code, text)
+            json_code, json_text = _cli(argv + ["--format", "json"])
+            assert (json_code, json.loads(json_text)) == (code, payload)
+    if kind == "full":
+        assert _reference_null(m)[1] == ""
+    if kind == "zero":
+        assert null_basis(m).free_indices == tuple(range(1, m.cols + 1))
 
 
 class TestFieldFlag:
