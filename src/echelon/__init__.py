@@ -20,7 +20,6 @@ from .gauche import GaucheResult, Keeper, KeeperState, LLQAnswer, Subordinate, g
 from .matrices import Matrix, Vector, std_basis
 from .nullspace import (
     GraphRelations,
-    NullBasis,
     column_in_span,
     columns_independent,
     graph_relations,
@@ -72,7 +71,6 @@ __all__ = [
     "LLQAnswer",
     "LinearSystem",
     "Matrix",
-    "NullBasis",
     "ParseError",
     "QQ",
     "RREF_CONDITIONS",

@@ -135,16 +135,20 @@ def _cmd_basis(m) -> tuple[int, dict, str]:
     return 0, {"indices": indices, "columns": columns}, _rows_text(columns)
 
 
+def _null_rows(rel) -> list[list[str]]:
+    """The literal rows of the null basis, laid out from the relations."""
+    return basis_rows(rel.free_indices, rel.literals(), "0", "1")
+
+
 def _cmd_null(m) -> tuple[int, dict, str]:
     rel = graph_relations(m)
-    exprs = [(p, format_values(c)) for p, c in rel.pivot_exprs]
-    basis = basis_rows(rel.free_indices, exprs, "0", "1")
+    basis = _null_rows(rel)
     return 0, {"free": list(rel.free_indices), "basis": basis}, _rows_text(basis)
 
 
 def _cmd_graph(m) -> tuple[int, dict, str]:
     rel = graph_relations(m)
-    exprs = [(p, format_values(c)) for p, c in rel.pivot_exprs]
+    exprs = rel.literals()
     relations = [{"pivot": p, "coefficients": c} for p, c in exprs]
     text = "\n".join(relation_lines(rel.free_indices, exprs))
     return 0, {"free": list(rel.free_indices), "relations": relations}, text
@@ -171,11 +175,7 @@ def _cmd_solve(system) -> tuple[int, dict, str]:
     if isinstance(sol, Inconsistent):
         return 1, {"consistent": False}, "INCONSISTENT"
     particular = format_values(sol.particular.values)
-    free, vectors = sol.homogeneous.free_indices, sol.homogeneous.basis
-    # a pivot's coefficients over the free variables sit in its slot of the vectors
-    pivots = set(range(1, len(particular) + 1)).difference(free)
-    exprs = [(s, format_values([v.values[s - 1] for v in vectors])) for s in pivots]
-    basis = basis_rows(free, exprs, "0", "1")
+    basis = _null_rows(sol.homogeneous)
     text = _rows_text([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
     return 0, {"consistent": True, "particular": particular, "basis": basis}, text
 

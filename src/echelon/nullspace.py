@@ -17,22 +17,14 @@ from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
 
-class NullBasis(Frozen):
-    """One basis vector per free index, graph-normalized: entry 1 at its own
-    free slot, 0 at every other free slot."""
-
-    __slots__ = ("free_indices", "basis")
-
-    def __init__(self, free_indices: tuple[int, ...], basis: tuple[Vector, ...]):
-        self._freeze(free_indices, basis)
-
-
 class GraphRelations(Frozen):
-    """x_pivot = sum(coefficient * x_free) rows, read off the reduced form,
-    with the coefficients as raw values of the field.
+    """The null space as the graph of a linear map: each pivot variable is
+    x_pivot = sum(coefficient * x_free) over the free variables, with the
+    coefficients as raw values of the field, read off the reduced form.
 
     Every free variable is listed in every expression, zero coefficients
-    included, so the textual form is stable.
+    included, so the textual form is stable. The basis property lays the
+    same coefficients out as the graph-normalized null basis.
     """
 
     __slots__ = ("free_indices", "pivot_exprs", "field")
@@ -40,17 +32,21 @@ class GraphRelations(Frozen):
     def __init__(self, free_indices: tuple[int, ...], pivot_exprs: tuple, field: FieldSpec):
         self._freeze(free_indices, pivot_exprs, field)
 
-    def lines(self) -> list[str]:
-        exprs = [(pivot, format_values(coeffs)) for pivot, coeffs in self.pivot_exprs]
-        return relation_lines(self.free_indices, exprs)
+    def literals(self) -> list[tuple[int, list[str]]]:
+        """Each pivot with the literals of its coefficients, each formatted once."""
+        return [(pivot, format_values(coeffs)) for pivot, coeffs in self.pivot_exprs]
 
-    def basis(self) -> NullBasis:
-        """The null basis: free vector k, laid out by basis_rows from the raw
-        coefficients, carries 1 at its own free slot and coefficient k of
-        each pivot expression at that pivot's slot."""
+    def lines(self) -> list[str]:
+        return relation_lines(self.free_indices, self.literals())
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The null basis, built when read: free vector k, laid out by
+        basis_rows from the raw coefficients, carries 1 at its own free slot,
+        0 at every other free slot and coefficient k of each pivot
+        expression at that pivot's slot."""
         rows = basis_rows(self.free_indices, self.pivot_exprs, 0, 1)
-        vectors = tuple(Vector._raw(tuple(row), self.field) for row in rows)
-        return NullBasis(free_indices=self.free_indices, basis=vectors)
+        return tuple(Vector._raw(tuple(row), self.field) for row in rows)
 
 
 def basis_rows(free_indices: tuple[int, ...], exprs, zero, one) -> list[list]:
@@ -99,18 +95,15 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     return GraphRelations(free_indices=free, pivot_exprs=exprs, field=field)
 
 
-def null_basis(m: Matrix) -> NullBasis:
-    """Graph-normalized basis of the null space, one vector per free index.
-
-    The basis vector for free index n carries 1 at slot n and, at each pivot
-    slot, the negated reduced-form entry of column n in that pivot's row.
-    """
-    return _relations(gauche_rref(m), m.cols).basis()
-
-
 def graph_relations(m: Matrix) -> GraphRelations:
-    """Express each pivot variable over the free variables."""
+    """The null space of m from one sweep: each pivot variable over the free
+    variables, and through .basis the graph-normalized basis, whose vector
+    for free index n carries 1 at slot n and, at each pivot slot, the
+    negated reduced-form entry of column n in that pivot's row."""
     return _relations(gauche_rref(m), m.cols)
+
+
+null_basis = graph_relations
 
 
 def null_contains(m: Matrix, v: Vector) -> bool:
@@ -128,14 +121,16 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """
     if a.rows != b.rows or a.cols != b.cols or a.field != b.field:
         return False
-    return _mutually_annihilate(a, null_basis(a), b, null_basis(b))
+    return _mutually_annihilate(a, graph_relations(a), b, graph_relations(b))
 
 
-def _mutually_annihilate(a: Matrix, basis_a: NullBasis, b: Matrix, basis_b: NullBasis) -> bool:
-    """Does each matrix kill the other's null basis? For same-shaped a and b
-    with these null bases, that is equality of their null spaces."""
-    pairs = ((b, basis_a), (a, basis_b))
-    return all((m @ w).is_zero() for m, basis in pairs for w in basis.basis)
+def _mutually_annihilate(
+    a: Matrix, rel_a: GraphRelations, b: Matrix, rel_b: GraphRelations
+) -> bool:
+    """Does each matrix kill the basis of the other's null space? For
+    same-shaped a and b, that is equality of their null spaces."""
+    pairs = ((b, rel_a), (a, rel_b))
+    return all((m @ w).is_zero() for m, rel in pairs for w in rel.basis)
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:

@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 from .errors import FieldMismatchError, ParseError
 
@@ -275,27 +276,22 @@ class Scalar(Frozen):
     def __init__(self, spec: FieldSpec, value: int | Fraction):
         self._freeze(spec, spec.raw(value))
 
-    def _check(self, other: Scalar) -> None:
+    def _field_op(self, other, op):
+        """op on the two raw values, as an element of the common field."""
+        if not isinstance(other, Scalar):
+            return NotImplemented
         if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatchError(f"cannot mix {self.spec} and {other.spec}")
+        return Scalar._raw(self.spec, self.spec.raw(op(self.value, other.value)))
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        return Scalar._raw(self.spec, self.spec.raw(self.value + other.value))
+        return self._field_op(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        return Scalar._raw(self.spec, self.spec.raw(self.value - other.value))
+        return self._field_op(other, sub)
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        return Scalar._raw(self.spec, self.spec.raw(self.value * other.value))
+        return self._field_op(other, mul)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import NullBasis, _mutually_annihilate, _relations
+from .nullspace import GraphRelations, _mutually_annihilate, _relations
 from .scalars import Frozen
 
 
@@ -35,11 +35,13 @@ class Inconsistent(Frozen):
 
 
 class Affine(Frozen):
-    """All solutions: particular plus any combination of the homogeneous basis."""
+    """All solutions: the particular solution plus any point of the null
+    space of the coefficient matrix, held as its graph relations, whose
+    .basis is the homogeneous basis."""
 
     __slots__ = ("particular", "homogeneous")
 
-    def __init__(self, particular: Vector, homogeneous: NullBasis):
+    def __init__(self, particular: Vector, homogeneous: GraphRelations):
         self._freeze(particular, homogeneous)
 
 
@@ -49,18 +51,18 @@ SolutionSet = Inconsistent | Affine
 def solve(system: LinearSystem) -> SolutionSet:
     """Solve exactly. The particular solution pins every free variable to
     zero and reads the pivot variables off the reduced right-hand side; the
-    homogeneous basis is read off the same sweep, restricted to the
-    coefficient columns."""
+    homogeneous part is the graph relations of the same sweep, restricted to
+    the coefficient columns, as graph_relations gives them for the
+    coefficient matrix."""
     q = system.coeff.cols
     res = gauche_rref(system.augmented())
     if res.pivot_set and res.pivot_set[-1] == q + 1:
         return Inconsistent()
-    reduced_rhs = res.rref.column(q + 1).values
     values = [0] * q
-    for i, s in enumerate(res.pivot_set):
-        values[s - 1] = reduced_rhs[i]
+    for s, b in zip(res.pivot_set, res.rref.values[q :: q + 1]):
+        values[s - 1] = b
     particular = Vector._raw(tuple(values), system.coeff.field)
-    return Affine(particular=particular, homogeneous=_relations(res, q).basis())
+    return Affine(particular=particular, homogeneous=_relations(res, q))
 
 
 def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:

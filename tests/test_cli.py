@@ -608,17 +608,31 @@ def test_graph_formats_each_coefficient_once(fmt, t_path, capsys, monkeypatch):
     assert len(formatted) == 6
 
 
+WIDE_TEXT = "1 2 3 4 5 6 7 8\n2 4 6 8 10 12 14 16\n"
+WIDE_SYSTEM = "1 2 3 4 5 6 7 8 | 1\n2 4 6 8 10 12 14 16 | 2\n"
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 @pytest.mark.parametrize(
-    ("cmd", "text", "count"), [("null", T_TEXT, 6), ("solve", T_SYSTEM, 11)], ids=["null", "solve"]
+    ("cmd", "text", "count", "made"),
+    [
+        ("null", T_TEXT, 6, 0),
+        ("solve", T_SYSTEM, 11, 2),
+        ("null", WIDE_TEXT, 7, 0),
+        ("solve", WIDE_SYSTEM, 15, 2),
+    ],
+    ids=["null", "solve", "null-wide", "solve-wide"],
 )
 def test_null_and_solve_format_each_coefficient_once(
-    cmd, text, count, fmt, tmp_path, capsys, monkeypatch
+    cmd, text, count, made, fmt, tmp_path, capsys, monkeypatch
 ):
-    """`null` renders from the relation coefficients: on T (3 pivots over 2
-    free variables) it formats 6 values and makes no Vector. `solve` on T's
-    system formats its particular solution (5 values) and the 3 x 2
-    coefficients that its homogeneous lines are laid out from."""
+    """`null` and `solve` render the null basis from the relation
+    coefficients: on T (3 pivots over 2 free variables) `null` formats 6
+    values and makes no Vector, and `solve` on T's system formats its
+    particular solution (5 values) and the 3 x 2 coefficients. The wide
+    inputs (1 pivot over 7 free variables) format 7 and 8 + 7. Either way
+    `solve` makes two Vectors, the parsed right-hand side and the particular
+    solution, and none per free variable."""
     formatted, vectors = [], []
     fmt_values, raw = echelon.cli.format_values, Vector._raw
 
@@ -634,8 +648,7 @@ def test_null_and_solve_format_each_coefficient_once(
     assert main([cmd, str(path), "--format", fmt]) == 0
     capsys.readouterr()
     assert len(formatted) == count
-    # the Vector counter counts: solve's answer is made of Vectors
-    assert bool(vectors) == (cmd == "solve")
+    assert len(vectors) == made
 
 
 def _render(rows: list[list[str]]) -> str:

@@ -34,6 +34,7 @@ from helpers import (
     matrix_t,
     random_consistent_system,
     random_fraction_system,
+    random_low_rank_matrix,
     random_matrix,
     random_ops,
     random_shape,
@@ -257,12 +258,26 @@ class TestOneSweepPerQuestion:
         assert sweeps == {"__init__": 1, "eliminate": 3}
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_homogeneous_part_is_the_null_basis(field):
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_homogeneous_part_is_the_null_basis(field, bound):
+    """One graph from either sweep: the homogeneous part of solve, swept
+    with the right-hand side, equals graph_relations of the coefficient
+    matrix alone, and the coefficient matrix kills its every basis vector;
+    on random systems and on wide low-rank ones, where most columns are
+    free."""
     rng = random.Random(64)
-    for _ in range(80):
-        p, q = random_shape(rng, 6, 8)
-        system = random_consistent_system(rng, p, q, field)
+    shapes = [(*random_shape(rng, 6, 8), None) for _ in range(60)]
+    for _ in range(30):
+        rows = rng.randint(1, 4)
+        shapes.append((rows, rng.randint(12, 30), rng.randint(0, rows)))
+    for p, q, rank in shapes:
+        if rank is None:
+            m = random_matrix(rng, p, q, field, bound)
+        else:
+            m = random_low_rank_matrix(rng, p, q, rank, field, bound)
+        system = LinearSystem(m, m @ random_matrix(rng, q, 1, field, bound).column(1))
         sol = solve(system)
         assert isinstance(sol, Affine)
-        assert sol.homogeneous == null_basis(system.coeff)
+        assert sol.homogeneous == graph_relations(m) == null_basis(m)
+        assert len(sol.homogeneous.basis) == len(sol.homogeneous.free_indices)
+        assert all((m @ v).is_zero() for v in sol.homogeneous.basis)

@@ -18,7 +18,6 @@ from echelon import (
     Keeper,
     LinearSystem,
     Matrix,
-    NullBasis,
     ReductionResult,
     Scalar,
     Scale,
@@ -34,10 +33,12 @@ from helpers import GF7, sc
 M = Matrix(1, 2, (1, Fraction(1, 2)), QQ)
 V = Vector((1, 2), QQ)
 W = Vector((3, 4), QQ)
-NB = NullBasis((2,), (V,))
+REL = GraphRelations((2,), ((1, (-2,)),), QQ)
 M_TEXT = "Matrix(rows=1, cols=2, values=(1, Fraction(1, 2)), field=FieldSpec(modulus=None))"
 V_TEXT = "Vector(values=(1, 2), field=FieldSpec(modulus=None))"
-NB_TEXT = f"NullBasis(free_indices=(2,), basis=({V_TEXT},))"
+REL_TEXT = (
+    "GraphRelations(free_indices=(2,), pivot_exprs=((1, (-2,)),), field=FieldSpec(modulus=None))"
+)
 
 # (build a fresh instance, one other value per field, the expected repr)
 CASES = {
@@ -66,12 +67,8 @@ CASES = {
         (M.with_entry(1, 1, 2), (), (2,)),
         f"ReductionResult(rref={M_TEXT}, ops=(Swap(i=1, j=2),), pivot_set=(1,))",
     ),
-    "NullBasis": (lambda: NullBasis((2,), (V,)), ((1,), (W,)), NB_TEXT),
     "GraphRelations": (
-        lambda: GraphRelations((2,), ((1, (-2,)),), QQ),
-        ((3,), ((1, (2,)),), GF7),
-        "GraphRelations(free_indices=(2,), pivot_exprs=((1, (-2,)),),"
-        " field=FieldSpec(modulus=None))",
+        lambda: GraphRelations((2,), ((1, (-2,)),), QQ), ((3,), ((1, (2,)),), GF7), REL_TEXT
     ),
     "LinearSystem": (
         lambda: LinearSystem(M.take_columns([1]), Vector((4,), QQ)),
@@ -81,9 +78,9 @@ CASES = {
     ),
     "Inconsistent": (Inconsistent, (), "Inconsistent()"),
     "Affine": (
-        lambda: Affine(V, NB),
-        (W, NullBasis((), ())),
-        f"Affine(particular={V_TEXT}, homogeneous={NB_TEXT})",
+        lambda: Affine(V, REL),
+        (W, GraphRelations((), (), QQ)),
+        f"Affine(particular={V_TEXT}, homogeneous={REL_TEXT})",
     ),
 }
 
@@ -121,6 +118,18 @@ def test_value_semantics(name):
 
     copy = pickle.loads(pickle.dumps(a))
     assert type(copy) is cls and copy == a and hash(copy) == hash(a)
+
+
+def test_null_basis_is_read_only_and_follows_the_fields():
+    """The basis of a GraphRelations is built from its fields when read:
+    equal values give equal bases, and it cannot be assigned or deleted."""
+    a, b = GraphRelations((2,), ((1, (-2,)),), QQ), GraphRelations((2,), ((1, (-2,)),), QQ)
+    assert a.basis == b.basis == (Vector((-2, 1), QQ),)
+    assert GraphRelations((2,), ((1, (2,)),), GF7).basis == (Vector((2, 1), GF7),)
+    for action in (lambda: setattr(a, "basis", ()), lambda: delattr(a, "basis")):
+        with pytest.raises(AttributeError):
+            action()
+    assert a == b and a.basis == b.basis
 
 
 def test_subclass_builds_its_own_values():
