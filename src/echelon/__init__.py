@@ -5,7 +5,8 @@ column sweep that never touches a row, and classical Gauss-Jordan with a
 replayable row-operation log. On top of the reduced form it exposes the
 null space as a graph over the free coordinates, column span and
 independence tests, row equivalence by reduced forms (the tests check it
-against null_equal's null-space test), and exact solving, over Q or GF(p).
+against null_equal's null-space test), exact solving, and solution
+equivalence as null-space equality of augmented matrices, over Q or GF(p).
 """
 
 from .errors import (

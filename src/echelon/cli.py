@@ -131,7 +131,7 @@ def _cmd_pivots(m) -> tuple[int, dict, str]:
 
 def _cmd_basis(m) -> tuple[int, dict, str]:
     indices = list(gauche_rref(m).pivot_set)
-    columns = [format_values(m.column(j).values) for j in indices]
+    columns = [format_values(m.values[j - 1 :: m.cols]) for j in indices]
     return 0, {"indices": indices, "columns": columns}, _rows_text(columns)
 
 

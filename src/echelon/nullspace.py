@@ -114,12 +114,12 @@ def null_contains(m: Matrix, v: Vector) -> bool:
 def null_equal(a: Matrix, b: Matrix) -> bool:
     """Do the two matrices have the same null space?
 
-    Differently shaped (or differently fielded) matrices live over different
-    coordinate spaces and compare unequal. Equality of spans follows from
-    mutual basis membership because both sides are bases; no orthogonality
-    is involved.
+    The null space of a p x q matrix lies in F^q, so row counts may differ;
+    matrices of different widths or fields compare unequal. Equality of spans
+    follows from mutual basis membership because both sides are bases; no
+    orthogonality is involved.
     """
-    if a.rows != b.rows or a.cols != b.cols or a.field != b.field:
+    if a.cols != b.cols or a.field != b.field:
         return False
     return _mutually_annihilate(a, graph_relations(a), b, graph_relations(b))
 
@@ -127,10 +127,11 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
 def _mutually_annihilate(
     a: Matrix, rel_a: GraphRelations, b: Matrix, rel_b: GraphRelations
 ) -> bool:
-    """Does each matrix kill the basis of the other's null space? For
-    same-shaped a and b, that is equality of their null spaces."""
+    """Does each matrix kill the other's null basis, last vector first (for
+    an augmented matrix, the particular solution's)? For a and b of one
+    width and field, any row counts, that is null-space equality."""
     pairs = ((b, rel_a), (a, rel_b))
-    return all((m @ w).is_zero() for m, rel in pairs for w in rel.basis)
+    return all((m @ w).is_zero() for m, rel in pairs for w in reversed(rel.basis))
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:

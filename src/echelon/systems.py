@@ -1,16 +1,16 @@
 """Linear systems M x = b: exact solving and solution-set comparison.
 
-A system is solved through the reduced form of its augmented matrix; it is
-inconsistent exactly when the right-hand-side column earns a pivot of its
-own. Consistent solution sets are affine: one particular solution (free
-variables pinned to zero) plus the null space of the coefficient matrix.
+A system is read off one sweep of its augmented matrix; it is inconsistent
+exactly when the right-hand-side column earns a pivot. Otherwise its
+solutions are one particular solution plus the coefficient null space, and
+two systems compare by the null spaces of their augmented matrices.
 """
 from __future__ import annotations
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import GraphRelations, _mutually_annihilate, _relations
+from .nullspace import GraphRelations, _mutually_annihilate, _relations, graph_relations
 from .scalars import Frozen
 
 
@@ -68,24 +68,21 @@ def solve(system: LinearSystem) -> SolutionSet:
 def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     """Do two consistent systems of the same size have the same solutions?
 
-    True iff each system's particular solution solves the other and the
-    coefficient matrices share a null space: two affine sets with a common
-    point and equal direction spaces coincide. Inconsistent inputs are
-    rejected; empty solution sets of mismatched systems are not "equal".
+    x solves A x = c exactly when (x, -1) lies in the null space of [A | c],
+    so consistent systems of one size have the same solutions exactly when
+    their augmented matrices share a null space, each read off one sweep; a
+    system is consistent when its right-hand-side column is free. Inconsistent
+    inputs are rejected, as two empty solution sets are not "equal".
     """
     if a.coeff.rows != b.coeff.rows or a.coeff.cols != b.coeff.cols:
         raise ShapeError("solution equivalence needs systems of the same size")
     if a.coeff.field != b.coeff.field:
         raise FieldMismatchError("solution equivalence needs a common field")
-    sol_a = solve(a)
-    sol_b = solve(b)
-    if isinstance(sol_a, Inconsistent) or isinstance(sol_b, Inconsistent):
+    aug_a, aug_b = a.augmented(), b.augmented()
+    rel_a, rel_b = graph_relations(aug_a), graph_relations(aug_b)
+    if aug_a.cols not in rel_a.free_indices or aug_b.cols not in rel_b.free_indices:
         raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
-    return (
-        (b.coeff @ sol_a.particular) == b.rhs
-        and (a.coeff @ sol_b.particular) == a.rhs
-        and _mutually_annihilate(a.coeff, sol_a.homogeneous, b.coeff, sol_b.homogeneous)
-    )
+    return _mutually_annihilate(aug_a, rel_a, aug_b, rel_b)
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:

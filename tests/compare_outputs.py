@@ -11,7 +11,11 @@ workload of perfbench/corpus.py and each seed, the corpus is built once in a
 temporary directory, and every job runs through `echelon.cli.main` under each
 tree in a child process, in `--format plain` and `--format json`. The exit
 code, stdout and stderr of each run are compared; a job that raises records
-`raised <Type>: <message>` in place of its exit code. Prints the number of
+`raised <Type>: <message>` in place of its exit code. A fixed set of edge
+cases runs the same way once: inconsistent, differently sized, GF(2) and
+all-zero `syseq` pairs, and `rref` on a malformed literal, a ragged row, a
+non-UTF-8 byte and a missing file, so diagnostics and exit code 2 are
+compared too. Prints the number of
 runs and each one that differs; exits 1 if any does, and 2, with the child's
 stderr, if a child itself fails (for example, when a tree does not import).
 """
@@ -86,24 +90,66 @@ def main() -> int:
         return _compare(old_src, new_src, args.seeds)
 
 
+# inputs no corpus holds, so that diagnostics and exit code 2 are diffed too:
+# file name -> bytes, then the argvs that read them (with --format appended)
+_EDGE_FILES = {
+    "ok.sys": b"1 0 | 1\n0 1 | 1\n",
+    "twin.sys": b"1 1 | 0\n0 1 | 1\n",
+    "inconsistent.sys": b"1 1 | 0\n1 1 | 1\n",
+    "wide.sys": b"1 0 0 | 1\n0 1 0 | 1\n",
+    "zero.sys": b"0 0 | 0\n0 0 | 0\n",
+    "literal.mat": b"1 2\n3 4x\n",
+    "ragged.mat": b"1 2\n3\n",
+    "bytes.mat": b"1 2\n3 \xff\n",
+}
+_EDGE_ARGVS = [
+    ["syseq", "inconsistent.sys", "ok.sys"],
+    ["syseq", "ok.sys", "inconsistent.sys"],
+    ["syseq", "ok.sys", "wide.sys"],
+    ["syseq", "--field", "gf:2", "ok.sys", "twin.sys"],
+    ["syseq", "ok.sys", "twin.sys"],
+    ["syseq", "zero.sys", "zero.sys"],
+    ["solve", "zero.sys"],
+    ["rref", "literal.mat"],
+    ["rref", "ragged.mat"],
+    ["rref", "bytes.mat"],
+    ["rref", "missing.mat"],
+]
+
+
+def _edge_cases(work: str) -> list[list[str]]:
+    """The edge-case argvs, their files written to work."""
+    for name, data in _EDGE_FILES.items():
+        with open(os.path.join(work, name), "wb") as fh:
+            fh.write(data)
+    return [
+        [os.path.join(work, arg) if arg.endswith((".sys", ".mat")) else arg for arg in argv]
+        for argv in _EDGE_ARGVS
+    ]
+
+
 def _compare(old_src: str, new_src: str, seeds: str) -> int:
     runs = differ = 0
-    for workload in sorted(corpus.WORKLOADS):
-        for seed in map(int, seeds.split(",")):
-            with tempfile.TemporaryDirectory() as work:
-                jobs = corpus.build(workload, seed, work)
-                argvs = [job.argv + ["--format", fmt] for job in jobs for fmt in ("plain", "json")]
-                argvs_path = os.path.join(work, "argvs.json")
-                with open(argvs_path, "w") as fh:
-                    json.dump(argvs, fh)
-                old = _outputs(old_src, argvs_path)
-                new = _outputs(new_src, argvs_path)
-            for argv, a, b in zip(argvs, old, new):
-                if a != b:
-                    differ += 1
-                    print(f"DIFFERS {workload} seed {seed}: {' '.join(argv)}")
-                    print(f"  old {a!r}\n  new {b!r}")
-            runs += len(argvs)
+    groups = [(w, int(seed)) for w in sorted(corpus.WORKLOADS) for seed in seeds.split(",")]
+    for workload, seed in groups + [("edge cases", None)]:
+        with tempfile.TemporaryDirectory() as work:
+            if seed is None:
+                argvs = _edge_cases(work)
+            else:
+                argvs = [job.argv for job in corpus.build(workload, seed, work)]
+            argvs = [argv + ["--format", fmt] for argv in argvs for fmt in ("plain", "json")]
+            argvs_path = os.path.join(work, "argvs.json")
+            with open(argvs_path, "w") as fh:
+                json.dump(argvs, fh)
+            old = _outputs(old_src, argvs_path)
+            new = _outputs(new_src, argvs_path)
+        for argv, a, b in zip(argvs, old, new):
+            if a != b:
+                differ += 1
+                label = workload if seed is None else f"{workload} seed {seed}"
+                print(f"DIFFERS {label}: {' '.join(argv)}")
+                print(f"  old {a!r}\n  new {b!r}")
+        runs += len(argvs)
     print(f"{runs} runs, {differ} differ")
     return 1 if differ else 0
 

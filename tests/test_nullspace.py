@@ -33,6 +33,7 @@ from helpers import (
     random_shape,
     reference_combination,
     sc,
+    scalar_rows,
     vec,
     with_free_entry_moved,
 )
@@ -137,6 +138,19 @@ class TestNullEqual:
 
     def test_field_mismatch_is_false(self):
         assert not null_equal(mat([[1, 0]]), mat([[1, 0]], GF7))
+
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_zero_and_repeated_rows_keep_the_null_space(self, field, bound):
+        """The null space lies in F^q whatever the row count: appending a
+        zero row, or a copy of a row, changes the shape but not the null
+        space."""
+        rng = random.Random(1618)
+        for k in range(30):
+            p, q = random_shape(rng, 5, 6)
+            a = (random_fraction_matrix if k % 2 else random_matrix)(rng, p, q, field, bound)
+            rows = scalar_rows(a)
+            assert null_equal(a, mat(rows + [[0] * q], field))
+            assert null_equal(mat(rows + [rng.choice(rows)], field), a)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_row_operations_preserve_the_null_space(self, field):

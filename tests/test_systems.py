@@ -1,10 +1,12 @@
 """Linear systems: exact solving, solution-set comparison, row equivalence."""
 import collections
+import itertools
 import random
 
 import pytest
 
 from echelon import (
+    GF,
     QQ,
     Affine,
     FieldMismatchError,
@@ -15,6 +17,7 @@ from echelon import (
     Matrix,
     Scale,
     ShapeError,
+    Vector,
     apply_ops,
     columns_independent,
     gauche_rref,
@@ -38,6 +41,7 @@ from helpers import (
     random_matrix,
     random_ops,
     random_shape,
+    random_vector,
     sc,
     system_from_augmented,
     vec,
@@ -165,6 +169,87 @@ class TestSolutionEquivalent:
             assert same_solutions == same_reduced
         assert moved_pairs >= 10
 
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_wide_low_rank_systems(self, field, bound):
+        """Wide consistent systems, most columns free: a row-operation image
+        has the same solutions; a right-hand side shifted by a pivot column
+        moves every solution by a unit vector outside the null space."""
+        rng = random.Random(65)
+        shifted = 0
+        for _ in range(30):
+            p = rng.randint(1, 4)
+            q, rank = rng.randint(12, 30), rng.randint(0, p)
+            m = random_low_rank_matrix(rng, p, q, rank, field, bound)
+            a = LinearSystem(m, m @ random_matrix(rng, q, 1, field, bound).column(1))
+            twin = apply_ops(a.augmented(), random_ops(rng, p, field, max_len=10))
+            assert solution_equivalent(a, system_from_augmented(twin))
+            pivots = gauche_rref(m).pivot_set
+            if pivots:
+                column = m.column(rng.choice(pivots)).entries
+                rhs = vec([x + y for x, y in zip(a.rhs.entries, column)], field)
+                assert not solution_equivalent(a, LinearSystem(m, rhs))
+                shifted += 1
+        assert shifted >= 10
+
+
+def _solution_set(system, p):
+    """Every x in GF(p)^q with A x = c, by exhaustive search in plain
+    modular arithmetic on the raw entries."""
+    q = system.coeff.cols
+    rows = system.augmented().raw_rows()
+    return {
+        x
+        for x in itertools.product(range(p), repeat=q)
+        if all(sum(a * xi for a, xi in zip(row, x)) % p == row[q] for row in rows)
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solution_equivalence_against_exhaustive_solution_sets(p):
+    """Over small prime fields the solution sets themselves are the oracle:
+    with both nonempty, solution_equivalent says whether they are equal, and
+    with either empty it raises. The pairs are row-operation images, the
+    right-hand side moved along the first nonzero column (a pivot column),
+    unrelated systems (often inconsistent), and all-zero coefficient
+    matrices with zero and nonzero right-hand sides."""
+    field, rng = GF(p), random.Random(66 + p)
+    verdicts = collections.Counter()
+    for k in range(60):
+        rows, q = rng.randint(1, 3), rng.randint(1, 4)
+        kind = k % 4
+        if kind == 3:
+            zero, rhs = Matrix.zero(rows, q, field), Vector.zero(rows, field)
+            a, b = (
+                LinearSystem(zero, random_vector(rng, rows, field) if rng.random() < 0.4 else rhs)
+                for _ in range(2)
+            )
+        else:
+            a = random_consistent_system(rng, rows, q, field)
+        if kind == 0:
+            b = system_from_augmented(
+                apply_ops(a.augmented(), random_ops(rng, rows, field, max_len=10))
+            )
+        elif kind == 1:
+            nonzero = [j for j in range(1, q + 1) if not a.coeff.column(j).is_zero()]
+            if not nonzero:
+                continue
+            column = a.coeff.column(nonzero[0]).values
+            b = LinearSystem(a.coeff, vec([c + x for c, x in zip(a.rhs.values, column)], field))
+        elif kind == 2:
+            b = LinearSystem(random_matrix(rng, rows, q, field), random_vector(rng, rows, field))
+        s_a, s_b = _solution_set(a, p), _solution_set(b, p)
+        if s_a and s_b:
+            verdict = solution_equivalent(a, b)
+            assert verdict == (s_a == s_b)
+            if kind < 2:
+                assert verdict == (kind == 0)
+            verdicts[verdict] += 1
+        else:
+            with pytest.raises(InconsistentSystemError):
+                solution_equivalent(a, b)
+            verdicts["inconsistent"] += 1
+    assert min(verdicts.values()) >= 3 and len(verdicts) == 3
+
 
 class TestRowEquivalent:
     def test_worked_example_pair(self):
@@ -237,7 +322,7 @@ class TestOneSweepPerQuestion:
         a = LinearSystem(t, t.column(5))
         b = LinearSystem(doubled, doubled.column(5))
         assert solution_equivalent(a, b)
-        assert sweeps["__init__"] == 2
+        assert sweeps == {"__init__": 2, "eliminate": 2 * (t.cols + 1)}
 
     def test_null_space_views_sweep_once(self, sweeps):
         null_basis(matrix_t())
