@@ -17,7 +17,7 @@ from .errors import EchelonError, ParseError
 from .gauche import gauche_rref
 from .matrices import Matrix
 from .nullspace import basis_rows, graph_relations, relation_lines
-from .rowops import format_op, gauss_jordan, rref_violation
+from .rowops import _gauss_jordan, rref_violation
 from .scalars import GF, QQ, FieldSpec, data_lines, format_values, parse_value, text_lines
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
@@ -166,7 +166,9 @@ def _cmd_equiv(a, b) -> tuple[int, dict, str]:
 
 
 def _cmd_script(m) -> tuple[int, dict, str]:
-    ops = [format_op(op) for op in gauss_jordan(m).ops]
+    # each raw log entry joined by spaces is its line: str of a raw value is
+    # its literal, as format_op writes a Scalar
+    ops = [" ".join(map(str, entry)) for entry in _gauss_jordan(m)[1]]
     return 0, {"ops": ops}, "\n".join(ops)
 
 

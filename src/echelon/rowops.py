@@ -99,25 +99,42 @@ class ReductionResult(Frozen):
 def gauss_jordan(m: Matrix) -> ReductionResult:
     """Eliminate left to right, clearing above and below each pivot as it is
     placed. Pivot choice is the first nonzero entry scanning top to bottom;
-    exact arithmetic needs no magnitude pivoting. Rows are eliminated
-    fraction-free on integers over Q, and as packed ints, one multiply-add
-    per row and pivot, over GF(p). The logged coefficients are the
-    classical ones."""
+    exact arithmetic needs no magnitude pivoting. The logged coefficients
+    are the classical ones. The kernel logs raw tuples; each becomes a
+    RowOp here, its coefficient a Scalar."""
+    rref, log, pivot_set = _gauss_jordan(m)
+    field = m.field
+
+    def op(kind, *args) -> RowOp:
+        if kind == "swap":
+            return Swap._raw(*args)
+        *rows, c = args
+        return (Scale if kind == "scale" else Axpy)._raw(*rows, Scalar._raw(field, c))
+
+    return ReductionResult(rref, tuple([op(*entry) for entry in log]), pivot_set)
+
+
+def _gauss_jordan(m: Matrix) -> tuple[Matrix, list[tuple], tuple[int, ...]]:
+    """The RREF, the raw op log and the pivot set of m, from the kernel of
+    its field. The log holds ("swap", i, j), ("scale", i, c) and
+    ("axpy", i, j, c), c a raw value, so each entry joined by spaces is the
+    op's line in the text form parse_ops reads."""
     return (_fraction_free_gauss_jordan if m.field.modulus is None else _packed_gauss_jordan)(m)
 
 
-def _fraction_free_gauss_jordan(m: Matrix) -> ReductionResult:
-    """Over Q, row i is held as an integer row over the denominator
-    prev * mus[i], which divides to the classical row: prev is the last
-    pivot placed (1 before the first), and mus[i] the least common
+def _fraction_free_gauss_jordan(m: Matrix):
+    """_gauss_jordan over Q. Row i is held as an integer row over the
+    denominator prev * mus[i], which divides to the classical row: prev is
+    the last pivot placed (1 before the first), and mus[i] the least common
     denominator of input row i until that row becomes a pivot row, then 1.
     The steps are fraction-free Gauss-Jordan (Bareiss): with pivot p in the
     pivot row u, every other row w becomes (p*w - w[col]*u) / prev, a
-    division that is always exact, and p becomes prev."""
+    division that is always exact, and p becomes prev. Each logged
+    coefficient is one quotient, a raw value."""
     field = m.field
     cleared = [field.clear(row) for row in m.raw_rows()]
     work, mus = [xs for xs, _ in cleared], [d for _, d in cleared]
-    ops: list[RowOp] = []
+    log: list[tuple] = []
     pivots: list[int] = []
     pivot_row = 0
     prev = 1
@@ -128,10 +145,10 @@ def _fraction_free_gauss_jordan(m: Matrix) -> ReductionResult:
         if pick != pivot_row:
             work[pick], work[pivot_row] = work[pivot_row], work[pick]
             mus[pick], mus[pivot_row] = mus[pivot_row], mus[pick]
-            ops.append(Swap._raw(pivot_row + 1, pick + 1))
+            log.append(("swap", pivot_row + 1, pick + 1))
         pv, d = work[pivot_row][col], prev * mus[pivot_row]
         if pv != d:
-            ops.append(Scale._raw(pivot_row + 1, Scalar._raw(field, field.quotient(d, pv))))
+            log.append(("scale", pivot_row + 1, field.quotient(d, pv)))
         mus[pivot_row] = 1
         prow = work[pivot_row]
         for r in range(m.rows):
@@ -139,8 +156,7 @@ def _fraction_free_gauss_jordan(m: Matrix) -> ReductionResult:
                 continue
             f = work[r][col]
             if f:
-                c = field.quotient(f, prev * mus[r])
-                ops.append(Axpy._raw(r + 1, pivot_row + 1, Scalar._raw(field, c)))
+                log.append(("axpy", r + 1, pivot_row + 1, field.quotient(f, prev * mus[r])))
             if f or pv != prev:
                 work[r] = [(pv * x - f * y) // prev for x, y in zip(work[r], prow)]
         prev = pv
@@ -149,20 +165,20 @@ def _fraction_free_gauss_jordan(m: Matrix) -> ReductionResult:
         if pivot_row == m.rows:
             break
     values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
-    return ReductionResult(Matrix._raw(m.rows, m.cols, values, field), tuple(ops), tuple(pivots))
+    return Matrix._raw(m.rows, m.cols, values, field), log, tuple(pivots)
 
 
-def _packed_gauss_jordan(m: Matrix) -> ReductionResult:
-    """Over GF(p), every row is packed into one int (see FieldSpec). The
-    pivot row is unpacked, reduced and scaled to pivot 1 when it is chosen;
-    every other row w with residue f in the pivot column takes one
-    multiply-add, w + (p - f)*u. A row takes at most one update per pivot,
-    so slot_bits(min(rows, cols)) bounds every slot, and each row is
-    unpacked once more at the end."""
+def _packed_gauss_jordan(m: Matrix):
+    """_gauss_jordan over GF(p). Every row is packed into one int (see
+    FieldSpec). The pivot row is unpacked, reduced and scaled to pivot 1
+    when it is chosen; every other row w with residue f in the pivot column
+    takes one multiply-add, w + (p - f)*u, and f is the logged coefficient.
+    A row takes at most one update per pivot, so slot_bits(min(rows, cols))
+    bounds every slot, and each row is unpacked once more at the end."""
     field, p, cols = m.field, m.field.modulus, m.cols
     w = field.slot_bits(min(m.rows, cols))
     work = [field.pack(row, w) for row in m.raw_rows()]
-    ops: list[RowOp] = []
+    log: list[tuple] = []
     pivots: list[int] = []
     pivot_row = 0
     for col in range(cols):
@@ -171,11 +187,11 @@ def _packed_gauss_jordan(m: Matrix) -> ReductionResult:
             continue
         if pick != pivot_row:
             work[pick], work[pivot_row] = work[pivot_row], work[pick]
-            ops.append(Swap._raw(pivot_row + 1, pick + 1))
+            log.append(("swap", pivot_row + 1, pick + 1))
         prow = field.unpack(work[pivot_row], cols, w)
         if prow[col] != 1:
             c = field.inverse(prow[col])
-            ops.append(Scale._raw(pivot_row + 1, Scalar._raw(field, c)))
+            log.append(("scale", pivot_row + 1, c))
             prow = field.scale_row(c, prow)
         u = work[pivot_row] = field.pack(prow, w)
         for r in range(m.rows):
@@ -183,14 +199,14 @@ def _packed_gauss_jordan(m: Matrix) -> ReductionResult:
                 continue
             f = field.slot(work[r], col, w)
             if f:
-                ops.append(Axpy._raw(r + 1, pivot_row + 1, Scalar._raw(field, f)))
+                log.append(("axpy", r + 1, pivot_row + 1, f))
                 work[r] += (p - f) * u
         pivots.append(col + 1)
         pivot_row += 1
         if pivot_row == m.rows:
             break
     values = tuple(x for row in work for x in field.unpack(row, cols, w))
-    return ReductionResult(Matrix._raw(m.rows, cols, values, field), tuple(ops), tuple(pivots))
+    return Matrix._raw(m.rows, cols, values, field), log, tuple(pivots)
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:

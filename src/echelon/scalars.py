@@ -71,9 +71,10 @@ _new = object.__new__
 class Frozen:
     """Base of the immutable value classes. A subclass names its fields in
     __slots__; its __init__ checks the arguments and sets each field once
-    with _freeze, and _raw builds an instance unchecked. Equality, hash and
-    the Name(field=value, ...) repr follow the class and the fields; fields
-    are read-only, and pickling goes through the constructor."""
+    with _freeze, and _raw, one generic loop for every class, builds an
+    instance unchecked. Equality, hash and the Name(field=value, ...) repr
+    follow the class and the fields; fields are read-only, and pickling
+    goes through the constructor."""
 
     __slots__ = ()
 
@@ -83,35 +84,6 @@ class Frozen:
         for name, value in zip(cls.__slots__, values):
             _set(obj, name, value)
         return obj
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # The op log builds a Scalar and a Scale or an Axpy per eliminated
-        # entry, so for two and three fields _raw is unrolled: each field
-        # is set through its slot's own descriptor.
-        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
-        if len(setters) == 2:
-            set_a, set_b = setters
-
-            def _raw(a, b):
-                obj = _new(cls)
-                set_a(obj, a)
-                set_b(obj, b)
-                return obj
-
-        elif len(setters) == 3:
-            set_a, set_b, set_c = setters
-
-            def _raw(a, b, c):
-                obj = _new(cls)
-                set_a(obj, a)
-                set_b(obj, b)
-                set_c(obj, c)
-                return obj
-
-        else:
-            return
-        cls._raw = staticmethod(_raw)
 
     def _freeze(self, *values) -> None:
         for name, value in zip(self.__slots__, values):

@@ -13,11 +13,13 @@ tree in a child process, in `--format plain` and `--format json`. The exit
 code, stdout and stderr of each run are compared; a job that raises records
 `raised <Type>: <message>` in place of its exit code. A fixed set of edge
 cases runs the same way once: inconsistent, differently sized, GF(2) and
-all-zero `syseq` pairs, and `rref` on a malformed literal, a ragged row, a
-non-UTF-8 byte and a missing file, so diagnostics and exit code 2 are
-compared too. Prints the number of
-runs and each one that differs; exits 1 if any does, and 2, with the child's
-stderr, if a child itself fails (for example, when a tree does not import).
+all-zero `syseq` pairs; `script` on an all-zero matrix and the identity
+(empty logs), on a GF(2) matrix whose first pivot needs a swap and on a Q
+matrix of a/b literals (Fraction coefficients); and `rref` on a malformed
+literal, a ragged row, a non-UTF-8 byte and a missing file, so diagnostics
+and exit code 2 are compared too. Prints the number of runs and each one
+that differs; exits 1 if any does, and 2, with the child's stderr, if a
+child itself fails (for example, when a tree does not import).
 """
 from __future__ import annotations
 
@@ -98,6 +100,10 @@ _EDGE_FILES = {
     "inconsistent.sys": b"1 1 | 0\n1 1 | 1\n",
     "wide.sys": b"1 0 0 | 1\n0 1 0 | 1\n",
     "zero.sys": b"0 0 | 0\n0 0 | 0\n",
+    "zero.mat": b"0 0 0\n0 0 0\n",
+    "eye.mat": b"1 0 0\n0 1 0\n0 0 1\n",
+    "swap.mat": b"0 1 1\n1 0 1\n1 1 1\n",
+    "fractions.mat": b"1/2 2/3 -3/4 1\n5/6 -1/3 7/5 0\n2 1/7 3 -2/9\n",
     "literal.mat": b"1 2\n3 4x\n",
     "ragged.mat": b"1 2\n3\n",
     "bytes.mat": b"1 2\n3 \xff\n",
@@ -110,6 +116,10 @@ _EDGE_ARGVS = [
     ["syseq", "ok.sys", "twin.sys"],
     ["syseq", "zero.sys", "zero.sys"],
     ["solve", "zero.sys"],
+    ["script", "zero.mat"],
+    ["script", "eye.mat"],
+    ["script", "--field", "gf:2", "swap.mat"],
+    ["script", "fractions.mat"],
     ["rref", "literal.mat"],
     ["rref", "ragged.mat"],
     ["rref", "bytes.mat"],

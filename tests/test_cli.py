@@ -28,7 +28,9 @@ from echelon import (
     Scalar,
     Vector,
     apply_ops,
+    format_op,
     gauche_rref,
+    gauss_jordan,
     null_basis,
     parse_ops,
     row_equivalent,
@@ -556,9 +558,9 @@ class TestLongAnswers:
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
 def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
-    """Every command but script (whose logged coefficients are Scalars) reads,
-    reduces and prints raw values on a wide low-rank input: no Scalar is made
-    on the way."""
+    """Every command, script among them (it prints the oracle's raw op log),
+    reads, reduces and prints raw values on a wide low-rank input: no Scalar
+    is made on the way."""
     m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
     mat_path, sys_path = tmp_path / "m.mat", tmp_path / "m.sys"
     mat_path.write_text(str(m) + "\n")
@@ -577,7 +579,7 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
     for cmd, paths, code in [
         ("rref", [mat_path], 0), ("pivots", [mat_path], 0), ("basis", [mat_path], 0),
         ("null", [mat_path], 0), ("graph", [mat_path], 0), ("check", [mat_path], 1),
-        ("solve", [sys_path], 0), ("equiv", [mat_path, mat_path], 0),
+        ("script", [mat_path], 0), ("solve", [sys_path], 0), ("equiv", [mat_path, mat_path], 0),
         ("syseq", [sys_path, sys_path], 0),
     ]:
         for fmt in ("plain", "json"):
@@ -588,6 +590,42 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
     Scalar(field, 2)
     Scalar._raw(field, 2)
     assert calls == ["__init__", "_raw"]
+
+
+def _script_shapes(field, bound):
+    """1x1, all-zero, identity, a first pivot that needs a swap, and wide
+    low-rank inputs for the script tests."""
+    rng = random.Random(21)
+    swap = random_matrix(rng, 4, 5, field, bound).with_entry(1, 1, 0).with_entry(2, 1, 1)
+    return {
+        "1x1": random_matrix(rng, 1, 1, field, bound),
+        "zero": Matrix.zero(3, 4, field),
+        "identity": Matrix.identity(4, field),
+        "swap": swap,
+        "wide": random_low_rank_matrix(rng, 4, 12, 2, field, bound),
+    }
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_script_text_is_format_op_and_replays(field, bound, tmp_path, capsys):
+    """script prints the oracle's raw log; format_op writes the RowOps of
+    gauss_jordan. Both texts agree line by line, plain and JSON, and the
+    printed script replays the input to the sweep's RREF."""
+    flag = "q" if field.modulus is None else f"gf:{field.modulus}"
+    for name, m in _script_shapes(field, bound).items():
+        path = tmp_path / f"{name}.mat"
+        path.write_text(str(m) + "\n")
+        expected = [format_op(op) for op in gauss_jordan(m).ops]
+        assert main(["script", str(path), "--field", flag]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines() == expected, name
+        assert main(["script", str(path), "--field", flag, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ops": expected}, name
+        assert apply_ops(m, parse_ops(text, field)) == gauche_rref(m).rref, name
+        if name == "identity":
+            assert expected == []
+        elif name == "swap":
+            assert expected[0] == "swap 1 2"
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
