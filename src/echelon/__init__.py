@@ -2,11 +2,11 @@
 
 Computes reduced row echelon forms two independent ways: a left-to-right
 column sweep that never touches a row, and classical Gauss-Jordan with a
-replayable row-operation log. On top of the reduced form it exposes the
-null space as a graph over the free coordinates, column span and
-independence tests, row equivalence by reduced forms (the tests check it
-against null_equal's null-space test), exact solving, and solution
-equivalence as null-space equality of augmented matrices, over Q or GF(p).
+replayable row-operation log. Over Q or GF(p), on top of it come the null
+space as a graph over the free coordinates, column span and independence
+tests, row equivalence by reduced forms, exact solving, and null_equal, a
+null-space test by rank and one inclusion (M = M_P·R) that the tests check
+row equivalence against and that decides solution equivalence.
 """
 
 from .errors import (

@@ -41,10 +41,8 @@ class GraphRelations(Frozen):
 
     @property
     def basis(self) -> tuple[Vector, ...]:
-        """The null basis, built when read: free vector k, laid out by
-        basis_rows from the raw coefficients, carries 1 at its own free slot,
-        0 at every other free slot and coefficient k of each pivot
-        expression at that pivot's slot."""
+        """The null basis, built when read: one Vector per free index, laid
+        out by basis_rows from the raw coefficients. Only API callers read it."""
         rows = basis_rows(self.free_indices, self.pivot_exprs, 0, 1)
         return tuple(Vector._raw(tuple(row), self.field) for row in rows)
 
@@ -85,11 +83,11 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     that pivot's row.
     """
     field, values, cols = res.rref.field, res.rref.values, res.rref.cols
-    pivots = [s for s in res.pivot_set if s <= q]
+    p, pivots = field.modulus, [s for s in res.pivot_set if s <= q]
     kept = set(pivots)
     free = tuple(n for n in range(1, q + 1) if n not in kept)
     exprs = tuple(
-        (s, tuple(field.scale_row(-1, [values[i * cols + n - 1] for n in free])))
+        (s, tuple(p - x if p and x else -x for x in [values[i * cols + n - 1] for n in free]))
         for i, s in enumerate(pivots)
     )
     return GraphRelations(free_indices=free, pivot_exprs=exprs, field=field)
@@ -115,23 +113,30 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """Do the two matrices have the same null space?
 
     The null space of a p x q matrix lies in F^q, so row counts may differ;
-    matrices of different widths or fields compare unequal. Equality of spans
-    follows from mutual basis membership because both sides are bases; no
-    orthogonality is involved.
+    matrices of different widths or fields compare unequal. Equal ranks give
+    null spaces of equal dimension, so one inclusion decides it: b kills a's
+    graph basis. No orthogonality is involved.
     """
     if a.cols != b.cols or a.field != b.field:
         return False
-    return _mutually_annihilate(a, graph_relations(a), b, graph_relations(b))
+    return _same_null_space(gauche_rref(a), b, gauche_rref(b))
 
 
-def _mutually_annihilate(
-    a: Matrix, rel_a: GraphRelations, b: Matrix, rel_b: GraphRelations
-) -> bool:
-    """Does each matrix kill the other's null basis, last vector first (for
-    an augmented matrix, the particular solution's)? For a and b of one
-    width and field, any row counts, that is null-space equality."""
-    pairs = ((b, rel_a), (a, rel_b))
-    return all((m @ w).is_zero() for m, rel in pairs for w in reversed(rel.basis))
+def _same_null_space(res: GaucheResult, m: Matrix, res_m: GaucheResult) -> bool:
+    """Null-space equality of m, swept as res_m, and the matrix swept as res:
+    equal ranks, and M = M_P·R on res's free columns, with M_P m's columns at
+    res's pivots; the last column, an augmented right-hand side, goes first."""
+    pivots, rref = res.pivot_set, res.rref
+    if len(pivots) != len(res_m.pivot_set):
+        return False
+    if not pivots:
+        return True
+    m_p, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
+    return all(
+        m_p @ Vector._raw(rref.values[n - 1 : rank * cols : cols], m.field) == m.column(n)
+        for n in range(cols, 0, -1)
+        if n not in kept
+    )
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:

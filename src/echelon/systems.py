@@ -1,16 +1,16 @@
 """Linear systems M x = b: exact solving and solution-set comparison.
 
 A system is read off one sweep of its augmented matrix; it is inconsistent
-exactly when the right-hand-side column earns a pivot. Otherwise its
-solutions are one particular solution plus the coefficient null space, and
-two systems compare by the null spaces of their augmented matrices.
+exactly when the right-hand-side column earns a pivot. Otherwise its solutions
+are a particular solution plus the coefficient null space, and two systems
+compare by the null spaces of their augmented matrices: rank and M = M_P·R.
 """
 from __future__ import annotations
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import GraphRelations, _mutually_annihilate, _relations, graph_relations
+from .nullspace import GraphRelations, _relations, _same_null_space
 from .scalars import Frozen
 
 
@@ -56,7 +56,7 @@ def solve(system: LinearSystem) -> SolutionSet:
     coefficient matrix."""
     q = system.coeff.cols
     res = gauche_rref(system.augmented())
-    if res.pivot_set and res.pivot_set[-1] == q + 1:
+    if q + 1 in res.pivot_set:
         return Inconsistent()
     values = [0] * q
     for s, b in zip(res.pivot_set, res.rref.values[q :: q + 1]):
@@ -70,19 +70,19 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
 
     x solves A x = c exactly when (x, -1) lies in the null space of [A | c],
     so consistent systems of one size have the same solutions exactly when
-    their augmented matrices share a null space, each read off one sweep; a
-    system is consistent when its right-hand-side column is free. Inconsistent
-    inputs are rejected, as two empty solution sets are not "equal".
+    their augmented matrices share a null space: equal ranks and one inclusion,
+    from one sweep each. A system is consistent when its right-hand-side column
+    is free; inconsistent inputs are rejected, as two empty solution sets are not "equal".
     """
     if a.coeff.rows != b.coeff.rows or a.coeff.cols != b.coeff.cols:
         raise ShapeError("solution equivalence needs systems of the same size")
     if a.coeff.field != b.coeff.field:
         raise FieldMismatchError("solution equivalence needs a common field")
-    aug_a, aug_b = a.augmented(), b.augmented()
-    rel_a, rel_b = graph_relations(aug_a), graph_relations(aug_b)
-    if aug_a.cols not in rel_a.free_indices or aug_b.cols not in rel_b.free_indices:
+    q, aug_b = a.coeff.cols, b.augmented()
+    res_a, res_b = gauche_rref(a.augmented()), gauche_rref(aug_b)
+    if q + 1 in res_a.pivot_set or q + 1 in res_b.pivot_set:
         raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
-    return _mutually_annihilate(aug_a, rel_a, aug_b, rel_b)
+    return _same_null_space(res_a, aug_b, res_b)
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:

@@ -13,13 +13,17 @@ tree in a child process, in `--format plain` and `--format json`. The exit
 code, stdout and stderr of each run are compared; a job that raises records
 `raised <Type>: <message>` in place of its exit code. A fixed set of edge
 cases runs the same way once: inconsistent, differently sized, GF(2) and
-all-zero `syseq` pairs; `script` on an all-zero matrix and the identity
+all-zero `syseq` pairs, a one-row all-zero pair and an all-zero system against
+a nonzero one, a 4x12 rank-2 system against a row-operation image of itself
+and against itself with the right-hand side moved, and a pair whose
+coefficient ranks differ; `script` on an all-zero matrix and the identity
 (empty logs), on a GF(2) matrix whose first pivot needs a swap and on a Q
 matrix of a/b literals (Fraction coefficients); and `rref` on a malformed
 literal, a ragged row, a non-UTF-8 byte and a missing file, so diagnostics
-and exit code 2 are compared too. Prints the number of runs and each one
-that differs; exits 1 if any does, and 2, with the child's stderr, if a
-child itself fails (for example, when a tree does not import).
+and exit code 2 are compared too. Prints the number of runs, of edge-case
+runs among them, and each run that differs; exits 1 if any does, and 2, with
+the child's stderr, if a child itself fails (for example, when a tree does not
+import).
 """
 from __future__ import annotations
 
@@ -100,6 +104,29 @@ _EDGE_FILES = {
     "inconsistent.sys": b"1 1 | 0\n1 1 | 1\n",
     "wide.sys": b"1 0 0 | 1\n0 1 0 | 1\n",
     "zero.sys": b"0 0 | 0\n0 0 | 0\n",
+    "zero1.sys": b"0 0 | 0\n",
+    "rank1.sys": b"1 0 0 | 1\n2 0 0 | 2\n",
+    # rows r1, r2, r1 + r2 and 2*r1 - r2: rank 2
+    "low.sys": (
+        b"1 2 0 -1 3 0 1 1 2 0 -2 1 | 3\n"
+        b"0 1 1 2 -1 1 0 3 1 1 0 -1 | 2\n"
+        b"1 3 1 1 2 1 1 4 3 1 -2 0 | 5\n"
+        b"2 3 -1 -4 7 -1 2 -1 3 -1 -4 3 | 4\n"
+    ),
+    # rows r1 + r2, r1, 2*r2 and 3*r1 - r2 of low.sys
+    "low_twin.sys": (
+        b"1 3 1 1 2 1 1 4 3 1 -2 0 | 5\n"
+        b"1 2 0 -1 3 0 1 1 2 0 -2 1 | 3\n"
+        b"0 2 2 4 -2 2 0 6 2 2 0 -2 | 4\n"
+        b"3 5 -1 -5 10 -1 3 0 5 -1 -6 4 | 7\n"
+    ),
+    # low.sys with column 1 added to the right-hand side
+    "low_moved.sys": (
+        b"1 2 0 -1 3 0 1 1 2 0 -2 1 | 4\n"
+        b"0 1 1 2 -1 1 0 3 1 1 0 -1 | 2\n"
+        b"1 3 1 1 2 1 1 4 3 1 -2 0 | 6\n"
+        b"2 3 -1 -4 7 -1 2 -1 3 -1 -4 3 | 6\n"
+    ),
     "zero.mat": b"0 0 0\n0 0 0\n",
     "eye.mat": b"1 0 0\n0 1 0\n0 0 1\n",
     "swap.mat": b"0 1 1\n1 0 1\n1 1 1\n",
@@ -115,6 +142,14 @@ _EDGE_ARGVS = [
     ["syseq", "--field", "gf:2", "ok.sys", "twin.sys"],
     ["syseq", "ok.sys", "twin.sys"],
     ["syseq", "zero.sys", "zero.sys"],
+    ["syseq", "zero1.sys", "zero1.sys"],
+    ["syseq", "zero.sys", "ok.sys"],
+    ["syseq", "low.sys", "low_twin.sys"],
+    ["syseq", "low_twin.sys", "low.sys"],
+    ["syseq", "low.sys", "low_moved.sys"],
+    ["syseq", "--field", "gf:7", "low.sys", "low_moved.sys"],
+    ["syseq", "wide.sys", "rank1.sys"],
+    ["syseq", "rank1.sys", "wide.sys"],
     ["solve", "zero.sys"],
     ["script", "zero.mat"],
     ["script", "eye.mat"],
@@ -139,7 +174,7 @@ def _edge_cases(work: str) -> list[list[str]]:
 
 
 def _compare(old_src: str, new_src: str, seeds: str) -> int:
-    runs = differ = 0
+    runs = differ = edge_runs = 0
     groups = [(w, int(seed)) for w in sorted(corpus.WORKLOADS) for seed in seeds.split(",")]
     for workload, seed in groups + [("edge cases", None)]:
         with tempfile.TemporaryDirectory() as work:
@@ -160,7 +195,8 @@ def _compare(old_src: str, new_src: str, seeds: str) -> int:
                 print(f"DIFFERS {label}: {' '.join(argv)}")
                 print(f"  old {a!r}\n  new {b!r}")
         runs += len(argvs)
-    print(f"{runs} runs, {differ} differ")
+        edge_runs += len(argvs) if seed is None else 0
+    print(f"{runs} runs ({edge_runs} edge cases), {differ} differ")
     return 1 if differ else 0
 
 

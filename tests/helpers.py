@@ -2,6 +2,7 @@
 random generators for matrices, vectors, row operations, and systems."""
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,18 @@ def system_from_augmented(aug: Matrix) -> LinearSystem:
     """Split an augmented matrix back into coefficient part and RHS column."""
     coeff = aug.take_columns(range(1, aug.cols))
     return LinearSystem(coeff, aug.column(aug.cols))
+
+
+def exhaustive_solutions(system: LinearSystem, p: int) -> set[tuple[int, ...]]:
+    """Every x in GF(p)^q with A x = c, by exhaustive search in plain
+    modular arithmetic on the raw entries."""
+    q = system.coeff.cols
+    rows = system.augmented().raw_rows()
+    return {
+        x
+        for x in itertools.product(range(p), repeat=q)
+        if all(sum(a * xi for a, xi in zip(row, x)) % p == row[q] for row in rows)
+    }
 
 
 def random_fraction_system(rng, rows, cols, field, bound=5) -> LinearSystem:

@@ -1,12 +1,15 @@
 """Null-space views: the graph-normalized basis, pivot-variable relations,
 membership and equality, and the column/null-space dictionary."""
+import collections
 import itertools
 import random
 
 import pytest
 
 from echelon import (
+    GF,
     QQ,
+    LinearSystem,
     Matrix,
     Vector,
     apply_ops,
@@ -25,6 +28,7 @@ from helpers import (
     FIELD_CASES,
     FIELDS,
     GF7,
+    exhaustive_solutions,
     mat,
     matrix_t,
     random_fraction_matrix,
@@ -184,6 +188,48 @@ class TestNullEqual:
             same_rref = gauche_rref(a).rref == gauche_rref(b).rref
             assert same_null == same_rref
         assert moved_pairs >= 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_null_equal_against_exhaustive_null_spaces(p):
+    """Over small prime fields the null spaces themselves are the oracle.
+    Each side draws 1-3 rows, independently, over 1-4 columns. The pairs are
+    all-zero matrices (rank 0 on both sides), unrelated matrices, and a
+    matrix against combinations of its rows, in both orders: those null
+    spaces are nested, and equal exactly when the ranks are. With the
+    smaller null space first, its whole graph basis is killed by the other
+    matrix, so only the rank count can reject the pair."""
+    field, rng = GF(p), random.Random(77 + p)
+    seen = collections.Counter()
+    for k in range(80):
+        rows_a, rows_b, q = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        kind = k % 4
+        if kind == 0:
+            a, b = Matrix.zero(rows_a, q, field), Matrix.zero(rows_b, q, field)
+        elif kind == 1:
+            a, b = random_matrix(rng, rows_a, q, field), random_matrix(rng, rows_b, q, field)
+        else:
+            a = random_matrix(rng, rows_a, q, field)
+            picks = [[rng.randrange(p) for _ in range(rows_a)] for _ in range(rows_b)]
+            columns = list(zip(*a.raw_rows()))
+            combined = [[sum(c * x for c, x in zip(cs, col)) for col in columns] for cs in picks]
+            b = mat(combined, field)
+            if kind == 3:
+                a, b = b, a
+        null_a, null_b = (
+            exhaustive_solutions(LinearSystem(m, Vector.zero(m.rows, field)), p) for m in (a, b)
+        )
+        verdict = null_equal(a, b)
+        assert verdict == (null_a == null_b)
+        if kind == 0:
+            seen["zero"] += 1
+        elif null_a < null_b:
+            seen["inside, only the rank rejects"] += 1
+        elif null_b < null_a:
+            seen["contains"] += 1
+        else:
+            seen[verdict] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 5, seen
 
 
 class TestColumnInSpan:

@@ -1,6 +1,5 @@
 """Linear systems: exact solving, solution-set comparison, row equivalence."""
 import collections
-import itertools
 import random
 
 import pytest
@@ -10,6 +9,7 @@ from echelon import (
     QQ,
     Affine,
     FieldMismatchError,
+    GraphRelations,
     Inconsistent,
     InconsistentSystemError,
     KeeperState,
@@ -23,6 +23,7 @@ from echelon import (
     gauche_rref,
     graph_relations,
     null_basis,
+    null_equal,
     row_equivalent,
     solution_equivalent,
     solve,
@@ -32,6 +33,7 @@ from echelon import (
 from helpers import (
     FIELD_CASES,
     FIELDS,
+    exhaustive_solutions,
     mat,
     matrix_j,
     matrix_t,
@@ -192,18 +194,6 @@ class TestSolutionEquivalent:
         assert shifted >= 10
 
 
-def _solution_set(system, p):
-    """Every x in GF(p)^q with A x = c, by exhaustive search in plain
-    modular arithmetic on the raw entries."""
-    q = system.coeff.cols
-    rows = system.augmented().raw_rows()
-    return {
-        x
-        for x in itertools.product(range(p), repeat=q)
-        if all(sum(a * xi for a, xi in zip(row, x)) % p == row[q] for row in rows)
-    }
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_solution_equivalence_against_exhaustive_solution_sets(p):
     """Over small prime fields the solution sets themselves are the oracle:
@@ -237,7 +227,7 @@ def test_solution_equivalence_against_exhaustive_solution_sets(p):
             b = LinearSystem(a.coeff, vec([c + x for c, x in zip(a.rhs.values, column)], field))
         elif kind == 2:
             b = LinearSystem(random_matrix(rng, rows, q, field), random_vector(rng, rows, field))
-        s_a, s_b = _solution_set(a, p), _solution_set(b, p)
+        s_a, s_b = exhaustive_solutions(a, p), exhaustive_solutions(b, p)
         if s_a and s_b:
             verdict = solution_equivalent(a, b)
             assert verdict == (s_a == s_b)
@@ -267,8 +257,6 @@ class TestRowEquivalent:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_agrees_with_null_space_equality(self, field):
-        from echelon import null_equal
-
         rng = random.Random(63)
         for _ in range(40):
             p, q = rng.randint(1, 5), rng.randint(1, 6)
@@ -342,6 +330,21 @@ class TestOneSweepPerQuestion:
         assert not columns_independent(matrix_t(), (1, 2, 3, 4, 5))
         assert sweeps == {"__init__": 1, "eliminate": 3}
 
+
+def test_null_space_tests_build_no_basis(monkeypatch):
+    """null_equal and solution_equivalent read the sweeps as M = M_P·R and
+    never lay out a graph basis: reading GraphRelations.basis fails here."""
+
+    def unread(self):
+        raise AssertionError("GraphRelations.basis was read")
+
+    monkeypatch.setattr(GraphRelations, "basis", property(unread))
+    t = matrix_t()
+    doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
+    assert null_equal(t, doubled) and not null_equal(t, mat([[1, 0, 0, 0, 0]]))
+    a = LinearSystem(t, t.column(5))
+    assert solution_equivalent(a, LinearSystem(doubled, doubled.column(5)))
+    assert not solution_equivalent(a, LinearSystem(t, t.column(1)))
 
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
 def test_homogeneous_part_is_the_null_basis(field, bound):
