@@ -7,7 +7,6 @@ data errors.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import cache, partial
@@ -204,9 +203,44 @@ _COMMANDS = {
 }
 
 
+def _plain_args(argv: list[str]) -> tuple[str, list[str], str, str] | None:
+    """(command, files, field flag, format) of an argv in the plain form,
+    else None: the command first, then exactly its number of FILEs and
+    `--field V`, `--format V`, `--field=V` or `--format=V` in any order,
+    where V does not start with `-`, the format is plain or json, and no
+    other argument starts with `-`. argparse reads such an argv the same
+    way; it reads every other one, and so stays the one author of help,
+    usage and error text."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    files, field, fmt = [], "q", "plain"
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if not eq:
+            value = next(rest, "-")  # a trailing option has no value
+        if value.startswith("-"):
+            return None
+        if name == "--field":
+            field = value
+        elif name == "--format":
+            fmt = value
+        else:
+            return None
+    if fmt not in ("plain", "json") or len(files) != _COMMANDS[argv[0]][2]:
+        return None
+    return argv[0], files, field, fmt
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use."""
+def build_parser():
+    """The one argparse.ArgumentParser of the process, built on first use;
+    only an argv that is not in the plain form loads argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="echelon",
         description="Exact linear algebra: reduced echelon forms, null spaces, and systems.",
@@ -237,22 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parsed_args(argv: list[str]) -> tuple[str, list[str], str, str]:
+    """What _plain_args gives, read by the parser; a usage error, or help,
+    raises SystemExit once argparse has printed it."""
     parser = build_parser()
+    # intermixed: parse_args ends FILE at the first option, so in
+    # `equiv A --field gf:7 B` the B would be an unrecognized argument
+    args = parser.parse_intermixed_args(argv)
+    count = _COMMANDS[args.command][2]
+    if len(args.files) != count:
+        parser.error(
+            f"{args.command} takes {count} FILE{'s' * (count > 1)}, got {len(args.files)}"
+        )
+    return args.command, args.files, args.field, args.fmt
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parsed_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+    command, files, flag, fmt = args
+    handler, parse, _, _ = _COMMANDS[command]
     try:
-        # intermixed: parse_args ends FILE at the first option, so in
-        # `equiv A --field gf:7 B` the B would be an unrecognized argument
-        args = parser.parse_intermixed_args(argv)
-        handler, parse, count, _ = _COMMANDS[args.command]
-        if len(args.files) != count:
-            parser.error(
-                f"{args.command} takes {count} FILE{'s' * (count > 1)}, got {len(args.files)}"
-            )
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        field = _parse_field_flag(args.field)
-        inputs = [parse(_read(path), field) for path in args.files]
+        field = _parse_field_flag(flag)
+        inputs = [parse(_read(path), field) for path in files]
         # answers print in full; input literals keep the interpreter's int
         # digit limit (Python 3.11+), as reading a long one takes quadratic time
         lift = getattr(sys, "set_int_max_str_digits", None)
@@ -262,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code, payload, text = handler(*inputs)
             output = text
-            if args.fmt == "json":
+            if fmt == "json":
                 import json  # plain output never loads it
                 output = json.dumps(payload)
         finally:

@@ -17,9 +17,8 @@ format reads its lines through data_lines.
 """
 from __future__ import annotations
 
-import re
 import sys
-from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add, mul, sub
 
@@ -31,8 +30,15 @@ _SLOT_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QIHB"}
 if sys.byteorder != "little":
     _SLOT_CODES = {}
 
-# optional '-', digits, '/' and more digits; no whitespace inside
-_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)\Z")
+
+def Fraction(numerator, denominator=None):
+    """fractions.Fraction, imported by the first call, which rebinds this
+    name to the class: a run that never makes a non-integer never loads
+    `fractions`, nor the `re`, `enum` and `decimal` it imports."""
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 # Miller-Rabin with the primes 2..41 as bases is exact below this bound
@@ -41,9 +47,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+@cache
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError for n at or above
-    _MR_BOUND, where these bases no longer decide primality."""
+    """Deterministic Miller-Rabin, memoized per modulus; raises ValueError
+    for n at or above _MR_BOUND, where these bases no longer decide
+    primality. FieldSpec rejects a non-int before asking, so the memo,
+    which keys 7.0 like 7, never answers for a float."""
     if n >= _MR_BOUND:
         raise ValueError(f"modulus {n} is too large: primality is only decided below {_MR_BOUND}")
     if n < 43:
@@ -130,11 +139,13 @@ class FieldSpec(Frozen):
         """The raw value of an int or a Fraction: over Q an int where the
         value is whole, else the Fraction; over GF(p) its least residue, a/b
         meaning a times the inverse of b."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
         p = self.modulus
-        if not isinstance(value, Fraction):
+        if isinstance(value, int):
             return int(value) if p is None else value % p
+        # no Fraction exists before `fractions` is loaded
+        fractions = sys.modules.get("fractions")
+        if fractions is None or not isinstance(value, fractions.Fraction):
+            raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
         if p is None:
             return value.numerator if value.denominator == 1 else value
         if value.denominator % p == 0:
@@ -322,10 +333,11 @@ def parse_value(text: str, field: FieldSpec):
     if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
         value = int(text)
         return value if field.modulus is None else value % field.modulus
-    m = _FRACTION.fullmatch(text)
-    if m is None:
+    # otherwise an optional '-', digits, '/' and more digits, all ASCII
+    num, _, den = text.partition("/")
+    if not (text.isascii() and num.removeprefix("-").isdigit() and den.isdigit()):
         raise ParseError(f"malformed scalar literal {text!r}")
-    num, den = int(m.group(1)), int(m.group(2))
+    num, den = int(num), int(den)
     if den == 0:
         raise ZeroDivisionError(f"zero denominator in literal {text!r}")
     if field.modulus is None:

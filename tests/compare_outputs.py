@@ -20,7 +20,11 @@ coefficient ranks differ; `script` on an all-zero matrix and the identity
 (empty logs), on a GF(2) matrix whose first pivot needs a swap and on a Q
 matrix of a/b literals (Fraction coefficients); and `rref` on a malformed
 literal, a ragged row, a non-UTF-8 byte and a missing file, so diagnostics
-and exit code 2 are compared too. Prints the number of runs, of edge-case
+and exit code 2 are compared too. Last come argv forms, each run once as it
+stands: help, no arguments, an unknown command, a missing and an extra FILE,
+options before the command, `--field=V`, an abbreviated `--fo`, a format
+argparse rejects, a trailing `--field`, `--` before a file and a repeated
+`--field`, so that help, usage and error text are compared too. Prints the number of runs, of edge-case
 runs among them, and each run that differs; exits 1 if any does, and 2, with
 the child's stderr, if a child itself fails (for example, when a tree does not
 import).
@@ -134,6 +138,8 @@ _EDGE_FILES = {
     "literal.mat": b"1 2\n3 4x\n",
     "ragged.mat": b"1 2\n3\n",
     "bytes.mat": b"1 2\n3 \xff\n",
+    # the identity over Q, rank 1 over GF(2)
+    "field.mat": b"1 1\n1 3\n",
 }
 _EDGE_ARGVS = [
     ["syseq", "inconsistent.sys", "ok.sys"],
@@ -160,16 +166,35 @@ _EDGE_ARGVS = [
     ["rref", "bytes.mat"],
     ["rref", "missing.mat"],
 ]
+# argv forms on both sides of the boundary between the CLI's plain-form
+# reader and argparse, run as they stand (no --format appended)
+_ARGV_FORMS = [
+    ["--help"],
+    ["rref", "--help"],
+    [],
+    ["frobnicate", "eye.mat"],
+    ["equiv", "eye.mat"],
+    ["rref", "eye.mat", "eye.mat"],
+    ["--field", "gf:2", "rref", "field.mat"],
+    ["rref", "field.mat", "--field=gf:2"],
+    ["rref", "fractions.mat", "--fo", "json"],
+    ["rref", "eye.mat", "--format", "xml"],
+    ["rref", "eye.mat", "--field"],
+    ["rref", "--", "field.mat"],
+    ["rref", "field.mat", "--field", "q", "--field", "gf:2"],
+]
 
 
 def _edge_cases(work: str) -> list[list[str]]:
-    """The edge-case argvs, their files written to work."""
+    """The edge-case argvs, plain and JSON, then the argv forms, their files
+    written to work."""
     for name, data in _EDGE_FILES.items():
         with open(os.path.join(work, name), "wb") as fh:
             fh.write(data)
+    argvs = [argv + ["--format", fmt] for argv in _EDGE_ARGVS for fmt in ("plain", "json")]
     return [
         [os.path.join(work, arg) if arg.endswith((".sys", ".mat")) else arg for arg in argv]
-        for argv in _EDGE_ARGVS
+        for argv in argvs + _ARGV_FORMS
     ]
 
 
@@ -181,8 +206,8 @@ def _compare(old_src: str, new_src: str, seeds: str) -> int:
             if seed is None:
                 argvs = _edge_cases(work)
             else:
-                argvs = [job.argv for job in corpus.build(workload, seed, work)]
-            argvs = [argv + ["--format", fmt] for argv in argvs for fmt in ("plain", "json")]
+                jobs = corpus.build(workload, seed, work)
+                argvs = [job.argv + ["--format", fmt] for job in jobs for fmt in ("plain", "json")]
             argvs_path = os.path.join(work, "argvs.json")
             with open(argvs_path, "w") as fh:
                 json.dump(argvs, fh)

@@ -11,10 +11,11 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echelon.cli
@@ -881,9 +882,10 @@ class TestArgumentForms:
 
 
 def test_one_parser_per_call(t_path, capsys, monkeypatch):
-    """The first main call in a process builds one ArgumentParser, whatever
-    the command (no subparser, no parent parser), and later calls build
-    none: they reuse it, with the same exit code, stdout and stderr as the
+    """Plain argvs (a command, its FILEs, `--field` and `--format`) are read
+    without argparse and build no ArgumentParser. Any other argv builds the
+    process's one parser on first use (no subparser, no parent parser), and
+    later calls reuse it, with the same exit code, stdout and stderr as the
     call that built it."""
     made = []
     init = argparse.ArgumentParser.__init__
@@ -892,26 +894,65 @@ def test_one_parser_per_call(t_path, capsys, monkeypatch):
         "__init__",
         lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs),
     )
-    argvs = [["rref", t_path], ["equiv", t_path, t_path], ["rref"], ["--help"]]
-    codes = [0, 0, 2, 0]
+    plain = [
+        ["rref", t_path],
+        ["equiv", t_path, "--field=gf:7", t_path],
+        ["rref", "--format", "json", t_path, "--field", "q"],
+    ]
+    others, codes = [["rref"], ["--help"]], [2, 0]
 
     def run(argv):
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
 
-    for first, code in zip(argvs, codes):
-        echelon.cli.build_parser.cache_clear()  # as in a fresh process
+    echelon.cli.build_parser.cache_clear()  # as in a fresh process
+    assert [run(argv)[0] for argv in plain] == [0, 0, 0]
+    assert made == []
+    for first, code in zip(others, codes):
+        echelon.cli.build_parser.cache_clear()
         made.clear()
         built = run(first)
         assert made == [1] and built[0] == code, first
-        assert [run(argv)[0] for argv in argvs] == codes
+        assert [run(argv)[0] for argv in plain + others] == [0, 0, 0] + codes
         assert run(first) == built, first
         assert made == [1], first
     # the counter does count
     made.clear()
     argparse.ArgumentParser()
     assert made == [1]
+
+
+# every command name, two file names, both options in each spelling, their
+# values, and arguments that argparse reads in its own ways: abbreviations,
+# help, `--`, a lone dash, a negative number and the empty string
+ARGV_WORDS = [
+    *echelon.cli._COMMANDS, "a.mat", "b.mat", "--field", "--format", "--field=gf:7",
+    "--format=json", "gf:7", "q", "json", "plain", "xml", "--fo", "--fiel", "-h", "--help",
+    "--", "-", "-5", "",
+]
+
+
+# a word, or an option followed by a word: the pairs put the plain form's
+# options next to every value, trailing options among them
+ARGV_CHUNKS = st.sampled_from(ARGV_WORDS).map(lambda word: [word]) | st.tuples(
+    st.sampled_from(["--field", "--format"]), st.sampled_from(ARGV_WORDS)
+).map(list)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(echelon.cli._COMMANDS)), st.lists(ARGV_CHUNKS, max_size=4))
+def test_plain_reader_agrees_with_argparse(command, chunks):
+    """Whatever argv the plain-form reader accepts, argparse accepts too and
+    reads as the same command, files, field and format, with the file count
+    the command takes."""
+    argv = [command, *chain.from_iterable(chunks)]
+    plain = echelon.cli._plain_args(argv)
+    if plain is None:
+        return
+    args = echelon.cli.build_parser().parse_intermixed_args(argv)
+    assert (args.command, args.files, args.field, args.fmt) == plain
+    assert len(args.files) == echelon.cli._COMMANDS[args.command][2]
 
 
 def test_usage_rendered_once(t_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library and the bench's verifier does not import the
 toolkit it checks; at run time, importing the CLI leaves `typing`,
-`dataclasses`, `inspect`, `ast`, `json` and `array` unloaded, the package's
-`__all__` names exactly its public attributes, and the README's library
-quick start prints what its comments say."""
+`dataclasses`, `inspect`, `ast`, `json`, `array`, `argparse`, `fractions`,
+`decimal` and `re` unloaded, a plain-argv job loads neither argparse nor,
+unless its answer holds a fraction, `fractions`; the package's `__all__`
+names exactly its public attributes, and the README's library quick start
+prints what its comments say."""
 import ast
 import contextlib
 import io
@@ -47,14 +49,20 @@ def test_bench_verifier_does_not_import_the_toolkit():
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
 
 
-UNNEEDED_AT_IMPORT = ("typing", "dataclasses", "inspect", "ast", "json", "array")
+UNNEEDED_AT_IMPORT = (
+    "typing", "dataclasses", "inspect", "ast", "json", "array",
+    "argparse", "fractions", "decimal", "re",
+)
 
 
 def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
     """A fresh isolated interpreter without `site`, as the bench's worker
     runs: `import echelon.cli` must not pull in `typing`, `dataclasses`,
-    `inspect`, `ast`, `json` or `array` (only packed GF(p) rows need it),
-    and a `--format json` job in that interpreter still prints its JSON."""
+    `inspect`, `ast`, `json`, `array` (only packed GF(p) rows need it),
+    `argparse` (only an argv not in the plain form needs it), `fractions`
+    (only a non-integer needs it), or the `decimal` and `re` that
+    `fractions` imports, and a `--format json` job in that interpreter still
+    prints its JSON."""
     path = tmp_path / "m.mat"
     path.write_text("2 4\n1 3\n")
     code = (
@@ -68,6 +76,44 @@ def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
     )
     assert out.stdout == '[]\n{"rref": [["1", "0"], ["0", "1"]]}\n'
     assert out.stderr == ""
+
+
+# argparse loads gettext and shutil to build a parser; fractions loads
+# decimal, re and enum
+AFTER_ONE_JOB = ("argparse", "fractions", "re", "decimal", "enum", "gettext", "shutil")
+
+
+@pytest.mark.parametrize(
+    ("argv", "text", "loaded", "unloaded"),
+    [
+        (["rref", "m.mat", "--field", "gf:7"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
+        (["rref", "--format=plain", "m.mat"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
+        (["rref", "m.mat"], "2 1\n", ["fractions"], ["argparse", "gettext", "shutil"]),
+        (["--help"], "", ["argparse"], ["fractions"]),
+    ],
+    ids=["gf", "q-integers", "q-fraction", "help"],
+)
+def test_one_job_loads_only_what_it_needs(argv, text, loaded, unloaded, tmp_path):
+    """In a fresh `python -I -S`, a plain-argv job over GF(p), or over Q
+    with an integer answer, loads none of AFTER_ONE_JOB; a Q answer holding
+    1/2 loads `fractions` but not argparse; `--help` loads argparse."""
+    (tmp_path / "m.mat").write_text(text)
+    code = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import echelon.cli; "
+        "sys.stdout = io.StringIO(); code = echelon.cli.main(sys.argv[2:]); "
+        "sys.stdout = sys.__stdout__; "
+        f"print(code, [name for name in {AFTER_ONE_JOB!r} if name in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    )
+    assert out.stderr == ""
+    code, names = out.stdout.split(" ", 1)
+    found = set(ast.literal_eval(names))
+    assert code == "0"
+    assert found >= set(loaded)
+    assert not found & set(unloaded)
 
 
 def test_export_list_matches_the_public_names():
