@@ -165,9 +165,13 @@ def _cmd_equiv(a, b) -> tuple[int, dict, str]:
 
 
 def _cmd_script(m) -> tuple[int, dict, str]:
-    # each raw log entry joined by spaces is its line: str of a raw value is
-    # its literal, as format_op writes a Scalar
-    ops = [" ".join(map(str, entry)) for entry in _gauss_jordan(m)[1]]
+    # each raw log entry, its fields separated by spaces, is its line: %s of
+    # a raw value is its literal, as format_op writes a Scalar; finish, which
+    # builds the RREF, is never called
+    ops = [
+        ("%s %s %s" if len(entry) == 3 else "%s %s %s %s") % entry
+        for entry in _gauss_jordan(m)[0]
+    ]
     return 0, {"ops": ops}, "\n".join(ops)
 
 
@@ -207,10 +211,10 @@ def _plain_args(argv: list[str]) -> tuple[str, list[str], str, str] | None:
     """(command, files, field flag, format) of an argv in the plain form,
     else None: the command first, then exactly its number of FILEs and
     `--field V`, `--format V`, `--field=V` or `--format=V` in any order,
-    where V does not start with `-`, the format is plain or json, and no
-    other argument starts with `-`. argparse reads such an argv the same
-    way; it reads every other one, and so stays the one author of help,
-    usage and error text."""
+    where V does not start with `-`, every format given is plain or json
+    (argparse checks each, not only the last), and no other argument starts
+    with `-`. argparse reads such an argv the same way; it reads every
+    other one, and so stays the one author of help, usage and error text."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     files, field, fmt = [], "q", "plain"
@@ -226,11 +230,11 @@ def _plain_args(argv: list[str]) -> tuple[str, list[str], str, str] | None:
             return None
         if name == "--field":
             field = value
-        elif name == "--format":
+        elif name == "--format" and value in ("plain", "json"):
             fmt = value
         else:
             return None
-    if fmt not in ("plain", "json") or len(files) != _COMMANDS[argv[0]][2]:
+    if len(files) != _COMMANDS[argv[0]][2]:
         return None
     return argv[0], files, field, fmt
 

@@ -42,7 +42,8 @@ LLQAnswer = Keeper | Subordinate
 
 class KeeperState:
     """Keeper columns admitted so far, as one record per keeper: its
-    leading slot and its eliminated row, never written after admission.
+    leading slot (over GF(p) as a bit shift, with the inverse of its pivot)
+    and its eliminated row, never written after admission.
 
     The leading slots are pairwise distinct. After its dim residual entries
     a row carries coefficients over the original keeper columns: for a
@@ -60,12 +61,15 @@ class KeeperState:
     scaled candidate, so the coefficients are the rest divided by p times
     the scale.
 
-    Over GF(p) every row is packed into one int (see FieldSpec), and each
-    keeper row holds least residues scaled to pivot 1. Against keeper k the
-    candidate takes one multiply-add, w <- w + (p - f)*u_k with f its
-    residue at lead_k; at most dim keepers fit, so slot_bits(dim) bounds
-    every slot, and the candidate is unpacked and reduced once, after the
-    last keeper.
+    Over GF(p) every row is packed into one int (see FieldSpec). A keeper
+    row holds the least residues of its eliminated candidate, unscaled, and
+    p - 1 as its own coefficient; beside it go the inverse of its pivot
+    a_k = u_k[lead_k] and the shift lead_k * w of that slot. Against keeper
+    k the candidate takes one multiply-add, w <- w + (p - f)*u_k with f =
+    w[lead_k] / a_k, reduced mod p; f and every slot of u_k are least
+    residues and at most dim keepers fit, so slot_bits(dim) bounds every
+    slot. The candidate is unpacked and reduced once, after the last
+    keeper, and a new keeper row is packed once, from that reduced row.
 
     One forward pass, O(dim * keepers), settles the question. The
     coefficients are unique because the keeper set stays linearly
@@ -113,9 +117,9 @@ class KeeperState:
                 prev = pivot
             scale *= prev
         else:
-            packed = field.pack(values, w)
-            for lead, u in self._keepers:
-                f = field.slot(packed, lead, w)
+            packed, mask = field.pack(values, w), (1 << w) - 1
+            for shift, inv, u in self._keepers:
+                f = (packed >> shift & mask) * inv % p
                 if f:
                     packed += (p - f) * u
             work, scale = field.unpack(packed, dim + len(self._keepers), w), 1
@@ -123,12 +127,13 @@ class KeeperState:
         lead = next(compress(range(dim), work), None)
         if lead is None:
             return tuple(work[dim:] if scale == 1 else field.quotients(work[dim:], scale))
-        # the keeper's own coefficient cancels its scaled, eliminated column
+        # the keeper's own coefficient, -scale over Q and -1 over GF(p),
+        # cancels its eliminated column
         if p is None:
             self._keepers.append((lead, work + [-scale]))
         else:
-            c = field.inverse(work[lead])
-            self._keepers.append((lead, field.pack(field.scale_row(c, work) + [p - c], w)))
+            work.append(p - 1)
+            self._keepers.append((lead * w, field.inverse(work[lead]), field.pack(work, w)))
         return None
 
 

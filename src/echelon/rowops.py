@@ -102,7 +102,7 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
     exact arithmetic needs no magnitude pivoting. The logged coefficients
     are the classical ones. The kernel logs raw tuples; each becomes a
     RowOp here, its coefficient a Scalar."""
-    rref, log, pivot_set = _gauss_jordan(m)
+    log, pivot_set, finish = _gauss_jordan(m)
     field = m.field
 
     def op(kind, *args) -> RowOp:
@@ -111,14 +111,15 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
         *rows, c = args
         return (Scale if kind == "scale" else Axpy)._raw(*rows, Scalar._raw(field, c))
 
-    return ReductionResult(rref, tuple([op(*entry) for entry in log]), pivot_set)
+    return ReductionResult(finish(), tuple([op(*entry) for entry in log]), pivot_set)
 
 
-def _gauss_jordan(m: Matrix) -> tuple[Matrix, list[tuple], tuple[int, ...]]:
-    """The RREF, the raw op log and the pivot set of m, from the kernel of
-    its field. The log holds ("swap", i, j), ("scale", i, c) and
-    ("axpy", i, j, c), c a raw value, so each entry joined by spaces is the
-    op's line in the text form parse_ops reads."""
+def _gauss_jordan(m: Matrix):
+    """The raw op log and the pivot set of m, from the kernel of its field,
+    and finish(), which builds the RREF from the kernel's rows when called.
+    The log holds ("swap", i, j), ("scale", i, c) and ("axpy", i, j, c), c a
+    raw value, so each entry joined by spaces is the op's line in the text
+    form parse_ops reads."""
     return (_fraction_free_gauss_jordan if m.field.modulus is None else _packed_gauss_jordan)(m)
 
 
@@ -130,7 +131,7 @@ def _fraction_free_gauss_jordan(m: Matrix):
     The steps are fraction-free Gauss-Jordan (Bareiss): with pivot p in the
     pivot row u, every other row w becomes (p*w - w[col]*u) / prev, a
     division that is always exact, and p becomes prev. Each logged
-    coefficient is one quotient, a raw value."""
+    coefficient is one quotient, a raw value; finish divides every row once."""
     field = m.field
     cleared = [field.clear(row) for row in m.raw_rows()]
     work, mus = [xs for xs, _ in cleared], [d for _, d in cleared]
@@ -164,25 +165,32 @@ def _fraction_free_gauss_jordan(m: Matrix):
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
-    return Matrix._raw(m.rows, m.cols, values, field), log, tuple(pivots)
+
+    def finish() -> Matrix:
+        values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
+        return Matrix._raw(m.rows, m.cols, values, field)
+
+    return log, tuple(pivots), finish
 
 
 def _packed_gauss_jordan(m: Matrix):
     """_gauss_jordan over GF(p). Every row is packed into one int (see
-    FieldSpec). The pivot row is unpacked, reduced and scaled to pivot 1
-    when it is chosen; every other row w with residue f in the pivot column
-    takes one multiply-add, w + (p - f)*u, and f is the logged coefficient.
-    A row takes at most one update per pivot, so slot_bits(min(rows, cols))
-    bounds every slot, and each row is unpacked once more at the end."""
+    FieldSpec), and slot col of a row is read inline as its least residue.
+    The pivot row is unpacked, reduced and scaled to pivot 1 when it is
+    chosen; every other row w with residue f in the pivot column takes one
+    multiply-add, w + (p - f)*u, and f is the logged coefficient. A row
+    takes at most one update per pivot, so slot_bits(min(rows, cols)) bounds
+    every slot; finish unpacks every row once."""
     field, p, cols = m.field, m.field.modulus, m.cols
     w = field.slot_bits(min(m.rows, cols))
+    mask = (1 << w) - 1
     work = [field.pack(row, w) for row in m.raw_rows()]
     log: list[tuple] = []
     pivots: list[int] = []
     pivot_row = 0
     for col in range(cols):
-        pick = next((r for r in range(pivot_row, m.rows) if field.slot(work[r], col, w)), None)
+        shift = col * w
+        pick = next((r for r in range(pivot_row, m.rows) if (work[r] >> shift & mask) % p), None)
         if pick is None:
             continue
         if pick != pivot_row:
@@ -197,7 +205,7 @@ def _packed_gauss_jordan(m: Matrix):
         for r in range(m.rows):
             if r == pivot_row:
                 continue
-            f = field.slot(work[r], col, w)
+            f = (work[r] >> shift & mask) % p
             if f:
                 log.append(("axpy", r + 1, pivot_row + 1, f))
                 work[r] += (p - f) * u
@@ -205,8 +213,12 @@ def _packed_gauss_jordan(m: Matrix):
         pivot_row += 1
         if pivot_row == m.rows:
             break
-    values = tuple(x for row in work for x in field.unpack(row, cols, w))
-    return Matrix._raw(m.rows, cols, values, field), log, tuple(pivots)
+
+    def finish() -> Matrix:
+        values = tuple(x for row in work for x in field.unpack(row, cols, w))
+        return Matrix._raw(m.rows, cols, values, field)
+
+    return log, tuple(pivots), finish
 
 
 def apply_ops(m: Matrix, ops) -> Matrix:

@@ -215,10 +215,6 @@ class FieldSpec(Frozen):
             slots = memoryview(data).cast(code)
         return [x % p for x in slots]
 
-    def slot(self, packed: int, j: int, w: int) -> int:
-        """The least residue of slot j of a packed row."""
-        return (packed >> w * j & (1 << w) - 1) % self.modulus
-
     def quotient(self, x, d):
         """Over Q, the raw value of x over the nonzero d, as quotients gives
         it."""

@@ -23,11 +23,12 @@ literal, a ragged row, a non-UTF-8 byte and a missing file, so diagnostics
 and exit code 2 are compared too. Last come argv forms, each run once as it
 stands: help, no arguments, an unknown command, a missing and an extra FILE,
 options before the command, `--field=V`, an abbreviated `--fo`, a format
-argparse rejects, a trailing `--field`, `--` before a file and a repeated
-`--field`, so that help, usage and error text are compared too. Prints the number of runs, of edge-case
-runs among them, and each run that differs; exits 1 if any does, and 2, with
-the child's stderr, if a child itself fails (for example, when a tree does not
-import).
+argparse rejects, a trailing `--field`, `--` before a file, a repeated
+`--field`, and a rejected `--format` followed by a good one, so that help,
+usage and error text are compared too. Prints the number of runs, of
+edge-case runs among them, and each run that differs; exits 1 if any does,
+and 2, with the child's stderr, if a child itself fails (for example, when a
+tree does not import).
 """
 from __future__ import annotations
 
@@ -182,6 +183,7 @@ _ARGV_FORMS = [
     ["rref", "eye.mat", "--field"],
     ["rref", "--", "field.mat"],
     ["rref", "field.mat", "--field", "q", "--field", "gf:2"],
+    ["rref", "field.mat", "--format", "bogus", "--format", "json"],
 ]
 
 

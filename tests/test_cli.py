@@ -15,7 +15,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import echelon.cli
@@ -37,7 +37,7 @@ from echelon import (
     row_equivalent,
     solve,
 )
-from echelon.scalars import parse_value
+from echelon.scalars import FieldSpec, parse_value
 from echelon.cli import main, parse_matrix, parse_system
 
 from helpers import (
@@ -381,6 +381,31 @@ class TestScript:
     def test_reduced_input_gives_empty_script(self, eye_path, capsys):
         assert main(["script", eye_path]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
+    def test_script_builds_no_rref(self, field, tmp_path, capsys, monkeypatch):
+        """`script` prints the oracle's log without building its reduced
+        form: over GF(p) it unpacks at most one row per pivot (the pivot row,
+        when chosen), not every row again at the end; over Q it takes one
+        quotient per logged coefficient and none to divide the rows back."""
+        m = random_matrix(random.Random(2024), 12, 13, field)
+        path = tmp_path / "m.mat"
+        path.write_text(str(m) + "\n")
+        pivots = len(gauss_jordan(m).pivot_set)
+        name = "quotients" if field.modulus is None else "unpack"
+        calls = []
+        kernel = getattr(FieldSpec, name)
+        monkeypatch.setattr(
+            FieldSpec, name, lambda self, *args: calls.append(1) or kernel(self, *args)
+        )
+        flag = "q" if field.modulus is None else f"gf:{field.modulus}"
+        assert main(["script", str(path), "--field", flag]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert pivots == 12 and lines
+        if field.modulus is None:
+            assert len(calls) == sum(not line.startswith("swap") for line in lines)
+        else:
+            assert 0 < len(calls) <= pivots
 
 
 class TestSolve:
@@ -942,6 +967,7 @@ ARGV_CHUNKS = st.sampled_from(ARGV_WORDS).map(lambda word: [word]) | st.tuples(
 
 @settings(max_examples=500, deadline=None)
 @given(st.sampled_from(list(echelon.cli._COMMANDS)), st.lists(ARGV_CHUNKS, max_size=4))
+@example(command="rref", chunks=[["rref"], ["--format", "rref"], ["--format", "json"]])
 def test_plain_reader_agrees_with_argparse(command, chunks):
     """Whatever argv the plain-form reader accepts, argparse accepts too and
     reads as the same command, files, field and format, with the file count
@@ -953,6 +979,15 @@ def test_plain_reader_agrees_with_argparse(command, chunks):
     args = echelon.cli.build_parser().parse_intermixed_args(argv)
     assert (args.command, args.files, args.field, args.fmt) == plain
     assert len(args.files) == echelon.cli._COMMANDS[args.command][2]
+
+
+def test_every_format_value_is_checked(t_path, capsys):
+    """A bad --format is an error even when a good one follows it, as
+    argparse checks each value it reads, not only the last."""
+    assert main(["rref", t_path, "--format", "bogus", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --format: invalid choice: 'bogus'" in err
 
 
 def test_usage_rendered_once(t_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from echelon import (
     GF,
     Keeper,
     KeeperState,
+    Scale,
     Subordinate,
     column_in_span,
     columns_independent,
@@ -119,9 +120,11 @@ def test_llq_one_column_at_a_time(field):
 
 def test_packed_kernels_unpack_once_per_column_or_pivot(monkeypatch):
     """On an 80x81 GF(32003) input the sweep packs and unpacks each column
-    once and packs each keeper row once; the oracle packs each row once and
-    each pivot row again, and unpacks one row per pivot plus each row once
-    at the end. A per-entry loop would unpack far more, or never."""
+    once and packs each keeper row once, from the reduced row as it stands:
+    it never scales a keeper row to pivot 1. The oracle packs each row once
+    and each pivot row again, scales each pivot row it logs a scale for,
+    and unpacks one row per pivot plus each row once at the end. A
+    per-entry loop would unpack far more, or never."""
     field = GF(32003)
     m = uniform(random.Random(8081), 80, 81, field)
     calls = []
@@ -129,14 +132,17 @@ def test_packed_kernels_unpack_once_per_column_or_pivot(monkeypatch):
     def counted(name, fn):
         return lambda self, *args: calls.append(name) or fn(self, *args)
 
-    for name in ("pack", "unpack"):
+    for name in ("pack", "unpack", "scale_row"):
         monkeypatch.setattr(FieldSpec, name, counted(name, getattr(FieldSpec, name)))
     res = gauche_rref(m)
     assert len(res.pivot_set) == 80
     assert calls.count("unpack") == m.cols
     assert calls.count("pack") == m.cols + len(res.pivot_set)
+    assert calls.count("scale_row") == 0
     calls.clear()
     oracle = gauss_jordan(m)
     assert oracle.rref == res.rref
     assert calls.count("unpack") == len(oracle.pivot_set) + m.rows
     assert calls.count("pack") == m.rows + len(oracle.pivot_set)
+    scales = sum(isinstance(op, Scale) for op in oracle.ops)
+    assert 0 < scales == calls.count("scale_row")

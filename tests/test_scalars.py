@@ -179,10 +179,7 @@ class TestFieldSpec:
                         ys, f = [rng.randrange(p) for _ in range(n)], rng.randrange(1, p)
                         packed += (p - f) * field.pack(ys, w)
                         expected = [x - Scalar(field, f) * y for x, y in zip(expected, scalars(ys))]
-                    assert scalars(field.unpack(packed, n, w)) == expected
-                    assert [field.slot(packed, j, w) for j in range(n)] == [
-                        x.value for x in expected
-                    ]
+                    assert field.unpack(packed, n, w) == [x.value for x in expected]
                     # the heaviest slots the width allows: no carry crosses
                     # into the next slot
                     top = field.pack([p - 1] * n, w) * (1 + updates * (p - 1))
