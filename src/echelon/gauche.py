@@ -151,6 +151,27 @@ class GaucheResult(Frozen):
         return tuple(self.rref.column(n) for n in range(1, self.rref.cols + 1))
 
 
+# The prime of the GF(P) image of a Q matrix. Below 2**28 a packed row keeps
+# 64-bit slots for up to 256 keepers (FieldSpec.slot_bits).
+P = 268435399
+_IMAGE = FieldSpec(P)
+
+
+def _image_independent(m: Matrix, js) -> bool:
+    """True proves columns js (1-based) of the Q matrix m linearly
+    independent: their images mod P are. A minor nonzero mod P is nonzero
+    over Q, so rank can only drop in the image; False means only "unknown".
+    Each column is reduced mod P as the sweep reaches it, and the sweep
+    stops at the first column dependent mod P; a denominator P divides
+    (ZeroDivisionError) also answers False."""
+    eliminate, raw = KeeperState(_IMAGE, m.rows).eliminate, _IMAGE.raw
+    values, cols = m.values, m.cols
+    try:
+        return all(eliminate([raw(v) for v in values[j - 1 :: cols]]) is None for j in js)
+    except ZeroDivisionError:
+        return False
+
+
 def gauche_rref(m: Matrix) -> GaucheResult:
     """Sweep the columns once, left to right, and write each journal into
     its column of the RREF: the (l+1)th keeper journals as e_{l+1}, a
@@ -168,3 +189,15 @@ def gauche_rref(m: Matrix) -> GaucheResult:
         else:
             values[j : len(coefficients) * cols : cols] = coefficients
     return GaucheResult(Matrix._raw(dim, cols, tuple(values), field), tuple(pivots))
+
+
+def _pivot_set(m: Matrix) -> tuple[int, ...]:
+    """The pivot set of m, as gauche_rref gives it. The greedy sweep keeps
+    every column independent of the keepers to its left, so when the first
+    r = min(rows, cols) columns of a Q matrix are independent, the keepers
+    are 1..r and the rank is full: their GF(P) image settles that without
+    the exact sweep. Otherwise, and over GF(p), the sweep runs."""
+    r = min(m.rows, m.cols)
+    if m.field.modulus is None and _image_independent(m, range(1, r + 1)):
+        return tuple(range(1, r + 1))
+    return gauche_rref(m).pivot_set

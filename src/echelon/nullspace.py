@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .gauche import GaucheResult, KeeperState, gauche_rref
+from .gauche import GaucheResult, KeeperState, _image_independent, gauche_rref
 from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
@@ -113,30 +113,39 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """Do the two matrices have the same null space?
 
     The null space of a p x q matrix lies in F^q, so row counts may differ;
-    matrices of different widths or fields compare unequal. Equal ranks give
-    null spaces of equal dimension, so one inclusion decides it: b kills a's
-    graph basis. No orthogonality is involved.
+    matrices of different widths or fields compare unequal. Only a is
+    swept, as a = a_P·R with R its RREF. b kills a's null space exactly
+    when b = b_P·R, b_P being b's columns at a's pivots; R has full row
+    rank, so b's rank is then b_P's, and the null spaces are equal exactly
+    when b_P has full column rank. No orthogonality is involved.
     """
     if a.cols != b.cols or a.field != b.field:
         return False
-    return _same_null_space(gauche_rref(a), b, gauche_rref(b))
+    res = gauche_rref(a)
+    return _factors_through(res, b) and _full_column_rank(b, res.pivot_set)
 
 
-def _same_null_space(res: GaucheResult, m: Matrix, res_m: GaucheResult) -> bool:
-    """Null-space equality of m, swept as res_m, and the matrix swept as res:
-    equal ranks, and M = M_P·R on res's free columns, with M_P m's columns at
-    res's pivots; the last column, an augmented right-hand side, goes first."""
-    pivots, rref = res.pivot_set, res.rref
-    if len(pivots) != len(res_m.pivot_set):
-        return False
+def _factors_through(res: GaucheResult, m: Matrix) -> bool:
+    """Does m kill the null space of the matrix swept as res: m = m_P·R, R
+    res's RREF and m_P m's columns at its pivots? Tested on R's free
+    columns, the last one (an augmented right-hand side) first; with no
+    pivots, m must be zero."""
+    pivots, rref, field = res.pivot_set, res.rref, m.field
     if not pivots:
-        return True
+        return not any(m.values)
     m_p, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
     return all(
-        m_p @ Vector._raw(rref.values[n - 1 : rank * cols : cols], m.field) == m.column(n)
+        m_p @ Vector._raw(rref.values[n - 1 : rank * cols : cols], field) == m.column(n)
         for n in range(cols, 0, -1)
         if n not in kept
     )
+
+
+def _full_column_rank(m: Matrix, js: Sequence[int]) -> bool:
+    """Are columns js of m independent? Over Q their GF(P) image settles it
+    unless the image drops rank; only then, and over GF(p), does the exact,
+    stopping sweep of columns_independent run."""
+    return m.field.modulus is None and _image_independent(m, js) or columns_independent(m, js)
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:

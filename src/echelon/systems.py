@@ -3,14 +3,16 @@
 A system is read off one sweep of its augmented matrix; it is inconsistent
 exactly when the right-hand-side column earns a pivot. Otherwise its solutions
 are a particular solution plus the coefficient null space, and two systems
-compare by the null spaces of their augmented matrices: rank and M = M_P·R.
+compare by the null spaces of their augmented matrices: M = M_P·R off the
+first one's sweep, and the rank of the second one's columns at its pivots.
+The second is swept only when they differ, to tell an inconsistent system.
 """
 from __future__ import annotations
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
 from .gauche import gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import GraphRelations, _relations, _same_null_space
+from .nullspace import GraphRelations, _factors_through, _full_column_rank, _relations
 from .scalars import Frozen
 
 
@@ -70,19 +72,26 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
 
     x solves A x = c exactly when (x, -1) lies in the null space of [A | c],
     so consistent systems of one size have the same solutions exactly when
-    their augmented matrices share a null space: equal ranks and one inclusion,
-    from one sweep each. A system is consistent when its right-hand-side column
-    is free; inconsistent inputs are rejected, as two empty solution sets are not "equal".
+    their augmented matrices share a null space (null_equal). A system is
+    consistent when its right-hand-side column is free; inconsistent inputs
+    are rejected, as two empty solution sets are not "equal". Only [A | c]
+    is swept, as [A | c] = [A | c]_P·R. When [B | d] = [B | d]_P·R too, d is
+    B_P times R's last column, P lying among the coefficient columns, so
+    [B | d] is consistent and a rank decides. Otherwise the solution sets
+    differ, and [B | d] is swept only to reject it if it is inconsistent.
     """
     if a.coeff.rows != b.coeff.rows or a.coeff.cols != b.coeff.cols:
         raise ShapeError("solution equivalence needs systems of the same size")
     if a.coeff.field != b.coeff.field:
         raise FieldMismatchError("solution equivalence needs a common field")
     q, aug_b = a.coeff.cols, b.augmented()
-    res_a, res_b = gauche_rref(a.augmented()), gauche_rref(aug_b)
-    if q + 1 in res_a.pivot_set or q + 1 in res_b.pivot_set:
+    res_a = gauche_rref(a.augmented())
+    consistent = q + 1 not in res_a.pivot_set
+    if consistent and _factors_through(res_a, aug_b):
+        return _full_column_rank(aug_b, res_a.pivot_set)
+    if not consistent or q + 1 in gauche_rref(aug_b).pivot_set:
         raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
-    return _same_null_space(res_a, aug_b, res_b)
+    return False
 
 
 def row_equivalent(a: Matrix, b: Matrix) -> bool:

@@ -15,12 +15,17 @@ code, stdout and stderr of each run are compared; a job that raises records
 cases runs the same way once: inconsistent, differently sized, GF(2) and
 all-zero `syseq` pairs, a one-row all-zero pair and an all-zero system against
 a nonzero one, a 4x12 rank-2 system against a row-operation image of itself
-and against itself with the right-hand side moved, and a pair whose
-coefficient ranks differ; `script` on an all-zero matrix and the identity
-(empty logs), on a GF(2) matrix whose first pivot needs a swap and on a Q
-matrix of a/b literals (Fraction coefficients); and `rref` on a malformed
-literal, a ragged row, a non-UTF-8 byte and a missing file, so diagnostics
-and exit code 2 are compared too. Last come argv forms, each run once as it
+and against itself with the right-hand side moved, a pair whose
+coefficient ranks differ, and the identity system against two systems whose
+coefficient part diag(1, P) loses rank mod P = 268435399, the prime of the
+rank shortcut (one equivalent, also run the other way round, and one not);
+`script` on an all-zero matrix and the identity (empty logs), on a GF(2)
+matrix whose first pivot needs a swap and on a Q matrix of a/b literals
+(Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
+minor is P, on one holding the literal 1/P (no image mod P) and on a wide
+full-row-rank Q matrix; and `rref` on a malformed literal, a ragged row, a
+non-UTF-8 byte and a missing file, so diagnostics and exit code 2 are
+compared too. Last come argv forms, each run once as it
 stands: help, no arguments, an unknown command, a missing and an extra FILE,
 options before the command, `--field=V`, an abbreviated `--fo`, a format
 argparse rejects, a trailing `--field`, `--` before a file, a repeated
@@ -141,6 +146,14 @@ _EDGE_FILES = {
     "bytes.mat": b"1 2\n3 \xff\n",
     # the identity over Q, rank 1 over GF(2)
     "field.mat": b"1 1\n1 3\n",
+    # inputs whose image mod 268435399, the prime of the rank shortcut, loses
+    # rank or does not exist: a leading 2x2 minor of 268435399, a literal
+    # 1/268435399, and systems whose coefficient part is diag(1, 268435399)
+    "minor_p.mat": b"268435399 0 1\n0 1 0\n",
+    "inverse_p.mat": b"1/268435399 1\n2/268435399 2\n",
+    "wide_full.mat": b"1 2 0 -1 3 0 1\n0 1 1 2 -1 1 0\n2 -3 1 1/2 4 0 5\n",
+    "diag_p.sys": b"1 0 | 1\n0 268435399 | 268435399\n",
+    "diag_p_moved.sys": b"1 0 | 1\n0 268435399 | 1\n",
 }
 _EDGE_ARGVS = [
     ["syseq", "inconsistent.sys", "ok.sys"],
@@ -157,11 +170,20 @@ _EDGE_ARGVS = [
     ["syseq", "--field", "gf:7", "low.sys", "low_moved.sys"],
     ["syseq", "wide.sys", "rank1.sys"],
     ["syseq", "rank1.sys", "wide.sys"],
+    ["syseq", "ok.sys", "diag_p.sys"],
+    ["syseq", "diag_p.sys", "ok.sys"],
+    ["syseq", "ok.sys", "diag_p_moved.sys"],
     ["solve", "zero.sys"],
     ["script", "zero.mat"],
     ["script", "eye.mat"],
     ["script", "--field", "gf:2", "swap.mat"],
     ["script", "fractions.mat"],
+    ["pivots", "minor_p.mat"],
+    ["basis", "minor_p.mat"],
+    ["pivots", "inverse_p.mat"],
+    ["basis", "inverse_p.mat"],
+    ["pivots", "wide_full.mat"],
+    ["basis", "wide_full.mat"],
     ["rref", "literal.mat"],
     ["rref", "ragged.mat"],
     ["rref", "bytes.mat"],

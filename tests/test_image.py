@@ -1,0 +1,229 @@
+"""Rank-only questions over Q settled on the GF(P) image of the sweep.
+
+`pivots` and `basis` on a Q matrix whose leading columns have full rank mod
+P, and the rank half of `null_equal` and `solution_equivalent`, must answer
+exactly as the exact sweep does; where the image drops rank, or cannot be
+taken because P divides a denominator, the exact route must run instead.
+Entries are small integers, a/b literals and 64-bit integers.
+"""
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import echelon.nullspace
+from echelon import (
+    QQ,
+    InconsistentSystemError,
+    LinearSystem,
+    Matrix,
+    apply_ops,
+    gauche_rref,
+    null_equal,
+    solution_equivalent,
+)
+from echelon.cli import main
+from echelon.gauche import P, _image_independent
+from echelon.scalars import format_values
+
+from helpers import mat, random_ops, system_from_augmented, vec
+
+KINDS = ["small", "a/b", "int64"]
+
+
+def _entry(rng, kind):
+    if kind == "small":
+        return rng.randint(-5, 5)
+    if kind == "a/b":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    return rng.randint(-(2**63), 2**63)
+
+
+def _dense(rng, rows, cols, kind) -> Matrix:
+    return mat([[_entry(rng, kind) for _ in range(cols)] for _ in range(rows)])
+
+
+def _low_rank(rng, rows, cols, rank, kind) -> Matrix:
+    """A product of random rows x rank and rank x cols factors, so of rank
+    at most `rank`."""
+    left = [[_entry(rng, kind) for _ in range(rank)] for _ in range(rows)]
+    right = [[_entry(rng, kind) for _ in range(cols)] for _ in range(rank)]
+    return mat(
+        [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left]
+    )
+
+
+def _shapes(rng):
+    """Dense n x (n+1), wide full-row-rank, tall, and low-rank inputs, among
+    them rank min(rows, cols) - 1, where the first r - 1 columns are
+    independent and column r is not."""
+    for n in range(1, 7):
+        yield "dense", (n, n + 1, None)
+    for _ in range(4):
+        rows = rng.randint(1, 4)
+        yield "wide", (rows, rng.randint(rows + 2, 3 * rows + 4), None)
+        cols = rng.randint(1, 4)
+        yield "tall", (cols + rng.randint(1, 3), cols, None)
+    for _ in range(6):
+        rows, cols = rng.randint(2, 5), rng.randint(2, 9)
+        yield "low", (rows, cols, min(rows, cols) - 1)
+        yield "low", (rows, cols, rng.randint(0, min(rows, cols) - 1))
+
+
+def _write(tmp_path, m: Matrix) -> str:
+    path = tmp_path / "m.mat"
+    path.write_text("".join(" ".join(format_values(row)) + "\n" for row in m.raw_rows()))
+    return str(path)
+
+
+def _cli_json(capsys, *argv):
+    capsys.readouterr()
+    code = main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+# the leading 2x2 minor is P: zero mod P, while the pivots are 1 and 2
+CRAFTED_ZERO_MINOR = [[P, 0, 1], [0, 1, 0]]
+# P divides a denominator, so no image exists: rank 1, pivot 1
+CRAFTED_INVERSE_P = [[Fraction(1, P), 1], [Fraction(2, P), 2]]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_pivots_and_basis_match_the_sweep(kind, tmp_path, capsys):
+    """Both the image path and the sweep are taken, and agree with the sweep."""
+    rng = random.Random(f"pivots-{kind}")
+    routes = set()
+    for shape, (rows, cols, rank) in _shapes(rng):
+        if rank is None:
+            m = _dense(rng, rows, cols, kind)
+        else:
+            m = _low_rank(rng, rows, cols, rank, kind)
+        routes.add(_image_independent(m, range(1, min(rows, cols) + 1)))
+        path = _write(tmp_path, m)
+        expected = list(gauche_rref(m).pivot_set)
+        assert _cli_json(capsys, "pivots", path) == (0, {"pivots": expected}), (shape, m)
+        columns = [format_values(m.values[j - 1 :: m.cols]) for j in expected]
+        basis = {"indices": expected, "columns": columns}
+        assert _cli_json(capsys, "basis", path) == (0, basis), (shape, m)
+    assert routes == {True, False}
+
+
+@pytest.mark.parametrize(
+    ("rows", "pivots"),
+    [
+        (CRAFTED_ZERO_MINOR, [1, 2]),
+        (CRAFTED_INVERSE_P, [1]),
+        ([[Fraction(1, P), 0], [0, 1]], [1, 2]),
+    ],
+    ids=["minor-P", "1/P-rank-1", "1/P-full-rank"],
+)
+def test_cli_pivots_fall_back_when_the_image_fails(rows, pivots, tmp_path, capsys):
+    m = mat(rows)
+    assert not _image_independent(m, range(1, min(m.rows, m.cols) + 1))
+    path = _write(tmp_path, m)
+    assert list(gauche_rref(m).pivot_set) == pivots
+    assert _cli_json(capsys, "pivots", path) == (0, {"pivots": pivots})
+    code, basis = _cli_json(capsys, "basis", path)
+    assert (code, basis["indices"]) == (0, pivots)
+
+
+@pytest.fixture
+def exact_checks(monkeypatch):
+    """The calls of the exact columns_independent that null-space equality makes."""
+    calls = []
+    exact = echelon.nullspace.columns_independent
+
+    def counted(m, js):
+        calls.append(tuple(js))
+        return exact(m, js)
+
+    monkeypatch.setattr(echelon.nullspace, "columns_independent", counted)
+    return calls
+
+
+def test_image_rank_drop_takes_the_exact_route(exact_checks):
+    """diag(1, P) has full rank over Q, rank 1 mod P: a = I and b = diag(1, P)
+    share the null space {0}, and only the exact sweep can tell."""
+    eye, diag = mat([[1, 0], [0, 1]]), mat([[1, 0], [0, P]])
+    assert null_equal(eye, diag) and exact_checks == [(1, 2)]
+    exact_checks.clear()
+    a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, P]))
+    assert solution_equivalent(a, b) and exact_checks == [(1, 2)]
+    exact_checks.clear()
+    # the other way round the image of I keeps full rank
+    assert solution_equivalent(b, a) and exact_checks == []
+
+
+def test_inconsistent_or_excluded_b_answers_as_before():
+    """An inconsistent system on either side raises; a B that fails the
+    inclusion, here diag(1, P) with the solution (1, 1/P), is swept and
+    compares unequal."""
+    eye = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+    inconsistent = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
+    for a, b in ((eye, inconsistent), (inconsistent, eye)):
+        with pytest.raises(InconsistentSystemError):
+            solution_equivalent(a, b)
+    assert not solution_equivalent(eye, LinearSystem(mat([[1, 0], [0, P]]), vec([1, 1])))
+
+
+def test_unknown_image_is_never_independent(exact_checks):
+    """1/P has no image mod P: the exact sweep decides, and a rank-deficient
+    b_P is not taken as independent."""
+    eye = mat([[1, 0], [0, 1]])
+    assert not null_equal(eye, mat(CRAFTED_INVERSE_P)) and exact_checks == [(1, 2)]
+    assert null_equal(eye, mat([[Fraction(1, P), 0], [0, 1]]))
+    aug = mat([[Fraction(1, P), Fraction(2, P), Fraction(3, P)], [1, 2, 3]])
+    a = LinearSystem(eye, vec([1, 1]))
+    assert not solution_equivalent(a, system_from_augmented(aug))
+
+
+def _same_rows(a: Matrix, b: Matrix) -> bool:
+    """Equal null spaces: equal nonzero rows of the two RREFs."""
+
+    def nonzero(m):
+        return [row for row in gauche_rref(m).rref.raw_rows() if any(row)]
+
+    return nonzero(a) == nonzero(b)
+
+
+def _consistent(aug: Matrix) -> bool:
+    return aug.cols not in gauche_rref(aug).pivot_set
+
+
+def _partners(rng, aug: Matrix, kind):
+    """Row-operation images (same null space), the right-hand side moved by
+    a column, low-rank and random matrices of the same width."""
+    rows, cols = aug.rows, aug.cols
+    yield apply_ops(aug, random_ops(rng, rows, QQ))
+    moved = [list(row) for row in aug.raw_rows()]
+    for row in moved:
+        row[-1] += row[0]
+    yield mat(moved)
+    yield _low_rank(rng, rows, cols, rng.randint(0, rows), kind)
+    yield _dense(rng, rows, cols, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_null_equal_and_syseq_answer_as_the_rref_comparison(kind):
+    """Against the RREF comparison, which sweeps both sides: null_equal
+    gives the same verdict, and solution_equivalent the same verdict or
+    the same InconsistentSystemError, on every pair."""
+    rng = random.Random(f"syseq-{kind}")
+    verdicts = set()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(2, 7)
+        aug = _low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)), kind)
+        for other in _partners(rng, aug, kind):
+            assert null_equal(aug, other) == _same_rows(aug, other)
+            a, b = system_from_augmented(aug), system_from_augmented(other)
+            if _consistent(aug) and _consistent(other):
+                verdict = solution_equivalent(a, b)
+                verdicts.add(verdict)
+                assert verdict == _same_rows(aug, other)
+            else:
+                verdicts.add("inconsistent")
+                with pytest.raises(InconsistentSystemError):
+                    solution_equivalent(a, b)
+    assert verdicts == {True, False, "inconsistent"}

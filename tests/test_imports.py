@@ -89,14 +89,17 @@ AFTER_ONE_JOB = ("argparse", "fractions", "re", "decimal", "enum", "gettext", "s
         (["rref", "m.mat", "--field", "gf:7"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
         (["rref", "--format=plain", "m.mat"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
         (["rref", "m.mat"], "2 1\n", ["fractions"], ["argparse", "gettext", "shutil"]),
+        (["pivots", "m.mat"], "2 1\n", [], AFTER_ONE_JOB),
         (["--help"], "", ["argparse"], ["fractions"]),
     ],
-    ids=["gf", "q-integers", "q-fraction", "help"],
+    ids=["gf", "q-integers", "q-fraction", "q-pivots", "help"],
 )
 def test_one_job_loads_only_what_it_needs(argv, text, loaded, unloaded, tmp_path):
     """In a fresh `python -I -S`, a plain-argv job over GF(p), or over Q
     with an integer answer, loads none of AFTER_ONE_JOB; a Q answer holding
-    1/2 loads `fractions` but not argparse; `--help` loads argparse."""
+    1/2 loads `fractions` but not argparse; Q `pivots` on the same input,
+    whose sweep would make that 1/2, reads the GF(P) image and loads none;
+    `--help` loads argparse."""
     (tmp_path / "m.mat").write_text(text)
     code = (
         "import io, sys; sys.path.insert(0, sys.argv[1]); import echelon.cli; "

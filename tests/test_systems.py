@@ -30,6 +30,9 @@ from echelon import (
     std_basis,
 )
 
+from echelon.cli import main
+from echelon.gauche import P
+
 from helpers import (
     FIELD_CASES,
     FIELDS,
@@ -289,6 +292,30 @@ def sweeps(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def sweeps_by_field(monkeypatch):
+    """KeeperState constructions and eliminations, keyed by method and field
+    name: ("__init__", "Q") counts the exact sweeps over Q, and the GF(P)
+    keys the sweeps of an image."""
+    counts = collections.Counter()
+    init, eliminate = KeeperState.__init__, KeeperState.eliminate
+
+    def counted_init(self, field, dim):
+        counts["__init__", str(field)] += 1
+        init(self, field, dim)
+
+    def counted_eliminate(self, values):
+        counts["eliminate", str(self.field)] += 1
+        return eliminate(self, values)
+
+    monkeypatch.setattr(KeeperState, "__init__", counted_init)
+    monkeypatch.setattr(KeeperState, "eliminate", counted_eliminate)
+    return counts
+
+
+IMAGE = str(GF(P))
+
+
 class TestOneSweepPerQuestion:
     def test_rref_eliminates_each_column_once(self, sweeps):
         for m in (matrix_t(), mat([[1, 2, 3, 4], [2, 4, 6, 9]]), Matrix.zero(2, 3, QQ)):
@@ -304,13 +331,56 @@ class TestOneSweepPerQuestion:
         assert isinstance(solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))), Inconsistent)
         assert sweeps["__init__"] == 1
 
-    def test_solution_equivalent_sweeps_each_system_once(self, sweeps):
+    def test_solution_equivalent_sweeps_each_system_once(self, sweeps_by_field):
+        """[A | c] is swept over Q; [B | d], which passes the inclusion, is
+        not swept at all: the image of its rank(A) = 3 pivot columns is."""
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
         a = LinearSystem(t, t.column(5))
         b = LinearSystem(doubled, doubled.column(5))
         assert solution_equivalent(a, b)
-        assert sweeps == {"__init__": 2, "eliminate": 2 * (t.cols + 1)}
+        assert sweeps_by_field == {
+            ("__init__", "Q"): 1,
+            ("eliminate", "Q"): t.cols + 1,
+            ("__init__", IMAGE): 1,
+            ("eliminate", IMAGE): 3,
+        }
+        # [B | d] = [B | d]_P·R proves [B | d] consistent, so a B of rank 1
+        # costs only its pivot columns' image and their exact stopping sweep
+        sweeps_by_field.clear()
+        eye, low = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1])), mat([[1, 1], [2, 2]])
+        assert not solution_equivalent(eye, LinearSystem(low, vec([2, 4])))
+        assert sweeps_by_field == {
+            ("__init__", "Q"): 2,
+            ("eliminate", "Q"): 3 + 2,
+            ("__init__", IMAGE): 1,
+            ("eliminate", IMAGE): 2,
+        }
+
+    def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field):
+        t = matrix_t()
+        doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
+        assert null_equal(t, doubled)
+        assert sweeps_by_field == {
+            ("__init__", "Q"): 1,
+            ("eliminate", "Q"): t.cols,
+            ("__init__", IMAGE): 1,
+            ("eliminate", IMAGE): 3,
+        }
+
+    def test_full_rank_q_pivots_make_no_exact_sweep(self, sweeps_by_field, tmp_path, capsys):
+        """`pivots` and `basis` on a full-rank Q input read the image of
+        its first min(rows, cols) columns; a rank-deficient one is swept,
+        after an image that stops at its first dependent column."""
+        path = tmp_path / "m.mat"
+        for text, exact, image in (("2 1\n", 0, 1), ("1 2\n2 4\n", 1, 2)):
+            path.write_text(text)
+            for command in ("pivots", "basis"):
+                sweeps_by_field.clear()
+                assert main([command, str(path)]) == 0
+                assert sweeps_by_field["__init__", "Q"] == exact
+                assert sweeps_by_field["__init__", IMAGE] == 1
+                assert sweeps_by_field["eliminate", IMAGE] == image
 
     def test_null_space_views_sweep_once(self, sweeps):
         null_basis(matrix_t())
