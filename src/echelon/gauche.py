@@ -11,10 +11,11 @@ basis) for its column space, indexed by the pivot set.
 from __future__ import annotations
 
 from itertools import compress
+from math import gcd, isqrt
 
 from .errors import FieldMismatchError, ShapeError
 from .matrices import Matrix, Vector
-from .scalars import FieldSpec, Frozen, Scalar
+from .scalars import QQ, FieldSpec, Frozen, Scalar
 
 
 class Keeper(Frozen):
@@ -157,17 +158,39 @@ P = 268435399
 _IMAGE = FieldSpec(P)
 
 
+def _rational(u: int, m: int):
+    """The raw Q value a/b with a = u*b mod m and |a|, b <= sqrt(m/2), or
+    None when there is none: rational reconstruction (Wang, Guy & Davenport,
+    SIGSAM Bull. 16 (1982)), the extended Euclidean algorithm on m and u
+    stopped at the first remainder within the bound. Such an a/b is unique."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return QQ.quotient(r1, t1)
+
+
+def _image_answers(m: Matrix, js):
+    """The answers of one GF(P) sweep to columns js (1-based) of the Q
+    matrix m, lazily and in order, as KeeperState.eliminate gives them. Each
+    column is reduced mod P only when the sweep reaches it; a denominator P
+    divides raises ZeroDivisionError there."""
+    eliminate, raw = KeeperState(_IMAGE, m.rows).eliminate, _IMAGE.raw
+    values, cols = m.values, m.cols
+    return (eliminate([raw(v) for v in values[j - 1 :: cols]]) for j in js)
+
+
 def _image_independent(m: Matrix, js) -> bool:
     """True proves columns js (1-based) of the Q matrix m linearly
     independent: their images mod P are. A minor nonzero mod P is nonzero
     over Q, so rank can only drop in the image; False means only "unknown".
-    Each column is reduced mod P as the sweep reaches it, and the sweep
-    stops at the first column dependent mod P; a denominator P divides
-    (ZeroDivisionError) also answers False."""
-    eliminate, raw = KeeperState(_IMAGE, m.rows).eliminate, _IMAGE.raw
-    values, cols = m.values, m.cols
+    The sweep stops at the first column dependent mod P; a denominator P
+    divides also answers False."""
     try:
-        return all(eliminate([raw(v) for v in values[j - 1 :: cols]]) is None for j in js)
+        return all(answer is None for answer in _image_answers(m, js))
     except ZeroDivisionError:
         return False
 

@@ -168,10 +168,8 @@ class FieldSpec(Frozen):
         return pow(a, -1, self.modulus)
 
     def scale_row(self, c, xs) -> list:
-        """The raw row c*xs."""
+        """Over GF(p), the raw row c*xs."""
         p = self.modulus
-        if p is None:
-            return [c * x for x in xs]
         return [c * x % p for x in xs]
 
     def clear(self, values) -> tuple[list[int], int]:

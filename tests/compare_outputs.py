@@ -19,6 +19,13 @@ and against itself with the right-hand side moved, a pair whose
 coefficient ranks differ, and the identity system against two systems whose
 coefficient part diag(1, P) loses rank mod P = 268435399, the prime of the
 rank shortcut (one equivalent, also run the other way round, and one not);
+`syseq` pairs whose second system fails the inclusion and cannot be shown
+consistent on the image of its sweep: one whose right-hand side is 0 mod P
+(the candidate x = 0 is refuted, and the system is inconsistent), and, in
+both orders, the identity system against one holding the literal 1/P and
+against two whose solutions 2**40/3 and 2**43/3 do not reconstruct or
+reconstruct wrongly mod P; `equiv` pairs that differ only in their first
+column and only in their last;
 `script` on an all-zero matrix and the identity (empty logs), on a GF(2)
 matrix whose first pivot needs a swap and on a Q matrix of a/b literals
 (Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
@@ -154,6 +161,21 @@ _EDGE_FILES = {
     "wide_full.mat": b"1 2 0 -1 3 0 1\n0 1 1 2 -1 1 0\n2 -3 1 1/2 4 0 5\n",
     "diag_p.sys": b"1 0 | 1\n0 268435399 | 268435399\n",
     "diag_p_moved.sys": b"1 0 | 1\n0 268435399 | 1\n",
+    # second systems that the image of their sweep cannot prove consistent:
+    # a right-hand side that is 0 mod P (the image offers x = 0, which
+    # refutes it, and the system is inconsistent), the literal 1/P (no
+    # image), and solutions 2**40/3 (no reconstruction mod P) and 2**43/3
+    # (reconstructed as 1083/8192, which refutes it)
+    "column.sys": b"1 | 1\n0 | 0\n",
+    "column_p.sys": b"1 | 0\n0 | 268435399\n",
+    "inverse_p.sys": b"1 0 | 1\n0 1 | 1/268435399\n",
+    "thirds40.sys": b"3 0 | 1099511627776\n0 1 | 1\n",
+    "thirds43.sys": b"3 0 | 8796093022208\n0 1 | 1\n",
+    # row equivalence decided at the first column (zero against a keeper)
+    # and at the last (one coefficient differs)
+    "pair.mat": b"1 2 0 1\n0 1 1 2\n",
+    "pair_first.mat": b"0 2 0 1\n0 1 1 2\n",
+    "pair_last.mat": b"1 2 0 2\n0 1 1 2\n",
 }
 _EDGE_ARGVS = [
     ["syseq", "inconsistent.sys", "ok.sys"],
@@ -173,6 +195,15 @@ _EDGE_ARGVS = [
     ["syseq", "ok.sys", "diag_p.sys"],
     ["syseq", "diag_p.sys", "ok.sys"],
     ["syseq", "ok.sys", "diag_p_moved.sys"],
+    ["syseq", "column.sys", "column_p.sys"],
+    ["syseq", "ok.sys", "inverse_p.sys"],
+    ["syseq", "inverse_p.sys", "ok.sys"],
+    ["syseq", "ok.sys", "thirds40.sys"],
+    ["syseq", "thirds40.sys", "ok.sys"],
+    ["syseq", "ok.sys", "thirds43.sys"],
+    ["syseq", "thirds43.sys", "ok.sys"],
+    ["equiv", "pair.mat", "pair_first.mat"],
+    ["equiv", "pair.mat", "pair_last.mat"],
     ["solve", "zero.sys"],
     ["script", "zero.mat"],
     ["script", "eye.mat"],

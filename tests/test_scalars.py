@@ -144,7 +144,7 @@ class TestFieldSpec:
         raw values, with denominators other than 1; over GF(p) packed rows,
         at slot widths from one byte to wider than 64 bits, after random
         updates and with every slot at the bound its width is chosen for,
-        (p-1) + updates * (p-1)**2."""
+        (p-1) + updates * (p-1)**2, and rows scaled by scale_row."""
         rng = random.Random(404)
 
         def scalars(raw):
@@ -185,8 +185,9 @@ class TestFieldSpec:
                     top = field.pack([p - 1] * n, w) * (1 + updates * (p - 1))
                     heaviest = Scalar(field, p - 1) * Scalar(field, 1 + updates * (p - 1))
                     assert scalars(field.unpack(top, n, w)) == [heaviest] * n
-            assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
-            assert scalars(field.scale_row(c, xs)) == [Scalar(field, c) * x for x in scalars(xs)]
+                assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
+                scaled = [Scalar(field, c) * x for x in scalars(xs)]
+                assert scalars(field.scale_row(c, xs)) == scaled
 
 
 class TestParse:

@@ -1,6 +1,7 @@
 """Linear systems: exact solving, solution-set comparison, row equivalence."""
 import collections
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,8 @@ from echelon import (
 
 from echelon.cli import main
 from echelon.gauche import P
+from echelon.scalars import format_values
+from echelon.systems import _image_solves
 
 from helpers import (
     FIELD_CASES,
@@ -43,6 +46,7 @@ from helpers import (
     random_consistent_system,
     random_fraction_system,
     random_low_rank_matrix,
+    random_low_rank_shape,
     random_matrix,
     random_ops,
     random_shape,
@@ -258,6 +262,42 @@ class TestRowEquivalent:
         with pytest.raises(ShapeError):
             row_equivalent(matrix_t(), Matrix.identity(2, QQ))
 
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_lockstep_equals_the_rref_comparison(self, field, bound):
+        """The lockstep sweeps answer as comparing the two RREFs, on
+        row-operation images of a matrix and of a copy with one entry
+        changed in a random column, dense and wide low-rank. Some changed
+        copies keep every pivot, so only a coefficient tells them apart."""
+        rng = random.Random(67)
+        seen = collections.Counter()
+        for k in range(80):
+            if k % 2:
+                rows, cols, rank = random_low_rank_shape(rng, max_cols=16)
+                a = random_low_rank_matrix(rng, rows, cols, rank, field, bound)
+            else:
+                a = random_matrix(rng, *random_shape(rng, 6, 8), field, bound)
+            i, j = rng.randint(1, a.rows), rng.randint(1, a.cols)
+            changed = a.with_entry(i, j, a.entry(i, j) + field.one())
+            for base in (a, changed):
+                b = apply_ops(base, random_ops(rng, a.rows, field, max_len=10))
+                res_a, res_b = gauche_rref(a), gauche_rref(b)
+                verdict = row_equivalent(a, b)
+                assert verdict == (res_a.rref == res_b.rref)
+                seen[verdict, res_a.pivot_set == res_b.pivot_set] += 1
+        assert seen[True, True] >= 80 and seen[False, True] >= 5 and seen[False, False] >= 5
+
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_lockstep_stops_at_the_first_differing_column(self, field, bound, sweeps):
+        """Column 1 is zero in one matrix and a keeper in the other: each
+        side eliminates that one column. An equivalent pair eliminates
+        every column on both sides."""
+        a, b = mat([[0, 1, 1], [0, 1, 0]], field), mat([[1, 1, 1], [0, 1, 0]], field)
+        assert not row_equivalent(a, b)
+        assert sweeps == {"__init__": 2, "eliminate": 2}
+        sweeps.clear()
+        assert row_equivalent(b, apply_ops(b, [Scale(1, sc(-1, field))]))
+        assert sweeps == {"__init__": 2, "eliminate": 2 * b.cols}
+
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_agrees_with_null_space_equality(self, field):
         rng = random.Random(63)
@@ -357,6 +397,29 @@ class TestOneSweepPerQuestion:
             ("eliminate", IMAGE): 2,
         }
 
+    def test_differing_q_pair_is_certified_on_the_image(self, sweeps_by_field):
+        """[B | d] fails the inclusion; the GF(P) sweep of [B | d] offers
+        x = e_1, and B x = d exactly, so [B | d] is never swept over Q.
+        Over GF(p) [B | d] is swept, as before."""
+        t = matrix_t()
+        a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
+        assert not solution_equivalent(a, b)
+        assert sweeps_by_field == {
+            ("__init__", "Q"): 1,
+            ("eliminate", "Q"): t.cols + 1,
+            ("__init__", IMAGE): 1,
+            ("eliminate", IMAGE): t.cols + 1,
+        }
+        sweeps_by_field.clear()
+        t7 = matrix_t(GF(7))
+        assert not solution_equivalent(
+            LinearSystem(t7, t7.column(5)), LinearSystem(t7, t7.column(1))
+        )
+        assert sweeps_by_field == {
+            ("__init__", "GF(7)"): 2,
+            ("eliminate", "GF(7)"): 2 * (t.cols + 1),
+        }
+
     def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field):
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
@@ -399,6 +462,60 @@ class TestOneSweepPerQuestion:
         # column 3 = 3*column 1 + column 2, so columns 4 and 5 are never read
         assert not columns_independent(matrix_t(), (1, 2, 3, 4, 5))
         assert sweeps == {"__init__": 1, "eliminate": 3}
+
+
+def _system_text(s: LinearSystem) -> str:
+    rows = zip(s.coeff.raw_rows(), format_values(s.rhs.values))
+    return "".join(" ".join(format_values(row)) + f" | {c}\n" for row, c in rows)
+
+
+_EYE = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+# pairs whose [B | d] fails the inclusion, and where the GF(P) image cannot
+# prove [B | d] consistent, with the CLI's exit code: d = (0, P) is 0 mod P,
+# so the image offers x = 0, which B x = d refutes, and [B | d] is
+# inconsistent; P divides the denominator of 1/P, so there is no image; and
+# the solution (2**k / 3, 1) has no reconstruction mod P for k = 40, while
+# for k = 43 it reconstructs as 1083/8192, which B x = d refutes
+CRAFTED_FALLBACKS = [
+    pytest.param(
+        LinearSystem(mat([[1], [0]]), vec([1, 0])),
+        LinearSystem(mat([[1], [0]]), vec([0, P])),
+        2,
+        id="zero-mod-P",
+    ),
+    pytest.param(_EYE, LinearSystem(mat([[1, 0], [0, 1]]), vec([1, Fraction(1, P)])), 1, id="1/P"),
+    pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**40, 1])), 1, id="2^40/3"),
+    pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**43, 1])), 1, id="2^43/3"),
+]
+
+
+@pytest.mark.parametrize(("a", "b", "code"), CRAFTED_FALLBACKS)
+def test_unproven_second_system_takes_the_exact_sweep(
+    a, b, code, sweeps_by_field, tmp_path, capsys
+):
+    """The image offers no solution that B x = d confirms, so [B | d] is
+    swept exactly: the library call raises InconsistentSystemError for an
+    inconsistent [B | d] and otherwise returns False, and `syseq` exits 2
+    or 1 as it does."""
+    assert not _image_solves(b.augmented())
+    sweeps_by_field.clear()
+    if code == 2:
+        with pytest.raises(InconsistentSystemError):
+            solution_equivalent(a, b)
+    else:
+        assert solution_equivalent(a, b) is False
+    assert sweeps_by_field["__init__", "Q"] == 2
+    assert sweeps_by_field["__init__", IMAGE] == 1
+    paths = [tmp_path / "a.sys", tmp_path / "b.sys"]
+    for path, system in zip(paths, (a, b)):
+        path.write_text(_system_text(system))
+    capsys.readouterr()
+    assert main(["syseq", *map(str, paths)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("error: solution equivalence is only defined")
+    else:
+        assert (out, err) == ("NOT SOLUTION-EQUIVALENT\n", "")
 
 
 def test_null_space_tests_build_no_basis(monkeypatch):
