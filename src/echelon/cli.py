@@ -13,7 +13,7 @@ from functools import cache, partial
 from itertools import chain
 
 from .errors import EchelonError, ParseError
-from .gauche import _pivot_set, gauche_rref
+from .gauche import _keepers, gauche_rref
 from .matrices import Matrix
 from .nullspace import basis_rows, graph_relations, relation_lines
 from .rowops import _gauss_jordan, rref_violation
@@ -124,12 +124,12 @@ def _cmd_rref(m) -> tuple[int, dict, str]:
 
 
 def _cmd_pivots(m) -> tuple[int, dict, str]:
-    pivots = list(_pivot_set(m))
+    pivots = list(_keepers(m, range(1, m.cols + 1)))
     return 0, {"pivots": pivots}, " ".join(map(str, pivots))
 
 
 def _cmd_basis(m) -> tuple[int, dict, str]:
-    indices = list(_pivot_set(m))
+    indices = list(_keepers(m, range(1, m.cols + 1)))
     columns = [format_values(m.values[j - 1 :: m.cols]) for j in indices]
     return 0, {"indices": indices, "columns": columns}, _rows_text(columns)
 

@@ -7,6 +7,11 @@ journaled with the next standard basis vector. The journals, concatenated in
 column order, are exactly the reduced row echelon form, so no row operation
 is ever performed. The keeper columns of the input form a basis (the Gauche
 basis) for its column space, indexed by the pivot set.
+
+Every sweep reads one lazy generator of the answers. Over Q two questions,
+which columns a sweep keeps and whether a column lies in a span, are first
+put to the same sweep of the image mod a prime P; only this module knows of
+that image, and the exact sweep answers when it proves nothing.
 """
 from __future__ import annotations
 
@@ -173,26 +178,19 @@ def _rational(u: int, m: int):
     return QQ.quotient(r1, t1)
 
 
-def _image_answers(m: Matrix, js):
-    """The answers of one GF(P) sweep to columns js (1-based) of the Q
-    matrix m, lazily and in order, as KeeperState.eliminate gives them. Each
-    column is reduced mod P only when the sweep reaches it; a denominator P
-    divides raises ZeroDivisionError there."""
-    eliminate, raw = KeeperState(_IMAGE, m.rows).eliminate, _IMAGE.raw
+def _answers(m: Matrix, js, field: FieldSpec | None = None):
+    """The answers of one sweep to columns js (1-based) of m, lazily and in
+    order, as KeeperState.eliminate gives them. The sweep runs over m's
+    field, or over the image of a Q matrix in `field`: each column is taken
+    there only when the sweep reaches it, and a denominator the modulus
+    divides raises ZeroDivisionError then."""
+    # the state takes its shape from m, so its columns need no check
     values, cols = m.values, m.cols
-    return (eliminate([raw(v) for v in values[j - 1 :: cols]]) for j in js)
-
-
-def _image_independent(m: Matrix, js) -> bool:
-    """True proves columns js (1-based) of the Q matrix m linearly
-    independent: their images mod P are. A minor nonzero mod P is nonzero
-    over Q, so rank can only drop in the image; False means only "unknown".
-    The sweep stops at the first column dependent mod P; a denominator P
-    divides also answers False."""
-    try:
-        return all(answer is None for answer in _image_answers(m, js))
-    except ZeroDivisionError:
-        return False
+    columns = (values[j - 1 :: cols] for j in js)
+    if field is not None:
+        raw = field.raw
+        columns = ([raw(v) for v in column] for column in columns)
+    return map(KeeperState(field or m.field, m.rows).eliminate, columns)
 
 
 def gauche_rref(m: Matrix) -> GaucheResult:
@@ -200,12 +198,9 @@ def gauche_rref(m: Matrix) -> GaucheResult:
     its column of the RREF: the (l+1)th keeper journals as e_{l+1}, a
     subordinate column as its coefficients over the keepers, zero below."""
     dim, cols, field = m.rows, m.cols, m.field
-    # the state takes its shape and field from m, so its columns need no check
-    eliminate, entries = KeeperState(field, dim).eliminate, m.values
     values = [0] * (dim * cols)
     pivots: list[int] = []
-    for j in range(cols):
-        coefficients = eliminate(entries[j::cols])
+    for j, coefficients in enumerate(_answers(m, range(1, cols + 1))):
         if coefficients is None:
             values[len(pivots) * cols + j] = 1
             pivots.append(j + 1)
@@ -214,13 +209,49 @@ def gauche_rref(m: Matrix) -> GaucheResult:
     return GaucheResult(Matrix._raw(dim, cols, tuple(values), field), tuple(pivots))
 
 
-def _pivot_set(m: Matrix) -> tuple[int, ...]:
-    """The pivot set of m, as gauche_rref gives it. The greedy sweep keeps
-    every column independent of the keepers to its left, so when the first
-    r = min(rows, cols) columns of a Q matrix are independent, the keepers
-    are 1..r and the rank is full: their GF(P) image settles that without
-    the exact sweep. Otherwise, and over GF(p), the sweep runs."""
-    r = min(m.rows, m.cols)
-    if m.field.modulus is None and _image_independent(m, range(1, r + 1)):
-        return tuple(range(1, r + 1))
-    return gauche_rref(m).pivot_set
+def _keepers(m: Matrix, js) -> tuple[int, ...]:
+    """The columns among js (1-based) that a sweep of them alone keeps.
+
+    The sweep keeps every column independent of the keepers before it, and
+    at most rows of them, so when the first min(rows, len(js)) columns are
+    independent, they are the keepers. Over Q their GF(P) image settles
+    that without the exact sweep: a minor nonzero mod P is nonzero over Q,
+    so rank can only drop in the image. When it drops, or P divides a
+    denominator, and over GF(p), the exact sweep runs.
+    """
+    js = tuple(js)
+    if m.field.modulus is None:
+        try:
+            if all(answer is None for answer in _answers(m, js[: m.rows], _IMAGE)):
+                return js[: m.rows]
+        except ZeroDivisionError:
+            pass
+    return tuple(j for j, answer in zip(js, _answers(m, js)) if answer is None)
+
+
+def _spans(m: Matrix, js, k: int) -> bool:
+    """Is column k of m in the span of its columns js (1-based)?
+
+    Over Q the GF(P) sweep of js and then k proposes x: k's coefficients
+    over the image keepers, each reconstructed as a rational, -1 at k and
+    zero elsewhere; m x = 0 proves the span, so no verdict depends on P.
+    When the image proposes no x (k is an image keeper, P divides a
+    denominator, or a coefficient has no reconstruction) or m x is not
+    zero, and over GF(p), the exact sweep decides.
+    """
+    columns = [*js, k]
+    if m.field.modulus is None:
+        try:
+            *answers, coefficients = _answers(m, columns, _IMAGE)
+        except ZeroDivisionError:
+            coefficients = None
+        if coefficients is not None:
+            x = [0] * m.cols
+            x[k - 1] = -1
+            keepers = [j for j, answer in zip(columns, answers) if answer is None]
+            for j, c in zip(keepers, coefficients):
+                x[j - 1] = _rational(c, P)
+            if None not in x and (m @ Vector._raw(tuple(x), m.field)).is_zero():
+                return True
+    *_, answer = _answers(m, columns)
+    return answer is not None

@@ -4,15 +4,17 @@ The null space is read straight off the reduced form: nonpivot columns name
 free variables, pivot columns name dependent ones, and each pivot variable is
 a fixed linear expression in the free variables. That makes the null space
 the graph of a linear map from the free coordinates to the pivot coordinates,
-and gives a canonical basis with one vector per free index. The same reduced
-data answers the column/null-space dictionary questions: span membership of a
-column and linear independence of a column selection.
+and gives a canonical basis with one vector per free index. A sweep of
+selected columns answers the column/null-space dictionary questions: span
+membership of a column and linear independence of a column selection.
+Null-space equality sweeps its first matrix and asks gauche which of the
+second one's columns a sweep keeps.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .gauche import GaucheResult, KeeperState, _image_independent, gauche_rref
+from .gauche import GaucheResult, _answers, _keepers, gauche_rref
 from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
@@ -122,7 +124,7 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     if a.cols != b.cols or a.field != b.field:
         return False
     res = gauche_rref(a)
-    return _factors_through(res, b) and _full_column_rank(b, res.pivot_set)
+    return _factors_through(res, b) and _keepers(b, res.pivot_set) == res.pivot_set
 
 
 def _factors_through(res: GaucheResult, m: Matrix) -> bool:
@@ -141,19 +143,12 @@ def _factors_through(res: GaucheResult, m: Matrix) -> bool:
     )
 
 
-def _full_column_rank(m: Matrix, js: Sequence[int]) -> bool:
-    """Are columns js of m independent? Over Q their GF(P) image settles it
-    unless the image drops rank; only then, and over GF(p), does the exact,
-    stopping sweep of columns_independent run."""
-    return m.field.modulus is None and _image_independent(m, js) or columns_independent(m, js)
-
-
-def _check_selection(m: Matrix, js: Sequence[int]) -> list[int]:
-    """The 0-based offsets of the columns js, which must be pairwise distinct."""
-    offsets = [index_offset("column", j, m.cols) for j in js]
+def _check_selection(m: Matrix, js: Sequence[int]) -> None:
+    """Columns js must be indices of m and pairwise distinct."""
+    for j in js:
+        index_offset("column", j, m.cols)
     if len(set(js)) != len(js):
         raise ValueError("selected column indices must be pairwise distinct")
-    return offsets
 
 
 def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] | None:
@@ -163,12 +158,12 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     columns that are themselves dependent on earlier ones get coefficient
     zero. An empty selection spans only the zero vector.
     """
-    target, offsets = index_offset("column", k, m.cols), _check_selection(m, js)
+    index_offset("column", k, m.cols)
+    _check_selection(m, js)
     if k in js:
         raise ValueError(f"target column {k} is among the selected columns")
-    eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
-    kept_slots = [slot for slot, j in enumerate(offsets) if eliminate(values[j::cols]) is None]
-    answer = eliminate(values[target::cols])
+    *selected, answer = _answers(m, [*js, k])
+    kept_slots = [slot for slot, c in enumerate(selected) if c is None]
     if answer is None:
         return None
     coeffs = [m.field.zero()] * len(js)
@@ -184,6 +179,5 @@ def columns_independent(m: Matrix, js: Sequence[int]) -> bool:
     column inside the span of those before it; the empty selection is
     independent.
     """
-    offsets = _check_selection(m, js)
-    eliminate, values, cols = KeeperState(m.field, m.rows).eliminate, m.values, m.cols
-    return all(eliminate(values[j::cols]) is None for j in offsets)
+    _check_selection(m, js)
+    return all(answer is None for answer in _answers(m, js))

@@ -200,7 +200,7 @@ def _packed_gauss_jordan(m: Matrix):
         if prow[col] != 1:
             c = field.inverse(prow[col])
             log.append(("scale", pivot_row + 1, c))
-            prow = field.scale_row(c, prow)
+            prow = [c * x % p for x in prow]
         u = work[pivot_row] = field.pack(prow, w)
         for r in range(m.rows):
             if r == pivot_row:

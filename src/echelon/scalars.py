@@ -167,11 +167,6 @@ class FieldSpec(Frozen):
             return self.quotient(1, a)
         return pow(a, -1, self.modulus)
 
-    def scale_row(self, c, xs) -> list:
-        """Over GF(p), the raw row c*xs."""
-        p = self.modulus
-        return [c * x % p for x in xs]
-
     def clear(self, values) -> tuple[list[int], int]:
         """The list of raw values as an integer row over a denominator: over
         Q the least common denominator, over GF(p) the residues themselves

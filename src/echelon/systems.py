@@ -5,17 +5,20 @@ exactly when the right-hand-side column earns a pivot. Otherwise its solutions
 are a particular solution plus the coefficient null space, and two systems
 compare by the null spaces of their augmented matrices: M = M_P·R off the
 first one's sweep, and the rank of the second one's columns at its pivots.
-When they differ, the second must still be shown consistent: over Q by a
-solution read off its GF(P) image and checked exactly, and otherwise by its
-exact sweep. Row equivalence sweeps two matrices in lockstep and stops at
-the first column whose journals differ.
+When they differ, the second must still be shown consistent: its right-hand
+side must lie in the span of its coefficient columns. Both the rank and the
+span are asked of gauche, which over Q tries the GF(P) image first. Row
+equivalence sweeps two matrices in lockstep and stops at the first column
+whose journals differ.
 """
 from __future__ import annotations
 
+from operator import eq
+
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
-from .gauche import P, KeeperState, _image_answers, _rational, gauche_rref
+from .gauche import _answers, _keepers, _spans, gauche_rref
 from .matrices import Matrix, Vector
-from .nullspace import GraphRelations, _factors_through, _full_column_rank, _relations
+from .nullspace import GraphRelations, _factors_through, _relations
 from .scalars import Frozen
 
 
@@ -70,29 +73,6 @@ def solve(system: LinearSystem) -> SolutionSet:
     return Affine(particular=particular, homogeneous=_relations(res, q))
 
 
-def _image_solves(aug: Matrix) -> bool:
-    """True proves the Q system [A | c] consistent: (x, -1) lies in the
-    null space of aug for a candidate x read off its GF(P) sweep, c's
-    coefficients over the image keepers among A's columns, each
-    reconstructed as a rational at its keeper's slot, zero elsewhere.
-    False means only "unknown": c is an image keeper, P divides a
-    denominator, a coefficient has no reconstruction, or A x differs from
-    c. The image only proposes x, so no verdict depends on P."""
-    try:
-        *answers, coefficients = _image_answers(aug, range(1, aug.cols + 1))
-    except ZeroDivisionError:
-        return False
-    if coefficients is None:
-        return False
-    values = [0] * len(answers) + [-1]
-    keepers = [j for j, answer in enumerate(answers) if answer is None]
-    for j, c in zip(keepers, coefficients):
-        values[j] = _rational(c, P)
-        if values[j] is None:
-            return False
-    return (aug @ Vector._raw(tuple(values), aug.field)).is_zero()
-
-
 def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     """Do two consistent systems of the same size have the same solutions?
 
@@ -104,9 +84,8 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     is swept, as [A | c] = [A | c]_P·R. When [B | d] = [B | d]_P·R too, d is
     B_P times R's last column, P lying among the coefficient columns, so
     [B | d] is consistent and a rank decides. Otherwise the solution sets
-    differ, and it is left to show [B | d] consistent: over Q a solution
-    read off its GF(P) image and checked exactly does; when none is found,
-    and over GF(p), [B | d] is swept, to reject it if it is inconsistent.
+    differ, and it is left to show [B | d] consistent, d in the span of
+    B's columns, or to reject it as inconsistent.
     """
     if a.coeff.rows != b.coeff.rows or a.coeff.cols != b.coeff.cols:
         raise ShapeError("solution equivalence needs systems of the same size")
@@ -116,11 +95,8 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     res_a = gauche_rref(a.augmented())
     consistent = q + 1 not in res_a.pivot_set
     if consistent and _factors_through(res_a, aug_b):
-        return _full_column_rank(aug_b, res_a.pivot_set)
-    if consistent and (
-        a.coeff.field.modulus is None and _image_solves(aug_b)
-        or q + 1 not in gauche_rref(aug_b).pivot_set
-    ):
+        return _keepers(aug_b, res_a.pivot_set) == res_a.pivot_set
+    if consistent and _spans(aug_b, range(1, q + 1), q + 1):
         return False
     raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
 
@@ -139,6 +115,5 @@ def row_equivalent(a: Matrix, b: Matrix) -> bool:
         raise ShapeError("row equivalence needs matrices of the same shape")
     if a.field != b.field:
         raise FieldMismatchError("row equivalence needs a common field")
-    ea, eb = KeeperState(a.field, a.rows).eliminate, KeeperState(b.field, b.rows).eliminate
-    va, vb, cols = a.values, b.values, a.cols
-    return all(ea(va[j::cols]) == eb(vb[j::cols]) for j in range(cols))
+    js = range(1, a.cols + 1)
+    return all(map(eq, _answers(a, js), _answers(b, js)))

@@ -1,0 +1,27 @@
+"""Fixtures shared by the test modules."""
+import collections
+
+import pytest
+
+from echelon import KeeperState
+
+
+@pytest.fixture
+def sweeps_by_field(monkeypatch):
+    """KeeperState constructions and eliminations, keyed by method and field
+    name: ("__init__", "Q") counts the exact sweeps over Q, and the GF(P)
+    keys (helpers.IMAGE) the sweeps of an image."""
+    counts = collections.Counter()
+    init, eliminate = KeeperState.__init__, KeeperState.eliminate
+
+    def counted_init(self, field, dim):
+        counts["__init__", str(field)] += 1
+        init(self, field, dim)
+
+    def counted_eliminate(self, values):
+        counts["eliminate", str(self.field)] += 1
+        return eliminate(self, values)
+
+    monkeypatch.setattr(KeeperState, "__init__", counted_init)
+    monkeypatch.setattr(KeeperState, "eliminate", counted_eliminate)
+    return counts

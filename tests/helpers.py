@@ -19,8 +19,11 @@ from echelon import (
     Vector,
     as_scalar,
 )
+from echelon.gauche import P
 
 GF7 = GF(7)
+# the field name of the GF(P) image, as the sweeps_by_field fixture keys it
+IMAGE = str(GF(P))
 FIELDS = (QQ, GF7)
 # the properties checked across fields: (field, entry bound), with GF(2),
 # a word-sized prime, and 64-bit entries over Q, where Fractions grow

@@ -1,33 +1,45 @@
-"""Rank-only questions over Q settled on the GF(P) image of the sweep.
+"""The two questions gauche first puts to the GF(P) image of the sweep.
 
-`pivots` and `basis` on a Q matrix whose leading columns have full rank mod
-P, and the rank half of `null_equal` and `solution_equivalent`, must answer
-exactly as the exact sweep does; where the image drops rank, or cannot be
-taken because P divides a denominator, the exact route must run instead.
-Entries are small integers, a/b literals and 64-bit integers.
+`_keepers` (which columns a sweep keeps) and `_spans` (is a column in the
+span of others) must answer over every field exactly as the exact sweep
+does. Over Q their callers, `pivots` and `basis`, the rank half of
+`null_equal` and `solution_equivalent`, and the consistency proof of a
+second system, must answer as before; where the image drops rank, or
+cannot be taken because P divides a denominator, the exact route must run,
+and the sweep counts of `sweeps_by_field` show which route ran. Entries
+are small integers, a/b literals and 64-bit integers.
 """
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-import echelon.nullspace
 from echelon import (
     QQ,
     InconsistentSystemError,
     LinearSystem,
     Matrix,
     apply_ops,
+    column_in_span,
     gauche_rref,
     null_equal,
     solution_equivalent,
 )
 from echelon.cli import main
-from echelon.gauche import P, _image_independent
+from echelon.gauche import P, _keepers, _spans
 from echelon.scalars import format_values
 
-from helpers import mat, random_ops, system_from_augmented, vec
+from helpers import (
+    FIELD_CASES,
+    IMAGE,
+    mat,
+    random_matrices,
+    random_ops,
+    system_from_augmented,
+    vec,
+)
 
 KINDS = ["small", "a/b", "int64"]
 
@@ -88,11 +100,23 @@ def _cli_json(capsys, *argv):
 CRAFTED_ZERO_MINOR = [[P, 0, 1], [0, 1, 0]]
 # P divides a denominator, so no image exists: rank 1, pivot 1
 CRAFTED_INVERSE_P = [[Fraction(1, P), 1], [Fraction(2, P), 2]]
+# inputs on which the image drops rank, has no image, or offers a
+# combination that does not reconstruct or that the exact product refutes
+CRAFTED_P = [
+    CRAFTED_ZERO_MINOR,
+    CRAFTED_INVERSE_P,
+    [[1, 0, 1], [0, P, P]],
+    [[1, 0], [0, P]],
+    [[1, 0, 1], [0, 1, Fraction(1, P)]],
+    [[3, 0, 2**40], [0, 1, 1]],
+    [[3, 0, 2**43], [0, 1, 1]],
+]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_cli_pivots_and_basis_match_the_sweep(kind, tmp_path, capsys):
-    """Both the image path and the sweep are taken, and agree with the sweep."""
+def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, tmp_path, capsys):
+    """Both the image path and the sweep are taken, and agree with the
+    sweep: `pivots` sweeps the image once, and over Q at most once."""
     rng = random.Random(f"pivots-{kind}")
     routes = set()
     for shape, (rows, cols, rank) in _shapes(rng):
@@ -100,14 +124,16 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, tmp_path, capsys):
             m = _dense(rng, rows, cols, kind)
         else:
             m = _low_rank(rng, rows, cols, rank, kind)
-        routes.add(_image_independent(m, range(1, min(rows, cols) + 1)))
         path = _write(tmp_path, m)
         expected = list(gauche_rref(m).pivot_set)
+        sweeps_by_field.clear()
         assert _cli_json(capsys, "pivots", path) == (0, {"pivots": expected}), (shape, m)
+        assert sweeps_by_field["__init__", IMAGE] == 1
+        routes.add(sweeps_by_field["__init__", "Q"])
         columns = [format_values(m.values[j - 1 :: m.cols]) for j in expected]
         basis = {"indices": expected, "columns": columns}
         assert _cli_json(capsys, "basis", path) == (0, basis), (shape, m)
-    assert routes == {True, False}
+    assert routes == {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -119,41 +145,53 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, tmp_path, capsys):
     ],
     ids=["minor-P", "1/P-rank-1", "1/P-full-rank"],
 )
-def test_cli_pivots_fall_back_when_the_image_fails(rows, pivots, tmp_path, capsys):
+def test_cli_pivots_fall_back_when_the_image_fails(
+    rows, pivots, sweeps_by_field, tmp_path, capsys
+):
+    """The image is tried once and proves nothing, so each command sweeps
+    the matrix exactly once over Q."""
     m = mat(rows)
-    assert not _image_independent(m, range(1, min(m.rows, m.cols) + 1))
     path = _write(tmp_path, m)
     assert list(gauche_rref(m).pivot_set) == pivots
-    assert _cli_json(capsys, "pivots", path) == (0, {"pivots": pivots})
-    code, basis = _cli_json(capsys, "basis", path)
-    assert (code, basis["indices"]) == (0, pivots)
+    for command, key in (("pivots", "pivots"), ("basis", "indices")):
+        sweeps_by_field.clear()
+        code, out = _cli_json(capsys, command, path)
+        assert (code, out[key]) == (0, pivots)
+        assert sweeps_by_field["__init__", IMAGE] == 1
+        assert sweeps_by_field["__init__", "Q"] == 1
+        assert sweeps_by_field["eliminate", "Q"] == m.cols
 
 
-@pytest.fixture
-def exact_checks(monkeypatch):
-    """The calls of the exact columns_independent that null-space equality makes."""
-    calls = []
-    exact = echelon.nullspace.columns_independent
-
-    def counted(m, js):
-        calls.append(tuple(js))
-        return exact(m, js)
-
-    monkeypatch.setattr(echelon.nullspace, "columns_independent", counted)
-    return calls
-
-
-def test_image_rank_drop_takes_the_exact_route(exact_checks):
+def test_image_rank_drop_takes_the_exact_route(sweeps_by_field):
     """diag(1, P) has full rank over Q, rank 1 mod P: a = I and b = diag(1, P)
-    share the null space {0}, and only the exact sweep can tell."""
+    share the null space {0}, and only the exact sweep of b's two pivot
+    columns, after a's sweep, can tell."""
     eye, diag = mat([[1, 0], [0, 1]]), mat([[1, 0], [0, P]])
-    assert null_equal(eye, diag) and exact_checks == [(1, 2)]
-    exact_checks.clear()
+    assert null_equal(eye, diag)
+    assert sweeps_by_field == {
+        ("__init__", "Q"): 2,
+        ("eliminate", "Q"): 2 + 2,
+        ("__init__", IMAGE): 1,
+        ("eliminate", IMAGE): 2,
+    }
+    sweeps_by_field.clear()
     a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, P]))
-    assert solution_equivalent(a, b) and exact_checks == [(1, 2)]
-    exact_checks.clear()
-    # the other way round the image of I keeps full rank
-    assert solution_equivalent(b, a) and exact_checks == []
+    assert solution_equivalent(a, b)
+    assert sweeps_by_field == {
+        ("__init__", "Q"): 2,
+        ("eliminate", "Q"): 3 + 2,
+        ("__init__", IMAGE): 1,
+        ("eliminate", IMAGE): 2,
+    }
+    sweeps_by_field.clear()
+    # the other way round the image of I keeps full rank: no exact route
+    assert solution_equivalent(b, a)
+    assert sweeps_by_field == {
+        ("__init__", "Q"): 1,
+        ("eliminate", "Q"): 3,
+        ("__init__", IMAGE): 1,
+        ("eliminate", IMAGE): 2,
+    }
 
 
 def test_inconsistent_or_excluded_b_answers_as_before():
@@ -168,11 +206,17 @@ def test_inconsistent_or_excluded_b_answers_as_before():
     assert not solution_equivalent(eye, LinearSystem(mat([[1, 0], [0, P]]), vec([1, 1])))
 
 
-def test_unknown_image_is_never_independent(exact_checks):
-    """1/P has no image mod P: the exact sweep decides, and a rank-deficient
-    b_P is not taken as independent."""
+def test_unknown_image_is_never_independent(sweeps_by_field):
+    """1/P has no image mod P, so the image sweep stops before its first
+    column: the exact sweep decides, and a rank-deficient b_P is not taken
+    as independent."""
     eye = mat([[1, 0], [0, 1]])
-    assert not null_equal(eye, mat(CRAFTED_INVERSE_P)) and exact_checks == [(1, 2)]
+    assert not null_equal(eye, mat(CRAFTED_INVERSE_P))
+    assert sweeps_by_field == {
+        ("__init__", "Q"): 2,
+        ("eliminate", "Q"): 2 + 2,
+        ("__init__", IMAGE): 1,
+    }
     assert null_equal(eye, mat([[Fraction(1, P), 0], [0, 1]]))
     aug = mat([[Fraction(1, P), Fraction(2, P), Fraction(3, P)], [1, 2, 3]])
     a = LinearSystem(eye, vec([1, 1]))
@@ -227,3 +271,29 @@ def test_null_equal_and_syseq_answer_as_the_rref_comparison(kind):
                 with pytest.raises(InconsistentSystemError):
                     solution_equivalent(a, b)
     assert verdicts == {True, False, "inconsistent"}
+
+
+def _selections(rng, cols):
+    """Every ordered selection of distinct columns of a matrix at most
+    three wide, else a few random ones."""
+    if cols <= 3:
+        for size in range(cols + 1):
+            yield from itertools.permutations(range(1, cols + 1), size)
+        return
+    for _ in range(4):
+        yield tuple(rng.sample(range(1, cols + 1), rng.randint(0, cols)))
+
+
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
+    """On dense, wide low-rank and crafted inputs: _keepers(m, js) is the
+    keepers of the exact sweep of m's columns js, taken in that order, and
+    _spans(m, js, k) holds exactly when column_in_span finds coefficients."""
+    rng = random.Random(f"keepers-{field}-{bound}")
+    crafted = (mat(rows, field) for rows in CRAFTED_P)
+    for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted):
+        for js in _selections(rng, m.cols):
+            pivots = gauche_rref(m.take_columns(js)).pivot_set if js else ()
+            assert _keepers(m, js) == tuple(js[s - 1] for s in pivots), (m, js)
+            for k in set(range(1, m.cols + 1)) - set(js):
+                assert _spans(m, js, k) == (column_in_span(m, k, js) is not None), (m, js, k)

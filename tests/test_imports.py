@@ -1,11 +1,12 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
-only the standard library and the bench's verifier does not import the
-toolkit it checks; at run time, importing the CLI leaves `typing`,
-`dataclasses`, `inspect`, `ast`, `json`, `array`, `argparse`, `fractions`,
-`decimal` and `re` unloaded, a plain-argv job loads neither argparse nor,
-unless its answer holds a fraction, `fractions`; the package's `__all__`
-names exactly its public attributes, and the README's library quick start
-prints what its comments say."""
+only the standard library, only gauche.py knows the GF(P) image of the
+sweep, and the bench's verifier does not import the toolkit it checks; at
+run time, importing the CLI leaves `typing`, `dataclasses`, `inspect`,
+`ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and `re`
+unloaded, a plain-argv job loads neither argparse nor, unless its answer
+holds a fraction, `fractions`; the package's `__all__` names exactly its
+public attributes, and the README's library quick start prints what its
+comments say."""
 import ast
 import contextlib
 import io
@@ -42,6 +43,38 @@ def test_toolkit_imports_only_the_standard_library(path):
     imports = absolute_imports(path)
     assert "perfbench" not in imports
     assert sorted(imports - sys.stdlib_module_names - {"echelon"}) == []
+
+
+def _names(node) -> tuple:
+    """The names a node of the syntax tree spells: a variable, an attribute
+    or an imported name with its alias."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.alias):
+        return (node.name, node.asname)
+    return ()
+
+
+def test_only_gauche_knows_the_image():
+    """The GF(P) image of the sweep is one module's decision: no module of
+    the toolkit but gauche.py constructs a KeeperState or names P, _IMAGE
+    or _rational. The others ask gauche's sweep and its two image-first
+    questions, _keepers and _spans."""
+    found = []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        if path.name == "gauche.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and "KeeperState" in _names(node.func):
+                found.append((path.name, node.lineno, "KeeperState("))
+            found += [
+                (path.name, getattr(node, "lineno", None), name)
+                for name in _names(node)
+                if name in ("P", "_IMAGE", "_rational")
+            ]
+    assert found == []
 
 
 def test_bench_verifier_does_not_import_the_toolkit():

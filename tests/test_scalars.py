@@ -144,7 +144,7 @@ class TestFieldSpec:
         raw values, with denominators other than 1; over GF(p) packed rows,
         at slot widths from one byte to wider than 64 bits, after random
         updates and with every slot at the bound its width is chosen for,
-        (p-1) + updates * (p-1)**2, and rows scaled by scale_row."""
+        (p-1) + updates * (p-1)**2."""
         rng = random.Random(404)
 
         def scalars(raw):
@@ -152,7 +152,6 @@ class TestFieldSpec:
 
         for _ in range(200):
             n = rng.randint(1, 6)
-            c = rng.choice([1, -1]) * rng.randint(1, 6)
             if field.modulus is None:
                 d = rng.choice([1, rng.randint(1, 6) * rng.choice([-1, 1])])
                 xs = [d * rng.randint(-50, 50) for _ in range(n)]
@@ -185,9 +184,6 @@ class TestFieldSpec:
                     top = field.pack([p - 1] * n, w) * (1 + updates * (p - 1))
                     heaviest = Scalar(field, p - 1) * Scalar(field, 1 + updates * (p - 1))
                     assert scalars(field.unpack(top, n, w)) == [heaviest] * n
-                assert scalars(field.scale_row(-1, xs)) == [-x for x in scalars(xs)]
-                scaled = [Scalar(field, c) * x for x in scalars(xs)]
-                assert scalars(field.scale_row(c, xs)) == scaled
 
 
 class TestParse:
