@@ -1,9 +1,10 @@
 """Command-line surface: parse matrices and systems from files, run the
 toolkit operations, and print deterministic plain text or the same data as
 JSON. Each command returns its exit code, JSON payload and plain text, built
-from one set of formatted strings; main prints one of the two. Exit status is
-0 for success/true verdicts, 1 for false verdicts, and 2 for usage, parse, or
-data errors.
+from one set of formatted strings; main prints one of the two. Commands read,
+reduce and print raw values, so none makes a Scalar. Exit status is 0 for
+success/true verdicts, 1 for false verdicts, and 2 for usage, parse, or data
+errors.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .errors import EchelonError, ParseError
 from .gauche import _keepers, gauche_rref
 from .matrices import Matrix
 from .nullspace import basis_rows, graph_relations, relation_lines
-from .rowops import _gauss_jordan, rref_violation
+from .rowops import rref_violation, script_lines
 from .scalars import GF, QQ, FieldSpec, data_lines, format_values, parse_value, text_lines
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
@@ -165,13 +166,7 @@ def _cmd_equiv(a, b) -> tuple[int, dict, str]:
 
 
 def _cmd_script(m) -> tuple[int, dict, str]:
-    # each raw log entry, its fields separated by spaces, is its line: %s of
-    # a raw value is its literal, as format_op writes a Scalar; finish, which
-    # builds the RREF, is never called
-    ops = [
-        ("%s %s %s" if len(entry) == 3 else "%s %s %s %s") % entry
-        for entry in _gauss_jordan(m)[0]
-    ]
+    ops = script_lines(m)
     return 0, {"ops": ops}, "\n".join(ops)
 
 

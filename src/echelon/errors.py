@@ -4,6 +4,11 @@ Out-of-range indices and division by zero use the Python builtins
 (IndexError, ZeroDivisionError); everything else gets a named type here.
 """
 
+__all__ = [
+    "EchelonError", "FieldMismatchError", "InconsistentSystemError", "InvalidOperationError",
+    "ParseError", "ShapeError"
+]
+
 
 class EchelonError(Exception):
     """Base class for toolkit-specific errors."""

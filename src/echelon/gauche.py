@@ -15,6 +15,8 @@ that image, and the exact sweep answers when it proves nothing.
 """
 from __future__ import annotations
 
+__all__ = ["GaucheResult", "Keeper", "KeeperState", "LLQAnswer", "Subordinate", "gauche_rref"]
+
 from itertools import compress
 from math import gcd, isqrt
 

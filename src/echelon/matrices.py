@@ -13,6 +13,8 @@ the leftmost column and "entry 1" the top of a vector.
 """
 from __future__ import annotations
 
+__all__ = ["Matrix", "Vector", "std_basis"]
+
 from collections.abc import Sequence
 
 from .errors import FieldMismatchError, ShapeError

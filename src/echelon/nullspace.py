@@ -12,6 +12,11 @@ second one's columns a sweep keeps.
 """
 from __future__ import annotations
 
+__all__ = [
+    "GraphRelations", "column_in_span", "columns_independent", "graph_relations", "null_basis",
+    "null_contains", "null_equal"
+]
+
 from collections.abc import Sequence
 
 from .gauche import GaucheResult, _answers, _keepers, gauche_rref

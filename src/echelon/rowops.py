@@ -5,8 +5,20 @@ The log witnesses row equivalence: replaying it through apply_ops takes the
 input to its reduced form, and every operation is invertible. Operations that
 would do nothing (unit scales, zero-coefficient subtractions, self swaps) are
 never emitted, so an input already in reduced form yields an empty script.
+
+The vocabulary is declared once. Each op class carries its `kind` (the
+first word of its text line) and names its fields in __slots__, in text
+order: row indices, then the coefficient c where it has one. _KINDS maps a
+kind to its class, so parse_ops reads the arity off the class, and one
+writer, _lines, writes every (kind, *fields) tuple, a RowOp's or a raw log
+entry of the kernels, as its text line.
 """
 from __future__ import annotations
+
+__all__ = [
+    "Axpy", "ReductionResult", "RowOp", "RREF_CONDITIONS", "Scale", "Swap", "apply_ops",
+    "format_op", "gauss_jordan", "is_rref", "parse_ops", "rref_violation"
+]
 
 from itertools import compress, count
 
@@ -25,6 +37,7 @@ class Swap(Frozen):
     """Interchange rows i and j."""
 
     __slots__ = ("i", "j")
+    kind = "swap"
 
     def __init__(self, i: int, j: int):
         _check_row_indices(i, j)
@@ -37,6 +50,7 @@ class Scale(Frozen):
     """Multiply row i by the nonzero scalar c."""
 
     __slots__ = ("i", "c")
+    kind = "scale"
 
     def __init__(self, i: int, c: Scalar):
         _check_row_indices(i)
@@ -49,6 +63,7 @@ class Axpy(Frozen):
     """Subtract c times row `source` from row `target` (the workhorse)."""
 
     __slots__ = ("target", "source", "c")
+    kind = "axpy"
 
     def __init__(self, target: int, source: int, c: Scalar):
         _check_row_indices(target, source)
@@ -58,6 +73,16 @@ class Axpy(Frozen):
 
 
 RowOp = Swap | Scale | Axpy
+_KINDS = {cls.kind: cls for cls in (Swap, Scale, Axpy)}
+# the format of a (kind, *fields) tuple by its length: %s writes a raw value
+# as its literal, as str writes a Scalar
+_FORMATS = {3: "%s %s %s", 4: "%s %s %s %s"}
+
+
+def _lines(entries) -> list[str]:
+    """The text line of each (kind, *fields) tuple: its items, spaced."""
+    return [_FORMATS[len(entry)] % entry for entry in entries]
+
 
 # check order is fixed so the first reported violation is deterministic
 RREF_CONDITIONS = ("Pivots", "Insecurity", "Downright", "Bottom-zeros")
@@ -105,21 +130,27 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
     log, pivot_set, finish = _gauss_jordan(m)
     field = m.field
 
-    def op(kind, *args) -> RowOp:
-        if kind == "swap":
-            return Swap._raw(*args)
-        *rows, c = args
-        return (Scale if kind == "scale" else Axpy)._raw(*rows, Scalar._raw(field, c))
+    def op(kind, *fields) -> RowOp:
+        cls = _KINDS[kind]
+        return cls._raw(*[
+            Scalar._raw(field, x) if name == "c" else x for name, x in zip(cls.__slots__, fields)
+        ])
 
     return ReductionResult(finish(), tuple([op(*entry) for entry in log]), pivot_set)
+
+
+def script_lines(m: Matrix) -> list[str]:
+    """format_op's line of each op of gauss_jordan(m), written straight from
+    the raw log: no RowOp, Scalar or RREF is built."""
+    return _lines(_gauss_jordan(m)[0])
 
 
 def _gauss_jordan(m: Matrix):
     """The raw op log and the pivot set of m, from the kernel of its field,
     and finish(), which builds the RREF from the kernel's rows when called.
     The log holds ("swap", i, j), ("scale", i, c) and ("axpy", i, j, c), c a
-    raw value, so each entry joined by spaces is the op's line in the text
-    form parse_ops reads."""
+    raw value: a RowOp's kind and fields, so _lines writes it as format_op
+    writes the op."""
     return (_fraction_free_gauss_jordan if m.field.modulus is None else _packed_gauss_jordan)(m)
 
 
@@ -163,8 +194,6 @@ def _fraction_free_gauss_jordan(m: Matrix):
         prev = pv
         pivots.append(col + 1)
         pivot_row += 1
-        if pivot_row == m.rows:
-            break
 
     def finish() -> Matrix:
         values = tuple(x for row, mu in zip(work, mus) for x in field.quotients(row, prev * mu))
@@ -211,8 +240,6 @@ def _packed_gauss_jordan(m: Matrix):
                 work[r] += (p - f) * u
         pivots.append(col + 1)
         pivot_row += 1
-        if pivot_row == m.rows:
-            break
 
     def finish() -> Matrix:
         values = tuple(x for row in work for x in field.unpack(row, cols, w))
@@ -234,28 +261,24 @@ def apply_ops(m: Matrix, ops) -> Matrix:
         if isinstance(op, Swap):
             i, j = index_offset("row", op.i, m.rows), index_offset("row", op.j, m.rows)
             work[i], work[j] = work[j], work[i]
-        elif isinstance(op, Scale):
-            if op.c.spec != field:
-                raise FieldMismatchError(f"scale in {op.c.spec} applied over {field}")
-            work[op.i - 1] = [raw(op.c.value * x) for x in row_of(op.i)]
-        elif isinstance(op, Axpy):
-            if op.c.spec != field:
-                raise FieldMismatchError(f"axpy in {op.c.spec} applied over {field}")
-            c, src = op.c.value, row_of(op.source)
-            work[op.target - 1] = [raw(x - c * y) for x, y in zip(row_of(op.target), src)]
-        else:
+            continue
+        if not isinstance(op, RowOp):
             raise TypeError(f"not a row operation: {op!r}")
+        if op.c.spec != field:
+            raise FieldMismatchError(f"{op.kind} in {op.c.spec} applied over {field}")
+        c = op.c.value
+        if isinstance(op, Scale):
+            work[op.i - 1] = [raw(c * x) for x in row_of(op.i)]
+        else:
+            src = row_of(op.source)
+            work[op.target - 1] = [raw(x - c * y) for x, y in zip(row_of(op.target), src)]
     return Matrix._raw(m.rows, m.cols, tuple(x for row in work for x in row), field)
 
 
 def format_op(op: RowOp) -> str:
-    if isinstance(op, Swap):
-        return f"swap {op.i} {op.j}"
-    if isinstance(op, Scale):
-        return f"scale {op.i} {op.c}"
-    if isinstance(op, Axpy):
-        return f"axpy {op.target} {op.source} {op.c}"
-    raise TypeError(f"not a row operation: {op!r}")
+    if not isinstance(op, RowOp):
+        raise TypeError(f"not a row operation: {op!r}")
+    return _lines([(op.kind, *op._fields())])[0]
 
 
 def _row_index(token: str) -> int:
@@ -271,16 +294,15 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
     `axpy i j c` (row i minus c times row j). `#` starts a comment."""
     ops: list[RowOp] = []
     for lineno, line in data_lines(text):
-        parts = line.split()
+        kind, *fields = line.split()
+        cls = _KINDS.get(kind)
         try:
-            if parts[0] == "swap" and len(parts) == 3:
-                op: RowOp = Swap(_row_index(parts[1]), _row_index(parts[2]))
-            elif parts[0] == "scale" and len(parts) == 3:
-                op = Scale(_row_index(parts[1]), as_scalar(parts[2], field))
-            elif parts[0] == "axpy" and len(parts) == 4:
-                op = Axpy(_row_index(parts[1]), _row_index(parts[2]), as_scalar(parts[3], field))
-            else:
+            if cls is None or len(fields) != len(cls.__slots__):
                 raise InvalidOperationError(f"unrecognized row operation {line!r}")
+            op = cls(*[
+                as_scalar(token, field) if name == "c" else _row_index(token)
+                for name, token in zip(cls.__slots__, fields)
+            ])
         except (
             ValueError, IndexError, ZeroDivisionError, InvalidOperationError, ParseError
         ) as exc:

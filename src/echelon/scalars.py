@@ -17,6 +17,8 @@ format reads its lines through data_lines.
 """
 from __future__ import annotations
 
+__all__ = ["GF", "QQ", "FieldSpec", "Scalar", "as_scalar"]
+
 import sys
 from functools import cache
 from math import lcm

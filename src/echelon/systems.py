@@ -13,6 +13,11 @@ whose journals differ.
 """
 from __future__ import annotations
 
+__all__ = [
+    "Affine", "Inconsistent", "LinearSystem", "SolutionSet", "row_equivalent",
+    "solution_equivalent", "solve"
+]
+
 from operator import eq
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError

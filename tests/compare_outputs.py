@@ -40,17 +40,25 @@ argparse rejects, a trailing `--field`, `--` before a file, a repeated
 usage and error text are compared too. Prints the number of runs, of
 edge-case runs among them, and each run that differs; exits 1 if any does,
 and 2, with the child's stderr, if a child itself fails (for example, when a
-tree does not import).
+tree does not import). Last it prints the size of `src/echelon` in both
+trees, as `src/echelon: A -> B lines, C -> D code lines`: code lines are the
+lines that hold a token other than a comment, a newline or indentation (per
+`tokenize`), less the lines of module, class and function docstrings (per
+`ast`).
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import glob
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -110,7 +118,36 @@ def main() -> int:
     args = ap.parse_args()
     with contextlib.ExitStack() as stack:
         old_src, new_src = (_src_dir(src, stack) for src in (args.old_src, args.new_src))
-        return _compare(old_src, new_src, args.seeds)
+        code = _compare(old_src, new_src, args.seeds)
+        (lines, old_code), (new_lines, new_code) = _size(old_src), _size(new_src)
+        print(f"src/echelon: {lines} -> {new_lines} lines, {old_code} -> {new_code} code lines")
+        return code
+
+
+_LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _size(src: str) -> tuple[int, int]:
+    """(lines, code lines) of the .py files of src/echelon, counted as the
+    module docstring says."""
+    lines = code = 0
+    for path in sorted(glob.glob(os.path.join(src, "echelon", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        lines += text.count("\n")
+        held = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _LAYOUT:
+                held.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text, filename=path)):
+            if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                held.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code += len(held)
+    return lines, code
 
 
 # inputs no corpus holds, so that diagnostics and exit code 2 are diffed too:

@@ -5,10 +5,11 @@ run time, importing the CLI leaves `typing`, `dataclasses`, `inspect`,
 `ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and `re`
 unloaded, a plain-argv job loads neither argparse nor, unless its answer
 holds a fraction, `fractions`; the package's `__all__` names exactly its
-public attributes, and the README's library quick start prints what its
-comments say."""
+public attributes, each declared once, in its own module's `__all__`, and
+the README's library quick start prints what its comments say."""
 import ast
 import contextlib
+import importlib
 import io
 import re
 import subprocess
@@ -164,6 +165,25 @@ def test_export_list_matches_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(echelon.__all__)) == []
+
+
+SUBMODULES = ("errors", "gauche", "matrices", "nullspace", "rowops", "scalars", "systems")
+
+
+def test_each_public_name_is_declared_once():
+    """Each submodule's `__all__` names attributes that module defines, no
+    name is in two of them, and the package's `__all__` is their
+    concatenation."""
+    declared = []
+    for name in SUBMODULES:
+        module = importlib.import_module(f"echelon.{name}")
+        for attr in module.__all__:
+            value = getattr(module, attr)
+            if isinstance(value, (type, types.FunctionType)):
+                assert value.__module__ == module.__name__, (name, attr)
+        declared += module.__all__
+    assert len(set(declared)) == len(declared)
+    assert echelon.__all__ == declared
 
 
 def test_readme_quick_start_prints_what_its_comments_say():

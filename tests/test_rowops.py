@@ -283,3 +283,38 @@ class TestOpText:
         ops = gauss_jordan(m).ops
         text = "\n".join(format_op(op) for op in ops)
         assert parse_ops(text, GF7) == ops
+
+    @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+    def test_random_ops_roundtrip(self, field, bound):
+        """parse_ops reads back every line format_op writes, in every field;
+        each coefficient is scaled by bound, nonzero in every case, so the
+        64-bit case writes 64-bit literals."""
+        rng = random.Random(29)
+        for _ in range(40):
+            ops = [
+                op if isinstance(op, Swap)
+                else type(op)(*op._fields()[:-1], sc(op.c.value * bound, field))
+                for op in random_ops(rng, rng.randint(1, 6), field)
+            ]
+            text = "\n".join(format_op(op) for op in ops)
+            assert parse_ops(text, field) == tuple(ops)
+
+    def test_non_ops_are_refused(self):
+        """Anything but a Swap, Scale or Axpy is a TypeError naming it, in
+        format_op and in apply_ops."""
+        thing = object()
+        with pytest.raises(TypeError, match=f"^not a row operation: {thing!r}$"):
+            format_op(thing)
+        with pytest.raises(TypeError, match=f"^not a row operation: {thing!r}$"):
+            apply_ops(matrix_t(), [Swap(1, 2), thing])
+
+    def test_subclassed_ops_format_and_replay(self):
+        """A subclass of an op class is that op: it formats as its kind, and
+        replays as the op does."""
+
+        class Tagged(Axpy):
+            pass
+
+        op = Tagged(1, 2, sc(3))
+        assert format_op(op) == "axpy 1 2 3"
+        assert apply_ops(matrix_t(), [op]) == apply_ops(matrix_t(), [Axpy(1, 2, sc(3))])

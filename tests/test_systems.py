@@ -1,4 +1,8 @@
-"""Linear systems: exact solving, solution-set comparison, row equivalence."""
+"""Linear systems: exact solving, solution-set comparison, row equivalence.
+
+Besides the answers, it counts the sweeps each question makes, checks the
+lockstep row equivalence against comparing RREFs, and drives second systems
+that the GF(P) image cannot prove consistent to the exact sweep."""
 import collections
 import random
 from fractions import Fraction
