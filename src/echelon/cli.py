@@ -2,9 +2,9 @@
 toolkit operations, and print deterministic plain text or the same data as
 JSON. Each command returns its exit code, JSON payload and plain text, built
 from one set of formatted strings; main prints one of the two. Commands read,
-reduce and print raw values, so none makes a Scalar. Exit status is 0 for
-success/true verdicts, 1 for false verdicts, and 2 for usage, parse, or data
-errors.
+reduce and print raw values, so none makes a Scalar, and none runs the exact
+sweep more than once per input. Exit status is 0 for success/true verdicts,
+1 for false verdicts, and 2 for usage, parse, or data errors.
 """
 from __future__ import annotations
 

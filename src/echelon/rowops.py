@@ -7,7 +7,7 @@ would do nothing (unit scales, zero-coefficient subtractions, self swaps) are
 never emitted, so an input already in reduced form yields an empty script.
 
 The vocabulary is declared once. Each op class carries its `kind` (the
-first word of its text line) and names its fields in __slots__, in text
+first word of its text line), and its fields, Frozen's _names, are in text
 order: row indices, then the coefficient c where it has one. _KINDS maps a
 kind to its class, so parse_ops reads the arity off the class, and one
 writer, _lines, writes every (kind, *fields) tuple, a RowOp's or a raw log
@@ -133,7 +133,7 @@ def gauss_jordan(m: Matrix) -> ReductionResult:
     def op(kind, *fields) -> RowOp:
         cls = _KINDS[kind]
         return cls._raw(*[
-            Scalar._raw(field, x) if name == "c" else x for name, x in zip(cls.__slots__, fields)
+            Scalar._raw(field, x) if name == "c" else x for name, x in zip(cls._names, fields)
         ])
 
     return ReductionResult(finish(), tuple([op(*entry) for entry in log]), pivot_set)
@@ -297,11 +297,11 @@ def parse_ops(text: str, field: FieldSpec) -> tuple[RowOp, ...]:
         kind, *fields = line.split()
         cls = _KINDS.get(kind)
         try:
-            if cls is None or len(fields) != len(cls.__slots__):
+            if cls is None or len(fields) != len(cls._names):
                 raise InvalidOperationError(f"unrecognized row operation {line!r}")
             op = cls(*[
                 as_scalar(token, field) if name == "c" else _row_index(token)
-                for name, token in zip(cls.__slots__, fields)
+                for name, token in zip(cls._names, fields)
             ])
         except (
             ValueError, IndexError, ZeroDivisionError, InvalidOperationError, ParseError

@@ -80,28 +80,33 @@ _new = object.__new__
 
 
 class Frozen:
-    """Base of the immutable value classes. A subclass names its fields in
-    __slots__; its __init__ checks the arguments and sets each field once
-    with _freeze, and _raw, one generic loop for every class, builds an
-    instance unchecked. Equality, hash and the Name(field=value, ...) repr
-    follow the class and the fields; fields are read-only, and pickling
-    goes through the constructor."""
+    """Base of the immutable value classes. A class's fields, _names, are
+    its base's fields followed by its own __slots__, gathered once when the
+    class is made: a subclass's __slots__ lists only the fields it adds,
+    `()` for none. Its __init__ checks the arguments and sets each field
+    once with _freeze; _raw builds an instance unchecked. Equality, hash and
+    the Name(field=value, ...) repr follow the class and the fields; fields
+    are read-only, and pickling goes through the constructor, which takes
+    the fields in order."""
 
     __slots__ = ()
+    _names = ()
+
+    def __init_subclass__(cls):
+        cls._names += vars(cls).get("__slots__", ())
 
     @classmethod
     def _raw(cls, *values):
         obj = _new(cls)
-        for name, value in zip(cls.__slots__, values):
-            _set(obj, name, value)
+        obj._freeze(*values)
         return obj
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._names, values):
             _set(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -112,7 +117,7 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):
@@ -293,7 +298,7 @@ class Scalar(Frozen):
         return str(self.value)
 
     def __repr__(self) -> str:
-        return f"Scalar({self.spec}, {self})"
+        return f"{type(self).__qualname__}({self.spec}, {self})"
 
 
 def text_lines(text: str) -> list[str]:

@@ -1,12 +1,13 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library, only gauche.py knows the GF(P) image of the
-sweep, and the bench's verifier does not import the toolkit it checks; at
-run time, importing the CLI leaves `typing`, `dataclasses`, `inspect`,
-`ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and `re`
-unloaded, a plain-argv job loads neither argparse nor, unless its answer
-holds a fraction, `fractions`; the package's `__all__` names exactly its
-public attributes, each declared once, in its own module's `__all__`, and
-the README's library quick start prints what its comments say."""
+sweep, only scalars.py reads a value class's __slots__, and the bench's
+verifier does not import the toolkit it checks; at run time, importing the
+CLI leaves `typing`, `dataclasses`, `inspect`, `ast`, `json`, `array`,
+`argparse`, `fractions`, `decimal` and `re` unloaded, a plain-argv job
+loads neither argparse nor, unless its answer holds a fraction,
+`fractions`; the package's `__all__` names exactly its public attributes,
+each declared once, in its own module's `__all__`, and the README's
+library quick start prints what its comments say."""
 import ast
 import contextlib
 import importlib
@@ -75,6 +76,23 @@ def test_only_gauche_knows_the_image():
                 for name in _names(node)
                 if name in ("P", "_IMAGE", "_rational")
             ]
+    assert found == []
+
+
+def test_only_frozen_reads_the_fields():
+    """A value's field list is one module's decision: no module of the
+    toolkit but scalars.py reads __slots__, as an attribute, a name or a
+    key such as `vars(cls)["__slots__"]`. The others read Frozen's _names;
+    declaring `__slots__ = (...)` is allowed."""
+    found = []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            declared = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            read = "__slots__" in _names(node) and not declared
+            if read or isinstance(node, ast.Constant) and node.value == "__slots__":
+                found.append((path.name, node.lineno))
     assert found == []
 
 

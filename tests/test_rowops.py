@@ -309,12 +309,14 @@ class TestOpText:
             apply_ops(matrix_t(), [Swap(1, 2), thing])
 
     def test_subclassed_ops_format_and_replay(self):
-        """A subclass of an op class is that op: it formats as its kind, and
-        replays as the op does."""
-
-        class Tagged(Axpy):
-            pass
-
-        op = Tagged(1, 2, sc(3))
-        assert format_op(op) == "axpy 1 2 3"
-        assert apply_ops(matrix_t(), [op]) == apply_ops(matrix_t(), [Axpy(1, 2, sc(3))])
+        """A subclass of an op class is that op, whether it declares
+        `__slots__ = ()` or no slots: it formats as its kind, its line parses
+        back to the op, and it replays as the op does."""
+        cases = ((Swap(1, 3), "swap 1 3"), (Scale(2, sc(-2)), "scale 2 -2"),
+                 (Axpy(1, 2, sc(3)), "axpy 1 2 3"))
+        for op, line in cases:
+            for body in ({"__slots__": ()}, {}):
+                tagged = type("Tagged", (type(op),), body)(*op._fields())
+                assert format_op(tagged) == line
+                assert parse_ops(line, QQ) == (op,)
+                assert apply_ops(matrix_t(), [tagged]) == apply_ops(matrix_t(), [op])

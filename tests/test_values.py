@@ -1,8 +1,9 @@
-"""Value semantics of the toolkit's immutable classes: equality by class and
-fields, hashing, the `Name(field=value, ...)` repr, read-only fields and
-pickling."""
+"""Value semantics of the toolkit's immutable classes and of their
+subclasses: equality by class and fields, hashing, the `Name(field=value,
+...)` repr, read-only fields and pickling."""
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -85,31 +86,63 @@ CASES = {
 }
 
 
+def _subclass(base: type, prefix: str, body: dict) -> type:
+    """A subclass of base named prefix + its name, bound in this module so
+    that pickle finds it."""
+    cls = type(prefix + base.__name__, (base,), {"__module__": __name__, **body})
+    globals()[cls.__name__] = cls
+    return cls
+
+
+# two subclasses of each class that add no fields: one declares
+# `__slots__ = ()`, the other no slots
+SUBCLASSES = {
+    name: [
+        _subclass(getattr(echelon, name), prefix, body)
+        for prefix, body in (("Slotted", {"__slots__": ()}), ("Unslotted", {}))
+    ]
+    for name in CASES
+}
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_value_semantics(name):
+    """Each class is a value, and so is each subclass that adds no fields:
+    it has its base's fields, prints under its own name and differs from
+    the base's value with the same fields."""
     make, others, text = CASES[name]
+    value = make()
+    assert type(value).__name__ == name
+    fields = [getattr(value, field) for field in type(value)._names]
+    assert len(others) == len(fields)
+    assert_value(make, fields, others, text)
+    for sub in SUBCLASSES[name]:
+        sub_text = sub.__name__ + text[len(name) :]
+        sub_value = assert_value(partial(sub, *fields), fields, others, sub_text)
+        assert sub_value != value and value != sub_value
+
+
+def assert_value(make, fields, others, text):
+    """Check the instances make builds, whose fields are fields, and return one."""
     a, b = make(), make()
     cls = type(a)
-    assert cls.__name__ == name
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert repr(a) == text
 
     # built unchecked from its fields, the value is the same
-    fields = [getattr(a, field) for field in cls.__slots__]
     rebuilt = cls._raw(*fields)
     assert type(rebuilt) is cls and rebuilt == a and repr(rebuilt) == text
 
     # each variant is built unchecked, so it differs from a in that field only
-    assert len(others) == len(fields)
     for k, other in enumerate(others):
         variant = cls._raw(*fields[:k], other, *fields[k + 1 :])
-        assert variant != a and a != variant, cls.__slots__[k]
+        assert variant != a and a != variant, cls._names[k]
 
     # another class with the same fields is a different value
-    twin = type("Twin", (Frozen,), {"__slots__": cls.__slots__})._raw(*fields)
+    twin = type("Twin", (Frozen,), {"__slots__": cls._names})._raw(*fields)
     assert twin != a and a != twin
 
-    for field in cls.__slots__ + ("extra",):
+    for field in cls._names + ("extra",):
         with pytest.raises(AttributeError):
             setattr(a, field, None)
         with pytest.raises(AttributeError):
@@ -118,6 +151,7 @@ def test_value_semantics(name):
 
     copy = pickle.loads(pickle.dumps(a))
     assert type(copy) is cls and copy == a and hash(copy) == hash(a)
+    return a
 
 
 def test_null_basis_is_read_only_and_follows_the_fields():
