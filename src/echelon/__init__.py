@@ -5,8 +5,9 @@ column sweep that never touches a row, and classical Gauss-Jordan with a
 replayable row-operation log. Over Q or GF(p), on top of it come the null
 space as a graph over the free coordinates, column span and independence
 tests, row equivalence by reduced forms, exact solving, and null_equal, a
-null-space test by rank and one inclusion (M = M_P·R) that the tests check
-row equivalence against and that decides solution equivalence.
+null-space test by rank and one inclusion (M = M_K·R, M_K the keeper
+columns) that the tests check row equivalence against and that decides
+solution equivalence.
 """
 
 from . import errors, gauche, matrices, nullspace, rowops, scalars, systems

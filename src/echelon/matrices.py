@@ -115,8 +115,7 @@ class Matrix(Frozen):
         to integers over its least common denominator (1 over GF(p)), its
         zero entries dropped; each row's dot product runs on raw values, so
         an integer matrix needs only int arithmetic, and each output entry
-        is divided once: an int where the quotient is whole, else a
-        Fraction; over GF(p) its least residue."""
+        is divided once, by FieldSpec.quotients."""
         if not isinstance(v, Vector):
             return NotImplemented
         if v.dim != self.cols:
@@ -127,9 +126,7 @@ class Matrix(Frozen):
         xs, d = field.clear(v.values)
         nonzero = [(j, x) for j, x in enumerate(xs) if x]
         accs = [sum([values[i + j] * x for j, x in nonzero]) for i in range(0, len(values), cols)]
-        p = field.modulus
-        out = field.quotients(accs, d) if p is None else [acc % p for acc in accs]
-        return Vector._raw(tuple(out), field)
+        return Vector._raw(tuple(field.quotients(accs, d)), field)
 
     def raw_rows(self) -> list[list]:
         """Mutable row-of-lists copy of the raw values, for the working

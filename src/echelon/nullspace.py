@@ -120,11 +120,14 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """Do the two matrices have the same null space?
 
     The null space of a p x q matrix lies in F^q, so row counts may differ;
-    matrices of different widths or fields compare unequal. Only a is
-    swept, as a = a_P·R with R its RREF. b kills a's null space exactly
-    when b = b_P·R, b_P being b's columns at a's pivots; R has full row
-    rank, so b's rank is then b_P's, and the null spaces are equal exactly
-    when b_P has full column rank. No orthogonality is involved.
+    matrices of different widths or fields compare unequal. This is the
+    null-space test of the paper's corollary, a route apart from
+    row_equivalent that the tests check it against. Only a is swept, as
+    a = a_K·R, R its RREF and a_K its keeper columns, those at its pivots.
+    b kills a's null space exactly when b = b_K·R, b_K being b's columns at
+    a's pivots; R has full row rank, so b's rank is then b_K's, and the null
+    spaces are equal exactly when b_K has full column rank. No
+    orthogonality is involved.
     """
     if a.cols != b.cols or a.field != b.field:
         return False
@@ -133,16 +136,17 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
 
 
 def _factors_through(res: GaucheResult, m: Matrix) -> bool:
-    """Does m kill the null space of the matrix swept as res: m = m_P·R, R
-    res's RREF and m_P m's columns at its pivots? Tested on R's free
-    columns, the last one (an augmented right-hand side) first; with no
-    pivots, m must be zero."""
+    """Does m kill the null space of the matrix swept as res: m = m_K·R, R
+    res's RREF and m_K m's columns at its pivots? R's pivot columns are unit
+    vectors, so only its free columns are tested, the last one (an
+    augmented right-hand side) first: m's column n must equal m_K times
+    journal n. With no pivots, m must be zero."""
     pivots, rref, field = res.pivot_set, res.rref, m.field
     if not pivots:
         return not any(m.values)
-    m_p, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
+    m_k, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
     return all(
-        m_p @ Vector._raw(rref.values[n - 1 : rank * cols : cols], field) == m.column(n)
+        m_k @ Vector._raw(rref.values[n - 1 : rank * cols : cols], field) == m.column(n)
         for n in range(cols, 0, -1)
         if n not in kept
     )

@@ -3,8 +3,9 @@
 Every field element has one form, its raw value: over Q an int, or a
 reduced Fraction where the value is not an integer; over GF(p) the least
 nonnegative residue. FieldSpec.raw puts an int or a Fraction in that form,
-and FieldSpec.quotients an integer quotient; as_raw is the one coercion of
-an int, Fraction, literal or Scalar to a raw value. Mixing values from
+and FieldSpec.quotient is the one division of raw values, in both fields:
+a/b over Q, a times the inverse of b over GF(p). as_raw is the one coercion
+of an int, Fraction, literal or Scalar to a raw value. Mixing values from
 different fields raises FieldMismatchError rather than coercing.
 
 Scalar is the type at the API boundary: one raw value with its field, an
@@ -155,9 +156,7 @@ class FieldSpec(Frozen):
             raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
         if p is None:
             return value.numerator if value.denominator == 1 else value
-        if value.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator {value.denominator} vanishes in {self}")
-        return value.numerator * pow(value.denominator, -1, p) % p
+        return self.quotient(value.numerator, value.denominator)
 
     # Raw-value arithmetic shared by the elimination kernels. Over Q the
     # kernels hold a row as integers xs over a denominator d, standing for
@@ -169,10 +168,9 @@ class FieldSpec(Frozen):
     # slot reaches 2**w first.
 
     def inverse(self, a):
-        """The inverse of the nonzero raw value a."""
-        if self.modulus is None:
-            return self.quotient(1, a)
-        return pow(a, -1, self.modulus)
+        """The inverse of the raw value a, quotient(1, a): ZeroDivisionError
+        when a is zero."""
+        return self.quotient(1, a)
 
     def clear(self, values) -> tuple[list[int], int]:
         """The list of raw values as an integer row over a denominator: over
@@ -216,17 +214,26 @@ class FieldSpec(Frozen):
         return [x % p for x in slots]
 
     def quotient(self, x, d):
-        """Over Q, the raw value of x over the nonzero d, as quotients gives
-        it."""
-        return self.quotients((x,), d)[0]
+        """The raw value of x over d, the one division of both fields: over Q
+        an int where the quotient is whole, else a Fraction; over GF(p) the
+        least residue of x times the inverse of d. A d that is zero in the
+        field raises ZeroDivisionError, over GF(p) naming d. Over Q, x and d
+        may be Fractions: inverse divides 1 by a raw value."""
+        p = self.modulus
+        if p is None:
+            return x // d if x % d == 0 else Fraction(x, d)
+        if d % p == 0:
+            raise ZeroDivisionError(f"denominator {d} vanishes in {self}")
+        return x * pow(d, -1, p) % p
 
     def quotients(self, xs, d) -> list:
-        """Over Q, the raw values of the row xs over the nonzero d: an int
-        where the quotient is whole, else a Fraction. The kernels pass
-        integers; the matrix-vector product passes row sums, which are
-        Fractions where the matrix holds Fractions; inverse passes 1 over a
-        raw value."""
-        return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
+        """[quotient(x, d) for x in xs], the row form: over GF(p) d is
+        inverted once."""
+        p = self.modulus
+        if p is None:
+            return [x // d if x % d == 0 else Fraction(x, d) for x in xs]
+        c = self.quotient(1, d)
+        return [x * c % p for x in xs]
 
     def zero(self) -> Scalar:
         return Scalar._raw(self, 0)
@@ -320,27 +327,23 @@ def data_lines(text: str):
 def parse_value(text: str, field: FieldSpec):
     """The raw value of an integer or "a/b" literal in the field.
 
-    Over GF(p) a fraction literal means a times the inverse of b; a
-    denominator divisible by p is rejected with ZeroDivisionError, as is a
-    literal zero denominator. A number longer than the interpreter's int
-    digit limit raises its ValueError: reading one takes quadratic time.
+    An a/b literal is field.quotient(a, b): over GF(p) a times the inverse
+    of b, and a denominator divisible by p is rejected with
+    ZeroDivisionError, as is a literal zero denominator. A number longer
+    than the interpreter's int digit limit raises its ValueError: reading
+    one takes quadratic time.
     """
-    # ASCII only: int() alone also takes `+1`, `1_0`, ` 7` and non-ASCII digits
-    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
-        value = int(text)
-        return value if field.modulus is None else value % field.modulus
-    # otherwise an optional '-', digits, '/' and more digits, all ASCII
-    num, _, den = text.partition("/")
-    if not (text.isascii() and num.removeprefix("-").isdigit() and den.isdigit()):
+    # an optional '-' and digits, then optionally '/' and more digits, all
+    # ASCII: int() alone also takes `+1`, `1_0`, ` 7` and non-ASCII digits
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
         raise ParseError(f"malformed scalar literal {text!r}")
-    num, den = int(num), int(den)
-    if den == 0:
+    if not slash:
+        return field.raw(int(num))
+    a, b = int(num), int(den)
+    if b == 0:
         raise ZeroDivisionError(f"zero denominator in literal {text!r}")
-    if field.modulus is None:
-        return field.raw(Fraction(num, den))
-    if den % field.modulus == 0:
-        raise ZeroDivisionError(f"denominator {den} vanishes in {field}")
-    return num * pow(den, -1, field.modulus) % field.modulus
+    return field.quotient(a, b)
 
 
 def format_values(values) -> list[str]:

@@ -3,8 +3,9 @@
 A system is read off one sweep of its augmented matrix; it is inconsistent
 exactly when the right-hand-side column earns a pivot. Otherwise its solutions
 are a particular solution plus the coefficient null space, and two systems
-compare by the null spaces of their augmented matrices: M = M_P·R off the
-first one's sweep, and the rank of the second one's columns at its pivots.
+compare by the null spaces of their augmented matrices: M = M_K·R off the
+first one's sweep, M_K its keeper columns, and the rank of the second one's
+columns at its pivots.
 When they differ, the second must still be shown consistent: its right-hand
 side must lie in the span of its coefficient columns. Both the rank and the
 span are asked of gauche, which over Q tries the GF(P) image first. Row
@@ -86,11 +87,12 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     their augmented matrices share a null space (null_equal). A system is
     consistent when its right-hand-side column is free; inconsistent inputs
     are rejected, as two empty solution sets are not "equal". Only [A | c]
-    is swept, as [A | c] = [A | c]_P·R. When [B | d] = [B | d]_P·R too, d is
-    B_P times R's last column, P lying among the coefficient columns, so
-    [B | d] is consistent and a rank decides. Otherwise the solution sets
-    differ, and it is left to show [B | d] consistent, d in the span of
-    B's columns, or to reject it as inconsistent.
+    is swept, as [A | c] = [A | c]_K·R, K its keeper columns. When
+    [B | d] = [B | d]_K·R too, d is B_K times R's last column, K lying among
+    the coefficient columns, so [B | d] is consistent and a rank decides.
+    Otherwise the solution sets differ, and it is left to show [B | d]
+    consistent, d in the span of B's columns, or to reject it as
+    inconsistent.
     """
     if a.coeff.rows != b.coeff.rows or a.coeff.cols != b.coeff.cols:
         raise ShapeError("solution equivalence needs systems of the same size")

@@ -387,25 +387,31 @@ class TestScript:
         """`script` prints the oracle's log without building its reduced
         form: over GF(p) it unpacks at most one row per pivot (the pivot row,
         when chosen), not every row again at the end; over Q it takes one
-        quotient per logged coefficient and none to divide the rows back."""
+        quotient per logged coefficient and no row of quotients to divide
+        the rows back."""
         m = random_matrix(random.Random(2024), 12, 13, field)
         path = tmp_path / "m.mat"
         path.write_text(str(m) + "\n")
         pivots = len(gauss_jordan(m).pivot_set)
-        name = "quotients" if field.modulus is None else "unpack"
-        calls = []
-        kernel = getattr(FieldSpec, name)
-        monkeypatch.setattr(
-            FieldSpec, name, lambda self, *args: calls.append(1) or kernel(self, *args)
-        )
+        names = ("quotient", "quotients") if field.modulus is None else ("unpack",)
+        calls = {name: [] for name in names}
+
+        def counting(name):
+            kernel = getattr(FieldSpec, name)
+            return lambda self, *args: calls[name].append(1) or kernel(self, *args)
+
+        for name in names:
+            monkeypatch.setattr(FieldSpec, name, counting(name))
         flag = "q" if field.modulus is None else f"gf:{field.modulus}"
         assert main(["script", str(path), "--field", flag]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert pivots == 12 and lines
         if field.modulus is None:
-            assert len(calls) == sum(not line.startswith("swap") for line in lines)
+            coefficients = sum(not line.startswith("swap") for line in lines)
+            assert len(calls["quotient"]) == coefficients
+            assert calls["quotients"] == []
         else:
-            assert 0 < len(calls) <= pivots
+            assert 0 < len(calls["unpack"]) <= pivots
 
 
 class TestSolve:

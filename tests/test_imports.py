@@ -1,11 +1,12 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library, only gauche.py knows the GF(P) image of the
-sweep, only scalars.py reads a value class's __slots__, and the bench's
-verifier does not import the toolkit it checks; at run time, importing the
-CLI leaves `typing`, `dataclasses`, `inspect`, `ast`, `json`, `array`,
-`argparse`, `fractions`, `decimal` and `re` unloaded, a plain-argv job
-loads neither argparse nor, unless its answer holds a fraction,
-`fractions`; the package's `__all__` names exactly its public attributes,
+sweep, only scalars.py reads a value class's __slots__, only
+FieldSpec.quotient takes a modular inverse, and the bench's verifier does
+not import the toolkit it checks; at run time, importing the CLI leaves
+`typing`, `dataclasses`, `inspect`, `ast`, `json`, `array`, `argparse`,
+`fractions`, `decimal` and `re` unloaded, a plain-argv job loads neither
+argparse nor, unless a value it reads or prints is not whole, `fractions`;
+the package's `__all__` names exactly its public attributes,
 each declared once, in its own module's `__all__`, and the README's
 library quick start prints what its comments say."""
 import ast
@@ -96,6 +97,45 @@ def test_only_frozen_reads_the_fields():
     assert found == []
 
 
+def _scoped(node, scope=()):
+    """(scope, node) for each node below node, scope naming the classes and
+    functions that enclose it, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped(child, (*scope, child.name))
+        else:
+            yield from _scoped(child, scope)
+
+
+def test_the_field_divides_in_one_place():
+    """Division of raw values is one function's rule, FieldSpec.quotient:
+    no other code of the toolkit takes a modular inverse, pow(_, -1, _), and
+    the text of the GF(p) diagnostic "denominator d vanishes in GF(p)" is
+    written once, outside docstrings."""
+    inverses, vanishes = [], []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for scope, node in _scoped(tree):
+            where = (path.name, ".".join(scope))
+            if (
+                isinstance(node, ast.Call)
+                and _names(node.func) == ("pow",)
+                and len(node.args) == 3
+                and ast.unparse(node.args[1]) == "-1"
+            ):
+                inverses.append(where)
+            if (
+                isinstance(node, ast.Constant)
+                and id(node) not in docstrings
+                and "vanishes in" in str(node.value)
+            ):
+                vanishes.append(where)
+    assert inverses == [("scalars.py", "FieldSpec.quotient")]
+    assert vanishes == [("scalars.py", "FieldSpec.quotient")]
+
+
 def test_bench_verifier_does_not_import_the_toolkit():
     """The verifier checks the toolkit's answers, so it must not share its code."""
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
@@ -141,15 +181,17 @@ AFTER_ONE_JOB = ("argparse", "fractions", "re", "decimal", "enum", "gettext", "s
         (["rref", "m.mat", "--field", "gf:7"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
         (["rref", "--format=plain", "m.mat"], "2 4\n1 3\n", [], AFTER_ONE_JOB),
         (["rref", "m.mat"], "2 1\n", ["fractions"], ["argparse", "gettext", "shutil"]),
+        (["rref", "m.mat"], "4/2 6/3\n-8/4 1\n", [], AFTER_ONE_JOB),
         (["pivots", "m.mat"], "2 1\n", [], AFTER_ONE_JOB),
         (["--help"], "", ["argparse"], ["fractions"]),
     ],
-    ids=["gf", "q-integers", "q-fraction", "q-pivots", "help"],
+    ids=["gf", "q-integers", "q-fraction", "q-whole-fractions", "q-pivots", "help"],
 )
 def test_one_job_loads_only_what_it_needs(argv, text, loaded, unloaded, tmp_path):
     """In a fresh `python -I -S`, a plain-argv job over GF(p), or over Q
-    with an integer answer, loads none of AFTER_ONE_JOB; a Q answer holding
-    1/2 loads `fractions` but not argparse; Q `pivots` on the same input,
+    with an integer answer, loads none of AFTER_ONE_JOB, nor does one whose
+    a/b literals are all whole; a Q answer holding 1/2 loads `fractions`
+    but not argparse; Q `pivots` on the same input,
     whose sweep would make that 1/2, reads the GF(P) image and loads none;
     `--help` loads argparse."""
     (tmp_path / "m.mat").write_text(text)

@@ -68,8 +68,14 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
     def test_inverse_of_zero_rejected(self, field):
+        """Zero has no inverse in either field, whether asked of a Scalar or
+        of the raw-value division."""
         with pytest.raises(ZeroDivisionError):
             field.zero().inv()
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(0)
+        with pytest.raises(ZeroDivisionError):
+            field.quotient(1, 0)
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
     @pytest.mark.parametrize("value", [1.5, 0.1, "3", None], ids=repr)
@@ -168,6 +174,12 @@ class TestFieldSpec:
                 assert field.clear(xs) == (xs, 1)
                 if xs[0]:
                     assert Scalar(field, field.inverse(xs[0])) == Scalar(field, xs[0]).inv()
+                # quotients are least residues, whatever int d stands for
+                d = rng.choice([1, rng.randint(1, 50) * rng.choice([-1, 1])])
+                if d % p:
+                    unit = Scalar(field, d)
+                    assert field.quotients(xs, d) == [(x / unit).value for x in scalars(xs)]
+                    assert field.quotient(xs[0], d) == (Scalar(field, xs[0]) / unit).value
                 for updates in (1, 7, 300, 2**70):
                     w = field.slot_bits(updates)
                     assert w % 8 == 0 and (p - 1) + updates * (p - 1) ** 2 < 2**w
