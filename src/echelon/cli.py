@@ -300,7 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         field = _parse_field_flag(flag)
         inputs = [parse(_read(path), field) for path in files]
         # answers print in full; input literals keep the interpreter's int
-        # digit limit (Python 3.11+), as reading a long one takes quadratic time
+        # digit limit (Python 3.10.7+), as reading a long one takes quadratic
+        # time; the guard serves 3.10.0-3.10.6, which read a literal of any length
         lift = getattr(sys, "set_int_max_str_digits", None)
         limit = lift and sys.get_int_max_str_digits()
         if lift:

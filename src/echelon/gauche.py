@@ -8,10 +8,11 @@ column order, are exactly the reduced row echelon form, so no row operation
 is ever performed. The keeper columns of the input form a basis (the Gauche
 basis) for its column space, indexed by the pivot set.
 
-Every sweep reads one lazy generator of the answers. Over Q two questions,
-which columns a sweep keeps and whether a column lies in a span, are first
-put to the same sweep of the image mod a prime P; only this module knows of
-that image, and the exact sweep answers when it proves nothing.
+Every sweep reads one lazy generator of the answers, in column order. Over
+Q two questions, which columns a sweep keeps (_keepers) and whether the last
+column lies in the span of the others (_consistent), are first put to the
+same sweep of the image mod a prime P; only this module knows of that
+image, and the exact sweep answers when it proves nothing.
 """
 from __future__ import annotations
 
@@ -231,29 +232,27 @@ def _keepers(m: Matrix, js) -> tuple[int, ...]:
     return tuple(j for j, answer in zip(js, _answers(m, js)) if answer is None)
 
 
-def _spans(m: Matrix, js, k: int) -> bool:
-    """Is column k of m in the span of its columns js (1-based)?
+def _consistent(aug: Matrix) -> bool:
+    """Is the last column of aug in the span of the others?
 
-    Over Q the GF(P) sweep of js and then k proposes x: k's coefficients
-    over the image keepers, each reconstructed as a rational, -1 at k and
-    zero elsewhere; m x = 0 proves the span, so no verdict depends on P.
-    When the image proposes no x (k is an image keeper, P divides a
-    denominator, or a coefficient has no reconstruction) or m x is not
-    zero, and over GF(p), the exact sweep decides.
+    Over Q the GF(P) sweep of all columns proposes x, read in column order:
+    0 at each image subordinate, the next of the last column's coefficients,
+    reconstructed as a rational, at each image keeper, and -1 last; aug x = 0
+    proves the span, so no verdict depends on P. When the image proposes no
+    x (the last column is an image keeper, P divides a denominator, or a
+    coefficient has no reconstruction) or aug x is not zero, and over GF(p),
+    the exact sweep decides.
     """
-    columns = [*js, k]
-    if m.field.modulus is None:
+    columns = range(1, aug.cols + 1)
+    if aug.field.modulus is None:
         try:
-            *answers, coefficients = _answers(m, columns, _IMAGE)
+            *answers, coefficients = _answers(aug, columns, _IMAGE)
         except ZeroDivisionError:
             coefficients = None
         if coefficients is not None:
-            x = [0] * m.cols
-            x[k - 1] = -1
-            keepers = [j for j, answer in zip(columns, answers) if answer is None]
-            for j, c in zip(keepers, coefficients):
-                x[j - 1] = _rational(c, P)
-            if None not in x and (m @ Vector._raw(tuple(x), m.field)).is_zero():
+            c = iter(coefficients)
+            x = [_rational(next(c), P) if answer is None else 0 for answer in answers] + [-1]
+            if None not in x and (aug @ Vector._raw(tuple(x), aug.field)).is_zero():
                 return True
-    *_, answer = _answers(m, columns)
+    *_, answer = _answers(aug, columns)
     return answer is not None

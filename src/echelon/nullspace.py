@@ -82,7 +82,8 @@ def relation_lines(free_indices: tuple[int, ...], exprs) -> list[str]:
 
 
 def _relations(res: GaucheResult, q: int) -> GraphRelations:
-    """The free/pivot split of the first q columns of a swept matrix.
+    """The free/pivot split of the first q columns of a swept matrix, none
+    of whose pivots lies past column q.
 
     The sweep is prefix-stable: the keepers and journals among the first q
     columns are those of the first q columns swept alone. Each pivot
@@ -90,7 +91,7 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
     that pivot's row.
     """
     field, values, cols = res.rref.field, res.rref.values, res.rref.cols
-    p, pivots = field.modulus, [s for s in res.pivot_set if s <= q]
+    p, pivots = field.modulus, res.pivot_set
     kept = set(pivots)
     free = tuple(n for n in range(1, q + 1) if n not in kept)
     exprs = tuple(
@@ -172,13 +173,10 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     if k in js:
         raise ValueError(f"target column {k} is among the selected columns")
     *selected, answer = _answers(m, [*js, k])
-    kept_slots = [slot for slot, c in enumerate(selected) if c is None]
     if answer is None:
         return None
-    coeffs = [m.field.zero()] * len(js)
-    for c, slot in zip(answer, kept_slots):
-        coeffs[slot] = Scalar._raw(m.field, c)
-    return tuple(coeffs)
+    coefficients = iter(answer)
+    return tuple(Scalar._raw(m.field, next(coefficients) if c is None else 0) for c in selected)
 
 
 def columns_independent(m: Matrix, js: Sequence[int]) -> bool:

@@ -54,6 +54,8 @@ class Scale(Frozen):
 
     def __init__(self, i: int, c: Scalar):
         _check_row_indices(i)
+        if not isinstance(c, Scalar):
+            raise TypeError(f"coefficient must be a Scalar, got {type(c).__name__}")
         if not c:
             raise InvalidOperationError("scale by zero is not invertible")
         self._freeze(i, c)
@@ -67,6 +69,8 @@ class Axpy(Frozen):
 
     def __init__(self, target: int, source: int, c: Scalar):
         _check_row_indices(target, source)
+        if not isinstance(c, Scalar):
+            raise TypeError(f"coefficient must be a Scalar, got {type(c).__name__}")
         if target == source:
             raise InvalidOperationError("axpy of a row against itself")
         self._freeze(target, source, c)

@@ -7,10 +7,10 @@ compare by the null spaces of their augmented matrices: M = M_K·R off the
 first one's sweep, M_K its keeper columns, and the rank of the second one's
 columns at its pivots.
 When they differ, the second must still be shown consistent: its right-hand
-side must lie in the span of its coefficient columns. Both the rank and the
-span are asked of gauche, which over Q tries the GF(P) image first. Row
-equivalence sweeps two matrices in lockstep and stops at the first column
-whose journals differ.
+side must lie in the span of its coefficient columns. Both the rank
+(_keepers) and the span (_consistent) are asked of gauche, which over Q
+tries the GF(P) image first. Row equivalence sweeps two matrices in
+lockstep and stops at the first column whose journals differ.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ __all__ = [
 from operator import eq
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
-from .gauche import _answers, _keepers, _spans, gauche_rref
+from .gauche import _answers, _consistent, _keepers, gauche_rref
 from .matrices import Matrix, Vector
 from .nullspace import GraphRelations, _factors_through, _relations
 from .scalars import Frozen
@@ -100,11 +100,11 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
         raise FieldMismatchError("solution equivalence needs a common field")
     q, aug_b = a.coeff.cols, b.augmented()
     res_a = gauche_rref(a.augmented())
-    consistent = q + 1 not in res_a.pivot_set
-    if consistent and _factors_through(res_a, aug_b):
-        return _keepers(aug_b, res_a.pivot_set) == res_a.pivot_set
-    if consistent and _spans(aug_b, range(1, q + 1), q + 1):
-        return False
+    if q + 1 not in res_a.pivot_set:
+        if _factors_through(res_a, aug_b):
+            return _keepers(aug_b, res_a.pivot_set) == res_a.pivot_set
+        if _consistent(aug_b):
+            return False
     raise InconsistentSystemError("solution equivalence is only defined for consistent systems")
 
 

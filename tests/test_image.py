@@ -1,10 +1,10 @@
 """The two questions gauche first puts to the GF(P) image of the sweep.
 
-`_keepers` (which columns a sweep keeps) and `_spans` (is a column in the
-span of others) must answer over every field exactly as the exact sweep
-does. Over Q their callers, `pivots` and `basis`, the rank half of
-`null_equal` and `solution_equivalent`, and the consistency proof of a
-second system, must answer as before; where the image drops rank, or
+`_keepers` (which columns a sweep keeps) and `_consistent` (is the last
+column in the span of the others) must answer over every field exactly as
+the exact sweep does. Over Q their callers, `pivots` and `basis`, the rank
+half of `null_equal` and `solution_equivalent`, and the consistency proof
+of a second system, must answer as before; where the image drops rank, or
 cannot be taken because P divides a denominator, the exact route must run,
 and the sweep counts of `sweeps_by_field` show which route ran. Entries
 are small integers, a/b literals and 64-bit integers.
@@ -28,7 +28,7 @@ from echelon import (
     solution_equivalent,
 )
 from echelon.cli import main
-from echelon.gauche import P, _keepers, _spans
+from echelon.gauche import P, _consistent, _keepers
 from echelon.scalars import format_values
 
 from helpers import (
@@ -232,7 +232,7 @@ def _same_rows(a: Matrix, b: Matrix) -> bool:
     return nonzero(a) == nonzero(b)
 
 
-def _consistent(aug: Matrix) -> bool:
+def _rref_consistent(aug: Matrix) -> bool:
     return aug.cols not in gauche_rref(aug).pivot_set
 
 
@@ -262,7 +262,7 @@ def test_null_equal_and_syseq_answer_as_the_rref_comparison(kind):
         for other in _partners(rng, aug, kind):
             assert null_equal(aug, other) == _same_rows(aug, other)
             a, b = system_from_augmented(aug), system_from_augmented(other)
-            if _consistent(aug) and _consistent(other):
+            if _rref_consistent(aug) and _rref_consistent(other):
                 verdict = solution_equivalent(a, b)
                 verdicts.add(verdict)
                 assert verdict == _same_rows(aug, other)
@@ -288,7 +288,8 @@ def _selections(rng, cols):
 def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
     """On dense, wide low-rank and crafted inputs: _keepers(m, js) is the
     keepers of the exact sweep of m's columns js, taken in that order, and
-    _spans(m, js, k) holds exactly when column_in_span finds coefficients."""
+    _consistent(m.take_columns([*js, k])) holds exactly when column_in_span
+    finds coefficients."""
     rng = random.Random(f"keepers-{field}-{bound}")
     crafted = (mat(rows, field) for rows in CRAFTED_P)
     for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted):
@@ -296,4 +297,5 @@ def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
             pivots = gauche_rref(m.take_columns(js)).pivot_set if js else ()
             assert _keepers(m, js) == tuple(js[s - 1] for s in pivots), (m, js)
             for k in set(range(1, m.cols + 1)) - set(js):
-                assert _spans(m, js, k) == (column_in_span(m, k, js) is not None), (m, js, k)
+                spans = column_in_span(m, k, js) is not None
+                assert _consistent(m.take_columns([*js, k])) == spans, (m, js, k)

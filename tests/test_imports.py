@@ -64,7 +64,7 @@ def test_only_gauche_knows_the_image():
     """The GF(P) image of the sweep is one module's decision: no module of
     the toolkit but gauche.py constructs a KeeperState or names P, _IMAGE
     or _rational. The others ask gauche's sweep and its two image-first
-    questions, _keepers and _spans."""
+    questions, _keepers and _consistent."""
     found = []
     for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
         if path.name == "gauche.py":

@@ -32,6 +32,8 @@ from helpers import (
     mat,
     matrix_t,
     random_fraction_matrix,
+    random_low_rank_matrix,
+    random_low_rank_shape,
     random_matrix,
     random_ops,
     random_shape,
@@ -43,11 +45,17 @@ from helpers import (
 )
 
 
+def oracle_keepers(m, js):
+    """The selected columns that the classical elimination route pivots on,
+    the keepers of the exact sweep of the selection."""
+    if not js:
+        return ()
+    return tuple(js[s - 1] for s in gauss_jordan(m.take_columns(js)).pivot_set)
+
+
 def oracle_rank(m, js):
     """Rank of a column selection by the classical elimination route."""
-    if not js:
-        return 0
-    return len(gauss_jordan(m.take_columns(js)).pivot_set)
+    return len(oracle_keepers(m, js))
 
 
 class TestNullBasis:
@@ -251,6 +259,9 @@ class TestColumnInSpan:
         # columns 1 and 2 are equal; column 3 is their double
         m = mat([[1, 1, 2], [1, 1, 2]])
         assert column_in_span(m, 3, (1, 2)) == (sc(2), sc(0))
+        # a dependent column before a keeper: column 4 is column 1 plus column 3
+        m = mat([[1, 1, 0, 1], [1, 1, 1, 2]])
+        assert column_in_span(m, 4, (1, 2, 3)) == (sc(1), sc(0), sc(1))
 
     def test_index_validation(self):
         t = matrix_t()
@@ -279,12 +290,21 @@ class TestColumnsIndependent:
             columns_independent(matrix_t(), (1, 1))
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_dictionary_roundtrip_against_rank_oracle(field):
+@pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
+def test_dictionary_roundtrip_against_rank_oracle(field, bound):
+    """On dense and low-rank draws: column_in_span finds coefficients
+    exactly when the rank oracle says column k adds nothing, they form a
+    null-space witness, and every selected column that elimination of the
+    selection does not pivot on gets coefficient zero."""
     rng = random.Random(14142)
-    for _ in range(120):
-        p, q = random_shape(rng, 5, 6)
-        m = random_matrix(rng, p, q, field)
+    dense = (random_matrix(rng, *random_shape(rng, 5, 6), field, bound) for _ in range(120))
+    low = (
+        random_low_rank_matrix(rng, *random_low_rank_shape(rng, 5, 6), field, bound)
+        for _ in range(60)
+    )
+    dependent = 0
+    for m in itertools.chain(dense, low):
+        q = m.cols
         size = rng.randint(0, min(q - 1, 4))
         js = tuple(rng.sample(range(1, q + 1), size))
         k = rng.choice([j for j in range(1, q + 1) if j not in js])
@@ -293,14 +313,19 @@ def test_dictionary_roundtrip_against_rank_oracle(field):
         presentable = oracle_rank(m, js + (k,)) == oracle_rank(m, js)
         assert (coeffs is not None) == presentable
         if coeffs is not None:
+            keepers = oracle_keepers(m, js)
             # the returned combination is a null-space witness
             witness = [field.zero()] * q
             witness[k - 1] = -field.one()
             for c, j in zip(coeffs, js):
                 witness[j - 1] = witness[j - 1] + c
+                if j not in keepers:
+                    dependent += 1
+                    assert c == field.zero(), (m, k, js, coeffs)
             assert null_contains(m, Vector(tuple(witness), field))
 
         assert columns_independent(m, js) == (oracle_rank(m, js) == size)
+    assert dependent
 
 
 def test_independence_matches_exhaustive_search_over_gf7():

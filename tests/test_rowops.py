@@ -79,6 +79,24 @@ class TestRowOpConstruction:
         with pytest.raises(IndexError, match="out of range"):
             make()
 
+    @pytest.mark.parametrize(
+        ("make", "name"),
+        [
+            (lambda: Scale(1, 2), "int"),
+            (lambda: Scale(1, 0.0), "float"),
+            (lambda: Axpy(1, 2, 3), "int"),
+            (lambda: Axpy(1, 2, Fraction(1, 2)), "Fraction"),
+            (lambda: Axpy(1, 1, 3), "int"),
+        ],
+        ids=["scale-int", "scale-zero-float", "axpy-int", "axpy-fraction", "axpy-self-int"],
+    )
+    def test_coefficient_must_be_a_scalar(self, make, name):
+        """A raw number is refused before the zero and self tests, so no
+        operation is built that apply_ops cannot replay or parse_ops cannot
+        read back."""
+        with pytest.raises(TypeError, match=f"coefficient must be a Scalar, got {name}$"):
+            make()
+
 
 class TestValidator:
     def test_worked_example_reduced_form(self):
