@@ -9,20 +9,25 @@ is ever performed. The keeper columns of the input form a basis (the Gauche
 basis) for its column space, indexed by the pivot set.
 
 Every sweep reads one lazy generator of the answers, in column order. Over
-Q two questions, which columns a sweep keeps (_keepers) and whether the last
-column lies in the span of the others (_consistent), are first put to the
-same sweep of the image mod a prime P; only this module knows of that
-image, and the exact sweep answers when it proves nothing.
+Q three questions, which columns a sweep keeps (_keepers), whether the last
+column lies in the span of the others (_consistent) and, for the readers of
+a whole RREF, what that RREF is (_reader_rref), are first put to the same
+sweep of the image mod a prime P; only this module knows of that image, and
+the exact sweep answers when it proves nothing. An RREF laid out from the
+image is taken only through _certified, the paper's uniqueness theorem as a
+check: if R is in RREF, M = M_K·R, and the keeper columns M_K are
+independent, then R is the RREF of M.
 """
 from __future__ import annotations
 
 __all__ = ["GaucheResult", "Keeper", "KeeperState", "LLQAnswer", "Subordinate", "gauche_rref"]
 
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt
 
 from .errors import FieldMismatchError, ShapeError
 from .matrices import Matrix, Vector
+from .rowops import rref_violation
 from .scalars import QQ, FieldSpec, Frozen, Scalar
 
 
@@ -191,25 +196,132 @@ def _answers(m: Matrix, js, field: FieldSpec | None = None):
     values, cols = m.values, m.cols
     columns = (values[j - 1 :: cols] for j in js)
     if field is not None:
-        raw = field.raw
-        columns = ([raw(v) for v in column] for column in columns)
+        columns = (_residues(column, field) for column in columns)
     return map(KeeperState(field or m.field, m.rows).eliminate, columns)
 
 
-def gauche_rref(m: Matrix) -> GaucheResult:
-    """Sweep the columns once, left to right, and write each journal into
-    its column of the RREF: the (l+1)th keeper journals as e_{l+1}, a
-    subordinate column as its coefficients over the keepers, zero below."""
-    dim, cols, field = m.rows, m.cols, m.field
+def _residues(values, field: FieldSpec) -> list[int]:
+    """The residues in GF(p) of raw Q values: an int is reduced inline, the
+    rest go through field.raw."""
+    p, raw = field.modulus, field.raw
+    return [v % p if type(v) is int else raw(v) for v in values]
+
+
+def _laid_out(m: Matrix, answers) -> GaucheResult:
+    """Write each answer of a sweep of m's columns into its column of the
+    RREF: the (l+1)th keeper journals as e_{l+1}, a subordinate column as
+    its coefficients over the keepers, zero below."""
+    dim, cols = m.rows, m.cols
     values = [0] * (dim * cols)
     pivots: list[int] = []
-    for j, coefficients in enumerate(_answers(m, range(1, cols + 1))):
+    for j, coefficients in enumerate(answers):
         if coefficients is None:
             values[len(pivots) * cols + j] = 1
             pivots.append(j + 1)
         else:
             values[j : len(coefficients) * cols : cols] = coefficients
-    return GaucheResult(Matrix._raw(dim, cols, tuple(values), field), tuple(pivots))
+    return GaucheResult(Matrix._raw(dim, cols, tuple(values), m.field), tuple(pivots))
+
+
+def gauche_rref(m: Matrix) -> GaucheResult:
+    """Sweep the columns once, left to right, and write each journal into
+    its column of the RREF."""
+    return _laid_out(m, _answers(m, range(1, m.cols + 1)))
+
+
+def _reader_rref(m: Matrix) -> GaucheResult:
+    """The RREF that null, graph, solve, syseq and null_equal read:
+    gauche_rref's, or over Q the same R laid out from the GF(P) sweep.
+
+    That sweep's keepers journal as e_k, and each subordinate coefficient
+    is reconstructed as a rational from its residue (_rational). The R so
+    laid out is taken only when _certified proves it the RREF of m, so no
+    output depends on P; when a coefficient has no reconstruction, or the
+    certificate refuses R, the exact sweep answers. The image is tried only
+    where it was measured to pay: integer entries (an a/b entry costs a
+    modular inverse in the image and Fractions in the product check), at
+    least 16 rows (below, the image, the reconstruction and the certificate
+    cost more than the exact sweep), and at most twice as many columns as
+    rows (wider, a right-hand side that does not reconstruct pays for both
+    routes).
+    """
+    if (
+        m.field.modulus is None
+        and m.rows >= 16
+        and m.cols <= 2 * m.rows
+        and all(type(v) is int for v in m.values)
+    ):
+        answers = _answers(m, range(1, m.cols + 1), _IMAGE)
+        res = _laid_out(m, (a if a is None else [_rational(u, P) for u in a] for a in answers))
+        if None not in res.rref.values and _certified(m, res):
+            return res
+    return gauche_rref(m)
+
+
+# The certificate's prime: below 2**28, as P is, and apart from it, so that
+# a fault tied to the image's prime cannot hide in the certificate.
+_CHECK = FieldSpec(268435367)
+
+
+def _certified(m: Matrix, res: GaucheResult) -> bool:
+    """Is res.rref the RREF of m, with res.pivot_set its pivots?
+
+    The paper's uniqueness theorem as a check that trusts neither
+    elimination route. If R is in RREF, m = m_K·R, and the keeper columns
+    m_K have full column rank, R is the RREF of m. Shape: R has m's shape,
+    passes the RREF validator (rref_violation), and leads its rows at K, so
+    R is the identity at K, zero below its rank, and no free column has a
+    nonzero coefficient on a keeper to its right. Product: m = m_K·R holds
+    exactly on every free column (_factors_through). Rank: m_K has full
+    column rank modulo a second prime, by its own packed elimination
+    W += (q - f)·U, not by a sweep; a rank that drops mod q only refuses R.
+    """
+    rref, pivots = res.rref, res.pivot_set
+    if (rref.rows, rref.cols) != (m.rows, m.cols) or rref_violation(rref) is not None:
+        return False
+    leads = tuple(next(compress(count(1), row)) for row in rref.raw_rows() if any(row))
+    return leads == pivots and _factors_through(res, m) and _independent(m, pivots)
+
+
+def _independent(m: Matrix, js) -> bool:
+    """Do columns js of m have full column rank mod _CHECK's prime q?
+
+    Each column is reduced against the rows kept so far, one multiply-add
+    W += (q - f)·U each, packed as KeeperState packs a GF(p) row but with
+    no coefficients; a column that reduces to zero is a rank drop.
+    """
+    field, rows = _CHECK, m.rows
+    q, w = field.modulus, field.slot_bits(len(js))
+    mask, kept = (1 << w) - 1, []
+    for j in js:
+        packed = field.pack(_residues(m.values[j - 1 :: m.cols], field), w)
+        for shift, inv, u in kept:
+            f = (packed >> shift & mask) * inv % q
+            if f:
+                packed += (q - f) * u
+        residues = field.unpack(packed, rows, w)
+        lead = next(compress(range(rows), residues), None)
+        if lead is None:
+            return False
+        kept.append((lead * w, field.inverse(residues[lead]), field.pack(residues, w)))
+    return True
+
+
+def _factors_through(res: GaucheResult, m: Matrix) -> bool:
+    """Does m kill the null space of the matrix swept as res: m = m_K·R, R
+    res's RREF and m_K m's columns at its pivots? R's pivot columns are unit
+    vectors, so only its free columns are tested, the last one (an
+    augmented right-hand side) first: m's column n must equal m_K times
+    journal n. With no pivots, m must be zero."""
+    pivots, rref, field = res.pivot_set, res.rref, m.field
+    if not pivots:
+        return not any(m.values)
+    m_k, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
+    return all(
+        m_k @ Vector._raw(rref.values[n - 1 : rank * cols : cols], field) == m.column(n)
+        for n in range(cols, 0, -1)
+        if n not in kept
+    )
 
 
 def _keepers(m: Matrix, js) -> tuple[int, ...]:

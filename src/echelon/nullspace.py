@@ -7,8 +7,10 @@ the graph of a linear map from the free coordinates to the pivot coordinates,
 and gives a canonical basis with one vector per free index. A sweep of
 selected columns answers the column/null-space dictionary questions: span
 membership of a column and linear independence of a column selection.
-Null-space equality sweeps its first matrix and asks gauche which of the
-second one's columns a sweep keeps.
+The null space and null-space equality take their RREF from
+gauche._reader_rref, which over Q may build it from the GF(P) image under a
+certificate; null-space equality then asks gauche which of the second
+matrix's columns a sweep keeps.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ __all__ = [
 
 from collections.abc import Sequence
 
-from .gauche import GaucheResult, _answers, _keepers, gauche_rref
+from .gauche import GaucheResult, _answers, _factors_through, _keepers, _reader_rref
 from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
 
@@ -102,11 +104,12 @@ def _relations(res: GaucheResult, q: int) -> GraphRelations:
 
 
 def graph_relations(m: Matrix) -> GraphRelations:
-    """The null space of m from one sweep: each pivot variable over the free
-    variables, and through .basis the graph-normalized basis, whose vector
-    for free index n carries 1 at slot n and, at each pivot slot, the
-    negated reduced-form entry of column n in that pivot's row."""
-    return _relations(gauche_rref(m), m.cols)
+    """The null space of m from one RREF, gauche._reader_rref's: each pivot
+    variable over the free variables, and through .basis the
+    graph-normalized basis, whose vector for free index n carries 1 at slot
+    n and, at each pivot slot, the negated reduced-form entry of column n in
+    that pivot's row."""
+    return _relations(_reader_rref(m), m.cols)
 
 
 null_basis = graph_relations
@@ -123,8 +126,10 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     The null space of a p x q matrix lies in F^q, so row counts may differ;
     matrices of different widths or fields compare unequal. This is the
     null-space test of the paper's corollary, a route apart from
-    row_equivalent that the tests check it against. Only a is swept, as
-    a = a_K·R, R its RREF and a_K its keeper columns, those at its pivots.
+    row_equivalent that the tests check it against. Only a is reduced, by
+    the readers' RREF (gauche._reader_rref: over Q, on a large integer
+    matrix, R built from the image sweep and certified, else the exact
+    sweep), as a = a_K·R, a_K its keeper columns, those at its pivots.
     b kills a's null space exactly when b = b_K·R, b_K being b's columns at
     a's pivots; R has full row rank, so b's rank is then b_K's, and the null
     spaces are equal exactly when b_K has full column rank. No
@@ -132,25 +137,8 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     """
     if a.cols != b.cols or a.field != b.field:
         return False
-    res = gauche_rref(a)
+    res = _reader_rref(a)
     return _factors_through(res, b) and _keepers(b, res.pivot_set) == res.pivot_set
-
-
-def _factors_through(res: GaucheResult, m: Matrix) -> bool:
-    """Does m kill the null space of the matrix swept as res: m = m_K·R, R
-    res's RREF and m_K m's columns at its pivots? R's pivot columns are unit
-    vectors, so only its free columns are tested, the last one (an
-    augmented right-hand side) first: m's column n must equal m_K times
-    journal n. With no pivots, m must be zero."""
-    pivots, rref, field = res.pivot_set, res.rref, m.field
-    if not pivots:
-        return not any(m.values)
-    m_k, kept, cols, rank = m.take_columns(pivots), set(pivots), rref.cols, len(pivots)
-    return all(
-        m_k @ Vector._raw(rref.values[n - 1 : rank * cols : cols], field) == m.column(n)
-        for n in range(cols, 0, -1)
-        if n not in kept
-    )
 
 
 def _check_selection(m: Matrix, js: Sequence[int]) -> None:

@@ -175,13 +175,14 @@ class FieldSpec(Frozen):
     def clear(self, values) -> tuple[list[int], int]:
         """The list of raw values as an integer row over a denominator: over
         Q the least common denominator, over GF(p) the residues themselves
-        over 1."""
+        over 1. Only a Fraction's properties are read: an int is its own
+        numerator over 1."""
         if self.modulus is not None:
             return values, 1
-        d = lcm(*[v.denominator for v in values])
+        d = lcm(*[v.denominator for v in values if type(v) is not int])
         if d == 1:
-            return [v.numerator for v in values], 1
-        return [v.numerator * (d // v.denominator) for v in values], d
+            return list(values), 1
+        return [v * d if type(v) is int else v.numerator * (d // v.denominator) for v in values], d
 
     def slot_bits(self, updates: int) -> int:
         """Over GF(p), the slot width w of packed rows that take at most

@@ -4,8 +4,10 @@ A system is read off one sweep of its augmented matrix; it is inconsistent
 exactly when the right-hand-side column earns a pivot. Otherwise its solutions
 are a particular solution plus the coefficient null space, and two systems
 compare by the null spaces of their augmented matrices: M = M_K·R off the
-first one's sweep, M_K its keeper columns, and the rank of the second one's
-columns at its pivots.
+first one's RREF, M_K its keeper columns, and the rank of the second one's
+columns at its pivots. solve and solution equivalence take their RREF
+from gauche._reader_rref, which over Q may build it from the GF(P) image
+under a certificate.
 When they differ, the second must still be shown consistent: its right-hand
 side must lie in the span of its coefficient columns. Both the rank
 (_keepers) and the span (_consistent) are asked of gauche, which over Q
@@ -22,9 +24,9 @@ __all__ = [
 from operator import eq
 
 from .errors import FieldMismatchError, InconsistentSystemError, ShapeError
-from .gauche import _answers, _consistent, _keepers, gauche_rref
+from .gauche import _answers, _consistent, _factors_through, _keepers, _reader_rref
 from .matrices import Matrix, Vector
-from .nullspace import GraphRelations, _factors_through, _relations
+from .nullspace import GraphRelations, _relations
 from .scalars import Frozen
 
 
@@ -65,11 +67,11 @@ SolutionSet = Inconsistent | Affine
 def solve(system: LinearSystem) -> SolutionSet:
     """Solve exactly. The particular solution pins every free variable to
     zero and reads the pivot variables off the reduced right-hand side; the
-    homogeneous part is the graph relations of the same sweep, restricted to
+    homogeneous part is the graph relations of the same RREF, restricted to
     the coefficient columns, as graph_relations gives them for the
     coefficient matrix."""
     q = system.coeff.cols
-    res = gauche_rref(system.augmented())
+    res = _reader_rref(system.augmented())
     if q + 1 in res.pivot_set:
         return Inconsistent()
     values = [0] * q
@@ -87,7 +89,9 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     their augmented matrices share a null space (null_equal). A system is
     consistent when its right-hand-side column is free; inconsistent inputs
     are rejected, as two empty solution sets are not "equal". Only [A | c]
-    is swept, as [A | c] = [A | c]_K·R, K its keeper columns. When
+    is reduced, by the readers' RREF (gauche._reader_rref: over Q, on a
+    large integer system, R built from the image sweep and certified, else
+    the exact sweep), as [A | c] = [A | c]_K·R, K its keeper columns. When
     [B | d] = [B | d]_K·R too, d is B_K times R's last column, K lying among
     the coefficient columns, so [B | d] is consistent and a rank decides.
     Otherwise the solution sets differ, and it is left to show [B | d]
@@ -99,7 +103,7 @@ def solution_equivalent(a: LinearSystem, b: LinearSystem) -> bool:
     if a.coeff.field != b.coeff.field:
         raise FieldMismatchError("solution equivalence needs a common field")
     q, aug_b = a.coeff.cols, b.augmented()
-    res_a = gauche_rref(a.augmented())
+    res_a = _reader_rref(a.augmented())
     if q + 1 not in res_a.pivot_set:
         if _factors_through(res_a, aug_b):
             return _keepers(aug_b, res_a.pivot_set) == res_a.pivot_set

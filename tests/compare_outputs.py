@@ -24,8 +24,12 @@ consistent on the image of its sweep: one whose right-hand side is 0 mod P
 (the candidate x = 0 is refuted, and the system is inconsistent), and, in
 both orders, the identity system against one holding the literal 1/P and
 against two whose solutions 2**40/3 and 2**43/3 do not reconstruct or
-reconstruct wrongly mod P; `equiv` pairs that differ only in their first
-column and only in their last;
+reconstruct wrongly mod P; `null`, `graph`, `solve` and `syseq` on three
+16-row inputs on which the image RREF is refused, one for each branch of
+that route: diag(1, ..., 1, P), the system diag(3, 1, ..., 1) x = (2**40,
+1, ..., 1), and diag(1, ..., 1, q) with q = 268435367, the certificate's
+prime; `equiv` pairs that differ only in their first column and only in
+their last;
 `script` on an all-zero matrix and the identity (empty logs), on a GF(2)
 matrix whose first pivot needs a swap and on a Q matrix of a/b literals
 (Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
@@ -150,6 +154,27 @@ def _size(src: str) -> tuple[int, int]:
     return lines, code
 
 
+# 16-row inputs, at the size where null, graph, solve and syseq lay the RREF
+# out from the image mod P and take it only through the certificate, each
+# refused by another branch: diag(1, ..., 1, 268435399) loses rank mod P;
+# the system diag(3, 1, ..., 1) x = (2**40, 1, ..., 1) has a solution with
+# no reconstruction mod P; diag(1, ..., 1, 268435367) keeps full rank mod P
+# and loses it mod the certificate's prime. A system's right-hand side is
+# its diagonal unless given; the .mat file holds the same rows, unbarred.
+_DIAGONALS = [
+    ("diag_p16", [1] * 15 + [268435399], None),
+    ("thirds16", [3] + [1] * 15, [2**40] + [1] * 15),
+    ("diag_q16", [1] * 15 + [268435367], None),
+    ("eye16", [1] * 16, None),
+]
+
+
+def _diagonal(entries: list[int], rhs: list[int], bar: list[str]) -> bytes:
+    """diag(entries), each row followed by the tokens of bar and its entry of rhs."""
+    rows = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+    return "".join(" ".join(map(str, [*row, *bar, b])) + "\n" for row, b in zip(rows, rhs)).encode()
+
+
 # inputs no corpus holds, so that diagnostics and exit code 2 are diffed too:
 # file name -> bytes, then the argvs that read them (with --format appended)
 _EDGE_FILES = {
@@ -213,7 +238,13 @@ _EDGE_FILES = {
     "pair.mat": b"1 2 0 1\n0 1 1 2\n",
     "pair_first.mat": b"0 2 0 1\n0 1 1 2\n",
     "pair_last.mat": b"1 2 0 2\n0 1 1 2\n",
+    **{
+        f"{name}.{ext}": _diagonal(entries, rhs or entries, bar)
+        for name, entries, rhs in _DIAGONALS
+        for ext, bar in (("sys", ["|"]), ("mat", []))
+    },
 }
+
 _EDGE_ARGVS = [
     ["syseq", "inconsistent.sys", "ok.sys"],
     ["syseq", "ok.sys", "inconsistent.sys"],
@@ -239,6 +270,16 @@ _EDGE_ARGVS = [
     ["syseq", "thirds40.sys", "ok.sys"],
     ["syseq", "ok.sys", "thirds43.sys"],
     ["syseq", "thirds43.sys", "ok.sys"],
+    *(
+        argv
+        for name in ("diag_p16", "thirds16", "diag_q16")
+        for argv in (
+            ["null", f"{name}.mat"],
+            ["graph", f"{name}.mat"],
+            ["solve", f"{name}.sys"],
+            ["syseq", f"{name}.sys", "eye16.sys"],
+        )
+    ),
     ["equiv", "pair.mat", "pair_first.mat"],
     ["equiv", "pair.mat", "pair_last.mat"],
     ["solve", "zero.sys"],

@@ -63,8 +63,8 @@ def _names(node) -> tuple:
 def test_only_gauche_knows_the_image():
     """The GF(P) image of the sweep is one module's decision: no module of
     the toolkit but gauche.py constructs a KeeperState or names P, _IMAGE
-    or _rational. The others ask gauche's sweep and its two image-first
-    questions, _keepers and _consistent."""
+    or _rational. The others ask gauche's sweep and its three image-first
+    questions, _keepers, _consistent and _reader_rref."""
     found = []
     for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
         if path.name == "gauche.py":
