@@ -300,12 +300,9 @@ def main(argv: list[str] | None = None) -> int:
         field = _parse_field_flag(flag)
         inputs = [parse(_read(path), field) for path in files]
         # answers print in full; input literals keep the interpreter's int
-        # digit limit (Python 3.10.7+), as reading a long one takes quadratic
-        # time; the guard serves 3.10.0-3.10.6, which read a literal of any length
-        lift = getattr(sys, "set_int_max_str_digits", None)
-        limit = lift and sys.get_int_max_str_digits()
-        if lift:
-            lift(0)
+        # digit limit, as reading a long one takes quadratic time
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
         try:
             code, payload, text = handler(*inputs)
             output = text
@@ -313,8 +310,7 @@ def main(argv: list[str] | None = None) -> int:
                 import json  # plain output never loads it
                 output = json.dumps(payload)
         finally:
-            if lift:
-                lift(limit)
+            sys.set_int_max_str_digits(limit)
     except (EchelonError, OSError, ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

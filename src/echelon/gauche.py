@@ -9,14 +9,18 @@ is ever performed. The keeper columns of the input form a basis (the Gauche
 basis) for its column space, indexed by the pivot set.
 
 Every sweep reads one lazy generator of the answers, in column order. Over
-Q three questions, which columns a sweep keeps (_keepers), whether the last
-column lies in the span of the others (_consistent) and, for the readers of
-a whole RREF, what that RREF is (_reader_rref), are first put to the same
-sweep of the image mod a prime P; only this module knows of that image, and
-the exact sweep answers when it proves nothing. An RREF laid out from the
-image is taken only through _certified, the paper's uniqueness theorem as a
-check: if R is in RREF, M = M_K·R, and the keeper columns M_K are
-independent, then R is the RREF of M.
+Q three questions have a modular shortcut, _keepers (which columns a sweep
+keeps), _consistent (is the last column in the span of the others) and
+_reader_rref (the RREF that the readers of a whole RREF take), and in it
+each prime has one job. The sweep of the image mod a prime P only proposes
+coefficients, for _consistent and _reader_rref; only this module knows of
+that image. A packed loop mod a second prime q proves rank (_independent):
+that the first columns put to _keepers are its keepers, and that the
+keepers of _reader_rref's R are independent. The exact product proves
+values, and when none of them settles the question the exact sweep
+answers. An RREF laid out from the image is taken only through _certified,
+the paper's uniqueness theorem as a check: if R is in RREF, M = M_K·R, and
+the keeper columns M_K are independent, then R is the RREF of M.
 """
 from __future__ import annotations
 
@@ -173,16 +177,17 @@ _IMAGE = FieldSpec(P)
 
 def _rational(u: int, m: int):
     """The raw Q value a/b with a = u*b mod m and |a|, b <= sqrt(m/2), or
-    None when there is none: rational reconstruction (Wang, Guy & Davenport,
-    SIGSAM Bull. 16 (1982)), the extended Euclidean algorithm on m and u
-    stopped at the first remainder within the bound. Such an a/b is unique."""
+    ArithmeticError when there is none: rational reconstruction (Wang, Guy
+    & Davenport, SIGSAM Bull. 16 (1982)), the extended Euclidean algorithm
+    on m and u stopped at the first remainder within the bound. Such an a/b
+    is unique."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
+        raise ArithmeticError(f"{u} has no rational reconstruction mod {m}")
     return QQ.quotient(r1, t1)
 
 
@@ -236,14 +241,14 @@ def _reader_rref(m: Matrix) -> GaucheResult:
     That sweep's keepers journal as e_k, and each subordinate coefficient
     is reconstructed as a rational from its residue (_rational). The R so
     laid out is taken only when _certified proves it the RREF of m, so no
-    output depends on P; when a coefficient has no reconstruction, or the
-    certificate refuses R, the exact sweep answers. The image is tried only
-    where it was measured to pay: integer entries (an a/b entry costs a
-    modular inverse in the image and Fractions in the product check), at
-    least 16 rows (below, the image, the reconstruction and the certificate
-    cost more than the exact sweep), and at most twice as many columns as
-    rows (wider, a right-hand side that does not reconstruct pays for both
-    routes).
+    output depends on P; when a coefficient has no reconstruction, which
+    stops the image sweep at its column, or the certificate refuses R, the
+    exact sweep answers. The image is tried only where it was measured to
+    pay: integer entries (an a/b entry costs a modular inverse in the image
+    and Fractions in the product check), at least 16 rows (below, the
+    image, the reconstruction and the certificate cost more than the exact
+    sweep), and at most twice as many columns as rows (wider, a right-hand
+    side that does not reconstruct pays for both routes).
     """
     if (
         m.field.modulus is None
@@ -252,8 +257,11 @@ def _reader_rref(m: Matrix) -> GaucheResult:
         and all(type(v) is int for v in m.values)
     ):
         answers = _answers(m, range(1, m.cols + 1), _IMAGE)
-        res = _laid_out(m, (a if a is None else [_rational(u, P) for u in a] for a in answers))
-        if None not in res.rref.values and _certified(m, res):
+        try:
+            res = _laid_out(m, (a if a is None else [_rational(u, P) for u in a] for a in answers))
+        except ArithmeticError:
+            return gauche_rref(m)
+        if _certified(m, res):
             return res
     return gauche_rref(m)
 
@@ -288,7 +296,11 @@ def _independent(m: Matrix, js) -> bool:
 
     Each column is reduced against the rows kept so far, one multiply-add
     W += (q - f)·U each, packed as KeeperState packs a GF(p) row but with
-    no coefficients; a column that reduces to zero is a rank drop.
+    no coefficients; a column that reduces to zero is a rank drop. Over Q
+    True proves full column rank: a minor nonzero mod q is nonzero over Q,
+    so rank can only drop mod q. Its two readers, _certified and _keepers,
+    take False as no proof, and a denominator q divides raises
+    ZeroDivisionError.
     """
     field, rows = _CHECK, m.rows
     q, w = field.modulus, field.slot_bits(len(js))
@@ -329,15 +341,15 @@ def _keepers(m: Matrix, js) -> tuple[int, ...]:
 
     The sweep keeps every column independent of the keepers before it, and
     at most rows of them, so when the first min(rows, len(js)) columns are
-    independent, they are the keepers. Over Q their GF(P) image settles
-    that without the exact sweep: a minor nonzero mod P is nonzero over Q,
-    so rank can only drop in the image. When it drops, or P divides a
-    denominator, and over GF(p), the exact sweep runs.
+    independent, they are the keepers. Over Q the certificate's rank loop
+    (_independent) settles that without the exact sweep. When their rank
+    drops mod q, or q divides a denominator, and over GF(p), the exact
+    sweep runs.
     """
     js = tuple(js)
     if m.field.modulus is None:
         try:
-            if all(answer is None for answer in _answers(m, js[: m.rows], _IMAGE)):
+            if _independent(m, js[: m.rows]):
                 return js[: m.rows]
         except ZeroDivisionError:
             pass
@@ -352,19 +364,19 @@ def _consistent(aug: Matrix) -> bool:
     reconstructed as a rational, at each image keeper, and -1 last; aug x = 0
     proves the span, so no verdict depends on P. When the image proposes no
     x (the last column is an image keeper, P divides a denominator, or a
-    coefficient has no reconstruction) or aug x is not zero, and over GF(p),
-    the exact sweep decides.
+    coefficient has no reconstruction: ArithmeticError) or aug x is not
+    zero, and over GF(p), the exact sweep decides.
     """
     columns = range(1, aug.cols + 1)
     if aug.field.modulus is None:
         try:
             *answers, coefficients = _answers(aug, columns, _IMAGE)
-        except ZeroDivisionError:
-            coefficients = None
-        if coefficients is not None:
-            c = iter(coefficients)
-            x = [_rational(next(c), P) if answer is None else 0 for answer in answers] + [-1]
-            if None not in x and (aug @ Vector._raw(tuple(x), aug.field)).is_zero():
-                return True
+            if coefficients is not None:
+                c = iter(coefficients)
+                x = [_rational(next(c), P) if answer is None else 0 for answer in answers] + [-1]
+                if (aug @ Vector._raw(tuple(x), aug.field)).is_zero():
+                    return True
+        except ArithmeticError:
+            pass
     *_, answer = _answers(aug, columns)
     return answer is not None

@@ -10,7 +10,8 @@ membership of a column and linear independence of a column selection.
 The null space and null-space equality take their RREF from
 gauche._reader_rref, which over Q may build it from the GF(P) image under a
 certificate; null-space equality then asks gauche which of the second
-matrix's columns a sweep keeps.
+matrix's columns a sweep keeps, which over Q the certificate's rank loop
+mod a second prime q answers when they are independent.
 """
 from __future__ import annotations
 

@@ -16,9 +16,11 @@ cases runs the same way once: inconsistent, differently sized, GF(2) and
 all-zero `syseq` pairs, a one-row all-zero pair and an all-zero system against
 a nonzero one, a 4x12 rank-2 system against a row-operation image of itself
 and against itself with the right-hand side moved, a pair whose
-coefficient ranks differ, and the identity system against two systems whose
+coefficient ranks differ, the identity system against two systems whose
 coefficient part diag(1, P) loses rank mod P = 268435399, the prime of the
-rank shortcut (one equivalent, also run the other way round, and one not);
+image sweep (one equivalent, also run the other way round, and one not),
+and, in both orders, against diag(1, q) x = (1, q), which loses rank mod
+q = 268435367, the prime of the rank shortcut and the certificate;
 `syseq` pairs whose second system fails the inclusion and cannot be shown
 consistent on the image of its sweep: one whose right-hand side is 0 mod P
 (the candidate x = 0 is refuted, and the system is inconsistent), and, in
@@ -33,8 +35,9 @@ their last;
 `script` on an all-zero matrix and the identity (empty logs), on a GF(2)
 matrix whose first pivot needs a swap and on a Q matrix of a/b literals
 (Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
-minor is P, on one holding the literal 1/P (no image mod P) and on a wide
-full-row-rank Q matrix; and `rref` on a malformed literal, a ragged row, a
+minor is q, on one holding the literal 1/q (no image mod q), on the same
+two with P in place of q (the first takes the rank shortcut, the second
+drops rank mod q), and on a wide full-row-rank Q matrix; and `rref` on a malformed literal, a ragged row, a
 non-UTF-8 byte and a missing file, so diagnostics and exit code 2 are
 compared too. Last come argv forms, each run once as it
 stands: help, no arguments, an unknown command, a missing and an extra FILE,
@@ -215,14 +218,20 @@ _EDGE_FILES = {
     "bytes.mat": b"1 2\n3 \xff\n",
     # the identity over Q, rank 1 over GF(2)
     "field.mat": b"1 1\n1 3\n",
-    # inputs whose image mod 268435399, the prime of the rank shortcut, loses
+    # inputs whose image mod 268435399, the prime of the image sweep, loses
     # rank or does not exist: a leading 2x2 minor of 268435399, a literal
-    # 1/268435399, and systems whose coefficient part is diag(1, 268435399)
+    # 1/268435399, and systems whose coefficient part is diag(1, 268435399);
+    # the rank shortcut, mod 268435367, proves the full-rank ones
     "minor_p.mat": b"268435399 0 1\n0 1 0\n",
     "inverse_p.mat": b"1/268435399 1\n2/268435399 2\n",
     "wide_full.mat": b"1 2 0 -1 3 0 1\n0 1 1 2 -1 1 0\n2 -3 1 1/2 4 0 5\n",
     "diag_p.sys": b"1 0 | 1\n0 268435399 | 268435399\n",
     "diag_p_moved.sys": b"1 0 | 1\n0 268435399 | 1\n",
+    # the same against 268435367, the prime of the rank shortcut and the
+    # certificate, on which that shortcut proves nothing
+    "minor_q.mat": b"268435367 0 1\n0 1 0\n",
+    "inverse_q.mat": b"1/268435367 1\n2/268435367 2\n",
+    "diag_q.sys": b"1 0 | 1\n0 268435367 | 268435367\n",
     # second systems that the image of their sweep cannot prove consistent:
     # a right-hand side that is 0 mod P (the image offers x = 0, which
     # refutes it, and the system is inconsistent), the literal 1/P (no
@@ -263,6 +272,8 @@ _EDGE_ARGVS = [
     ["syseq", "ok.sys", "diag_p.sys"],
     ["syseq", "diag_p.sys", "ok.sys"],
     ["syseq", "ok.sys", "diag_p_moved.sys"],
+    ["syseq", "ok.sys", "diag_q.sys"],
+    ["syseq", "diag_q.sys", "ok.sys"],
     ["syseq", "column.sys", "column_p.sys"],
     ["syseq", "ok.sys", "inverse_p.sys"],
     ["syseq", "inverse_p.sys", "ok.sys"],
@@ -291,6 +302,10 @@ _EDGE_ARGVS = [
     ["basis", "minor_p.mat"],
     ["pivots", "inverse_p.mat"],
     ["basis", "inverse_p.mat"],
+    ["pivots", "minor_q.mat"],
+    ["basis", "minor_q.mat"],
+    ["pivots", "inverse_q.mat"],
+    ["basis", "inverse_q.mat"],
     ["pivots", "wide_full.mat"],
     ["basis", "wide_full.mat"],
     ["rref", "literal.mat"],

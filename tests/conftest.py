@@ -3,7 +3,7 @@ import collections
 
 import pytest
 
-from echelon import KeeperState
+from echelon import KeeperState, gauche
 
 
 @pytest.fixture
@@ -25,3 +25,22 @@ def sweeps_by_field(monkeypatch):
     monkeypatch.setattr(KeeperState, "__init__", counted_init)
     monkeypatch.setattr(KeeperState, "eliminate", counted_eliminate)
     return counts
+
+
+@pytest.fixture
+def rank_loop(monkeypatch):
+    """The answers of the certificate's rank loop (gauche._independent), in
+    order, ZeroDivisionError standing for a call that raised it."""
+    answers = []
+    independent = gauche._independent
+
+    def recorded(m, js):
+        try:
+            answers.append(independent(m, js))
+        except ZeroDivisionError:
+            answers.append(ZeroDivisionError)
+            raise
+        return answers[-1]
+
+    monkeypatch.setattr(gauche, "_independent", recorded)
+    return answers

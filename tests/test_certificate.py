@@ -26,7 +26,6 @@ from echelon import (
     solution_equivalent,
     solve,
 )
-from echelon import gauche
 from echelon.gauche import P, _CHECK, _certified, _factors_through, _reader_rref
 from echelon.nullspace import _relations
 
@@ -87,20 +86,6 @@ def test_reader_rref_is_the_sweeps_and_the_oracles(m, request, sweeps_by_field):
     assert res.rref == gauss_jordan(m).rref
 
 
-@pytest.fixture
-def rank_loop(monkeypatch):
-    """The answers of the certificate's rank loop, in order."""
-    answers = []
-    independent = gauche._independent
-
-    def recorded(m, js):
-        answers.append(independent(m, js))
-        return answers[-1]
-
-    monkeypatch.setattr(gauche, "_independent", recorded)
-    return answers
-
-
 def test_image_answers_a_reconstructible_rref(sweeps_by_field, rank_loop):
     """20 x 20 rank 15: one image sweep, the certificate, no exact sweep."""
     m = _with_rref(random.Random(20), 20, 20, 15)
@@ -158,6 +143,24 @@ def test_unreconstructible_solution_falls_back(sweeps_by_field, rank_loop):
     eye = LinearSystem(_diagonal([1] * 16), vec([1] * 16))
     assert not solution_equivalent(system, eye)
     assert solution_equivalent(system, system)
+
+
+def test_unreconstructible_coefficient_stops_the_image_sweep(sweeps_by_field, rank_loop):
+    """Column 2 of a 16 x 16 matrix is 2**40/3 times column 1, a coefficient
+    with no reconstruction mod P: the image sweep stops at column 2, and the
+    exact sweep answers graph."""
+    rows = [[3, 2**40] + [0] * 14] + [[0, 0] + [int(i == j) for j in range(14)] for i in range(14)]
+    m = mat(rows + [[0] * 16])
+    rel = graph_relations(m)
+    assert sweeps_by_field == {
+        ("__init__", IMAGE): 1,
+        ("eliminate", IMAGE): 2,
+        ("__init__", "Q"): 1,
+        ("eliminate", "Q"): 16,
+    }
+    assert rank_loop == []
+    assert rel == _relations(gauche_rref(m), m.cols)
+    assert rel.pivot_exprs[0] == (1, (Fraction(-(2**40), 3),))
 
 
 def _base():

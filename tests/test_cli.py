@@ -54,7 +54,7 @@ from helpers import (
     vec,
 )
 
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 needs_digit_limit = pytest.mark.skipif(
     DIGIT_LIMIT == 0, reason="no int digit limit in this interpreter"
 )

@@ -1,13 +1,17 @@
-"""The two questions gauche first puts to the GF(P) image of the sweep.
+"""The two questions gauche first puts to a modular image of the matrix.
 
 `_keepers` (which columns a sweep keeps) and `_consistent` (is the last
 column in the span of the others) must answer over every field exactly as
-the exact sweep does. Over Q their callers, `pivots` and `basis`, the rank
-half of `null_equal` and `solution_equivalent`, and the consistency proof
-of a second system, must answer as before; where the image drops rank, or
-cannot be taken because P divides a denominator, the exact route must run,
-and the sweep counts of `sweeps_by_field` show which route ran. Entries
-are small integers, a/b literals and 64-bit integers.
+the exact sweep does. Over Q `_keepers` asks the certificate's rank loop
+mod q = 268435367 (`_independent`), and `_consistent` takes a combination
+that the GF(P) sweep proposes. Their callers, `pivots` and `basis`, the
+rank half of `null_equal` and `solution_equivalent`, and the consistency
+proof of a second system, must answer as before; where the rank drops mod
+q, or the image cannot be taken because its prime divides a denominator,
+the exact route must run. The sweep counts of `sweeps_by_field` and the
+answers `rank_loop` records show which route ran; full-rank inputs crafted
+against P take the rank shortcut. Entries are small integers, a/b literals and
+64-bit integers.
 """
 import itertools
 import json
@@ -28,7 +32,7 @@ from echelon import (
     solution_equivalent,
 )
 from echelon.cli import main
-from echelon.gauche import P, _consistent, _keepers
+from echelon.gauche import P, _CHECK, _consistent, _keepers
 from echelon.scalars import format_values
 
 from helpers import (
@@ -96,10 +100,14 @@ def _cli_json(capsys, *argv):
     return code, json.loads(out)
 
 
+Q = _CHECK.modulus
 # the leading 2x2 minor is P: zero mod P, while the pivots are 1 and 2
 CRAFTED_ZERO_MINOR = [[P, 0, 1], [0, 1, 0]]
 # P divides a denominator, so no image exists: rank 1, pivot 1
 CRAFTED_INVERSE_P = [[Fraction(1, P), 1], [Fraction(2, P), 2]]
+# the same against the rank loop's prime q
+CRAFTED_ZERO_MINOR_Q = [[Q, 0, 1], [0, 1, 0]]
+CRAFTED_INVERSE_Q = [[Fraction(1, Q), 1], [Fraction(2, Q), 2]]
 # inputs on which the image drops rank, has no image, or offers a
 # combination that does not reconstruct or that the exact product refutes
 CRAFTED_P = [
@@ -111,12 +119,25 @@ CRAFTED_P = [
     [[3, 0, 2**40], [0, 1, 1]],
     [[3, 0, 2**43], [0, 1, 1]],
 ]
+# inputs on which the rank loop mod q drops rank or has no image
+CRAFTED_Q = [
+    CRAFTED_ZERO_MINOR_Q,
+    CRAFTED_INVERSE_Q,
+    [[1, 0, 1], [0, Q, Q]],
+    [[1, 0], [0, Q]],
+    [[Fraction(1, Q), 0], [0, 1]],
+]
+
+
+def _no_image_sweep(sweeps_by_field) -> bool:
+    return all(field != IMAGE for _, field in sweeps_by_field)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, tmp_path, capsys):
-    """Both the image path and the sweep are taken, and agree with the
-    sweep: `pivots` sweeps the image once, and over Q at most once."""
+def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, rank_loop, tmp_path, capsys):
+    """Both the rank shortcut and the sweep are taken, and agree with the
+    sweep: `pivots` and `basis` each ask the rank loop once, sweep over Q
+    exactly when it answers False, and never sweep the GF(P) image."""
     rng = random.Random(f"pivots-{kind}")
     routes = set()
     for shape, (rows, cols, rank) in _shapes(rng):
@@ -126,72 +147,77 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, tmp_path, c
             m = _low_rank(rng, rows, cols, rank, kind)
         path = _write(tmp_path, m)
         expected = list(gauche_rref(m).pivot_set)
-        sweeps_by_field.clear()
-        assert _cli_json(capsys, "pivots", path) == (0, {"pivots": expected}), (shape, m)
-        assert sweeps_by_field["__init__", IMAGE] == 1
-        routes.add(sweeps_by_field["__init__", "Q"])
         columns = [format_values(m.values[j - 1 :: m.cols]) for j in expected]
         basis = {"indices": expected, "columns": columns}
-        assert _cli_json(capsys, "basis", path) == (0, basis), (shape, m)
-    assert routes == {0, 1}
+        for command, out in (("pivots", {"pivots": expected}), ("basis", basis)):
+            sweeps_by_field.clear()
+            rank_loop.clear()
+            assert _cli_json(capsys, command, path) == (0, out), (shape, m)
+            assert rank_loop in ([True], [False])
+            assert sweeps_by_field["__init__", "Q"] == (rank_loop == [False])
+            assert _no_image_sweep(sweeps_by_field)
+            routes.add(rank_loop[0])
+    assert routes == {True, False}
 
 
 @pytest.mark.parametrize(
-    ("rows", "pivots"),
+    ("rows", "pivots", "loop"),
     [
-        (CRAFTED_ZERO_MINOR, [1, 2]),
-        (CRAFTED_INVERSE_P, [1]),
-        ([[Fraction(1, P), 0], [0, 1]], [1, 2]),
+        (CRAFTED_ZERO_MINOR_Q, [1, 2], False),
+        (CRAFTED_INVERSE_Q, [1], ZeroDivisionError),
+        ([[Fraction(1, Q), 0], [0, 1]], [1, 2], ZeroDivisionError),
+        # inputs whose image mod P drops rank or does not exist: the rank
+        # loop mod q proves the first two full rank, and sees the third drop
+        (CRAFTED_ZERO_MINOR, [1, 2], True),
+        ([[Fraction(1, P), 0], [0, 1]], [1, 2], True),
+        (CRAFTED_INVERSE_P, [1], False),
     ],
-    ids=["minor-P", "1/P-rank-1", "1/P-full-rank"],
+    ids=["minor-q", "1/q-rank-1", "1/q-full-rank", "minor-P", "1/P-full-rank", "1/P-rank-1"],
 )
 def test_cli_pivots_fall_back_when_the_image_fails(
-    rows, pivots, sweeps_by_field, tmp_path, capsys
+    rows, pivots, loop, sweeps_by_field, rank_loop, tmp_path, capsys
 ):
-    """The image is tried once and proves nothing, so each command sweeps
-    the matrix exactly once over Q."""
+    """The rank loop is asked once per command. Where its image mod q drops
+    rank or does not exist, it proves nothing, and the command sweeps the
+    matrix exactly once over Q; where it answers True, nothing is swept."""
     m = mat(rows)
     path = _write(tmp_path, m)
     assert list(gauche_rref(m).pivot_set) == pivots
     for command, key in (("pivots", "pivots"), ("basis", "indices")):
         sweeps_by_field.clear()
+        rank_loop.clear()
         code, out = _cli_json(capsys, command, path)
         assert (code, out[key]) == (0, pivots)
-        assert sweeps_by_field["__init__", IMAGE] == 1
-        assert sweeps_by_field["__init__", "Q"] == 1
-        assert sweeps_by_field["eliminate", "Q"] == m.cols
+        assert rank_loop == [loop]
+        exact = {} if loop is True else {("__init__", "Q"): 1, ("eliminate", "Q"): m.cols}
+        assert sweeps_by_field == exact
 
 
-def test_image_rank_drop_takes_the_exact_route(sweeps_by_field):
-    """diag(1, P) has full rank over Q, rank 1 mod P: a = I and b = diag(1, P)
+def _exact(*columns) -> dict:
+    """The sweep counts of exact Q sweeps of these many columns each."""
+    return {("__init__", "Q"): len(columns), ("eliminate", "Q"): sum(columns)}
+
+
+def test_image_rank_drop_takes_the_exact_route(sweeps_by_field, rank_loop):
+    """diag(1, q) has full rank over Q, rank 1 mod q: a = I and b = diag(1, q)
     share the null space {0}, and only the exact sweep of b's two pivot
-    columns, after a's sweep, can tell."""
-    eye, diag = mat([[1, 0], [0, 1]]), mat([[1, 0], [0, P]])
-    assert null_equal(eye, diag)
-    assert sweeps_by_field == {
-        ("__init__", "Q"): 2,
-        ("eliminate", "Q"): 2 + 2,
-        ("__init__", IMAGE): 1,
-        ("eliminate", IMAGE): 2,
-    }
-    sweeps_by_field.clear()
-    a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, P]))
-    assert solution_equivalent(a, b)
-    assert sweeps_by_field == {
-        ("__init__", "Q"): 2,
-        ("eliminate", "Q"): 3 + 2,
-        ("__init__", IMAGE): 1,
-        ("eliminate", IMAGE): 2,
-    }
-    sweeps_by_field.clear()
-    # the other way round the image of I keeps full rank: no exact route
-    assert solution_equivalent(b, a)
-    assert sweeps_by_field == {
-        ("__init__", "Q"): 1,
-        ("eliminate", "Q"): 3,
-        ("__init__", IMAGE): 1,
-        ("eliminate", IMAGE): 2,
-    }
+    columns, after a's sweep, can tell. diag(1, P) keeps full rank mod q,
+    so its exact sweep is skipped."""
+    eye = mat([[1, 0], [0, 1]])
+    for prime, b_swept, full in ((Q, (2,), False), (P, (), True)):
+        diag = mat([[1, 0], [0, prime]])
+        a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, prime]))
+        for question, swept, loop in (
+            (lambda: null_equal(eye, diag), _exact(2, *b_swept), full),
+            (lambda: solution_equivalent(a, b), _exact(3, *b_swept), full),
+            # the other way round I keeps full rank mod q: no exact route
+            (lambda: solution_equivalent(b, a), _exact(3), True),
+        ):
+            sweeps_by_field.clear()
+            rank_loop.clear()
+            assert question()
+            assert sweeps_by_field == swept
+            assert rank_loop == [loop]
 
 
 def test_inconsistent_or_excluded_b_answers_as_before():
@@ -206,21 +232,30 @@ def test_inconsistent_or_excluded_b_answers_as_before():
     assert not solution_equivalent(eye, LinearSystem(mat([[1, 0], [0, P]]), vec([1, 1])))
 
 
-def test_unknown_image_is_never_independent(sweeps_by_field):
-    """1/P has no image mod P, so the image sweep stops before its first
-    column: the exact sweep decides, and a rank-deficient b_P is not taken
-    as independent."""
+def test_unknown_image_is_never_independent(sweeps_by_field, rank_loop):
+    """1/q has no image mod q, so the rank loop raises at its first column:
+    the exact sweep decides, and a rank-deficient b_K is not taken as
+    independent. 1/P has an image mod q, where the loop itself sees b_K's
+    rank drop, or proves full rank with no exact sweep of b."""
     eye = mat([[1, 0], [0, 1]])
-    assert not null_equal(eye, mat(CRAFTED_INVERSE_P))
-    assert sweeps_by_field == {
-        ("__init__", "Q"): 2,
-        ("eliminate", "Q"): 2 + 2,
-        ("__init__", IMAGE): 1,
-    }
-    assert null_equal(eye, mat([[Fraction(1, P), 0], [0, 1]]))
-    aug = mat([[Fraction(1, P), Fraction(2, P), Fraction(3, P)], [1, 2, 3]])
-    a = LinearSystem(eye, vec([1, 1]))
-    assert not solution_equivalent(a, system_from_augmented(aug))
+    cases = (
+        (Q, ZeroDivisionError, ZeroDivisionError, _exact(2, 2)),
+        (P, False, True, _exact(2)),
+    )
+    for prime, deficient_loop, full_loop, full_swept in cases:
+        sweeps_by_field.clear()
+        rank_loop.clear()
+        assert not null_equal(eye, mat([[Fraction(1, prime), 1], [Fraction(2, prime), 2]]))
+        assert sweeps_by_field == _exact(2, 2)
+        assert rank_loop == [deficient_loop]
+        sweeps_by_field.clear()
+        rank_loop.clear()
+        assert null_equal(eye, mat([[Fraction(1, prime), 0], [0, 1]]))
+        assert sweeps_by_field == full_swept
+        assert rank_loop == [full_loop]
+        aug = mat([[Fraction(1, prime), Fraction(2, prime), Fraction(3, prime)], [1, 2, 3]])
+        a = LinearSystem(eye, vec([1, 1]))
+        assert not solution_equivalent(a, system_from_augmented(aug))
 
 
 def _same_rows(a: Matrix, b: Matrix) -> bool:
@@ -291,7 +326,7 @@ def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
     _consistent(m.take_columns([*js, k])) holds exactly when column_in_span
     finds coefficients."""
     rng = random.Random(f"keepers-{field}-{bound}")
-    crafted = (mat(rows, field) for rows in CRAFTED_P)
+    crafted = (mat(rows, field) for rows in CRAFTED_P + CRAFTED_Q)
     for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted):
         for js in _selections(rng, m.cols):
             pivots = gauche_rref(m.take_columns(js)).pivot_set if js else ()

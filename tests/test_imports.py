@@ -1,14 +1,15 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library, only gauche.py knows the GF(P) image of the
-sweep, only scalars.py reads a value class's __slots__, only
-FieldSpec.quotient takes a modular inverse, and the bench's verifier does
-not import the toolkit it checks; at run time, importing the CLI leaves
-`typing`, `dataclasses`, `inspect`, `ast`, `json`, `array`, `argparse`,
-`fractions`, `decimal` and `re` unloaded, a plain-argv job loads neither
-argparse nor, unless a value it reads or prints is not whole, `fractions`;
-the package's `__all__` names exactly its public attributes,
-each declared once, in its own module's `__all__`, and the README's
-library quick start prints what its comments say."""
+sweep, and only its _reader_rref and _consistent sweep that image, only
+scalars.py reads a value class's __slots__, only FieldSpec.quotient takes
+a modular inverse, and the bench's verifier does not import the toolkit
+it checks; at run time, importing the CLI leaves `typing`, `dataclasses`,
+`inspect`, `ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and
+`re` unloaded, a plain-argv job loads neither argparse nor, unless a value
+it reads or prints is not whole, `fractions`; the package's `__all__`
+names exactly its public attributes, each declared once, in its own
+module's `__all__`, and the README's library quick start prints what its
+comments say."""
 import ast
 import contextlib
 import importlib
@@ -63,8 +64,10 @@ def _names(node) -> tuple:
 def test_only_gauche_knows_the_image():
     """The GF(P) image of the sweep is one module's decision: no module of
     the toolkit but gauche.py constructs a KeeperState or names P, _IMAGE
-    or _rational. The others ask gauche's sweep and its three image-first
-    questions, _keepers, _consistent and _reader_rref."""
+    or _rational. The others ask gauche: its sweep, _keepers (whose rank
+    shortcut is the certificate's loop mod a second prime), and the two
+    questions the image proposes answers to, _consistent and
+    _reader_rref."""
     found = []
     for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
         if path.name == "gauche.py":
@@ -106,6 +109,21 @@ def _scoped(node, scope=()):
             yield from _scoped(child, (*scope, child.name))
         else:
             yield from _scoped(child, scope)
+
+
+def test_only_two_questions_sweep_the_image():
+    """The GF(P) sweep only proposes coefficients: beside its definition,
+    gauche.py names _IMAGE only in _reader_rref (an RREF) and _consistent
+    (a combination). Rank, _keepers' question included, is proved by the
+    certificate's loop mod its own prime, _independent."""
+    path = ROOT / "src" / "echelon" / "gauche.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    scopes = {
+        ".".join(scope)
+        for scope, node in _scoped(tree)
+        if "_IMAGE" in _names(node) and not isinstance(getattr(node, "ctx", None), ast.Store)
+    }
+    assert scopes == {"_reader_rref", "_consistent"}
 
 
 def test_the_field_divides_in_one_place():

@@ -35,8 +35,9 @@ from echelon import (
     std_basis,
 )
 
+from echelon import gauche
 from echelon.cli import main
-from echelon.gauche import P
+from echelon.gauche import P, _CHECK
 from echelon.scalars import format_values
 
 from helpers import (
@@ -351,31 +352,25 @@ class TestOneSweepPerQuestion:
         assert isinstance(solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))), Inconsistent)
         assert sweeps["__init__"] == 1
 
-    def test_solution_equivalent_sweeps_each_system_once(self, sweeps_by_field):
+    def test_solution_equivalent_sweeps_each_system_once(self, sweeps_by_field, rank_loop):
         """[A | c] is swept over Q; [B | d], which passes the inclusion, is
-        not swept at all: the image of its rank(A) = 3 pivot columns is."""
+        not swept at all: the rank loop proves its rank(A) = 3 pivot
+        columns independent mod q, and no GF(P) image is swept."""
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
         a = LinearSystem(t, t.column(5))
         b = LinearSystem(doubled, doubled.column(5))
         assert solution_equivalent(a, b)
-        assert sweeps_by_field == {
-            ("__init__", "Q"): 1,
-            ("eliminate", "Q"): t.cols + 1,
-            ("__init__", IMAGE): 1,
-            ("eliminate", IMAGE): 3,
-        }
-        # [B | d] = [B | d]_P·R proves [B | d] consistent, so a B of rank 1
-        # costs only its pivot columns' image and their exact stopping sweep
+        assert sweeps_by_field == {("__init__", "Q"): 1, ("eliminate", "Q"): t.cols + 1}
+        assert rank_loop == [True]
+        # [B | d] = [B | d]_K·R proves [B | d] consistent, so a B of rank 1
+        # costs only the rank loop on its pivot columns and their exact sweep
         sweeps_by_field.clear()
+        rank_loop.clear()
         eye, low = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1])), mat([[1, 1], [2, 2]])
         assert not solution_equivalent(eye, LinearSystem(low, vec([2, 4])))
-        assert sweeps_by_field == {
-            ("__init__", "Q"): 2,
-            ("eliminate", "Q"): 3 + 2,
-            ("__init__", IMAGE): 1,
-            ("eliminate", IMAGE): 2,
-        }
+        assert sweeps_by_field == {("__init__", "Q"): 2, ("eliminate", "Q"): 3 + 2}
+        assert rank_loop == [False]
 
     def test_differing_q_pair_is_certified_on_the_image(self, sweeps_by_field):
         """[B | d] fails the inclusion; the GF(P) sweep of [B | d] offers
@@ -400,30 +395,39 @@ class TestOneSweepPerQuestion:
             ("eliminate", "GF(7)"): 2 * (t.cols + 1),
         }
 
-    def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field):
+    def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field, rank_loop):
+        """The second matrix's pivot columns go only to the rank loop."""
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
         assert null_equal(t, doubled)
-        assert sweeps_by_field == {
-            ("__init__", "Q"): 1,
-            ("eliminate", "Q"): t.cols,
-            ("__init__", IMAGE): 1,
-            ("eliminate", IMAGE): 3,
-        }
+        assert sweeps_by_field == {("__init__", "Q"): 1, ("eliminate", "Q"): t.cols}
+        assert rank_loop == [True]
 
-    def test_full_rank_q_pivots_make_no_exact_sweep(self, sweeps_by_field, tmp_path, capsys):
-        """`pivots` and `basis` on a full-rank Q input read the image of
-        its first min(rows, cols) columns; a rank-deficient one is swept,
-        after an image that stops at its first dependent column."""
+    def test_full_rank_q_pivots_make_no_exact_sweep(
+        self, sweeps_by_field, rank_loop, monkeypatch, tmp_path, capsys
+    ):
+        """`pivots` and `basis` on a full-rank Q input read only the rank
+        loop on its first min(rows, cols) columns, mod q; a rank-deficient
+        one is swept once, after a loop that stops at its first dependent
+        column. No GF(P) image is swept."""
+        read = []
+        residues = gauche._residues
+        monkeypatch.setattr(
+            gauche, "_residues", lambda values, field: read.append(field) or residues(values, field)
+        )
         path = tmp_path / "m.mat"
-        for text, exact, image in (("2 1\n", 0, 1), ("1 2\n2 4\n", 1, 2)):
+        cases = (("2 1\n", 0, 1), ("1 2\n2 4\n", 1, 2), ("1 2 0\n2 4 0\n0 0 1\n", 1, 2))
+        for text, exact, columns in cases:
             path.write_text(text)
             for command in ("pivots", "basis"):
                 sweeps_by_field.clear()
+                rank_loop.clear()
+                read.clear()
                 assert main([command, str(path)]) == 0
                 assert sweeps_by_field["__init__", "Q"] == exact
-                assert sweeps_by_field["__init__", IMAGE] == 1
-                assert sweeps_by_field["eliminate", IMAGE] == image
+                assert rank_loop == [not exact]
+                assert read == [_CHECK] * columns
+                assert all(field != IMAGE for _, field in sweeps_by_field)
 
     def test_null_space_views_sweep_once(self, sweeps):
         null_basis(matrix_t())
