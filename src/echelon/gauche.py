@@ -28,6 +28,7 @@ __all__ = ["GaucheResult", "Keeper", "KeeperState", "LLQAnswer", "Subordinate", 
 
 from itertools import compress, count
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import FieldMismatchError, ShapeError
 from .matrices import Matrix, Vector
@@ -63,33 +64,49 @@ class KeeperState:
     leading slot (over GF(p) as a bit shift, with the inverse of its pivot)
     and its eliminated row, never written after admission.
 
-    The leading slots are pairwise distinct. After its dim residual entries
-    a row carries coefficients over the original keeper columns: for a
-    keeper row the residual plus that combination is zero. A candidate is
-    eliminated against every keeper in turn; past the last one it lies in
-    the keeper span exactly when its residual is zero, and the rest are its
-    coefficients.
+    The leading slots are pairwise distinct. A candidate is eliminated
+    against every keeper in turn; past the last one it lies in the keeper
+    span exactly when its residual is zero.
 
     Over Q a column enters as an integer vector: its raw values times its
-    scale, the least common denominator. Keeper row u_k has pivot p_k =
-    u_k[lead_k], and a candidate w is eliminated against keeper k
-    fraction-free (Bareiss): w <- (p_k*w - w[lead_k]*u_k) / p_{k-1}, with
-    p_{-1} = 1, where every division is exact. Past the last
-    keeper, with pivot p, the residual plus the combination is p times the
-    scaled candidate, so the coefficients are the rest divided by p times
-    the scale.
+    scale λ, the least common denominator. A keeper row u_k is a residual
+    and nothing more, compacted: the lead slot of every earlier keeper is
+    deleted from it, and so is its own, whose entry, the Bareiss pivot
+    p_k, goes beside it with the scale λ_k. Against keeper k a candidate
+    w records f_k = w[lead_k], deletes that slot, and is eliminated
+    fraction-free (Bareiss): w <- (p_k*w - f_k*u_k) / p_{k-1}, with p_{-1}
+    = 1. The deleted slot would be 0 in both rows after that step, and
+    every division is exact, each entry being then a minor of the scaled
+    columns. When the candidate is admitted as keeper i, its f_k joins,
+    as F_ik, the factors kept beside each earlier keeper k's row.
 
-    Over GF(p) every row is packed into one int (see FieldSpec). A keeper
-    row holds the least residues of its eliminated candidate, unscaled, and
-    p - 1 as its own coefficient; beside it go the inverse of its pivot
-    a_k = u_k[lead_k] and the shift lead_k * w of that slot. Against keeper
-    k the candidate takes one multiply-add, w <- w + (p - f)*u_k with f =
-    w[lead_k] / a_k, reduced mod p; f and every slot of u_k are least
-    residues and at most dim keepers fit, so slot_bits(dim) bounds every
-    slot. The candidate is unpacked and reduced once, after the last
-    keeper, and a new keeper row is packed once, from that reduced row.
+    A subordinate's coefficients come from one fraction-free
+    back-substitution. With K keepers and p = p_{K-1},
+    y_k = (f_k*p - sum over i > k of F_ik*y_i) / p_k, from k = K-1 down,
+    and the coefficient over keeper column k is y_k*λ_k / (p*λ). Each
+    step is linear, so f_k is the sum over the keepers i of y_i/p times
+    what keeper i's scaled column holds at that slot after step k-1: p_k
+    for i = k, F_ik after it and 0 before it. And p is the minor of the
+    scaled keeper columns at their lead slots, so by Cramer's rule y_k, p
+    times the coefficient over the scaled keeper column k, is a minor too:
+    an integer, and each division is exact.
 
-    One forward pass, O(dim * keepers), settles the question. The
+    Over GF(p) a row carries, after its dim residual entries, coefficients
+    over the original keeper columns: for a keeper row the residual plus
+    that combination is zero, and past the last keeper the rest of a
+    subordinate are its coefficients. Every row is packed into one int
+    (see FieldSpec). A keeper row holds the least residues of its
+    eliminated candidate, unscaled, and p - 1 as its own coefficient;
+    beside it go the inverse of its pivot a_k = u_k[lead_k] and the shift
+    lead_k * w of that slot. Against keeper k the candidate takes one
+    multiply-add, w <- w + (p - f)*u_k with f = w[lead_k] / a_k, reduced
+    mod p; f and every slot of u_k are least residues and at most dim
+    keepers fit, so slot_bits(dim) bounds every slot. The candidate is
+    unpacked and reduced once, after the last keeper, and a new keeper row
+    is packed once, from that reduced row.
+
+    One forward pass, O(dim * keepers), settles the question, and over Q
+    a subordinate's back-substitution takes O(keepers**2) more. The
     coefficients are unique because the keeper set stays linearly
     independent by construction: a column is only admitted when it falls
     outside the current span. No Scalar is made.
@@ -120,38 +137,48 @@ class KeeperState:
         """llq on a column of dim raw values of the field, unchecked: None
         when the column is admitted as the next keeper, else the tuple of its
         coefficients over the keepers."""
-        # the residual of the (scaled) column against the reduced keepers,
-        # followed by the coefficients of the eliminated part
-        field, dim, p, w = self.field, self.dim, self.field.modulus, self._bits
+        field, keepers, p = self.field, self._keepers, self.field.modulus
         if p is None:
+            # the residual of the scaled column, one slot shorter per keeper
             work, scale = field.clear(values)
-            work += [0] * len(self._keepers)
-            prev = 1
-            for lead, u in self._keepers:
-                factor, pivot = work[lead], u[lead]
+            factors, prev = [], 1
+            for lead, pivot, u, _, _ in keepers:
+                factor = work.pop(lead)
+                factors.append(factor)
                 if factor or pivot != prev:
-                    # u stops at its own keeper's coefficient; later ones stay 0
-                    work[: len(u)] = [(pivot * x - factor * y) // prev for x, y in zip(work, u)]
+                    work = [(pivot * x - factor * y) // prev for x, y in zip(work, u)]
                 prev = pivot
-            scale *= prev
-        else:
-            packed, mask = field.pack(values, w), (1 << w) - 1
-            for shift, inv, u in self._keepers:
-                f = (packed >> shift & mask) * inv % p
-                if f:
-                    packed += (p - f) * u
-            work, scale = field.unpack(packed, dim + len(self._keepers), w), 1
+            lead = next(compress(count(), work), None)
+            if lead is None:
+                # y_k from the last keeper down: ys and below both run over
+                # the keepers i > k in order
+                ys: list[int] = []
+                coefficients: list[int] = []
+                for (_, pivot, _, lam, below), f in zip(reversed(keepers), reversed(factors)):
+                    y = (f * prev - sum(map(mul, below, ys))) // pivot
+                    ys.insert(0, y)
+                    coefficients.insert(0, y * lam)
+                return tuple(field.quotients(coefficients, prev * scale))
+            for (*_, below), factor in zip(keepers, factors):
+                below.append(factor)
+            keepers.append((lead, work.pop(lead), work, scale, []))
+            return None
+        # the residual of the column against the reduced keepers, followed by
+        # the coefficients of the eliminated part
+        dim, w = self.dim, self._bits
+        packed, mask = field.pack(values, w), (1 << w) - 1
+        for shift, inv, u in keepers:
+            f = (packed >> shift & mask) * inv % p
+            if f:
+                packed += (p - f) * u
+        work = field.unpack(packed, dim + len(keepers), w)
         # range(dim) stops the search at the residual: coefficients follow it
         lead = next(compress(range(dim), work), None)
         if lead is None:
-            return tuple(work[dim:] if scale == 1 else field.quotients(work[dim:], scale))
-        # the keeper's own coefficient, -scale over Q and -1 over GF(p),
-        # cancels its eliminated column
-        if p is None:
-            self._keepers.append((lead, work + [-scale]))
-        else:
-            work.append(p - 1)
-            self._keepers.append((lead * w, field.inverse(work[lead]), field.pack(work, w)))
+            return tuple(work[dim:])
+        # the keeper's own coefficient, -1, cancels its eliminated column
+        work.append(p - 1)
+        keepers.append((lead * w, field.inverse(work[lead]), field.pack(work, w)))
         return None
 
 

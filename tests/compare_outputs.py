@@ -30,8 +30,11 @@ reconstruct wrongly mod P; `null`, `graph`, `solve` and `syseq` on three
 16-row inputs on which the image RREF is refused, one for each branch of
 that route: diag(1, ..., 1, P), the system diag(3, 1, ..., 1) x = (2**40,
 1, ..., 1), and diag(1, ..., 1, q) with q = 268435367, the certificate's
-prime; `equiv` pairs that differ only in their first column and only in
-their last;
+prime; `rref`, `null` and `graph` on a Q matrix whose first column is zero
+and whose keeper columns, over distinct denominators, are each followed by
+a column on all the keepers so far, and `rref` on a seeded 10x11 matrix of
+a/b literals with 64-bit a and b; `equiv` pairs that differ only in their
+first column and only in their last;
 `script` on an all-zero matrix and the identity (empty logs), on a GF(2)
 matrix whose first pivot needs a swap and on a Q matrix of a/b literals
 (Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
@@ -62,6 +65,7 @@ import glob
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -178,6 +182,16 @@ def _diagonal(entries: list[int], rhs: list[int], bar: list[str]) -> bytes:
     return "".join(" ".join(map(str, [*row, *bar, b])) + "\n" for row, b in zip(rows, rhs)).encode()
 
 
+def _int64_fractions(rows: int, cols: int) -> bytes:
+    """A seeded rows x cols matrix of a/b literals with 64-bit a and b."""
+    rng = random.Random(2022)
+    lines = (
+        " ".join(f"{rng.randint(-(2**63), 2**63)}/{rng.randint(1, 2**63)}" for _ in range(cols))
+        for _ in range(rows)
+    )
+    return "".join(line + "\n" for line in lines).encode()
+
+
 # inputs no corpus holds, so that diagnostics and exit code 2 are diffed too:
 # file name -> bytes, then the argvs that read them (with --format appended)
 _EDGE_FILES = {
@@ -242,6 +256,14 @@ _EDGE_FILES = {
     "inverse_p.sys": b"1 0 | 1\n0 1 | 1/268435399\n",
     "thirds40.sys": b"3 0 | 1099511627776\n0 1 | 1\n",
     "thirds43.sys": b"3 0 | 8796093022208\n0 1 | 1\n",
+    # a zero first column, then after each of three keeper columns over
+    # denominators 3, 5 and 7 a column on all the keepers so far, and e_1
+    "subordinates.mat": (
+        b"0 2/3 1 1/5 8/15 5/7 -169/105 1\n"
+        b"0 1/3 1/2 4/5 -1/5 1/7 113/210 0\n"
+        b"0 1 3/2 -2/5 19/15 1/7 -23/70 0\n"
+    ),
+    "int64_fractions.mat": _int64_fractions(10, 11),
     # row equivalence decided at the first column (zero against a keeper)
     # and at the last (one coefficient differs)
     "pair.mat": b"1 2 0 1\n0 1 1 2\n",
@@ -291,6 +313,10 @@ _EDGE_ARGVS = [
             ["syseq", f"{name}.sys", "eye16.sys"],
         )
     ),
+    ["rref", "subordinates.mat"],
+    ["null", "subordinates.mat"],
+    ["graph", "subordinates.mat"],
+    ["rref", "int64_fractions.mat"],
     ["equiv", "pair.mat", "pair_first.mat"],
     ["equiv", "pair.mat", "pair_last.mat"],
     ["solve", "zero.sys"],

@@ -34,6 +34,7 @@ from helpers import (
     matrix_t,
     random_fraction_matrices,
     random_fraction_matrix,
+    random_low_rank_matrix,
     random_matrices,
     random_matrix,
     random_ops,
@@ -107,6 +108,82 @@ class TestLLQ:
                         assert tuple(acc) == col.entries
                     else:
                         keepers.append(j)
+
+
+def combination(coefficients, columns) -> list[Fraction]:
+    """sum_k coefficients[k] * columns[k], entry by entry."""
+    return [sum(c * x for c, x in zip(coefficients, row)) for row in zip(*columns)]
+
+
+def from_columns(columns) -> Matrix:
+    return mat(list(zip(*columns)))
+
+
+def llq_answers(m: Matrix) -> tuple[int, ...]:
+    """Sweep m's columns through llq, checking each answer against the
+    reference sweep: a keeper where it keeps one, else its journal, whose
+    coefficients applied to the keeper columns before it give the column
+    back. Returns the pivots."""
+    journals, pivots = reference_sweep(m)
+    state, keepers = KeeperState(m.field, m.rows), []
+    for n in range(1, m.cols + 1):
+        answer = state.llq(m.column(n))
+        if n in pivots:
+            assert answer == Keeper()
+            keepers.append(n)
+            continue
+        assert answer == Subordinate(journals[n - 1].values[: len(keepers)], m.field)
+        if keepers:
+            assert m.take_columns(keepers) @ Vector(answer.values, m.field) == m.column(n)
+        else:
+            assert m.column(n).is_zero()
+    assert tuple(keepers) == pivots
+    return pivots
+
+
+class TestBackSubstitution:
+    """Over Q a subordinate's coefficients come from a back-substitution
+    over the factors its sweep recorded against each keeper."""
+
+    def test_subordinate_on_every_keeper(self):
+        # keeper columns over denominators 3, 5, 7 and 2, whose cleared
+        # integer columns give Bareiss pivots other than 1
+        f = Fraction
+        keepers = [
+            [f(2, 3), f(1, 3), 1, f(-1, 3)],
+            [f(1, 5), f(3, 5), f(-2, 5), 4],
+            [f(3, 7), -1, f(2, 7), f(5, 7)],
+            [f(1, 2), f(5, 2), f(-3, 2), 1],
+        ]
+        coefficients = [f(1, 2), -3, f(5, 4), 7]
+        target = combination(coefficients, keepers)
+        m = from_columns([*keepers, target])
+        assert llq_answers(m) == (1, 2, 3, 4)
+        assert gauche_rref(m).journals[4].values == tuple(coefficients)
+
+    def test_subordinates_after_each_keeper_count(self):
+        # a zero first column, then after each of keepers k1, k2 and k3 a
+        # subordinate on all the keepers so far, and e_1 after the last
+        k1, k2, k3 = [2, 1, 3], [1, 4, -2], [5, 1, 1]
+        f = Fraction
+        columns = [
+            [0, 0, 0],
+            k1,
+            combination([f(3, 2)], [k1]),
+            k2,
+            combination([1, f(-2, 3)], [k1, k2]),
+            k3,
+            combination([f(1, 2), 1, -3], [k1, k2, k3]),
+            [1, 0, 0],
+        ]
+        assert llq_answers(from_columns(columns)) == (2, 4, 6)
+
+    def test_wide_rank_two_fractions(self):
+        rng = random.Random(6607)
+        left = scalar_rows(random_fraction_matrix(rng, 4, 2, QQ, bound=9))
+        right = scalar_rows(random_fraction_matrix(rng, 2, 40, QQ, bound=9))
+        m = mat([[a * x + b * y for x, y in zip(*right)] for a, b in left])
+        assert len(llq_answers(m)) == 2
 
 
 class TestJournalVector:
@@ -258,12 +335,21 @@ def test_kernels_do_no_scalar_arithmetic(monkeypatch):
 
 def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     """Over Q the sweep and the oracle eliminate on integers: no Fraction
-    +, -, * or / on a 20x21 input mixing 64-bit and a/b entries."""
+    +, -, * or / on a 20x21 input mixing 64-bit and a/b entries, nor on a
+    12x40 a/b input of rank 5, whose 35 subordinates each take a
+    back-substitution."""
     rng = random.Random(2022)
     big = scalar_rows(random_matrix(rng, 20, 21, QQ, bound=2**63))
     small = scalar_rows(random_fraction_matrix(rng, 20, 21, QQ, bound=9))
     m = Matrix.from_rows(
         [[rng.choice(pair) for pair in zip(*rows)] for rows in zip(big, small)], QQ
+    )
+    # a rank-5 integer product, each row and column scaled by its own a/b
+    rows = scalar_rows(random_low_rank_matrix(rng, 12, 40, 5, QQ))
+    row_scales = random_fraction_matrix(rng, 12, 1, QQ, bound=9).column(1).entries
+    col_scales = random_fraction_matrix(rng, 1, 40, QQ, bound=9).row(1).entries
+    low = Matrix.from_rows(
+        [[r * c * x for c, x in zip(col_scales, row)] for r, row in zip(row_scales, rows)], QQ
     )
     calls = []
     for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
@@ -273,9 +359,13 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
         )
     res = gauche_rref(m)
     oracle = gauss_jordan(m)
+    low_res = gauche_rref(low)
+    low_oracle = gauss_jordan(low)
     assert calls == []
     assert oracle.rref == res.rref
     assert len(res.pivot_set) == 20
+    assert low_oracle.rref == low_res.rref
+    assert len(low_res.pivot_set) == 5
     # the counters do count
     half = Fraction(1, 2)
     assert (half + half) * half - half / half == Fraction(-1, 2)
