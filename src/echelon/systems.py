@@ -11,10 +11,10 @@ under a certificate.
 When they differ, the second must still be shown consistent: its right-hand
 side must lie in the span of its coefficient columns. Both the rank
 (_keepers) and the span (_consistent) are asked of gauche, which over Q
-proves the rank by the certificate's loop mod a second prime q and takes
-the span's coefficients from the GF(P) image, checked by one exact
-product. Row equivalence sweeps two matrices in lockstep and stops at the
-first column whose journals differ.
+proves the rank by the certificate's loop mod a second prime q and, from
+16 rows (gauche._imaged), takes the span's coefficients from the GF(P)
+image, checked by one exact product. Row equivalence sweeps two matrices
+in lockstep and stops at the first column whose journals differ.
 """
 from __future__ import annotations
 

@@ -26,7 +26,9 @@ consistent on the image of its sweep: one whose right-hand side is 0 mod P
 (the candidate x = 0 is refuted, and the system is inconsistent), and, in
 both orders, the identity system against one holding the literal 1/P and
 against two whose solutions 2**40/3 and 2**43/3 do not reconstruct or
-reconstruct wrongly mod P; `null`, `graph`, `solve` and `syseq` on three
+reconstruct wrongly mod P, and the same four, in both orders, as 16-row
+systems against the 16-row identity system, since the image is tried only
+from 16 rows; `null`, `graph`, `solve` and `syseq` on three
 16-row inputs on which the image RREF is refused, one for each branch of
 that route: diag(1, ..., 1, P), the system diag(3, 1, ..., 1) x = (2**40,
 1, ..., 1), and diag(1, ..., 1, q) with q = 268435367, the certificate's
@@ -166,13 +168,18 @@ def _size(src: str) -> tuple[int, int]:
 # refused by another branch: diag(1, ..., 1, 268435399) loses rank mod P;
 # the system diag(3, 1, ..., 1) x = (2**40, 1, ..., 1) has a solution with
 # no reconstruction mod P; diag(1, ..., 1, 268435367) keeps full rank mod P
-# and loses it mod the certificate's prime. A system's right-hand side is
-# its diagonal unless given; the .mat file holds the same rows, unbarred.
+# and loses it mod the certificate's prime. The last three are, at 16 rows,
+# the second systems that the image cannot prove consistent (see
+# column_p.sys below); thirds16 is the fourth. A system's right-hand side
+# is its diagonal unless given; the .mat file holds the same rows, unbarred.
 _DIAGONALS = [
     ("diag_p16", [1] * 15 + [268435399], None),
     ("thirds16", [3] + [1] * 15, [2**40] + [1] * 15),
     ("diag_q16", [1] * 15 + [268435367], None),
     ("eye16", [1] * 16, None),
+    ("column_p16", [1, 0] + [1] * 14, [0, 268435399] + [0] * 14),
+    ("inverse_p16", [1] * 16, [1] * 15 + ["1/268435399"]),
+    ("thirds43_16", [3] + [1] * 15, [2**43] + [1] * 15),
 ]
 
 
@@ -313,6 +320,12 @@ _EDGE_ARGVS = [
             ["syseq", f"{name}.sys", "eye16.sys"],
         )
     ),
+    *(
+        argv
+        for name in ("column_p16", "inverse_p16", "thirds43_16")
+        for argv in (["syseq", "eye16.sys", f"{name}.sys"], ["syseq", f"{name}.sys", "eye16.sys"])
+    ),
+    ["syseq", "eye16.sys", "thirds16.sys"],
     ["rref", "subordinates.mat"],
     ["null", "subordinates.mat"],
     ["graph", "subordinates.mat"],

@@ -28,6 +28,22 @@ def sweeps_by_field(monkeypatch):
 
 
 @pytest.fixture
+def swept(monkeypatch):
+    """The sweeps that gauche's questions start, in order, as (matrix, field
+    name) pairs: the matrix's own field for the exact sweep, and the GF(P)
+    field (helpers.IMAGE) for its image."""
+    sweeps = []
+    answers = gauche._answers
+
+    def recorded(m, js, field=None):
+        sweeps.append((m, str(field or m.field)))
+        return answers(m, js, field)
+
+    monkeypatch.setattr(gauche, "_answers", recorded)
+    return sweeps
+
+
+@pytest.fixture
 def rank_loop(monkeypatch):
     """The answers of the certificate's rank loop (gauche._independent), in
     order, ZeroDivisionError standing for a call that raised it."""

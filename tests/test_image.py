@@ -3,12 +3,12 @@
 `_keepers` (which columns a sweep keeps) and `_consistent` (is the last
 column in the span of the others) must answer over every field exactly as
 the exact sweep does. Over Q `_keepers` asks the certificate's rank loop
-mod q = 268435367 (`_independent`), and `_consistent` takes a combination
-that the GF(P) sweep proposes. Their callers, `pivots` and `basis`, the
-rank half of `null_equal` and `solution_equivalent`, and the consistency
-proof of a second system, must answer as before; where the rank drops mod
-q, or the image cannot be taken because its prime divides a denominator,
-the exact route must run. The sweep counts of `sweeps_by_field` and the
+mod q = 268435367 (`_independent`), and `_consistent`, on a matrix of at
+least 16 rows, takes a combination that the GF(P) sweep proposes. Their
+callers, `pivots` and `basis`, the rank half of `null_equal` and
+`solution_equivalent`, and the consistency proof of a second system, must
+answer as before; where the rank drops mod q, or the image cannot be taken
+because its prime divides a denominator, the exact route must run. The sweep counts of `sweeps_by_field` and the
 answers `rank_loop` records show which route ran; full-rank inputs crafted
 against P take the rank shortcut. Entries are small integers, a/b literals and
 64-bit integers.
@@ -39,6 +39,7 @@ from helpers import (
     FIELD_CASES,
     IMAGE,
     mat,
+    random_low_rank_matrix,
     random_matrices,
     random_ops,
     system_from_augmented,
@@ -324,10 +325,14 @@ def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
     """On dense, wide low-rank and crafted inputs: _keepers(m, js) is the
     keepers of the exact sweep of m's columns js, taken in that order, and
     _consistent(m.take_columns([*js, k])) holds exactly when column_in_span
-    finds coefficients."""
+    finds coefficients. The crafted inputs come again over zero rows, and
+    a few low-rank ones have 16 rows, so that over Q _consistent asks the
+    GF(P) image of them."""
     rng = random.Random(f"keepers-{field}-{bound}")
-    crafted = (mat(rows, field) for rows in CRAFTED_P + CRAFTED_Q)
-    for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted):
+    crafted = [mat(rows, field) for rows in CRAFTED_P + CRAFTED_Q]
+    tall = (mat([*m.raw_rows(), *[[0] * m.cols] * (16 - m.rows)], field) for m in crafted)
+    low = (random_low_rank_matrix(rng, 16, rng.randint(3, 8), 3, field, bound) for _ in range(3))
+    for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted, tall, low):
         for js in _selections(rng, m.cols):
             pivots = gauche_rref(m.take_columns(js)).pivot_set if js else ()
             assert _keepers(m, js) == tuple(js[s - 1] for s in pivots), (m, js)

@@ -114,8 +114,9 @@ def _scoped(node, scope=()):
 def test_only_two_questions_sweep_the_image():
     """The GF(P) sweep only proposes coefficients: beside its definition,
     gauche.py names _IMAGE only in _reader_rref (an RREF) and _consistent
-    (a combination). Rank, _keepers' question included, is proved by the
-    certificate's loop mod its own prime, _independent."""
+    (a combination), and both ask one gate, _imaged, whether to try it.
+    Rank, _keepers' question included, is proved by the certificate's loop
+    mod its own prime, _independent."""
     path = ROOT / "src" / "echelon" / "gauche.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     scopes = {
@@ -124,6 +125,12 @@ def test_only_two_questions_sweep_the_image():
         if "_IMAGE" in _names(node) and not isinstance(getattr(node, "ctx", None), ast.Store)
     }
     assert scopes == {"_reader_rref", "_consistent"}
+    gated = {
+        ".".join(scope)
+        for scope, node in _scoped(tree)
+        if isinstance(node, ast.Call) and "_imaged" in _names(node.func)
+    }
+    assert gated == scopes
 
 
 def test_the_field_divides_in_one_place():

@@ -372,28 +372,22 @@ class TestOneSweepPerQuestion:
         assert sweeps_by_field == {("__init__", "Q"): 2, ("eliminate", "Q"): 3 + 2}
         assert rank_loop == [False]
 
-    def test_differing_q_pair_is_certified_on_the_image(self, sweeps_by_field):
-        """[B | d] fails the inclusion; the GF(P) sweep of [B | d] offers
-        x = e_1, and B x = d exactly, so [B | d] is never swept over Q.
-        Over GF(p) [B | d] is swept, as before."""
-        t = matrix_t()
-        a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
-        assert not solution_equivalent(a, b)
-        assert sweeps_by_field == {
-            ("__init__", "Q"): 1,
-            ("eliminate", "Q"): t.cols + 1,
-            ("__init__", IMAGE): 1,
-            ("eliminate", IMAGE): t.cols + 1,
-        }
-        sweeps_by_field.clear()
-        t7 = matrix_t(GF(7))
-        assert not solution_equivalent(
-            LinearSystem(t7, t7.column(5)), LinearSystem(t7, t7.column(1))
-        )
-        assert sweeps_by_field == {
-            ("__init__", "GF(7)"): 2,
-            ("eliminate", "GF(7)"): 2 * (t.cols + 1),
-        }
+    def test_differing_q_pair_is_certified_on_the_image(self, swept, sweeps_by_field):
+        """From 16 rows [B | d] fails the inclusion, and the GF(P) sweep of
+        [B | d] offers x = e_1, which B x = d confirms exactly, so [B | d]
+        is never swept over Q; [A | c] takes the readers' certified image
+        RREF. matrix_t's own 3-row pair, below the image's gate, and the
+        pair over GF(7) sweep each system exactly once."""
+        for t, route in ((_tall_t(16), IMAGE), (matrix_t(), "Q"), (matrix_t(GF(7)), "GF(7)")):
+            swept.clear()
+            sweeps_by_field.clear()
+            a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
+            assert not solution_equivalent(a, b)
+            assert swept == [(a.augmented(), route), (b.augmented(), route)]
+            assert sweeps_by_field == {
+                ("__init__", route): 2,
+                ("eliminate", route): 2 * (t.cols + 1),
+            }
 
     def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field, rank_loop):
         """The second matrix's pivot columns go only to the rank loop."""
@@ -448,18 +442,43 @@ class TestOneSweepPerQuestion:
         assert sweeps == {"__init__": 1, "eliminate": 3}
 
 
+def _tall_t(rows: int) -> Matrix:
+    """matrix_t over zero rows, to `rows` rows."""
+    return mat([*matrix_t().raw_rows(), *[[0] * 5] * (rows - 3)])
+
+
+@pytest.mark.parametrize(("rows", "route"), [(15, "Q"), (16, IMAGE)])
+def test_the_image_is_tried_from_16_rows(rows, route, swept):
+    """One gate for both readers of the GF(P) image: below 16 rows neither
+    system of a differing pair is imaged, and from 16 rows each is imaged
+    once, [A | c] for the readers' RREF and [B | d] for its consistency."""
+    t = _tall_t(rows)
+    a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
+    assert not solution_equivalent(a, b)
+    assert swept == [(a.augmented(), route), (b.augmented(), route)]
+
+
+def _diagonal(entries, rhs) -> LinearSystem:
+    """The system diag(entries) x = rhs."""
+    rows = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+    return LinearSystem(mat(rows), vec(rhs))
+
+
 def _system_text(s: LinearSystem) -> str:
     rows = zip(s.coeff.raw_rows(), format_values(s.rhs.values))
     return "".join(" ".join(format_values(row)) + f" | {c}\n" for row, c in rows)
 
 
 _EYE = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+_EYE16 = _diagonal([1] * 16, [1] * 16)
 # pairs whose [B | d] fails the inclusion, and where the GF(P) image cannot
 # prove [B | d] consistent, with the CLI's exit code: d = (0, P) is 0 mod P,
 # so the image offers x = 0, which B x = d refutes, and [B | d] is
 # inconsistent; P divides the denominator of 1/P, so there is no image; and
 # the solution (2**k / 3, 1) has no reconstruction mod P for k = 40, while
-# for k = 43 it reconstructs as 1083/8192, which B x = d refutes
+# for k = 43 it reconstructs as 1083/8192, which B x = d refutes. Each comes
+# as a 2-row pair, below the image's gate, and as a 16-row one against the
+# identity system.
 CRAFTED_FALLBACKS = [
     pytest.param(
         LinearSystem(mat([[1], [0]]), vec([1, 0])),
@@ -470,25 +489,35 @@ CRAFTED_FALLBACKS = [
     pytest.param(_EYE, LinearSystem(mat([[1, 0], [0, 1]]), vec([1, Fraction(1, P)])), 1, id="1/P"),
     pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**40, 1])), 1, id="2^40/3"),
     pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**43, 1])), 1, id="2^43/3"),
+    pytest.param(
+        _EYE16, _diagonal([1, 0] + [1] * 14, [0, P] + [0] * 14), 2, id="zero-mod-P-16rows"
+    ),
+    pytest.param(_EYE16, _diagonal([1] * 16, [1] * 15 + [Fraction(1, P)]), 1, id="1/P-16rows"),
+    pytest.param(_EYE16, _diagonal([3] + [1] * 15, [2**40] + [1] * 15), 1, id="2^40/3-16rows"),
+    pytest.param(_EYE16, _diagonal([3] + [1] * 15, [2**43] + [1] * 15), 1, id="2^43/3-16rows"),
 ]
 
 
 @pytest.mark.parametrize(("a", "b", "code"), CRAFTED_FALLBACKS)
 def test_unproven_second_system_takes_the_exact_sweep(
-    a, b, code, sweeps_by_field, tmp_path, capsys
+    a, b, code, swept, sweeps_by_field, tmp_path, capsys
 ):
     """The image offers no solution that B x = d confirms, so [B | d] is
-    swept exactly: the library call raises InconsistentSystemError for an
-    inconsistent [B | d] and otherwise returns False, and `syseq` exits 2
-    or 1 as it does."""
+    swept exactly, through every column: the library call raises
+    InconsistentSystemError for an inconsistent [B | d] and otherwise
+    returns False, and `syseq` exits 2 or 1 as it does. A 16-row [B | d]
+    is imaged first, and the 16-row identity system takes the readers'
+    certified image RREF; no system of a 2-row pair is imaged."""
     if code == 2:
         with pytest.raises(InconsistentSystemError):
             solution_equivalent(a, b)
     else:
         assert solution_equivalent(a, b) is False
-    assert sweeps_by_field["__init__", "Q"] == 2
-    assert sweeps_by_field["eliminate", "Q"] == a.coeff.cols + b.coeff.cols + 2
-    assert sweeps_by_field["__init__", IMAGE] == 1
+    aug_a, aug_b = a.augmented(), b.augmented()
+    imaged = [aug_a, aug_b] if a.coeff.rows >= 16 else []
+    exact = [aug_b] if imaged else [aug_a, aug_b]
+    assert swept == [*((m, IMAGE) for m in imaged), *((m, "Q") for m in exact)]
+    assert sweeps_by_field["eliminate", "Q"] == sum(m.cols for m in exact)
     paths = [tmp_path / "a.sys", tmp_path / "b.sys"]
     for path, system in zip(paths, (a, b)):
         path.write_text(_system_text(system))
