@@ -1,62 +1,45 @@
 """Fixtures shared by the test modules."""
-import collections
+import sys
 
 import pytest
 
-from echelon import KeeperState, gauche
+from echelon import gauche
+
+from helpers import Sweep
 
 
 @pytest.fixture
-def sweeps_by_field(monkeypatch):
-    """KeeperState constructions and eliminations, keyed by method and field
-    name: ("__init__", "Q") counts the exact sweeps over Q, and the GF(P)
-    keys (helpers.IMAGE) the sweeps of an image."""
-    counts = collections.Counter()
-    init, eliminate = KeeperState.__init__, KeeperState.eliminate
+def routes(monkeypatch):
+    """What gauche ran, in order: a Sweep for each call of gauche._answers,
+    and the verdict of each call of the certificate's rank loop
+    (gauche._independent), ZeroDivisionError standing for a call that
+    raised it.
 
-    def counted_init(self, field, dim):
-        counts["__init__", str(field)] += 1
-        init(self, field, dim)
+    _answers is patched in every module that imported it. Its Sweep is
+    logged when it is called, as its KeeperState is built, and counts each
+    answer it yields, one KeeperState.eliminate each."""
+    log = []
+    answers, independent = gauche._answers, gauche._independent
 
-    def counted_eliminate(self, values):
-        counts["eliminate", str(self.field)] += 1
-        return eliminate(self, values)
+    def counted(sweep, source):
+        for answer in source:
+            sweep.answered += 1
+            yield answer
 
-    monkeypatch.setattr(KeeperState, "__init__", counted_init)
-    monkeypatch.setattr(KeeperState, "eliminate", counted_eliminate)
-    return counts
+    def logged(m, js, field=None):
+        log.append(sweep := Sweep(m, str(field or m.field)))
+        return counted(sweep, answers(m, js, field))
 
-
-@pytest.fixture
-def swept(monkeypatch):
-    """The sweeps that gauche's questions start, in order, as (matrix, field
-    name) pairs: the matrix's own field for the exact sweep, and the GF(P)
-    field (helpers.IMAGE) for its image."""
-    sweeps = []
-    answers = gauche._answers
-
-    def recorded(m, js, field=None):
-        sweeps.append((m, str(field or m.field)))
-        return answers(m, js, field)
-
-    monkeypatch.setattr(gauche, "_answers", recorded)
-    return sweeps
-
-
-@pytest.fixture
-def rank_loop(monkeypatch):
-    """The answers of the certificate's rank loop (gauche._independent), in
-    order, ZeroDivisionError standing for a call that raised it."""
-    answers = []
-    independent = gauche._independent
-
-    def recorded(m, js):
+    def ranked(m, js):
         try:
-            answers.append(independent(m, js))
+            log.append(independent(m, js))
         except ZeroDivisionError:
-            answers.append(ZeroDivisionError)
+            log.append(ZeroDivisionError)
             raise
-        return answers[-1]
+        return log[-1]
 
-    monkeypatch.setattr(gauche, "_independent", recorded)
-    return answers
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "echelon" and getattr(module, "_answers", None) is answers:
+            monkeypatch.setattr(module, "_answers", logged)
+    monkeypatch.setattr(gauche, "_independent", ranked)
+    return log

@@ -2,6 +2,7 @@
 random generators for matrices, vectors, row operations, and systems."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from echelon import (
 from echelon.gauche import P
 
 GF7 = GF(7)
-# the field name of the GF(P) image, as the sweeps_by_field fixture keys it
+# the field name of the GF(P) image, as the routes fixture names it
 IMAGE = str(GF(P))
 FIELDS = (QQ, GF7)
 # the properties checked across fields: (field, entry bound), with GF(2),
@@ -47,6 +48,17 @@ J_ROWS = [
     [0, 1, 1, -3, 0],
     [0, 0, 0, 0, 1],
 ]
+
+
+@dataclasses.dataclass
+class Sweep:
+    """One sweep in the routes fixture's log: the matrix, the name of the
+    field it ran over (the matrix's own, or IMAGE), and how many columns it
+    answered."""
+
+    matrix: Matrix
+    field: str
+    answered: int = 0
 
 
 def is_canonical(x, field) -> bool:

@@ -5,7 +5,7 @@ matrices of at least 16 rows, is first laid out from the GF(P) image of the
 sweep and taken only when `_certified` proves it: R in RREF, M = M_K·R, and
 M_K of full column rank modulo a second prime. These tests check that the
 readers' R is the sweep's and the oracle's across shapes and ranks, pin with
-`sweeps_by_field` which route answered on each kind of fallback, and feed
+the `routes` log which route answered on each kind of fallback, and feed
 the certificate wrong answers that it must refuse.
 """
 import random
@@ -26,10 +26,11 @@ from echelon import (
     solution_equivalent,
     solve,
 )
-from echelon.gauche import P, _CHECK, _certified, _factors_through, _reader_rref
+from echelon.gauche import P, _CHECK, _certified, _factors_through, _independent, _reader_rref
 from echelon.nullspace import _relations
+from echelon.rowops import rref_violation
 
-from helpers import IMAGE, mat, random_matrix, vec
+from helpers import IMAGE, Sweep, mat, random_matrix, vec
 
 Q2 = _CHECK.modulus
 
@@ -76,22 +77,21 @@ def _cases():
 
 
 @pytest.mark.parametrize("m", _cases())
-def test_reader_rref_is_the_sweeps_and_the_oracles(m, request, sweeps_by_field):
+def test_reader_rref_is_the_sweeps_and_the_oracles(m, request, routes):
     res = _reader_rref(m)
     # a rank-deficient input, whose RREF has small entries, takes the image
     # alone; a full-rank one with a last column A^-1·b does not reconstruct
     if "full" not in request.node.callspec.id:
-        assert sweeps_by_field["__init__", "Q"] == 0
+        assert routes == [Sweep(m, IMAGE, m.cols), True]
     assert res == gauche_rref(m)
     assert res.rref == gauss_jordan(m).rref
 
 
-def test_image_answers_a_reconstructible_rref(sweeps_by_field, rank_loop):
+def test_image_answers_a_reconstructible_rref(routes):
     """20 x 20 rank 15: one image sweep, the certificate, no exact sweep."""
     m = _with_rref(random.Random(20), 20, 20, 15)
     rel = graph_relations(m)
-    assert sweeps_by_field == {("__init__", IMAGE): 1, ("eliminate", IMAGE): 20}
-    assert rank_loop == [True]
+    assert routes == [Sweep(m, IMAGE, 20), True]
     assert rel == _relations(gauche_rref(m), m.cols)
 
 
@@ -107,58 +107,42 @@ def test_image_answers_a_reconstructible_rref(sweeps_by_field, rank_loop):
     ],
     ids=["diag-P", "diag-q"],
 )
-def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, sweeps_by_field, rank_loop):
+def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, routes):
     """graph on m, and solve on m x = diag(m), whose solution is all ones:
     one image sweep, then the exact one."""
     system = LinearSystem(m, vec(m.values[:: m.cols + 1]))
-    for read, cols in ((lambda: graph_relations(m), 16), (lambda: solve(system), 17)):
-        sweeps_by_field.clear()
-        rank_loop.clear()
+    reads = ((lambda: graph_relations(m), m), (lambda: solve(system), system.augmented()))
+    for read, matrix in reads:
+        routes.clear()
         answer = read()
-        assert sweeps_by_field == {
-            ("__init__", IMAGE): 1,
-            ("eliminate", IMAGE): cols,
-            ("__init__", "Q"): 1,
-            ("eliminate", "Q"): cols,
-        }
-        assert rank_loop == rank_answers
+        cols = matrix.cols
+        assert routes == [Sweep(matrix, IMAGE, cols), *rank_answers, Sweep(matrix, "Q", cols)]
     assert answer.particular == vec([1] * 16)
     assert _reader_rref(m) == gauche_rref(m)
     assert gauche_rref(m).pivot_set == tuple(range(1, 17))
 
 
-def test_unreconstructible_solution_falls_back(sweeps_by_field, rank_loop):
+def test_unreconstructible_solution_falls_back(routes):
     """A 16 x 17 system whose solution holds 2**40/3: no reconstruction mod
     P, so no certificate is asked, and the exact sweep answers."""
     system = LinearSystem(_diagonal([3] + [1] * 15), vec([2**40] + [1] * 15))
     sol = solve(system)
-    assert sweeps_by_field == {
-        ("__init__", IMAGE): 1,
-        ("eliminate", IMAGE): 17,
-        ("__init__", "Q"): 1,
-        ("eliminate", "Q"): 17,
-    }
-    assert rank_loop == []
+    aug = system.augmented()
+    assert routes == [Sweep(aug, IMAGE, 17), Sweep(aug, "Q", 17)]
     assert sol.particular == vec([Fraction(2**40, 3)] + [1] * 15)
     eye = LinearSystem(_diagonal([1] * 16), vec([1] * 16))
     assert not solution_equivalent(system, eye)
     assert solution_equivalent(system, system)
 
 
-def test_unreconstructible_coefficient_stops_the_image_sweep(sweeps_by_field, rank_loop):
+def test_unreconstructible_coefficient_stops_the_image_sweep(routes):
     """Column 2 of a 16 x 16 matrix is 2**40/3 times column 1, a coefficient
     with no reconstruction mod P: the image sweep stops at column 2, and the
     exact sweep answers graph."""
     rows = [[3, 2**40] + [0] * 14] + [[0, 0] + [int(i == j) for j in range(14)] for i in range(14)]
     m = mat(rows + [[0] * 16])
     rel = graph_relations(m)
-    assert sweeps_by_field == {
-        ("__init__", IMAGE): 1,
-        ("eliminate", IMAGE): 2,
-        ("__init__", "Q"): 1,
-        ("eliminate", "Q"): 16,
-    }
-    assert rank_loop == []
+    assert routes == [Sweep(m, IMAGE, 2), Sweep(m, "Q", 16)]
     assert rel == _relations(gauche_rref(m), m.cols)
     assert rel.pivot_exprs[0] == (1, (Fraction(-(2**40), 3),))
 
@@ -240,3 +224,24 @@ def test_certificate_refuses_dependent_keepers():
     assert _factors_through(eye, m)
     assert not _certified(m, eye)
     assert _certified(m, gauche_rref(m))
+
+
+def test_certificate_refuses_pivots_its_rows_do_not_lead():
+    """R is an RREF and m = m_K·R with m_K independent, but R's one row
+    leads at column 1, not at the claimed pivot 2: only the leads refuse."""
+    m = mat([[1, 1], [2, 2]])
+    wrong = GaucheResult(mat([[1, 1], [0, 0]]), (2,))
+    assert rref_violation(wrong.rref) is None
+    assert _factors_through(wrong, m) and _independent(m, wrong.pivot_set)
+    assert not _certified(m, wrong)
+
+
+def test_certificate_refuses_a_pivot_entry_other_than_one():
+    """R = [2 3] leads at the claimed pivot 1, m = m_K·R on the free column
+    and m_K is independent, but R's pivot entry is 2: only the RREF shape
+    refuses it."""
+    m = mat([[1, 3], [2, 6]])
+    wrong = GaucheResult(mat([[2, 3], [0, 0]]), (1,))
+    assert rref_violation(wrong.rref) == "Pivots"
+    assert _factors_through(wrong, m) and _independent(m, wrong.pivot_set)
+    assert not _certified(m, wrong)

@@ -8,10 +8,10 @@ least 16 rows, takes a combination that the GF(P) sweep proposes. Their
 callers, `pivots` and `basis`, the rank half of `null_equal` and
 `solution_equivalent`, and the consistency proof of a second system, must
 answer as before; where the rank drops mod q, or the image cannot be taken
-because its prime divides a denominator, the exact route must run. The sweep counts of `sweeps_by_field` and the
-answers `rank_loop` records show which route ran; full-rank inputs crafted
-against P take the rank shortcut. Entries are small integers, a/b literals and
-64-bit integers.
+because its prime divides a denominator, the exact route must run. The
+`routes` log of sweeps and rank-loop verdicts shows which route ran;
+full-rank inputs crafted against P take the rank shortcut. Entries are
+small integers, a/b literals and 64-bit integers.
 """
 import itertools
 import json
@@ -37,7 +37,7 @@ from echelon.scalars import format_values
 
 from helpers import (
     FIELD_CASES,
-    IMAGE,
+    Sweep,
     mat,
     random_low_rank_matrix,
     random_matrices,
@@ -130,17 +130,14 @@ CRAFTED_Q = [
 ]
 
 
-def _no_image_sweep(sweeps_by_field) -> bool:
-    return all(field != IMAGE for _, field in sweeps_by_field)
-
-
 @pytest.mark.parametrize("kind", KINDS)
-def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, rank_loop, tmp_path, capsys):
+def test_cli_pivots_and_basis_match_the_sweep(kind, routes, tmp_path, capsys):
     """Both the rank shortcut and the sweep are taken, and agree with the
-    sweep: `pivots` and `basis` each ask the rank loop once, sweep over Q
-    exactly when it answers False, and never sweep the GF(P) image."""
+    sweep: `pivots` and `basis` each ask the rank loop once, sweep every
+    column over Q exactly when it answers False, and never sweep the GF(P)
+    image."""
     rng = random.Random(f"pivots-{kind}")
-    routes = set()
+    verdicts = set()
     for shape, (rows, cols, rank) in _shapes(rng):
         if rank is None:
             m = _dense(rng, rows, cols, kind)
@@ -151,14 +148,11 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, rank_loop, 
         columns = [format_values(m.values[j - 1 :: m.cols]) for j in expected]
         basis = {"indices": expected, "columns": columns}
         for command, out in (("pivots", {"pivots": expected}), ("basis", basis)):
-            sweeps_by_field.clear()
-            rank_loop.clear()
+            routes.clear()
             assert _cli_json(capsys, command, path) == (0, out), (shape, m)
-            assert rank_loop in ([True], [False])
-            assert sweeps_by_field["__init__", "Q"] == (rank_loop == [False])
-            assert _no_image_sweep(sweeps_by_field)
-            routes.add(rank_loop[0])
-    assert routes == {True, False}
+            assert routes in ([True], [False, Sweep(m, "Q", m.cols)])
+            verdicts.add(routes[0])
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -175,55 +169,50 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, sweeps_by_field, rank_loop, 
     ],
     ids=["minor-q", "1/q-rank-1", "1/q-full-rank", "minor-P", "1/P-full-rank", "1/P-rank-1"],
 )
-def test_cli_pivots_fall_back_when_the_image_fails(
-    rows, pivots, loop, sweeps_by_field, rank_loop, tmp_path, capsys
-):
+def test_cli_pivots_fall_back_when_the_image_fails(rows, pivots, loop, routes, tmp_path, capsys):
     """The rank loop is asked once per command. Where its image mod q drops
     rank or does not exist, it proves nothing, and the command sweeps the
-    matrix exactly once over Q; where it answers True, nothing is swept."""
+    matrix exactly once over Q; where it answers True, no sweep runs."""
     m = mat(rows)
     path = _write(tmp_path, m)
     assert list(gauche_rref(m).pivot_set) == pivots
     for command, key in (("pivots", "pivots"), ("basis", "indices")):
-        sweeps_by_field.clear()
-        rank_loop.clear()
+        routes.clear()
         code, out = _cli_json(capsys, command, path)
         assert (code, out[key]) == (0, pivots)
-        assert rank_loop == [loop]
-        exact = {} if loop is True else {("__init__", "Q"): 1, ("eliminate", "Q"): m.cols}
-        assert sweeps_by_field == exact
+        assert routes == ([True] if loop is True else [loop, Sweep(m, "Q", m.cols)])
 
 
-def _exact(*columns) -> dict:
-    """The sweep counts of exact Q sweeps of these many columns each."""
-    return {("__init__", "Q"): len(columns), ("eliminate", "Q"): sum(columns)}
-
-
-def test_image_rank_drop_takes_the_exact_route(sweeps_by_field, rank_loop):
+def test_image_rank_drop_takes_the_exact_route(routes):
     """diag(1, q) has full rank over Q, rank 1 mod q: a = I and b = diag(1, q)
     share the null space {0}, and only the exact sweep of b's two pivot
     columns, after a's sweep, can tell. diag(1, P) keeps full rank mod q,
     so its exact sweep is skipped."""
     eye = mat([[1, 0], [0, 1]])
-    for prime, b_swept, full in ((Q, (2,), False), (P, (), True)):
+    for prime, full in ((Q, False), (P, True)):
         diag = mat([[1, 0], [0, prime]])
         a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, prime]))
-        for question, swept, loop in (
-            (lambda: null_equal(eye, diag), _exact(2, *b_swept), full),
-            (lambda: solution_equivalent(a, b), _exact(3, *b_swept), full),
+        aug_a, aug_b = a.augmented(), b.augmented()
+
+        def rank(m):
+            """The rank loop on m's two pivot columns, then their exact
+            sweep unless the loop proved them independent."""
+            return [True] if full else [False, Sweep(m, "Q", 2)]
+
+        for question, expected in (
+            (lambda: null_equal(eye, diag), [Sweep(eye, "Q", 2), *rank(diag)]),
+            (lambda: solution_equivalent(a, b), [Sweep(aug_a, "Q", 3), *rank(aug_b)]),
             # the other way round I keeps full rank mod q: no exact route
-            (lambda: solution_equivalent(b, a), _exact(3), True),
+            (lambda: solution_equivalent(b, a), [Sweep(aug_b, "Q", 3), True]),
         ):
-            sweeps_by_field.clear()
-            rank_loop.clear()
+            routes.clear()
             assert question()
-            assert sweeps_by_field == swept
-            assert rank_loop == [loop]
+            assert routes == expected
 
 
 def test_inconsistent_or_excluded_b_answers_as_before():
     """An inconsistent system on either side raises; a B that fails the
-    inclusion, here diag(1, P) with the solution (1, 1/P), is swept and
+    inclusion, here diag(1, P) with the solution (1, 1/P), takes a sweep and
     compares unequal."""
     eye = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
     inconsistent = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
@@ -233,27 +222,23 @@ def test_inconsistent_or_excluded_b_answers_as_before():
     assert not solution_equivalent(eye, LinearSystem(mat([[1, 0], [0, P]]), vec([1, 1])))
 
 
-def test_unknown_image_is_never_independent(sweeps_by_field, rank_loop):
+def test_unknown_image_is_never_independent(routes):
     """1/q has no image mod q, so the rank loop raises at its first column:
     the exact sweep decides, and a rank-deficient b_K is not taken as
     independent. 1/P has an image mod q, where the loop itself sees b_K's
     rank drop, or proves full rank with no exact sweep of b."""
     eye = mat([[1, 0], [0, 1]])
-    cases = (
-        (Q, ZeroDivisionError, ZeroDivisionError, _exact(2, 2)),
-        (P, False, True, _exact(2)),
-    )
-    for prime, deficient_loop, full_loop, full_swept in cases:
-        sweeps_by_field.clear()
-        rank_loop.clear()
-        assert not null_equal(eye, mat([[Fraction(1, prime), 1], [Fraction(2, prime), 2]]))
-        assert sweeps_by_field == _exact(2, 2)
-        assert rank_loop == [deficient_loop]
-        sweeps_by_field.clear()
-        rank_loop.clear()
-        assert null_equal(eye, mat([[Fraction(1, prime), 0], [0, 1]]))
-        assert sweeps_by_field == full_swept
-        assert rank_loop == [full_loop]
+    cases = ((Q, ZeroDivisionError, ZeroDivisionError), (P, False, True))
+    for prime, deficient_loop, full_loop in cases:
+        deficient = mat([[Fraction(1, prime), 1], [Fraction(2, prime), 2]])
+        routes.clear()
+        assert not null_equal(eye, deficient)
+        assert routes == [Sweep(eye, "Q", 2), deficient_loop, Sweep(deficient, "Q", 2)]
+        full = mat([[Fraction(1, prime), 0], [0, 1]])
+        routes.clear()
+        assert null_equal(eye, full)
+        b_exact = [] if full_loop is True else [Sweep(full, "Q", 2)]
+        assert routes == [Sweep(eye, "Q", 2), full_loop, *b_exact]
         aug = mat([[Fraction(1, prime), Fraction(2, prime), Fraction(3, prime)], [1, 2, 3]])
         a = LinearSystem(eye, vec([1, 1]))
         assert not solution_equivalent(a, system_from_augmented(aug))

@@ -133,6 +133,27 @@ def test_only_two_questions_sweep_the_image():
     assert gated == scopes
 
 
+def _builds_state(node) -> bool:
+    return isinstance(node, ast.Call) and "KeeperState" in _names(node.func)
+
+
+def test_every_sweep_starts_in_answers():
+    """A KeeperState is constructed in one place of the toolkit, gauche's
+    _answers, which maps its raw entry, eliminate, over the columns: every
+    sweep of every question starts there, and the tests' routes fixture,
+    which logs the calls of _answers and counts the answers, sees each
+    one."""
+    built, read = [], []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, node in _scoped(tree):
+            if _builds_state(node):
+                built.append((path.name, ".".join(scope)))
+            if isinstance(node, ast.Attribute) and _builds_state(node.value):
+                read.append(node.attr)
+    assert (built, read) == ([("gauche.py", "_answers")], ["eliminate"])
+
+
 def test_the_field_divides_in_one_place():
     """Division of raw values is one function's rule, FieldSpec.quotient:
     no other code of the toolkit takes a modular inverse, pow(_, -1, _), and

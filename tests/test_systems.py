@@ -1,8 +1,9 @@
 """Linear systems: exact solving, solution-set comparison, row equivalence.
 
-Besides the answers, it counts the sweeps each question makes, checks the
-lockstep row equivalence against comparing RREFs, and drives second systems
-that the GF(P) image cannot prove consistent to the exact sweep."""
+Besides the answers, it reads the sweeps each question makes from the
+`routes` log, checks the lockstep row equivalence against comparing RREFs,
+and drives second systems that the GF(P) image cannot prove consistent to
+the exact sweep."""
 import collections
 import random
 from fractions import Fraction
@@ -44,6 +45,7 @@ from helpers import (
     FIELD_CASES,
     FIELDS,
     IMAGE,
+    Sweep,
     exhaustive_solutions,
     mat,
     matrix_j,
@@ -292,16 +294,17 @@ class TestRowEquivalent:
         assert seen[True, True] >= 80 and seen[False, True] >= 5 and seen[False, False] >= 5
 
     @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
-    def test_lockstep_stops_at_the_first_differing_column(self, field, bound, sweeps):
+    def test_lockstep_stops_at_the_first_differing_column(self, field, bound, routes):
         """Column 1 is zero in one matrix and a keeper in the other: each
         side eliminates that one column. An equivalent pair eliminates
         every column on both sides."""
         a, b = mat([[0, 1, 1], [0, 1, 0]], field), mat([[1, 1, 1], [0, 1, 0]], field)
         assert not row_equivalent(a, b)
-        assert sweeps == {"__init__": 2, "eliminate": 2}
-        sweeps.clear()
-        assert row_equivalent(b, apply_ops(b, [Scale(1, sc(-1, field))]))
-        assert sweeps == {"__init__": 2, "eliminate": 2 * b.cols}
+        assert routes == [Sweep(a, str(field), 1), Sweep(b, str(field), 1)]
+        routes.clear()
+        scaled = apply_ops(b, [Scale(1, sc(-1, field))])
+        assert row_equivalent(b, scaled)
+        assert routes == [Sweep(b, str(field), b.cols), Sweep(scaled, str(field), b.cols)]
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_agrees_with_null_space_equality(self, field):
@@ -316,130 +319,116 @@ class TestRowEquivalent:
             assert row_equivalent(a, b) == null_equal(a, b)
 
 
-def _counted(counts, name, fn):
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    return counted
-
-
-@pytest.fixture
-def sweeps(monkeypatch):
-    """Calls of each KeeperState method, counted from outside the library:
-    `__init__` once per sweep, `eliminate` once per column eliminated (the
-    checked `llq` wraps it), and any other method would show up under its
-    own name."""
-    counts = collections.Counter()
-    for name, fn in list(vars(KeeperState).items()):
-        if callable(fn):
-            monkeypatch.setattr(KeeperState, name, _counted(counts, name, fn))
-    return counts
-
-
 class TestOneSweepPerQuestion:
-    def test_rref_eliminates_each_column_once(self, sweeps):
+    def test_rref_eliminates_each_column_once(self, routes):
         for m in (matrix_t(), mat([[1, 2, 3, 4], [2, 4, 6, 9]]), Matrix.zero(2, 3, QQ)):
-            sweeps.clear()
+            routes.clear()
             gauche_rref(m)
-            assert sweeps == {"__init__": 1, "eliminate": m.cols}
+            assert routes == [Sweep(m, "Q", m.cols)]
 
-    def test_solve_sweeps_the_augmented_matrix_once(self, sweeps):
+    def test_solve_sweeps_the_augmented_matrix_once(self, routes):
         t = matrix_t()
-        assert isinstance(solve(LinearSystem(t, t.column(3))), Affine)
-        assert sweeps == {"__init__": 1, "eliminate": t.cols + 1}
-        sweeps.clear()
-        assert isinstance(solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))), Inconsistent)
-        assert sweeps["__init__"] == 1
+        system = LinearSystem(t, t.column(3))
+        assert isinstance(solve(system), Affine)
+        assert routes == [Sweep(system.augmented(), "Q", t.cols + 1)]
+        routes.clear()
+        system = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
+        assert isinstance(solve(system), Inconsistent)
+        assert routes == [Sweep(system.augmented(), "Q", 3)]
 
-    def test_solution_equivalent_sweeps_each_system_once(self, sweeps_by_field, rank_loop):
-        """[A | c] is swept over Q; [B | d], which passes the inclusion, is
-        not swept at all: the rank loop proves its rank(A) = 3 pivot
-        columns independent mod q, and no GF(P) image is swept."""
+    def test_solution_equivalent_sweeps_each_system_once(self, routes):
+        """[A | c] takes an exact sweep over Q; [B | d], which passes the
+        inclusion, takes none: the rank loop proves its rank(A) = 3 pivot
+        columns independent mod q, and no GF(P) image is taken."""
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
         a = LinearSystem(t, t.column(5))
         b = LinearSystem(doubled, doubled.column(5))
         assert solution_equivalent(a, b)
-        assert sweeps_by_field == {("__init__", "Q"): 1, ("eliminate", "Q"): t.cols + 1}
-        assert rank_loop == [True]
+        assert routes == [Sweep(a.augmented(), "Q", t.cols + 1), True]
         # [B | d] = [B | d]_K·R proves [B | d] consistent, so a B of rank 1
         # costs only the rank loop on its pivot columns and their exact sweep
-        sweeps_by_field.clear()
-        rank_loop.clear()
-        eye, low = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1])), mat([[1, 1], [2, 2]])
-        assert not solution_equivalent(eye, LinearSystem(low, vec([2, 4])))
-        assert sweeps_by_field == {("__init__", "Q"): 2, ("eliminate", "Q"): 3 + 2}
-        assert rank_loop == [False]
+        routes.clear()
+        eye = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+        low = LinearSystem(mat([[1, 1], [2, 2]]), vec([2, 4]))
+        assert not solution_equivalent(eye, low)
+        assert routes == [Sweep(eye.augmented(), "Q", 3), False, Sweep(low.augmented(), "Q", 2)]
 
-    def test_differing_q_pair_is_certified_on_the_image(self, swept, sweeps_by_field):
+    def test_differing_q_pair_is_certified_on_the_image(self, routes):
         """From 16 rows [B | d] fails the inclusion, and the GF(P) sweep of
         [B | d] offers x = e_1, which B x = d confirms exactly, so [B | d]
-        is never swept over Q; [A | c] takes the readers' certified image
-        RREF. matrix_t's own 3-row pair, below the image's gate, and the
-        pair over GF(7) sweep each system exactly once."""
+        takes no sweep over Q; [A | c] takes the readers' certified image
+        RREF, whose rank loop answers True. matrix_t's own 3-row pair,
+        below the image's gate, and the pair over GF(7) sweep each system
+        exactly once."""
         for t, route in ((_tall_t(16), IMAGE), (matrix_t(), "Q"), (matrix_t(GF(7)), "GF(7)")):
-            swept.clear()
-            sweeps_by_field.clear()
+            routes.clear()
             a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
             assert not solution_equivalent(a, b)
-            assert swept == [(a.augmented(), route), (b.augmented(), route)]
-            assert sweeps_by_field == {
-                ("__init__", route): 2,
-                ("eliminate", route): 2 * (t.cols + 1),
-            }
+            certified = [True] if route == IMAGE else []
+            assert routes == [
+                Sweep(a.augmented(), route, t.cols + 1),
+                *certified,
+                Sweep(b.augmented(), route, t.cols + 1),
+            ]
 
-    def test_null_equal_sweeps_only_its_first_matrix(self, sweeps_by_field, rank_loop):
+    def test_null_equal_sweeps_only_its_first_matrix(self, routes):
         """The second matrix's pivot columns go only to the rank loop."""
         t = matrix_t()
         doubled = apply_ops(t, [Scale(i, sc(2)) for i in range(1, 4)])
         assert null_equal(t, doubled)
-        assert sweeps_by_field == {("__init__", "Q"): 1, ("eliminate", "Q"): t.cols}
-        assert rank_loop == [True]
+        assert routes == [Sweep(t, "Q", t.cols), True]
 
-    def test_full_rank_q_pivots_make_no_exact_sweep(
-        self, sweeps_by_field, rank_loop, monkeypatch, tmp_path, capsys
-    ):
+    def test_full_rank_q_pivots_make_no_exact_sweep(self, routes, monkeypatch, tmp_path, capsys):
         """`pivots` and `basis` on a full-rank Q input read only the rank
         loop on its first min(rows, cols) columns, mod q; a rank-deficient
-        one is swept once, after a loop that stops at its first dependent
-        column. No GF(P) image is swept."""
+        one takes one exact sweep, after a loop that stops at its first
+        dependent column. No GF(P) image is taken."""
         read = []
         residues = gauche._residues
         monkeypatch.setattr(
             gauche, "_residues", lambda values, field: read.append(field) or residues(values, field)
         )
         path = tmp_path / "m.mat"
-        cases = (("2 1\n", 0, 1), ("1 2\n2 4\n", 1, 2), ("1 2 0\n2 4 0\n0 0 1\n", 1, 2))
-        for text, exact, columns in cases:
-            path.write_text(text)
+        cases = (
+            ([[2, 1]], False, 1),
+            ([[1, 2], [2, 4]], True, 2),
+            ([[1, 2, 0], [2, 4, 0], [0, 0, 1]], True, 2),
+        )
+        for rows, exact, columns in cases:
+            m = mat(rows)
+            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
             for command in ("pivots", "basis"):
-                sweeps_by_field.clear()
-                rank_loop.clear()
+                routes.clear()
                 read.clear()
                 assert main([command, str(path)]) == 0
-                assert sweeps_by_field["__init__", "Q"] == exact
-                assert rank_loop == [not exact]
+                assert routes == ([False, Sweep(m, "Q", m.cols)] if exact else [True])
                 assert read == [_CHECK] * columns
-                assert all(field != IMAGE for _, field in sweeps_by_field)
 
-    def test_null_space_views_sweep_once(self, sweeps):
+    def test_null_space_views_sweep_once(self, routes):
         null_basis(matrix_t())
-        assert sweeps["__init__"] == 1
-        sweeps.clear()
+        assert routes == [Sweep(matrix_t(), "Q", 5)]
+        routes.clear()
         graph_relations(matrix_t())
-        assert sweeps["__init__"] == 1
+        assert routes == [Sweep(matrix_t(), "Q", 5)]
 
-    def test_llq_eliminates_through_the_raw_entry(self, sweeps):
+    def test_llq_eliminates_through_the_raw_entry(self, monkeypatch):
+        eliminated = []
+        eliminate = KeeperState.eliminate
+        monkeypatch.setattr(
+            KeeperState,
+            "eliminate",
+            lambda state, values: eliminated.append(values) or eliminate(state, values),
+        )
         state = KeeperState(QQ, 3)
         for j in (1, 2, 3):
             state.llq(matrix_t().column(j))
-        assert sweeps == {"__init__": 1, "llq": 3, "eliminate": 3}
+        assert eliminated == [matrix_t().column(j).values for j in (1, 2, 3)]
 
-    def test_independence_stops_at_the_first_dependent_column(self, sweeps):
+    def test_independence_stops_at_the_first_dependent_column(self, routes):
         # column 3 = 3*column 1 + column 2, so columns 4 and 5 are never read
         assert not columns_independent(matrix_t(), (1, 2, 3, 4, 5))
-        assert sweeps == {"__init__": 1, "eliminate": 3}
+        assert routes == [Sweep(matrix_t(), "Q", 3)]
 
 
 def _tall_t(rows: int) -> Matrix:
@@ -447,15 +436,16 @@ def _tall_t(rows: int) -> Matrix:
     return mat([*matrix_t().raw_rows(), *[[0] * 5] * (rows - 3)])
 
 
-@pytest.mark.parametrize(("rows", "route"), [(15, "Q"), (16, IMAGE)])
-def test_the_image_is_tried_from_16_rows(rows, route, swept):
+@pytest.mark.parametrize(("rows", "route", "certified"), [(15, "Q", []), (16, IMAGE, [True])])
+def test_the_image_is_tried_from_16_rows(rows, route, certified, routes):
     """One gate for both readers of the GF(P) image: below 16 rows neither
     system of a differing pair is imaged, and from 16 rows each is imaged
-    once, [A | c] for the readers' RREF and [B | d] for its consistency."""
+    once, [A | c] for the readers' RREF, which the rank loop certifies, and
+    [B | d] for its consistency."""
     t = _tall_t(rows)
     a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
     assert not solution_equivalent(a, b)
-    assert swept == [(a.augmented(), route), (b.augmented(), route)]
+    assert routes == [Sweep(a.augmented(), route, 6), *certified, Sweep(b.augmented(), route, 6)]
 
 
 def _diagonal(entries, rhs) -> LinearSystem:
@@ -499,11 +489,9 @@ CRAFTED_FALLBACKS = [
 
 
 @pytest.mark.parametrize(("a", "b", "code"), CRAFTED_FALLBACKS)
-def test_unproven_second_system_takes_the_exact_sweep(
-    a, b, code, swept, sweeps_by_field, tmp_path, capsys
-):
-    """The image offers no solution that B x = d confirms, so [B | d] is
-    swept exactly, through every column: the library call raises
+def test_unproven_second_system_takes_the_exact_sweep(a, b, code, routes, tmp_path, capsys):
+    """The image offers no solution that B x = d confirms, so [B | d]
+    takes the exact sweep, through every column: the library call raises
     InconsistentSystemError for an inconsistent [B | d] and otherwise
     returns False, and `syseq` exits 2 or 1 as it does. A 16-row [B | d]
     is imaged first, and the 16-row identity system takes the readers'
@@ -516,8 +504,12 @@ def test_unproven_second_system_takes_the_exact_sweep(
     aug_a, aug_b = a.augmented(), b.augmented()
     imaged = [aug_a, aug_b] if a.coeff.rows >= 16 else []
     exact = [aug_b] if imaged else [aug_a, aug_b]
-    assert swept == [*((m, IMAGE) for m in imaged), *((m, "Q") for m in exact)]
-    assert sweeps_by_field["eliminate", "Q"] == sum(m.cols for m in exact)
+    sweeps = [entry for entry in routes if isinstance(entry, Sweep)]
+    assert [(s.matrix, s.field) for s in sweeps] == [
+        *((m, IMAGE) for m in imaged),
+        *((m, "Q") for m in exact),
+    ]
+    assert [s.answered for s in sweeps if s.field == "Q"] == [m.cols for m in exact]
     paths = [tmp_path / "a.sys", tmp_path / "b.sys"]
     for path, system in zip(paths, (a, b)):
         path.write_text(_system_text(system))
@@ -547,7 +539,7 @@ def test_null_space_tests_build_no_basis(monkeypatch):
 
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
 def test_homogeneous_part_is_the_null_basis(field, bound):
-    """One graph from either sweep: the homogeneous part of solve, swept
+    """One graph from either sweep: the homogeneous part of solve, taken
     with the right-hand side, equals graph_relations of the coefficient
     matrix alone, and the coefficient matrix kills its every basis vector;
     on random systems and on wide low-rank ones, where most columns are
