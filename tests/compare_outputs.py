@@ -1,13 +1,14 @@
 """Compare what two source trees of echelon print on the benchmark corpora.
 
-    python tests/compare_outputs.py OLD_SRC NEW_SRC [--seeds 1,2]
+    python tests/compare_outputs.py OLD_SRC NEW_SRC [--seeds 1,2,3]
 
 OLD_SRC and NEW_SRC are the `src` directories of two checkouts. Either may
 instead name a git revision of this repository (`HEAD~1`, a commit hash):
 that revision's `src/` is exported with `git archive` to a temporary
 directory, so `python tests/compare_outputs.py HEAD src` checks the working
 tree against the last commit in one command. For each
-workload of perfbench/corpus.py and each seed, the corpus is built once in a
+workload of perfbench/corpus.py and each seed (1, 2 and 3 unless `--seeds`
+names others), the corpus is built once in a
 temporary directory, and every job runs through `echelon.cli.main` under each
 tree in a child process, in `--format plain` and `--format json`. The exit
 code, stdout and stderr of each run are compared; a job that raises records
@@ -127,7 +128,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", help="a src directory or a git revision")
     ap.add_argument("new_src", help="a src directory or a git revision")
-    ap.add_argument("--seeds", default="1,2", help="comma-separated corpus seeds")
+    ap.add_argument("--seeds", default="1,2,3", help="comma-separated corpus seeds")
     args = ap.parse_args()
     with contextlib.ExitStack() as stack:
         old_src, new_src = (_src_dir(src, stack) for src in (args.old_src, args.new_src))

@@ -1,10 +1,17 @@
-"""Shared builders for the tests: the worked-example fixtures and seeded
-random generators for matrices, vectors, row operations, and systems."""
+"""The one home of the tests' inputs: the worked-example fixtures, seeded
+random generators for matrices, vectors, row operations and systems, built
+inputs of a known RREF, the crafted inputs on which a modular route fails,
+the writers of the CLI's matrix and system texts, and the CLI runner."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import itertools
+import os
+import tempfile
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,11 +27,14 @@ from echelon import (
     Vector,
     as_scalar,
 )
-from echelon.gauche import P
+from echelon.cli import main
+from echelon.gauche import P, _CHECK
 
 GF7 = GF(7)
 # the field name of the GF(P) image, as the routes fixture names it
 IMAGE = str(GF(P))
+# the prime of the certificate's rank loop, gauche._independent
+Q = _CHECK.modulus
 FIELDS = (QQ, GF7)
 # the properties checked across fields: (field, entry bound), with GF(2),
 # a word-sized prime, and 64-bit entries over Q, where Fractions grow
@@ -93,19 +103,32 @@ def scalar_rows(m: Matrix) -> list[list[Scalar]]:
     return [list(m.row(i).entries) for i in range(1, m.rows + 1)]
 
 
-def random_int_rows(rng, rows, cols, bound=5) -> list[list[int]]:
+# the entry kinds of random_matrix and random_low_rank_matrix: integers in
+# -bound..bound, a/b with |a| <= bound and 1 <= b <= bound (a drawn first),
+# and integers in -2**63..2**63
+KINDS = ["small", "a/b", "int64"]
+
+
+def _random_rows(rng, rows, cols, bound, kind) -> list[list]:
+    if kind == "a/b":
+        return [
+            [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    if kind == "int64":
+        bound = 2**63
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
-def random_matrix(rng, rows, cols, field, bound=5) -> Matrix:
-    return mat(random_int_rows(rng, rows, cols, bound), field)
+def random_matrix(rng, rows, cols, field, bound=5, kind="small") -> Matrix:
+    return mat(_random_rows(rng, rows, cols, bound, kind), field)
 
 
-def random_low_rank_matrix(rng, rows, cols, rank, field, bound=5) -> Matrix:
-    """A product of random rows x rank and rank x cols integer factors, so
-    of rank at most `rank`; rank 0 gives the zero matrix."""
-    left = random_int_rows(rng, rows, rank, bound)
-    right = random_int_rows(rng, rank, cols, bound)
+def random_low_rank_matrix(rng, rows, cols, rank, field, bound=5, kind="small") -> Matrix:
+    """A product of random rows x rank and rank x cols factors, so of rank
+    at most `rank`; rank 0 gives the zero matrix."""
+    left = _random_rows(rng, rows, rank, bound, kind)
+    right = _random_rows(rng, rank, cols, bound, kind)
     return mat(
         [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left],
         field,
@@ -242,6 +265,142 @@ def with_free_entry_moved(rng, m: Matrix) -> Matrix | None:
         return None
     i, j = rng.choice(spots)
     return r.with_entry(i, j, r.entry(i, j) + m.field.one())
+
+
+def padded(m: Matrix, rows: int) -> Matrix:
+    """m over zero rows, to `rows` rows."""
+    return mat([*m.raw_rows(), *[[0] * m.cols] * (rows - m.rows)], m.field)
+
+
+def diagonal(entries, rhs=None):
+    """diag(entries) over Q, or with rhs the system diag(entries) x = rhs."""
+    n = len(entries)
+    m = mat([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+    return m if rhs is None else LinearSystem(m, vec(rhs))
+
+
+def unimodular(rng, n) -> list[list[int]]:
+    """L·U, unit lower times unit upper triangular, entries of both in -1..1:
+    the rows of an integer matrix of determinant 1."""
+    lo = [[int(i == j) or (rng.randint(-1, 1) if j < i else 0) for j in range(n)] for i in range(n)]
+    up = [[int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(n)] for i in range(n)]
+    return [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def matrix_with_rref(rng, rows, cols, rank) -> Matrix:
+    """An integer rows x cols matrix whose RREF is a random rank-r RREF E
+    with a/b entries: V·[E; 0] for a unimodular V, each row then scaled to
+    integers, which keeps the RREF."""
+    pivots = sorted(rng.sample(range(cols), rank))
+    e = [[0] * cols for _ in range(rows)]
+    for i, s in enumerate(pivots):
+        e[i][s] = 1
+        for j in range(s + 1, cols):
+            if j not in pivots:
+                e[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    v = unimodular(rng, rows)
+    m = [[sum(v[i][k] * e[k][j] for k in range(rank)) for j in range(cols)] for i in range(rows)]
+    return mat([[x * lcm(*[Fraction(y).denominator for y in row]) for x in row] for row in m])
+
+
+def _crafted(name: str, p: int) -> dict[str, list[list]]:
+    """The inputs on which a sweep mod the prime p, called name, fails."""
+    return {
+        # the leading 2x2 minor is p, zero mod p, while the pivots are 1 and 2
+        f"minor-{name}": [[p, 0, 1], [0, 1, 0]],
+        # p divides a denominator, so there is no image: rank 1 with pivot
+        # 1, and full rank
+        f"1/{name}-rank-1": [[Fraction(1, p), 1], [Fraction(2, p), 2]],
+        f"1/{name}-full-rank": [[Fraction(1, p), 0], [0, 1]],
+        # full rank in the first two columns, rank 1 there mod p
+        f"drop-{name}": [[1, 0, 1], [0, p, p]],
+        f"diag(1,{name})": [[1, 0], [0, p]],
+        # diag(1, ..., 1, p), 16 x 16: from 16 rows the readers try the image
+        f"diag-{name}": diagonal([1] * 15 + [p]).raw_rows(),
+    }
+
+
+# Crafted inputs on which a modular route of gauche fails: the image mod P
+# (the GF(P) sweep, its reconstruction and the certificate's product check),
+# or the rank loop mod Q (gauche._independent, the certificate's last leg)
+# drops rank, does not exist, or offers an answer that does not reconstruct
+# or that the exact check refutes. Each test takes them from here by name,
+# as raw rows over Q, and names its cases after them.
+CRAFTED = {
+    **_crafted("P", P),
+    **_crafted("q", Q),
+    # as [B | d], B x = d has a solution that the image mod P cannot give:
+    # P divides the denominator of 1/P, so there is no image; 2**40/3 has no
+    # reconstruction mod P; 2**43/3 reconstructs as 1083/8192, which B x = d
+    # refutes
+    "1/P": [[1, 0, 1], [0, 1, Fraction(1, P)]],
+    "2^40/3": [[3, 0, 2**40], [0, 1, 1]],
+    "2^43/3": [[3, 0, 2**43], [0, 1, 1]],
+}
+
+# the 2 x 2 identity system, whose solution is (1, 1), and an inconsistent one
+EYE = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+INCONSISTENT = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
+EYE16 = diagonal([1] * 16, [1] * 16)
+# pairs whose [B | d] fails the inclusion, and where the GF(P) image cannot
+# prove [B | d] consistent, with the CLI's exit code: d = (0, P) is 0 mod P,
+# so the image offers x = 0, which B x = d refutes, and [B | d] is
+# inconsistent; and the three solutions of CRAFTED above. Each comes as a
+# 2-row pair, below the image's gate, and as a 16-row one against the
+# identity system.
+CRAFTED_FALLBACKS = [
+    pytest.param(
+        LinearSystem(mat([[1], [0]]), vec([1, 0])),
+        system_from_augmented(mat(CRAFTED["diag(1,P)"])),
+        2,
+        id="zero-mod-P",
+    ),
+    *(
+        pytest.param(EYE, system_from_augmented(mat(CRAFTED[name])), 1, id=name)
+        for name in ("1/P", "2^40/3", "2^43/3")
+    ),
+    pytest.param(
+        EYE16, diagonal([1, 0] + [1] * 14, [0, P] + [0] * 14), 2, id="zero-mod-P-16rows"
+    ),
+    pytest.param(EYE16, diagonal([1] * 16, [1] * 15 + [Fraction(1, P)]), 1, id="1/P-16rows"),
+    pytest.param(EYE16, diagonal([3] + [1] * 15, [2**40] + [1] * 15), 1, id="2^40/3-16rows"),
+    pytest.param(EYE16, diagonal([3] + [1] * 15, [2**43] + [1] * 15), 1, id="2^43/3-16rows"),
+]
+
+
+# The CLI's input texts, and the CLI run in process.
+
+
+def _rows(m) -> list:
+    return m.raw_rows() if isinstance(m, Matrix) else m
+
+
+def matrix_text(m, sep=" ") -> str:
+    """A Matrix, or rows of values or strings, as the CLI reads and prints a
+    matrix: one line per row, its literals joined by sep."""
+    return "".join(sep.join(map(str, row)) + "\n" for row in _rows(m))
+
+
+def system_text(s, sep=" ") -> str:
+    """A LinearSystem, or an augmented Matrix or its rows, as the CLI reads a
+    system: as matrix_text, with a `|` before each row's last entry."""
+    aug = s.augmented() if isinstance(s, LinearSystem) else s
+    return matrix_text([[*row[:-1], "|", row[-1]] for row in _rows(aug)], sep)
+
+
+def run_cli(argv, *texts) -> tuple[int, str, str]:
+    """echelon.cli.main's exit code, stdout and stderr on argv. Each of the
+    texts (str, or bytes as they are) is first written to a file in a
+    temporary directory, and the file names go right after argv's command."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        paths = [os.path.join(work, f"in{k}.txt") for k in range(len(texts))]
+        for path, text in zip(paths, texts):
+            with open(path, "wb") as fh:
+                fh.write(text.encode() if isinstance(text, str) else text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv[:1], *paths, *argv[1:]])
+    return code, out.getvalue(), err.getvalue()
 
 
 # Reference kernels: the matrix-vector product and linear combinations of

@@ -10,7 +10,6 @@ the certificate wrong answers that it must refuse.
 """
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -26,42 +25,21 @@ from echelon import (
     solution_equivalent,
     solve,
 )
-from echelon.gauche import P, _CHECK, _certified, _factors_through, _independent, _reader_rref
+from echelon.gauche import _certified, _factors_through, _independent, _reader_rref
 from echelon.nullspace import _relations
 from echelon.rowops import rref_violation
 
-from helpers import IMAGE, Sweep, mat, random_matrix, vec
-
-Q2 = _CHECK.modulus
-
-
-def _unimodular(rng, n):
-    """L·U, unit lower times unit upper triangular, entries of both in -1..1:
-    an integer matrix of determinant 1."""
-    lo = [[int(i == j) or (rng.randint(-1, 1) if j < i else 0) for j in range(n)] for i in range(n)]
-    up = [[int(i == j) or (rng.randint(-1, 1) if j > i else 0) for j in range(n)] for i in range(n)]
-    return [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _with_rref(rng, rows, cols, rank):
-    """An integer rows x cols matrix whose RREF is a random rank-r RREF E
-    with a/b entries: V·[E; 0] for a unimodular V, each row then scaled to
-    integers, which keeps the RREF."""
-    pivots = sorted(rng.sample(range(cols), rank))
-    e = [[0] * cols for _ in range(rows)]
-    for i, s in enumerate(pivots):
-        e[i][s] = 1
-        for j in range(s + 1, cols):
-            if j not in pivots:
-                e[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    v = _unimodular(rng, rows)
-    m = [[sum(v[i][k] * e[k][j] for k in range(rank)) for j in range(cols)] for i in range(rows)]
-    return mat([[x * lcm(*[Fraction(y).denominator for y in row]) for x in row] for row in m])
-
-
-def _diagonal(entries):
-    n = len(entries)
-    return mat([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+from helpers import (
+    CRAFTED,
+    EYE16,
+    IMAGE,
+    Sweep,
+    diagonal,
+    mat,
+    matrix_with_rref,
+    random_matrix,
+    vec,
+)
 
 
 def _cases():
@@ -72,8 +50,9 @@ def _cases():
     for n in (16, 24, 40):
         for cols in (n, n + 1):
             yield pytest.param(random_matrix(rng, n, cols, QQ), id=f"{n}x{cols}-full")
-            yield pytest.param(_with_rref(rng, n, cols, 3 * n // 4), id=f"{n}x{cols}-rank3/4")
-            yield pytest.param(_with_rref(rng, n, cols, rng.randint(2, 4)), id=f"{n}x{cols}-low")
+            yield pytest.param(matrix_with_rref(rng, n, cols, 3 * n // 4), id=f"{n}x{cols}-rank3/4")
+            low = matrix_with_rref(rng, n, cols, rng.randint(2, 4))
+            yield pytest.param(low, id=f"{n}x{cols}-low")
 
 
 @pytest.mark.parametrize("m", _cases())
@@ -89,7 +68,7 @@ def test_reader_rref_is_the_sweeps_and_the_oracles(m, request, routes):
 
 def test_image_answers_a_reconstructible_rref(routes):
     """20 x 20 rank 15: one image sweep, the certificate, no exact sweep."""
-    m = _with_rref(random.Random(20), 20, 20, 15)
+    m = matrix_with_rref(random.Random(20), 20, 20, 15)
     rel = graph_relations(m)
     assert routes == [Sweep(m, IMAGE, 20), True]
     assert rel == _relations(gauche_rref(m), m.cols)
@@ -100,12 +79,11 @@ def test_image_answers_a_reconstructible_rref(routes):
     [
         # the image drops rank: it offers 0 for the last column, and the
         # product refutes it before the rank loop runs
-        (_diagonal([1] * 15 + [P]), []),
+        pytest.param(mat(CRAFTED["diag-P"]), [], id="diag-P"),
         # the image keeps every column, R = I passes shape and product, and
         # only the rank loop, mod its own prime, refuses
-        (_diagonal([1] * 15 + [Q2]), [False]),
+        pytest.param(mat(CRAFTED["diag-q"]), [False], id="diag-q"),
     ],
-    ids=["diag-P", "diag-q"],
 )
 def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, routes):
     """graph on m, and solve on m x = diag(m), whose solution is all ones:
@@ -125,13 +103,12 @@ def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, routes):
 def test_unreconstructible_solution_falls_back(routes):
     """A 16 x 17 system whose solution holds 2**40/3: no reconstruction mod
     P, so no certificate is asked, and the exact sweep answers."""
-    system = LinearSystem(_diagonal([3] + [1] * 15), vec([2**40] + [1] * 15))
+    system = diagonal([3] + [1] * 15, [2**40] + [1] * 15)
     sol = solve(system)
     aug = system.augmented()
     assert routes == [Sweep(aug, IMAGE, 17), Sweep(aug, "Q", 17)]
     assert sol.particular == vec([Fraction(2**40, 3)] + [1] * 15)
-    eye = LinearSystem(_diagonal([1] * 16), vec([1] * 16))
-    assert not solution_equivalent(system, eye)
+    assert not solution_equivalent(system, EYE16)
     assert solution_equivalent(system, system)
 
 
@@ -149,7 +126,7 @@ def test_unreconstructible_coefficient_stops_the_image_sweep(routes):
 
 def _base():
     """A 16 x 20 integer matrix of rank 12 and its RREF."""
-    m = _with_rref(random.Random(16), 16, 20, 12)
+    m = matrix_with_rref(random.Random(16), 16, 20, 12)
     res = gauche_rref(m)
     free = [n for n in range(1, 21) if n not in res.pivot_set]
     return m, res, free

@@ -1,15 +1,12 @@
 """Command-line surface: file parsing, golden outputs, exit codes."""
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
-import tempfile
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -45,12 +42,15 @@ from helpers import (
     GF7,
     mat,
     matrix_t,
+    matrix_text,
     random_fraction_matrix,
     random_fraction_vector,
     random_low_rank_matrix,
     random_matrix,
+    run_cli,
     sc,
     scalar_rows,
+    system_text,
     vec,
 )
 
@@ -69,13 +69,6 @@ EYE_TEXT = "1 0 0\n0 1 0\n0 0 1\n"
 def t_path(tmp_path):
     path = tmp_path / "T.mat"
     path.write_text(T_TEXT)
-    return str(path)
-
-
-@pytest.fixture
-def eye_path(tmp_path):
-    path = tmp_path / "I.mat"
-    path.write_text(EYE_TEXT)
     return str(path)
 
 
@@ -104,17 +97,15 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix("1 2\n3 x\n", QQ)
 
-    def test_zero_denominator_names_the_line(self, tmp_path, capsys):
-        path = tmp_path / "zero.mat"
-        path.write_text("1 2\n3 1/0\n")
-        assert main(["rref", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 2: zero denominator in literal '1/0'\n"
+    def test_zero_denominator_names_the_line(self):
+        assert run_cli(["rref"], "1 2\n3 1/0\n") == (
+            2, "", "error: line 2: zero denominator in literal '1/0'\n"
+        )
 
-    def test_vanishing_denominator_over_gf_names_the_line(self, tmp_path, capsys):
-        path = tmp_path / "seven.mat"
-        path.write_text("1 2\n3 1/7\n")
-        assert main(["rref", str(path), "--field", "gf:7"]) == 2
-        assert capsys.readouterr().err == "error: line 2: denominator 7 vanishes in GF(7)\n"
+    def test_vanishing_denominator_over_gf_names_the_line(self):
+        assert run_cli(["rref", "--field", "gf:7"], "1 2\n3 1/7\n") == (
+            2, "", "error: line 2: denominator 7 vanishes in GF(7)\n"
+        )
 
     @needs_digit_limit
     def test_oversized_literal_names_the_line(self):
@@ -146,12 +137,12 @@ class TestFileEncoding:
 
     @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("cmd", ["rref", "equiv"])
-    def test_undecodable_byte_names_its_line(self, cmd, eol, t_path, tmp_path, capsys):
-        bad = tmp_path / "bad.mat"
-        bad.write_bytes(b"1 2" + eol + b"\xff 3" + eol)
+    def test_undecodable_byte_names_its_line(self, cmd, eol):
+        bad = b"1 2" + eol + b"\xff 3" + eol
         # for equiv the bad file is the second one
-        assert main([cmd, *[t_path] * (cmd == "equiv"), str(bad)]) == 2
-        assert capsys.readouterr() == ("", "error: line 2: not UTF-8: invalid start byte 0xff\n")
+        assert run_cli([cmd], *[T_TEXT] * (cmd == "equiv"), bad) == (
+            2, "", "error: line 2: not UTF-8: invalid start byte 0xff\n"
+        )
 
     @pytest.mark.parametrize("space", ["\f", "\v", "\x85", "\u2028"], ids=repr)
     def test_only_line_endings_break_lines(self, space, tmp_path):
@@ -163,17 +154,16 @@ class TestFileEncoding:
         wide = f"1 2{space}3 4\r5 6 7 8\r"
         assert parse_matrix(wide, QQ) == mat([[1, 2, 3, 4], [5, 6, 7, 8]])
 
-    def test_undecodable_byte_counts_lines_as_the_reader_does(self, tmp_path, capsys):
-        bad = tmp_path / "bad.mat"
-        bad.write_bytes(b"1\x0c2\r3\x0b4\r\n5 \xff\r")
-        assert main(["rref", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: line 3: not UTF-8: invalid start byte 0xff\n"
+    def test_undecodable_byte_counts_lines_as_the_reader_does(self):
+        assert run_cli(["rref"], b"1\x0c2\r3\x0b4\r\n5 \xff\r") == (
+            2, "", "error: line 3: not UTF-8: invalid start byte 0xff\n"
+        )
 
-    def test_truncated_character_names_its_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.sys"
-        bad.write_bytes(b"1 2 | 3\n# caf\xc3\xa9\n4 5 | \xe2\x82")
-        assert main(["solve", str(bad)]) == 2
-        assert capsys.readouterr().err == "error: line 3: not UTF-8: unexpected end of data 0xe2\n"
+    def test_truncated_character_names_its_line(self):
+        bad = b"1 2 | 3\n# caf\xc3\xa9\n4 5 | \xe2\x82"
+        assert run_cli(["solve"], bad) == (
+            2, "", "error: line 3: not UTF-8: unexpected end of data 0xe2\n"
+        )
 
 
 class TestParseSystem:
@@ -195,11 +185,10 @@ class TestParseSystem:
         with pytest.raises(ParseError, match=r"^line 2: .*limit"):
             parse_system("1 2 | 3\n4 5 | -" + "9" * (DIGIT_LIMIT + 1) + "\n", QQ)
 
-    def test_zero_denominator_names_the_line(self, tmp_path, capsys):
-        path = tmp_path / "zero.sys"
-        path.write_text("1 2 | 1\n3 1/0 | 2\n")
-        assert main(["solve", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 2: zero denominator in literal '1/0'\n"
+    def test_zero_denominator_names_the_line(self):
+        assert run_cli(["solve"], "1 2 | 1\n3 1/0 | 2\n") == (
+            2, "", "error: line 2: zero denominator in literal '1/0'\n"
+        )
 
 
 def _literal_lines(bound):
@@ -247,151 +236,129 @@ def test_line_paths_match_per_token_parsing(field, bound, data):
     lines = data.draw(_literal_lines(bound))
     sep = data.draw(st.sampled_from([" ", "\t", " \f", "\v "]))
     expected = _reference_rows(lines, field)
-    text = "".join(sep.join(tokens) + "\n" for tokens in lines)
+    text = matrix_text(lines, sep)
     assert _typed_rows(lambda: parse_matrix(text, field)) == expected
     if len(lines[0]) > 1:
-        system = "".join(sep.join([*t[:-1], "|", t[-1]]) + "\n" for t in lines)
+        system = system_text(lines, sep)
         assert _typed_rows(lambda: parse_system(system, field).augmented()) == expected
 
 
 class TestPinnedDiagnostics:
-    """Exact stderr and exit code 2 on inputs that int() reads otherwise
-    than the literal grammar, or that fail on the one-call line path."""
-
-    def _run(self, tmp_path, capsys, cmd, text, flag="q"):
-        path = tmp_path / "in.txt"
-        path.write_bytes(text.encode())
-        code = main([cmd, str(path), "--field", flag])
-        out, err = capsys.readouterr()
-        assert out == ""
-        return code, err
+    """Exact stderr, no stdout and exit code 2 on inputs that int() reads
+    otherwise than the literal grammar, or that fail on the one-call line
+    path."""
 
     @pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "--1", "1.5", "-"])
     @pytest.mark.parametrize("flag", ["q", "gf:32003"])
-    def test_rejected_tokens(self, token, flag, tmp_path, capsys):
-        got = self._run(tmp_path, capsys, "rref", f"1 2\n3 {token}\n", flag)
-        assert got == (2, f"error: line 2: malformed scalar literal {token!r}\n")
+    def test_rejected_tokens(self, token, flag):
+        got = run_cli(["rref", "--field", flag], f"1 2\n3 {token}\n")
+        assert got == (2, "", f"error: line 2: malformed scalar literal {token!r}\n")
 
     @needs_digit_limit
     @pytest.mark.parametrize("flag", ["q", "gf:32003"])
-    def test_digit_limit(self, flag, tmp_path, capsys):
+    def test_digit_limit(self, flag):
         long = "9" * (DIGIT_LIMIT + 1)
         with pytest.raises(ValueError) as limit:
             int(long)
-        got = self._run(tmp_path, capsys, "rref", f"1 2\n3 {long}\n", flag)
-        assert got == (2, f"error: line 2: {limit.value}\n")
+        got = run_cli(["rref", "--field", flag], f"1 2\n3 {long}\n")
+        assert got == (2, "", f"error: line 2: {limit.value}\n")
 
     @pytest.mark.parametrize("space", ["\f", "\v"], ids=repr)
-    def test_form_feed_and_vertical_tab_separate_entries(self, space, tmp_path, capsys):
-        got = self._run(tmp_path, capsys, "rref", f"1{space}2\n3{space}--1\n")
-        assert got == (2, "error: line 2: malformed scalar literal '--1'\n")
-        path = tmp_path / "ok.txt"
-        path.write_bytes(f"1{space}2\n3{space}4\n".encode())
-        assert main(["rref", str(path)]) == 0
-        assert capsys.readouterr() == ("1 0\n0 1\n", "")
+    def test_form_feed_and_vertical_tab_separate_entries(self, space):
+        got = run_cli(["rref", "--field", "q"], f"1{space}2\n3{space}--1\n")
+        assert got == (2, "", "error: line 2: malformed scalar literal '--1'\n")
+        got = run_cli(["rref"], f"1{space}2\n3{space}4\n")
+        assert got == (0, "1 0\n0 1\n", "")
 
-    def test_integer_system_row(self, tmp_path, capsys):
-        got = self._run(tmp_path, capsys, "rref", "1 2\n3 | 4\n")
-        assert got == (2, "error: line 2: malformed scalar literal '|'\n")
-        got = self._run(tmp_path, capsys, "solve", "1 2 | 3\n4 5 | 6 7\n")
-        assert got == (2, "error: line 2: expected one right-hand-side entry\n")
+    def test_integer_system_row(self):
+        got = run_cli(["rref", "--field", "q"], "1 2\n3 | 4\n")
+        assert got == (2, "", "error: line 2: malformed scalar literal '|'\n")
+        got = run_cli(["solve", "--field", "q"], "1 2 | 3\n4 5 | 6 7\n")
+        assert got == (2, "", "error: line 2: expected one right-hand-side entry\n")
 
     @pytest.mark.parametrize("literal", ["7/7", "14/7", "0/7"])
-    def test_vanishing_denominator_of_a_cancelling_fraction(self, literal, tmp_path, capsys):
-        got = self._run(tmp_path, capsys, "rref", f"1 2\n{literal} 1\n", "gf:7")
-        assert got == (2, "error: line 2: denominator 7 vanishes in GF(7)\n")
+    def test_vanishing_denominator_of_a_cancelling_fraction(self, literal):
+        got = run_cli(["rref", "--field", "gf:7"], f"1 2\n{literal} 1\n")
+        assert got == (2, "", "error: line 2: denominator 7 vanishes in GF(7)\n")
 
-    def test_repeated_vanishing_denominator_names_its_first_line(self, tmp_path, capsys):
-        got = self._run(tmp_path, capsys, "rref", "1 2\n3 1/32003\n1/32003 4\n", "gf:32003")
-        assert got == (2, "error: line 2: denominator 32003 vanishes in GF(32003)\n")
+    def test_repeated_vanishing_denominator_names_its_first_line(self):
+        text = "1 2\n3 1/32003\n1/32003 4\n"
+        got = run_cli(["rref", "--field", "gf:32003"], text)
+        assert got == (2, "", "error: line 2: denominator 32003 vanishes in GF(32003)\n")
 
 
 class TestGoldenOutputs:
-    def test_rref(self, t_path, capsys):
-        assert main(["rref", t_path]) == 0
-        assert capsys.readouterr().out == "1 0 3 -2 0\n0 1 1 -3 0\n0 0 0 0 1\n"
+    """Exact stdout, and no stderr, of each one-file command on T."""
 
-    def test_pivots(self, t_path, capsys):
-        assert main(["pivots", t_path]) == 0
-        assert capsys.readouterr().out == "1 2 5\n"
+    def test_rref(self):
+        assert run_cli(["rref"], T_TEXT) == (0, J_TEXT, "")
 
-    def test_graph(self, t_path, capsys):
-        assert main(["graph", t_path]) == 0
-        assert capsys.readouterr().out == (
-            "x1 = -3*x3 + 2*x4\nx2 = -1*x3 + 3*x4\nx5 = 0*x3 + 0*x4\n"
+    def test_pivots(self):
+        assert run_cli(["pivots"], T_TEXT) == (0, "1 2 5\n", "")
+
+    def test_graph(self):
+        assert run_cli(["graph"], T_TEXT) == (
+            0, "x1 = -3*x3 + 2*x4\nx2 = -1*x3 + 3*x4\nx5 = 0*x3 + 0*x4\n", ""
         )
 
-    def test_check_identity(self, eye_path, capsys):
-        assert main(["check", eye_path]) == 0
-        assert capsys.readouterr().out == "RREF\n"
+    def test_check_identity(self):
+        assert run_cli(["check"], EYE_TEXT) == (0, "RREF\n", "")
 
-    def test_check_unreduced(self, t_path, capsys):
-        assert main(["check", t_path]) == 1
-        assert capsys.readouterr().out == "NOT RREF: Pivots\n"
+    def test_check_unreduced(self):
+        assert run_cli(["check"], T_TEXT) == (1, "NOT RREF: Pivots\n", "")
 
-    def test_basis(self, t_path, capsys):
-        assert main(["basis", t_path]) == 0
-        assert capsys.readouterr().out == "2 -3 1\n1 4 1\n2 3 2\n"
+    def test_basis(self):
+        assert run_cli(["basis"], T_TEXT) == (0, "2 -3 1\n1 4 1\n2 3 2\n", "")
 
-    def test_null(self, t_path, capsys):
-        assert main(["null", t_path]) == 0
-        assert capsys.readouterr().out == "-3 -1 1 0 0\n2 3 0 1 0\n"
+    def test_null(self):
+        assert run_cli(["null"], T_TEXT) == (0, "-3 -1 1 0 0\n2 3 0 1 0\n", "")
 
 
 class TestEquiv:
-    def test_row_equivalent_pair(self, t_path, tmp_path, capsys):
-        j_path = tmp_path / "J.mat"
-        j_path.write_text(J_TEXT)
-        assert main(["equiv", t_path, str(j_path)]) == 0
-        assert capsys.readouterr().out == "ROW-EQUIVALENT\n"
+    def test_row_equivalent_pair(self):
+        got = run_cli(["equiv"], T_TEXT, J_TEXT)
+        assert got == (0, "ROW-EQUIVALENT\n", "")
 
-    def test_not_equivalent(self, tmp_path, capsys):
-        a = tmp_path / "a.mat"
-        b = tmp_path / "b.mat"
-        a.write_text("1 0\n0 1\n")
-        b.write_text("1 0\n0 0\n")
-        assert main(["equiv", str(a), str(b)]) == 1
-        assert capsys.readouterr().out == "NOT ROW-EQUIVALENT\n"
+    def test_not_equivalent(self):
+        got = run_cli(["equiv"], "1 0\n0 1\n", "1 0\n0 0\n")
+        assert got == (1, "NOT ROW-EQUIVALENT\n", "")
 
-    def test_exit_agrees_with_library(self, tmp_path):
+    def test_exit_agrees_with_library(self):
         rng = random.Random(17)
         for _ in range(15):
             a = random_matrix(rng, 3, 4, QQ)
             b = random_matrix(rng, 3, 4, QQ)
-            pa, pb = tmp_path / "ra.mat", tmp_path / "rb.mat"
-            pa.write_text(str(a) + "\n")
-            pb.write_text(str(b) + "\n")
             expected = 0 if row_equivalent(a, b) else 1
-            assert main(["equiv", str(pa), str(pb)]) == expected
+            code, _, _ = run_cli(["equiv"], matrix_text(a), matrix_text(b))
+            assert code == expected
 
-    def test_shape_mismatch_is_an_error(self, t_path, eye_path, capsys):
-        assert main(["equiv", t_path, eye_path]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_shape_mismatch_is_an_error(self):
+        code, _, err = run_cli(["equiv"], T_TEXT, EYE_TEXT)
+        assert code == 2
+        assert "error:" in err
 
 
 class TestScript:
-    def test_replay_reproduces_rref_output(self, t_path, capsys):
-        assert main(["script", t_path]) == 0
-        script_text = capsys.readouterr().out
-        assert main(["rref", t_path]) == 0
-        rref_text = capsys.readouterr().out
+    def test_replay_reproduces_rref_output(self):
+        code, script_text, _ = run_cli(["script"], T_TEXT)
+        assert code == 0
+        code, rref_text, _ = run_cli(["rref"], T_TEXT)
+        assert code == 0
         replayed = apply_ops(matrix_t(), parse_ops(script_text, QQ))
         assert str(replayed) + "\n" == rref_text
 
-    def test_reduced_input_gives_empty_script(self, eye_path, capsys):
-        assert main(["script", eye_path]) == 0
-        assert capsys.readouterr().out == ""
+    def test_reduced_input_gives_empty_script(self):
+        assert run_cli(["script"], EYE_TEXT)[:2] == (0, "")
 
     @pytest.mark.parametrize("field", [GF(32003), QQ], ids=str)
-    def test_script_builds_no_rref(self, field, tmp_path, capsys, monkeypatch):
+    def test_script_builds_no_rref(self, field, monkeypatch):
         """`script` prints the oracle's log without building its reduced
         form: over GF(p) it unpacks at most one row per pivot (the pivot row,
         when chosen), not every row again at the end; over Q it takes one
         quotient per logged coefficient and no row of quotients to divide
         the rows back."""
         m = random_matrix(random.Random(2024), 12, 13, field)
-        path = tmp_path / "m.mat"
-        path.write_text(str(m) + "\n")
+        text = matrix_text(m)
         pivots = len(gauss_jordan(m).pivot_set)
         names = ("quotient", "quotients") if field.modulus is None else ("unpack",)
         calls = {name: [] for name in names}
@@ -403,8 +370,9 @@ class TestScript:
         for name in names:
             monkeypatch.setattr(FieldSpec, name, counting(name))
         flag = "q" if field.modulus is None else f"gf:{field.modulus}"
-        assert main(["script", str(path), "--field", flag]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        code, out, _ = run_cli(["script", "--field", flag], text)
+        assert code == 0
+        lines = out.splitlines()
         assert pivots == 12 and lines
         if field.modulus is None:
             coefficients = sum(not line.startswith("swap") for line in lines)
@@ -415,45 +383,29 @@ class TestScript:
 
 
 class TestSolve:
-    def test_consistent_system(self, tmp_path, capsys):
-        path = tmp_path / "sys.txt"
-        path.write_text(T_SYSTEM)
-        assert main(["solve", str(path)]) == 0
-        assert capsys.readouterr().out == (
-            "particular: 0 0 0 0 1\nhomogeneous: -3 -1 1 0 0\nhomogeneous: 2 3 0 1 0\n"
+    def test_consistent_system(self):
+        assert run_cli(["solve"], T_SYSTEM) == (
+            0, "particular: 0 0 0 0 1\nhomogeneous: -3 -1 1 0 0\nhomogeneous: 2 3 0 1 0\n", ""
         )
 
-    def test_inconsistent_system(self, tmp_path, capsys):
-        path = tmp_path / "sys.txt"
-        path.write_text("1 1 | 0\n1 1 | 1\n")
-        assert main(["solve", str(path)]) == 1
-        assert capsys.readouterr().out == "INCONSISTENT\n"
+    def test_inconsistent_system(self):
+        got = run_cli(["solve"], "1 1 | 0\n1 1 | 1\n")
+        assert got == (1, "INCONSISTENT\n", "")
 
 
 class TestSyseq:
-    def test_scaled_twin(self, tmp_path, capsys):
-        a = tmp_path / "a.sys"
-        b = tmp_path / "b.sys"
-        a.write_text("1 2 | 3\n0 1 | 1\n")
-        b.write_text("2 4 | 6\n0 1 | 1\n")
-        assert main(["syseq", str(a), str(b)]) == 0
-        assert capsys.readouterr().out == "SOLUTION-EQUIVALENT\n"
+    def test_scaled_twin(self):
+        got = run_cli(["syseq"], "1 2 | 3\n0 1 | 1\n", "2 4 | 6\n0 1 | 1\n")
+        assert got == (0, "SOLUTION-EQUIVALENT\n", "")
 
-    def test_different_solutions(self, tmp_path, capsys):
-        a = tmp_path / "a.sys"
-        b = tmp_path / "b.sys"
-        a.write_text("1 0 | 1\n0 1 | 0\n")
-        b.write_text("1 0 | 0\n0 1 | 1\n")
-        assert main(["syseq", str(a), str(b)]) == 1
-        assert capsys.readouterr().out == "NOT SOLUTION-EQUIVALENT\n"
+    def test_different_solutions(self):
+        got = run_cli(["syseq"], "1 0 | 1\n0 1 | 0\n", "1 0 | 0\n0 1 | 1\n")
+        assert got == (1, "NOT SOLUTION-EQUIVALENT\n", "")
 
-    def test_inconsistent_input_is_an_error(self, tmp_path, capsys):
-        a = tmp_path / "a.sys"
-        b = tmp_path / "b.sys"
-        a.write_text("1 0 | 1\n0 1 | 0\n")
-        b.write_text("1 1 | 0\n1 1 | 1\n")
-        assert main(["syseq", str(a), str(b)]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_inconsistent_input_is_an_error(self):
+        code, _, err = run_cli(["syseq"], "1 0 | 1\n0 1 | 0\n", "1 1 | 0\n1 1 | 1\n")
+        assert code == 2
+        assert "error:" in err
 
 
 # name: (command, input file texts, exit code, exact stdout of --format json)
@@ -518,36 +470,26 @@ LARGE_GOLDENS = {
 @pytest.mark.parametrize(
     ("p", "cmd"), LARGE_GOLDENS, ids=[f"GF({p})-{cmd}" for p, cmd in LARGE_GOLDENS]
 )
-def test_large_gf_goldens(p, cmd, tmp_path, capsys):
+def test_large_gf_goldens(p, cmd):
     rng = random.Random(p)
     rows = [[rng.randrange(p) for _ in range(41)] for _ in range(40)]
-    if cmd == "solve":
-        text = "".join(" ".join(map(str, row[:-1])) + f" | {row[-1]}\n" for row in rows)
-    else:
-        text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
-    path = tmp_path / "in.txt"
-    path.write_text(text)
+    text = system_text(rows) if cmd == "solve" else matrix_text(rows)
     code, digest = LARGE_GOLDENS[p, cmd]
-    assert main([cmd, "--field", f"gf:{p}", str(path)]) == code
-    out, err = capsys.readouterr()
-    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, "")
+    got, out, err = run_cli([cmd, "--field", f"gf:{p}"], text)
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
 
 
 class TestJsonFormat:
     @pytest.mark.parametrize(
         ("cmd", "texts", "code", "out"), JSON_GOLDENS.values(), ids=JSON_GOLDENS
     )
-    def test_exact_stdout(self, cmd, texts, code, out, tmp_path, capsys):
-        paths = [tmp_path / f"in{k}.txt" for k in range(len(texts))]
-        for path, text in zip(paths, texts):
-            path.write_text(text)
-        assert main([cmd, *map(str, paths), "--format", "json"]) == code
-        assert capsys.readouterr() == (out, "")
+    def test_exact_stdout(self, cmd, texts, code, out):
+        assert run_cli([cmd, "--format", "json"], *texts) == (code, out, "")
 
-    def test_rref(self, t_path, capsys):
-        assert main(["rref", t_path, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == {
+    def test_rref(self):
+        code, out, _ = run_cli(["rref", "--format", "json"], T_TEXT)
+        assert code == 0
+        assert json.loads(out) == {
             "rref": [
                 ["1", "0", "3", "-2", "0"],
                 ["0", "1", "1", "-3", "0"],
@@ -555,15 +497,15 @@ class TestJsonFormat:
             ]
         }
 
-    def test_check_failure_names_the_condition(self, t_path, capsys):
-        assert main(["check", t_path, "--format", "json"]) == 1
-        assert json.loads(capsys.readouterr().out) == {"rref": False, "violated": "Pivots"}
+    def test_check_failure_names_the_condition(self):
+        code, out, _ = run_cli(["check", "--format", "json"], T_TEXT)
+        assert code == 1
+        assert json.loads(out) == {"rref": False, "violated": "Pivots"}
 
-    def test_solve(self, tmp_path, capsys):
-        path = tmp_path / "sys.txt"
-        path.write_text("1 0 | 1\n0 1 | 2\n")
-        assert main(["solve", str(path), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {
+    def test_solve(self):
+        code, out, _ = run_cli(["solve", "--format", "json"], "1 0 | 1\n0 1 | 2\n")
+        assert code == 0
+        assert json.loads(out) == {
             "consistent": True,
             "particular": ["1", "2"],
             "basis": [],
@@ -572,33 +514,28 @@ class TestJsonFormat:
 
 class TestLongAnswers:
     @needs_digit_limit
-    def test_answers_over_the_digit_limit_print_in_full(self, tmp_path, capsys):
+    def test_answers_over_the_digit_limit_print_in_full(self):
         # 64-bit a/b entries: the reduced form has entries of 4,792 digits
         m = random_fraction_matrix(random.Random(2022), 16, 17, QQ, bound=2**63)
-        path = tmp_path / "wide.mat"
-        path.write_text(str(m) + "\n")
-        assert main(["rref", str(path)]) == 0
+        code, out, _ = run_cli(["rref"], matrix_text(m))
+        assert code == 0
         assert sys.get_int_max_str_digits() == DIGIT_LIMIT
         sys.set_int_max_str_digits(0)
         try:
             expected = str(gauche_rref(m).rref) + "\n"
         finally:
             sys.set_int_max_str_digits(DIGIT_LIMIT)
-        assert capsys.readouterr().out == expected
+        assert out == expected
         assert max(len(token) for token in expected.split()) > DIGIT_LIMIT
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
-def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
+def test_cli_path_makes_no_scalar(field, monkeypatch):
     """Every command, script among them (it prints the oracle's raw op log),
     reads, reduces and prints raw values on a wide low-rank input: no Scalar
     is made on the way."""
     m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
-    mat_path, sys_path = tmp_path / "m.mat", tmp_path / "m.sys"
-    mat_path.write_text(str(m) + "\n")
-    sys_path.write_text(
-        "".join(" | ".join(row.rsplit(" ", 1)) + "\n" for row in str(m).splitlines())
-    )
+    mat_text, sys_text = matrix_text(m), system_text(m)
     calls = []
     init, raw = Scalar.__init__, Scalar._raw
     monkeypatch.setattr(
@@ -608,15 +545,16 @@ def test_cli_path_makes_no_scalar(field, tmp_path, capsys, monkeypatch):
         Scalar, "_raw", classmethod(lambda cls, spec, v: calls.append("_raw") or raw(spec, v))
     )
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
-    for cmd, paths, code in [
-        ("rref", [mat_path], 0), ("pivots", [mat_path], 0), ("basis", [mat_path], 0),
-        ("null", [mat_path], 0), ("graph", [mat_path], 0), ("check", [mat_path], 1),
-        ("script", [mat_path], 0), ("solve", [sys_path], 0), ("equiv", [mat_path, mat_path], 0),
-        ("syseq", [sys_path, sys_path], 0),
+    for cmd, texts, code in [
+        ("rref", [mat_text], 0), ("pivots", [mat_text], 0), ("basis", [mat_text], 0),
+        ("null", [mat_text], 0), ("graph", [mat_text], 0), ("check", [mat_text], 1),
+        ("script", [mat_text], 0), ("solve", [sys_text], 0), ("equiv", [mat_text, mat_text], 0),
+        ("syseq", [sys_text, sys_text], 0),
     ]:
         for fmt in ("plain", "json"):
-            assert main([cmd, *map(str, paths), "--field", flag, "--format", fmt]) == code
-    assert capsys.readouterr().err == ""
+            argv = [cmd, "--field", flag, "--format", fmt]
+            got, _, err = run_cli(argv, *texts)
+            assert (got, err) == (code, "")
     assert calls == []
     # the counters do count
     Scalar(field, 2)
@@ -639,20 +577,20 @@ def _script_shapes(field, bound):
 
 
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
-def test_script_text_is_format_op_and_replays(field, bound, tmp_path, capsys):
+def test_script_text_is_format_op_and_replays(field, bound):
     """script prints the oracle's raw log; format_op writes the RowOps of
     gauss_jordan. Both texts agree line by line, plain and JSON, and the
     printed script replays the input to the sweep's RREF."""
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
     for name, m in _script_shapes(field, bound).items():
-        path = tmp_path / f"{name}.mat"
-        path.write_text(str(m) + "\n")
         expected = [format_op(op) for op in gauss_jordan(m).ops]
-        assert main(["script", str(path), "--field", flag]) == 0
-        text = capsys.readouterr().out
+        code, text, _ = run_cli(["script", "--field", flag], matrix_text(m))
+        assert code == 0
         assert text.splitlines() == expected, name
-        assert main(["script", str(path), "--field", flag, "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"ops": expected}, name
+        argv = ["script", "--field", flag, "--format", "json"]
+        code, out, _ = run_cli(argv, matrix_text(m))
+        assert code == 0
+        assert json.loads(out) == {"ops": expected}, name
         assert apply_ops(m, parse_ops(text, field)) == gauche_rref(m).rref, name
         if name == "identity":
             assert expected == []
@@ -661,7 +599,7 @@ def test_script_text_is_format_op_and_replays(field, bound, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_graph_formats_each_coefficient_once(fmt, t_path, capsys, monkeypatch):
+def test_graph_formats_each_coefficient_once(fmt, monkeypatch):
     """Both renderings of `graph` come from one list of literals: on T (3
     pivot expressions over 2 free variables) 6 values are formatted."""
     formatted = []
@@ -673,8 +611,7 @@ def test_graph_formats_each_coefficient_once(fmt, t_path, capsys, monkeypatch):
 
     monkeypatch.setattr(echelon.cli, "format_values", counted)
     monkeypatch.setattr(echelon.nullspace, "format_values", counted)
-    assert main(["graph", t_path, "--format", fmt]) == 0
-    capsys.readouterr()
+    assert run_cli(["graph", "--format", fmt], T_TEXT)[0] == 0
     assert len(formatted) == 6
 
 
@@ -694,7 +631,7 @@ WIDE_SYSTEM = "1 2 3 4 5 6 7 8 | 1\n2 4 6 8 10 12 14 16 | 2\n"
     ids=["null", "solve", "null-wide", "solve-wide"],
 )
 def test_null_and_solve_format_each_coefficient_once(
-    cmd, text, count, made, fmt, tmp_path, capsys, monkeypatch
+    cmd, text, count, made, fmt, monkeypatch
 ):
     """`null` and `solve` render the null basis from the relation
     coefficients: on T (3 pivots over 2 free variables) `null` formats 6
@@ -713,16 +650,9 @@ def test_null_and_solve_format_each_coefficient_once(
     monkeypatch.setattr(echelon.cli, "format_values", counted)
     monkeypatch.setattr(echelon.nullspace, "format_values", counted)
     monkeypatch.setattr(Vector, "_raw", staticmethod(lambda v, f: vectors.append(v) or raw(v, f)))
-    path = tmp_path / "in.txt"
-    path.write_text(text)
-    assert main([cmd, str(path), "--format", fmt]) == 0
-    capsys.readouterr()
+    assert run_cli([cmd, "--format", fmt], text)[0] == 0
     assert len(formatted) == count
     assert len(vectors) == made
-
-
-def _render(rows: list[list[str]]) -> str:
-    return "".join(" ".join(row) + "\n" for row in rows)
 
 
 def _reference_null(m: Matrix) -> tuple[int, str, dict]:
@@ -730,7 +660,7 @@ def _reference_null(m: Matrix) -> tuple[int, str, dict]:
     null_basis vector rendered on its own."""
     nb = null_basis(m)
     basis = [[str(x) for x in v.entries] for v in nb.basis]
-    return 0, _render(basis), {"free": list(nb.free_indices), "basis": basis}
+    return 0, matrix_text(basis), {"free": list(nb.free_indices), "basis": basis}
 
 
 def _reference_solve(system: LinearSystem) -> tuple[int, str, dict]:
@@ -741,7 +671,7 @@ def _reference_solve(system: LinearSystem) -> tuple[int, str, dict]:
         return 1, "INCONSISTENT\n", {"consistent": False}
     particular = [str(x) for x in sol.particular.entries]
     basis = [[str(x) for x in v.entries] for v in sol.homogeneous.basis]
-    text = _render([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
+    text = matrix_text([["particular:", *particular]] + [["homogeneous:", *v] for v in basis])
     return 0, text, {"consistent": True, "particular": particular, "basis": basis}
 
 
@@ -768,14 +698,6 @@ def _null_space_case(rng, field, bound, kind) -> Matrix:
     return Matrix.from_rows([[c * x for c, x in zip(units, r)] for r in scalar_rows(low)], field)
 
 
-def _cli(argv: list[str]) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert err.getvalue() == ""
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
 @given(kind=st.sampled_from(["zero", "full", "wide"]), rng=st.randoms(use_true_random=False))
 def test_null_and_solve_print_what_their_vectors_hold(field, bound, kind, rng):
@@ -788,18 +710,15 @@ def test_null_and_solve_print_what_their_vectors_hold(field, bound, kind, rng):
     else:
         rhs = random_fraction_vector(rng, m.rows, field, bound)
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
-    with tempfile.TemporaryDirectory() as work:
-        mat_path, sys_path = Path(work, "m.mat"), Path(work, "m.sys")
-        mat_path.write_text(f"{m}\n")
-        sys_path.write_text("".join(f"{m.row(i + 1)} | {b}\n" for i, b in enumerate(rhs.entries)))
-        for cmd, path, (code, text, payload) in [
-            ("null", mat_path, _reference_null(m)),
-            ("solve", sys_path, _reference_solve(LinearSystem(m, rhs))),
-        ]:
-            argv = [cmd, str(path), "--field", flag]
-            assert _cli(argv) == (code, text)
-            json_code, json_text = _cli(argv + ["--format", "json"])
-            assert (json_code, json.loads(json_text)) == (code, payload)
+    system = LinearSystem(m, rhs)
+    for cmd, input_text, (code, text, payload) in [
+        ("null", matrix_text(m), _reference_null(m)),
+        ("solve", system_text(system), _reference_solve(system)),
+    ]:
+        argv = [cmd, "--field", flag]
+        assert run_cli(argv, input_text) == (code, text, "")
+        json_code, json_text, err = run_cli(argv + ["--format", "json"], input_text)
+        assert (json_code, json.loads(json_text), err) == (code, payload, "")
     if kind == "full":
         assert _reference_null(m)[1] == ""
     if kind == "zero":
@@ -807,44 +726,43 @@ def test_null_and_solve_print_what_their_vectors_hold(field, bound, kind, rng):
 
 
 class TestFieldFlag:
-    def test_prime_field_reduction(self, t_path, capsys):
-        assert main(["rref", t_path, "--field", "gf:7"]) == 0
-        assert capsys.readouterr().out == "1 0 3 5 0\n0 1 1 4 0\n0 0 0 0 1\n"
+    def test_prime_field_reduction(self):
+        assert run_cli(["rref", "--field", "gf:7"], T_TEXT) == (
+            0, "1 0 3 5 0\n0 1 1 4 0\n0 0 0 0 1\n", ""
+        )
 
-    def test_composite_modulus_rejected(self, t_path, capsys):
-        assert main(["rref", t_path, "--field", "gf:6"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_composite_modulus_rejected(self):
+        code, _, err = run_cli(["rref", "--field", "gf:6"], T_TEXT)
+        assert code == 2 and "error:" in err
 
-    def test_modulus_too_large_to_decide_rejected(self, t_path, capsys):
-        assert main(["rref", t_path, "--field", f"gf:{2**89 - 1}"]) == 2
-        assert "too large" in capsys.readouterr().err
+    def test_modulus_too_large_to_decide_rejected(self):
+        code, _, err = run_cli(["rref", "--field", f"gf:{2**89 - 1}"], T_TEXT)
+        assert code == 2 and "too large" in err
 
     @pytest.mark.parametrize("flag", ["gf:3_1", "gf:+7", "gf: 7", "gf:\u0667"])
-    def test_modulus_is_plain_ascii_digits(self, t_path, capsys, flag):
-        assert main(["rref", t_path, "--field", flag]) == 2
-        assert "modulus must be an integer" in capsys.readouterr().err
+    def test_modulus_is_plain_ascii_digits(self, flag):
+        code, _, err = run_cli(["rref", "--field", flag], T_TEXT)
+        assert code == 2 and "modulus must be an integer" in err
 
-    def test_unknown_field_rejected(self, t_path, capsys):
-        assert main(["rref", t_path, "--field", "r"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_unknown_field_rejected(self):
+        code, _, err = run_cli(["rref", "--field", "r"], T_TEXT)
+        assert code == 2 and "error:" in err
 
 
 class TestErrorPaths:
-    def test_missing_file(self, capsys):
-        assert main(["rref", "/nonexistent/file.mat"]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_missing_file(self):
+        code, _, err = run_cli(["rref", "/nonexistent/file.mat"])
+        assert code == 2 and "error:" in err
 
-    def test_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.mat"
-        path.write_text("1 2\n3\n")
-        assert main(["rref", str(path)]) == 2
-        assert "line 2" in capsys.readouterr().err
+    def test_parse_error(self):
+        code, _, err = run_cli(["rref"], "1 2\n3\n")
+        assert code == 2 and "line 2" in err
 
-    def test_usage_error(self, capsys):
-        assert main([]) == 2
+    def test_usage_error(self):
+        assert run_cli([])[0] == 2
 
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate", "x"]) == 2
+    def test_unknown_subcommand(self):
+        assert run_cli(["frobnicate", "x"])[0] == 2
 
 
 class TestArgumentForms:
@@ -875,12 +793,29 @@ class TestArgumentForms:
         ],
         ids=lambda argv: " ".join(argv),
     )
-    def test_options_between_files(self, mixed, last, capsys):
-        assert main(last) == 0
-        expected = capsys.readouterr()
-        assert expected.out and not expected.err
-        assert main(mixed) == 0
-        assert capsys.readouterr() == expected
+    def test_options_between_files(self, mixed, last):
+        expected = run_cli(last)
+        code, out, err = expected
+        assert code == 0 and out and not err
+        assert run_cli(mixed) == expected
+
+    @pytest.mark.parametrize(
+        ("only_argparse", "plain"),
+        [
+            (["rref", "a.mat", "--fo", "json"], ["rref", "a.mat", "--format", "json"]),
+            (["rref", "--", "a.mat"], ["rref", "a.mat"]),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_forms_only_argparse_reads(self, only_argparse, plain, capsys, monkeypatch):
+        """An abbreviated option and `--` are left to argparse, which reads
+        them as their plain forms; main() with no argv reads sys.argv[1:]."""
+        assert echelon.cli._plain_args(only_argparse) is None
+        expected = run_cli(plain)
+        assert expected[0] == 0 and expected[1] and not expected[2]
+        assert run_cli(only_argparse) == expected
+        monkeypatch.setattr(sys, "argv", ["echelon", *only_argparse])
+        assert (main(), *capsys.readouterr()) == expected
 
     @pytest.mark.parametrize(
         ("argv", "error"),
@@ -892,18 +827,18 @@ class TestArgumentForms:
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
-    def test_wrong_file_count_is_a_usage_error(self, argv, error, capsys):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: echelon ")
-        assert argv[0] in captured.err
-        assert captured.err.splitlines()[-1] == f"echelon: error: {error}"
+    def test_wrong_file_count_is_a_usage_error(self, argv, error):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: echelon ")
+        assert argv[0] in err
+        assert err.splitlines()[-1] == f"echelon: error: {error}"
 
     @pytest.mark.parametrize("argv", [["--help"], ["rref", "--help"]], ids=" ".join)
-    def test_help_lists_every_command(self, argv, capsys):
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_help_lists_every_command(self, argv):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        lines = out.splitlines()
         names = "rref pivots basis null graph check script solve equiv syseq".split()
         assert list(echelon.cli._COMMANDS) == names
         for name, (*_, help_text) in echelon.cli._COMMANDS.items():
@@ -912,7 +847,7 @@ class TestArgumentForms:
             ), name
 
 
-def test_one_parser_per_call(t_path, capsys, monkeypatch):
+def test_one_parser_per_call(t_path, monkeypatch):
     """Plain argvs (a command, its FILEs, `--field` and `--format`) are read
     without argparse and build no ArgumentParser. Any other argv builds the
     process's one parser on first use (no subparser, no parent parser), and
@@ -931,22 +866,16 @@ def test_one_parser_per_call(t_path, capsys, monkeypatch):
         ["rref", "--format", "json", t_path, "--field", "q"],
     ]
     others, codes = [["rref"], ["--help"]], [2, 0]
-
-    def run(argv):
-        code = main(argv)
-        out, err = capsys.readouterr()
-        return code, out, err
-
     echelon.cli.build_parser.cache_clear()  # as in a fresh process
-    assert [run(argv)[0] for argv in plain] == [0, 0, 0]
+    assert [run_cli(argv)[0] for argv in plain] == [0, 0, 0]
     assert made == []
     for first, code in zip(others, codes):
         echelon.cli.build_parser.cache_clear()
         made.clear()
-        built = run(first)
+        built = run_cli(first)
         assert made == [1] and built[0] == code, first
-        assert [run(argv)[0] for argv in plain + others] == [0, 0, 0] + codes
-        assert run(first) == built, first
+        assert [run_cli(argv)[0] for argv in plain + others] == [0, 0, 0] + codes
+        assert run_cli(first) == built, first
         assert made == [1], first
     # the counter does count
     made.clear()
@@ -987,19 +916,19 @@ def test_plain_reader_agrees_with_argparse(command, chunks):
     assert len(args.files) == echelon.cli._COMMANDS[args.command][2]
 
 
-def test_every_format_value_is_checked(t_path, capsys):
+def test_every_format_value_is_checked():
     """A bad --format is an error even when a good one follows it, as
     argparse checks each value it reads, not only the last."""
-    assert main(["rref", t_path, "--format", "bogus", "--format", "json"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    argv = ["rref", "--format", "bogus", "--format", "json"]
+    code, out, err = run_cli(argv, T_TEXT)
+    assert (code, out) == (2, "")
     assert "argument --format: invalid choice: 'bogus'" in err
 
 
-def test_usage_rendered_once(t_path, capsys, monkeypatch):
+def test_usage_rendered_once(t_path, monkeypatch):
     """Valid calls after the first main call do not render the usage text:
     the parser keeps it from when it was built."""
-    assert main(["rref", t_path]) == 0
+    assert run_cli(["rref", t_path])[0] == 0
     rendered = []
     format_usage = argparse.ArgumentParser.format_usage
     monkeypatch.setattr(
@@ -1008,12 +937,11 @@ def test_usage_rendered_once(t_path, capsys, monkeypatch):
         lambda self: rendered.append(1) or format_usage(self),
     )
     for argv in (["rref", t_path], ["equiv", t_path, "--field", "gf:7", t_path], ["null", t_path]):
-        assert main(argv) == 0
+        assert run_cli(argv)[0] == 0
     assert rendered == []
     # the counter does count
-    assert main(["rref"]) == 2
+    assert run_cli(["rref"])[0] == 2
     assert rendered
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=str)
@@ -1042,7 +970,7 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
     """A reader that stops early, as `head -1` does, ends the command with
     128 + SIGPIPE and nothing on stderr, not a BrokenPipeError traceback."""
     path = tmp_path / "ones.mat"
-    path.write_text(" ".join(["1"] * 800) + "\n")  # 799 null vectors, over 1 MB
+    path.write_text(matrix_text([[1] * 800]))  # 799 null vectors, over 1 MB
     argv, env = _cli_child("null", str(path))
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline().startswith(b"-1 1 0")

@@ -31,44 +31,29 @@ from echelon import (
     null_equal,
     solution_equivalent,
 )
-from echelon.cli import main
-from echelon.gauche import P, _CHECK, _consistent, _keepers
+from echelon.gauche import P, _consistent, _keepers
 from echelon.scalars import format_values
 
 from helpers import (
+    CRAFTED,
+    EYE,
     FIELD_CASES,
+    INCONSISTENT,
+    KINDS,
+    Q,
     Sweep,
+    diagonal,
     mat,
+    matrix_text,
+    padded,
     random_low_rank_matrix,
     random_matrices,
+    random_matrix,
     random_ops,
+    run_cli,
     system_from_augmented,
     vec,
 )
-
-KINDS = ["small", "a/b", "int64"]
-
-
-def _entry(rng, kind):
-    if kind == "small":
-        return rng.randint(-5, 5)
-    if kind == "a/b":
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-    return rng.randint(-(2**63), 2**63)
-
-
-def _dense(rng, rows, cols, kind) -> Matrix:
-    return mat([[_entry(rng, kind) for _ in range(cols)] for _ in range(rows)])
-
-
-def _low_rank(rng, rows, cols, rank, kind) -> Matrix:
-    """A product of random rows x rank and rank x cols factors, so of rank
-    at most `rank`."""
-    left = [[_entry(rng, kind) for _ in range(rank)] for _ in range(rows)]
-    right = [[_entry(rng, kind) for _ in range(cols)] for _ in range(rank)]
-    return mat(
-        [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left]
-    )
 
 
 def _shapes(rng):
@@ -88,50 +73,8 @@ def _shapes(rng):
         yield "low", (rows, cols, rng.randint(0, min(rows, cols) - 1))
 
 
-def _write(tmp_path, m: Matrix) -> str:
-    path = tmp_path / "m.mat"
-    path.write_text("".join(" ".join(format_values(row)) + "\n" for row in m.raw_rows()))
-    return str(path)
-
-
-def _cli_json(capsys, *argv):
-    capsys.readouterr()
-    code = main([*argv, "--format", "json"])
-    out = capsys.readouterr().out
-    return code, json.loads(out)
-
-
-Q = _CHECK.modulus
-# the leading 2x2 minor is P: zero mod P, while the pivots are 1 and 2
-CRAFTED_ZERO_MINOR = [[P, 0, 1], [0, 1, 0]]
-# P divides a denominator, so no image exists: rank 1, pivot 1
-CRAFTED_INVERSE_P = [[Fraction(1, P), 1], [Fraction(2, P), 2]]
-# the same against the rank loop's prime q
-CRAFTED_ZERO_MINOR_Q = [[Q, 0, 1], [0, 1, 0]]
-CRAFTED_INVERSE_Q = [[Fraction(1, Q), 1], [Fraction(2, Q), 2]]
-# inputs on which the image drops rank, has no image, or offers a
-# combination that does not reconstruct or that the exact product refutes
-CRAFTED_P = [
-    CRAFTED_ZERO_MINOR,
-    CRAFTED_INVERSE_P,
-    [[1, 0, 1], [0, P, P]],
-    [[1, 0], [0, P]],
-    [[1, 0, 1], [0, 1, Fraction(1, P)]],
-    [[3, 0, 2**40], [0, 1, 1]],
-    [[3, 0, 2**43], [0, 1, 1]],
-]
-# inputs on which the rank loop mod q drops rank or has no image
-CRAFTED_Q = [
-    CRAFTED_ZERO_MINOR_Q,
-    CRAFTED_INVERSE_Q,
-    [[1, 0, 1], [0, Q, Q]],
-    [[1, 0], [0, Q]],
-    [[Fraction(1, Q), 0], [0, 1]],
-]
-
-
 @pytest.mark.parametrize("kind", KINDS)
-def test_cli_pivots_and_basis_match_the_sweep(kind, routes, tmp_path, capsys):
+def test_cli_pivots_and_basis_match_the_sweep(kind, routes):
     """Both the rank shortcut and the sweep are taken, and agree with the
     sweep: `pivots` and `basis` each ask the rank loop once, sweep every
     column over Q exactly when it answers False, and never sweep the GF(P)
@@ -140,16 +83,17 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, routes, tmp_path, capsys):
     verdicts = set()
     for shape, (rows, cols, rank) in _shapes(rng):
         if rank is None:
-            m = _dense(rng, rows, cols, kind)
+            m = random_matrix(rng, rows, cols, QQ, kind=kind)
         else:
-            m = _low_rank(rng, rows, cols, rank, kind)
-        path = _write(tmp_path, m)
+            m = random_low_rank_matrix(rng, rows, cols, rank, QQ, kind=kind)
+        text = matrix_text(m)
         expected = list(gauche_rref(m).pivot_set)
         columns = [format_values(m.values[j - 1 :: m.cols]) for j in expected]
         basis = {"indices": expected, "columns": columns}
         for command, out in (("pivots", {"pivots": expected}), ("basis", basis)):
             routes.clear()
-            assert _cli_json(capsys, command, path) == (0, out), (shape, m)
+            code, stdout, _ = run_cli([command, "--format", "json"], text)
+            assert (code, json.loads(stdout)) == (0, out), (shape, m)
             assert routes in ([True], [False, Sweep(m, "Q", m.cols)])
             verdicts.add(routes[0])
     assert verdicts == {True, False}
@@ -158,28 +102,29 @@ def test_cli_pivots_and_basis_match_the_sweep(kind, routes, tmp_path, capsys):
 @pytest.mark.parametrize(
     ("rows", "pivots", "loop"),
     [
-        (CRAFTED_ZERO_MINOR_Q, [1, 2], False),
-        (CRAFTED_INVERSE_Q, [1], ZeroDivisionError),
-        ([[Fraction(1, Q), 0], [0, 1]], [1, 2], ZeroDivisionError),
-        # inputs whose image mod P drops rank or does not exist: the rank
-        # loop mod q proves the first two full rank, and sees the third drop
-        (CRAFTED_ZERO_MINOR, [1, 2], True),
-        ([[Fraction(1, P), 0], [0, 1]], [1, 2], True),
-        (CRAFTED_INVERSE_P, [1], False),
+        pytest.param(CRAFTED[name], pivots, loop, id=name)
+        for name, pivots, loop in [
+            ("minor-q", [1, 2], False),
+            ("1/q-rank-1", [1], ZeroDivisionError),
+            ("1/q-full-rank", [1, 2], ZeroDivisionError),
+            # inputs whose image mod P drops rank or does not exist: the rank
+            # loop mod q proves the first two full rank, and sees the third drop
+            ("minor-P", [1, 2], True),
+            ("1/P-full-rank", [1, 2], True),
+            ("1/P-rank-1", [1], False),
+        ]
     ],
-    ids=["minor-q", "1/q-rank-1", "1/q-full-rank", "minor-P", "1/P-full-rank", "1/P-rank-1"],
 )
-def test_cli_pivots_fall_back_when_the_image_fails(rows, pivots, loop, routes, tmp_path, capsys):
+def test_cli_pivots_fall_back_when_the_image_fails(rows, pivots, loop, routes):
     """The rank loop is asked once per command. Where its image mod q drops
     rank or does not exist, it proves nothing, and the command sweeps the
     matrix exactly once over Q; where it answers True, no sweep runs."""
     m = mat(rows)
-    path = _write(tmp_path, m)
     assert list(gauche_rref(m).pivot_set) == pivots
     for command, key in (("pivots", "pivots"), ("basis", "indices")):
         routes.clear()
-        code, out = _cli_json(capsys, command, path)
-        assert (code, out[key]) == (0, pivots)
+        code, out, _ = run_cli([command, "--format", "json"], matrix_text(m))
+        assert (code, json.loads(out)[key]) == (0, pivots)
         assert routes == ([True] if loop is True else [loop, Sweep(m, "Q", m.cols)])
 
 
@@ -190,7 +135,7 @@ def test_image_rank_drop_takes_the_exact_route(routes):
     so its exact sweep is skipped."""
     eye = mat([[1, 0], [0, 1]])
     for prime, full in ((Q, False), (P, True)):
-        diag = mat([[1, 0], [0, prime]])
+        diag = diagonal([1, prime])
         a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, prime]))
         aug_a, aug_b = a.augmented(), b.augmented()
 
@@ -214,12 +159,10 @@ def test_inconsistent_or_excluded_b_answers_as_before():
     """An inconsistent system on either side raises; a B that fails the
     inclusion, here diag(1, P) with the solution (1, 1/P), takes a sweep and
     compares unequal."""
-    eye = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
-    inconsistent = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
-    for a, b in ((eye, inconsistent), (inconsistent, eye)):
+    for a, b in ((EYE, INCONSISTENT), (INCONSISTENT, EYE)):
         with pytest.raises(InconsistentSystemError):
             solution_equivalent(a, b)
-    assert not solution_equivalent(eye, LinearSystem(mat([[1, 0], [0, P]]), vec([1, 1])))
+    assert not solution_equivalent(EYE, diagonal([1, P], [1, 1]))
 
 
 def test_unknown_image_is_never_independent(routes):
@@ -228,13 +171,13 @@ def test_unknown_image_is_never_independent(routes):
     independent. 1/P has an image mod q, where the loop itself sees b_K's
     rank drop, or proves full rank with no exact sweep of b."""
     eye = mat([[1, 0], [0, 1]])
-    cases = ((Q, ZeroDivisionError, ZeroDivisionError), (P, False, True))
-    for prime, deficient_loop, full_loop in cases:
-        deficient = mat([[Fraction(1, prime), 1], [Fraction(2, prime), 2]])
+    cases = (("q", Q, ZeroDivisionError, ZeroDivisionError), ("P", P, False, True))
+    for name, prime, deficient_loop, full_loop in cases:
+        deficient = mat(CRAFTED[f"1/{name}-rank-1"])
         routes.clear()
         assert not null_equal(eye, deficient)
         assert routes == [Sweep(eye, "Q", 2), deficient_loop, Sweep(deficient, "Q", 2)]
-        full = mat([[Fraction(1, prime), 0], [0, 1]])
+        full = mat(CRAFTED[f"1/{name}-full-rank"])
         routes.clear()
         assert null_equal(eye, full)
         b_exact = [] if full_loop is True else [Sweep(full, "Q", 2)]
@@ -266,8 +209,8 @@ def _partners(rng, aug: Matrix, kind):
     for row in moved:
         row[-1] += row[0]
     yield mat(moved)
-    yield _low_rank(rng, rows, cols, rng.randint(0, rows), kind)
-    yield _dense(rng, rows, cols, kind)
+    yield random_low_rank_matrix(rng, rows, cols, rng.randint(0, rows), QQ, kind=kind)
+    yield random_matrix(rng, rows, cols, QQ, kind=kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -279,7 +222,8 @@ def test_null_equal_and_syseq_answer_as_the_rref_comparison(kind):
     verdicts = set()
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(2, 7)
-        aug = _low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)), kind)
+        rank = rng.randint(0, min(rows, cols))
+        aug = random_low_rank_matrix(rng, rows, cols, rank, QQ, kind=kind)
         for other in _partners(rng, aug, kind):
             assert null_equal(aug, other) == _same_rows(aug, other)
             a, b = system_from_augmented(aug), system_from_augmented(other)
@@ -314,8 +258,8 @@ def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
     a few low-rank ones have 16 rows, so that over Q _consistent asks the
     GF(P) image of them."""
     rng = random.Random(f"keepers-{field}-{bound}")
-    crafted = [mat(rows, field) for rows in CRAFTED_P + CRAFTED_Q]
-    tall = (mat([*m.raw_rows(), *[[0] * m.cols] * (16 - m.rows)], field) for m in crafted)
+    crafted = [mat(rows, field) for rows in CRAFTED.values() if len(rows) < 16]
+    tall = (padded(m, 16) for m in crafted)
     low = (random_low_rank_matrix(rng, 16, rng.randint(3, 8), 3, field, bound) for _ in range(3))
     for m in itertools.chain(random_matrices(rng, field, bound, 16), crafted, tall, low):
         for js in _selections(rng, m.cols):

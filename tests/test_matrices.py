@@ -54,6 +54,9 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             mat([])
+        for rows, cols in ((0, 2), (2, 0)):
+            with pytest.raises(ShapeError, match="^matrices must have at least one row and one"):
+                Matrix(rows, cols, (), QQ)
         with pytest.raises(ShapeError):
             Vector((), QQ)
         with pytest.raises(ShapeError):
@@ -135,6 +138,10 @@ class TestMatVecMul:
         with pytest.raises(FieldMismatchError, match=r"^vector in GF\(7\) against a Q matrix$"):
             matrix_t() @ vec([0, 0, 0, 0, 1], GF7)
 
+    def test_only_a_vector_multiplies(self):
+        with pytest.raises(TypeError):
+            matrix_t() @ 3
+
 
 class TestEquality:
     def test_reflexive(self):
@@ -176,6 +183,10 @@ class TestUtilities:
     def test_augment_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             matrix_t().augment(vec([1, 2]))
+
+    def test_augment_field_mismatch(self):
+        with pytest.raises(FieldMismatchError, match=r"^right-hand side in GF\(7\) against Q$"):
+            matrix_t().augment(vec([1, 2, 3], GF7))
 
 
 class TestTakeColumns:

@@ -2,8 +2,6 @@
 corpus builds, the smallest job of each (subcommand, exit code) class runs
 through the CLI and passes the independent verifier, and the layer tracer
 still finds the sweep's entry points. No timing is asserted."""
-import contextlib
-import io
 import sys
 from pathlib import Path
 
@@ -15,14 +13,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench import corpus, layertrace, verify  # noqa: E402
 
-import echelon.cli  # noqa: E402
-
-
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = echelon.cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+from helpers import run_cli  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
@@ -33,7 +24,7 @@ def test_smallest_jobs_pass_the_verifier(workload, tmp_path):
         classes.setdefault((job.cmd, job.expect.get("code", 0)), []).append(job)
     for group in classes.values():
         job = corpus.smallest(group)
-        code, out, err = _run(job.argv)
+        code, out, err = run_cli(job.argv)
         assert verify.check(job, code, out, err) is None, job.cls
 
 

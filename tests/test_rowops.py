@@ -9,6 +9,7 @@ from echelon import (
     QQ,
     RREF_CONDITIONS,
     Axpy,
+    FieldMismatchError,
     InvalidOperationError,
     Matrix,
     ParseError,
@@ -96,6 +97,13 @@ class TestRowOpConstruction:
         read back."""
         with pytest.raises(TypeError, match=f"coefficient must be a Scalar, got {name}$"):
             make()
+
+    @pytest.mark.parametrize(
+        "op", [Scale(1, sc(3, GF7)), Axpy(2, 1, sc(3, GF7))], ids=["scale", "axpy"]
+    )
+    def test_coefficient_from_another_field_is_refused(self, op):
+        with pytest.raises(FieldMismatchError, match=rf"^{op.kind} in GF\(7\) applied over Q$"):
+            apply_ops(matrix_t(), [op])
 
 
 class TestValidator:

@@ -90,6 +90,13 @@ class TestArithmetic:
         with pytest.raises(FieldMismatchError):
             sc(2, GF7) * sc(2, GF(5))
 
+    def test_only_scalars_combine(self):
+        """A raw number is no operand: + and / return NotImplemented."""
+        with pytest.raises(TypeError):
+            sc(1) + 1
+        with pytest.raises(TypeError):
+            sc(1) / 2
+
 
 class TestFieldSpec:
     def test_composite_modulus_rejected(self):

@@ -6,7 +6,6 @@ and drives second systems that the GF(P) image cannot prove consistent to
 the exact sweep."""
 import collections
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -37,19 +36,23 @@ from echelon import (
 )
 
 from echelon import gauche
-from echelon.cli import main
-from echelon.gauche import P, _CHECK
-from echelon.scalars import format_values
+from echelon.gauche import _CHECK
 
 from helpers import (
+    CRAFTED_FALLBACKS,
+    EYE,
     FIELD_CASES,
     FIELDS,
+    GF7,
     IMAGE,
+    INCONSISTENT,
     Sweep,
     exhaustive_solutions,
     mat,
     matrix_j,
     matrix_t,
+    matrix_text,
+    padded,
     random_consistent_system,
     random_fraction_system,
     random_low_rank_matrix,
@@ -58,8 +61,10 @@ from helpers import (
     random_ops,
     random_shape,
     random_vector,
+    run_cli,
     sc,
     system_from_augmented,
+    system_text,
     vec,
     with_free_entry_moved,
 )
@@ -71,8 +76,6 @@ class TestLinearSystem:
             LinearSystem(matrix_t(), vec([1, 2]))
 
     def test_field_mismatch_rejected(self):
-        from helpers import GF7
-
         with pytest.raises(FieldMismatchError):
             LinearSystem(matrix_t(), vec([1, 2, 3], GF7))
 
@@ -99,7 +102,7 @@ class TestSolve:
         assert sol.homogeneous.basis == ()
 
     def test_contradictory_rows(self):
-        sol = solve(LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1])))
+        sol = solve(INCONSISTENT)
         assert isinstance(sol, Inconsistent)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -140,17 +143,21 @@ class TestSolutionEquivalent:
         assert solution_equivalent(LinearSystem(t, zero_rhs), LinearSystem(doubled, zero_rhs))
 
     def test_inconsistent_inputs_rejected(self):
-        good = LinearSystem(Matrix.identity(2, QQ), vec([1, 1]))
-        bad = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
         with pytest.raises(InconsistentSystemError):
-            solution_equivalent(good, bad)
+            solution_equivalent(EYE, INCONSISTENT)
         with pytest.raises(InconsistentSystemError):
-            solution_equivalent(bad, good)
+            solution_equivalent(INCONSISTENT, EYE)
 
     def test_shape_mismatch_rejected(self):
         a = LinearSystem(Matrix.identity(2, QQ), vec([1, 1]))
         b = LinearSystem(mat([[1, 0, 0], [0, 1, 0]]), vec([1, 1]))
         with pytest.raises(ShapeError):
+            solution_equivalent(a, b)
+
+    def test_field_mismatch_rejected(self):
+        a = LinearSystem(Matrix.identity(2, QQ), vec([1, 1]))
+        b = LinearSystem(Matrix.identity(2, GF7), vec([1, 1], GF7))
+        with pytest.raises(FieldMismatchError, match="^solution equivalence needs a common field$"):
             solution_equivalent(a, b)
 
     @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
@@ -269,6 +276,10 @@ class TestRowEquivalent:
         with pytest.raises(ShapeError):
             row_equivalent(matrix_t(), Matrix.identity(2, QQ))
 
+    def test_field_mismatch_rejected(self):
+        with pytest.raises(FieldMismatchError, match="^row equivalence needs a common field$"):
+            row_equivalent(matrix_t(), matrix_t(GF7))
+
     @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
     def test_lockstep_equals_the_rref_comparison(self, field, bound):
         """The lockstep sweeps answer as comparing the two RREFs, on
@@ -332,9 +343,8 @@ class TestOneSweepPerQuestion:
         assert isinstance(solve(system), Affine)
         assert routes == [Sweep(system.augmented(), "Q", t.cols + 1)]
         routes.clear()
-        system = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
-        assert isinstance(solve(system), Inconsistent)
-        assert routes == [Sweep(system.augmented(), "Q", 3)]
+        assert isinstance(solve(INCONSISTENT), Inconsistent)
+        assert routes == [Sweep(INCONSISTENT.augmented(), "Q", 3)]
 
     def test_solution_equivalent_sweeps_each_system_once(self, routes):
         """[A | c] takes an exact sweep over Q; [B | d], which passes the
@@ -349,10 +359,9 @@ class TestOneSweepPerQuestion:
         # [B | d] = [B | d]_K·R proves [B | d] consistent, so a B of rank 1
         # costs only the rank loop on its pivot columns and their exact sweep
         routes.clear()
-        eye = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
         low = LinearSystem(mat([[1, 1], [2, 2]]), vec([2, 4]))
-        assert not solution_equivalent(eye, low)
-        assert routes == [Sweep(eye.augmented(), "Q", 3), False, Sweep(low.augmented(), "Q", 2)]
+        assert not solution_equivalent(EYE, low)
+        assert routes == [Sweep(EYE.augmented(), "Q", 3), False, Sweep(low.augmented(), "Q", 2)]
 
     def test_differing_q_pair_is_certified_on_the_image(self, routes):
         """From 16 rows [B | d] fails the inclusion, and the GF(P) sweep of
@@ -361,7 +370,8 @@ class TestOneSweepPerQuestion:
         RREF, whose rank loop answers True. matrix_t's own 3-row pair,
         below the image's gate, and the pair over GF(7) sweep each system
         exactly once."""
-        for t, route in ((_tall_t(16), IMAGE), (matrix_t(), "Q"), (matrix_t(GF(7)), "GF(7)")):
+        tall = padded(matrix_t(), 16)
+        for t, route in ((tall, IMAGE), (matrix_t(), "Q"), (matrix_t(GF(7)), "GF(7)")):
             routes.clear()
             a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
             assert not solution_equivalent(a, b)
@@ -379,7 +389,7 @@ class TestOneSweepPerQuestion:
         assert null_equal(t, doubled)
         assert routes == [Sweep(t, "Q", t.cols), True]
 
-    def test_full_rank_q_pivots_make_no_exact_sweep(self, routes, monkeypatch, tmp_path, capsys):
+    def test_full_rank_q_pivots_make_no_exact_sweep(self, routes, monkeypatch):
         """`pivots` and `basis` on a full-rank Q input read only the rank
         loop on its first min(rows, cols) columns, mod q; a rank-deficient
         one takes one exact sweep, after a loop that stops at its first
@@ -389,7 +399,6 @@ class TestOneSweepPerQuestion:
         monkeypatch.setattr(
             gauche, "_residues", lambda values, field: read.append(field) or residues(values, field)
         )
-        path = tmp_path / "m.mat"
         cases = (
             ([[2, 1]], False, 1),
             ([[1, 2], [2, 4]], True, 2),
@@ -397,11 +406,10 @@ class TestOneSweepPerQuestion:
         )
         for rows, exact, columns in cases:
             m = mat(rows)
-            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
             for command in ("pivots", "basis"):
                 routes.clear()
                 read.clear()
-                assert main([command, str(path)]) == 0
+                assert run_cli([command], matrix_text(rows))[0] == 0
                 assert routes == ([False, Sweep(m, "Q", m.cols)] if exact else [True])
                 assert read == [_CHECK] * columns
 
@@ -431,66 +439,21 @@ class TestOneSweepPerQuestion:
         assert routes == [Sweep(matrix_t(), "Q", 3)]
 
 
-def _tall_t(rows: int) -> Matrix:
-    """matrix_t over zero rows, to `rows` rows."""
-    return mat([*matrix_t().raw_rows(), *[[0] * 5] * (rows - 3)])
-
-
 @pytest.mark.parametrize(("rows", "route"), [(15, "Q"), (16, IMAGE)])
 def test_the_image_is_tried_from_16_rows(rows, route, routes):
     """One gate for both readers of the GF(P) image: below 16 rows neither
     system of a differing pair is imaged, and from 16 rows each is imaged
     once, [A | c] for the readers' RREF, which the rank loop certifies, and
     [B | d] for its consistency."""
-    t = _tall_t(rows)
+    t = padded(matrix_t(), rows)
     a, b = LinearSystem(t, t.column(5)), LinearSystem(t, t.column(1))
     assert not solution_equivalent(a, b)
     certified = [True] if route == IMAGE else []
     assert routes == [Sweep(a.augmented(), route, 6), *certified, Sweep(b.augmented(), route, 6)]
 
 
-def _diagonal(entries, rhs) -> LinearSystem:
-    """The system diag(entries) x = rhs."""
-    rows = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
-    return LinearSystem(mat(rows), vec(rhs))
-
-
-def _system_text(s: LinearSystem) -> str:
-    rows = zip(s.coeff.raw_rows(), format_values(s.rhs.values))
-    return "".join(" ".join(format_values(row)) + f" | {c}\n" for row, c in rows)
-
-
-_EYE = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
-_EYE16 = _diagonal([1] * 16, [1] * 16)
-# pairs whose [B | d] fails the inclusion, and where the GF(P) image cannot
-# prove [B | d] consistent, with the CLI's exit code: d = (0, P) is 0 mod P,
-# so the image offers x = 0, which B x = d refutes, and [B | d] is
-# inconsistent; P divides the denominator of 1/P, so there is no image; and
-# the solution (2**k / 3, 1) has no reconstruction mod P for k = 40, while
-# for k = 43 it reconstructs as 1083/8192, which B x = d refutes. Each comes
-# as a 2-row pair, below the image's gate, and as a 16-row one against the
-# identity system.
-CRAFTED_FALLBACKS = [
-    pytest.param(
-        LinearSystem(mat([[1], [0]]), vec([1, 0])),
-        LinearSystem(mat([[1], [0]]), vec([0, P])),
-        2,
-        id="zero-mod-P",
-    ),
-    pytest.param(_EYE, LinearSystem(mat([[1, 0], [0, 1]]), vec([1, Fraction(1, P)])), 1, id="1/P"),
-    pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**40, 1])), 1, id="2^40/3"),
-    pytest.param(_EYE, LinearSystem(mat([[3, 0], [0, 1]]), vec([2**43, 1])), 1, id="2^43/3"),
-    pytest.param(
-        _EYE16, _diagonal([1, 0] + [1] * 14, [0, P] + [0] * 14), 2, id="zero-mod-P-16rows"
-    ),
-    pytest.param(_EYE16, _diagonal([1] * 16, [1] * 15 + [Fraction(1, P)]), 1, id="1/P-16rows"),
-    pytest.param(_EYE16, _diagonal([3] + [1] * 15, [2**40] + [1] * 15), 1, id="2^40/3-16rows"),
-    pytest.param(_EYE16, _diagonal([3] + [1] * 15, [2**43] + [1] * 15), 1, id="2^43/3-16rows"),
-]
-
-
 @pytest.mark.parametrize(("a", "b", "code"), CRAFTED_FALLBACKS)
-def test_unproven_second_system_takes_the_exact_sweep(a, b, code, routes, tmp_path, capsys):
+def test_unproven_second_system_takes_the_exact_sweep(a, b, code, routes):
     """The image offers no solution that B x = d confirms, so [B | d]
     takes the exact sweep, through every column: the library call raises
     InconsistentSystemError for an inconsistent [B | d] and otherwise
@@ -511,12 +474,8 @@ def test_unproven_second_system_takes_the_exact_sweep(a, b, code, routes, tmp_pa
         *((m, "Q") for m in exact),
     ]
     assert [s.answered for s in sweeps if s.field == "Q"] == [m.cols for m in exact]
-    paths = [tmp_path / "a.sys", tmp_path / "b.sys"]
-    for path, system in zip(paths, (a, b)):
-        path.write_text(_system_text(system))
-    capsys.readouterr()
-    assert main(["syseq", *map(str, paths)]) == code
-    out, err = capsys.readouterr()
+    got, out, err = run_cli(["syseq"], system_text(a), system_text(b))
+    assert got == code
     if code == 2:
         assert out == "" and err.startswith("error: solution equivalence is only defined")
     else:
@@ -537,6 +496,7 @@ def test_null_space_tests_build_no_basis(monkeypatch):
     a = LinearSystem(t, t.column(5))
     assert solution_equivalent(a, LinearSystem(doubled, doubled.column(5)))
     assert not solution_equivalent(a, LinearSystem(t, t.column(1)))
+
 
 @pytest.mark.parametrize(("field", "bound"), FIELD_CASES)
 def test_homogeneous_part_is_the_null_basis(field, bound):
