@@ -16,35 +16,29 @@ code, stdout and stderr of each run are compared; a job that raises records
 cases runs the same way once: inconsistent, differently sized, GF(2) and
 all-zero `syseq` pairs, a one-row all-zero pair and an all-zero system against
 a nonzero one, a 4x12 rank-2 system against a row-operation image of itself
-and against itself with the right-hand side moved, a pair whose
-coefficient ranks differ, the identity system against two systems whose
-coefficient part diag(1, P) loses rank mod P = 268435399, the prime of the
-image sweep (one equivalent, also run the other way round, and one not),
-and, in both orders, against diag(1, q) x = (1, q), which loses rank mod
-q = 268435367, the prime of the rank shortcut and the certificate;
-`syseq` pairs whose second system fails the inclusion and cannot be shown
-consistent on the image of its sweep: one whose right-hand side is 0 mod P
-(the candidate x = 0 is refuted, and the system is inconsistent), and, in
-both orders, the identity system against one holding the literal 1/P and
-against two whose solutions 2**40/3 and 2**43/3 do not reconstruct or
-reconstruct wrongly mod P, and the same four, in both orders, as 16-row
-systems against the 16-row identity system, since the image is tried only
-from 16 rows; `null`, `graph`, `solve` and `syseq` on three
-16-row inputs on which the image RREF is refused, one for each branch of
-that route: diag(1, ..., 1, P), the system diag(3, 1, ..., 1) x = (2**40,
-1, ..., 1), and diag(1, ..., 1, q) with q = 268435367, the certificate's
-prime; `rref`, `null` and `graph` on a Q matrix whose first column is zero
-and whose keeper columns, over distinct denominators, are each followed by
-a column on all the keepers so far, and `rref` on a seeded 10x11 matrix of
-a/b literals with 64-bit a and b; `equiv` pairs that differ only in their
-first column and only in their last;
-`script` on an all-zero matrix and the identity (empty logs), on a GF(2)
-matrix whose first pivot needs a swap and on a Q matrix of a/b literals
-(Fraction coefficients); `pivots` and `basis` on a matrix whose leading 2x2
-minor is q, on one holding the literal 1/q (no image mod q), on the same
-two with P in place of q (the first takes the rank shortcut, the second
-drops rank mod q), and on a wide full-row-rank Q matrix; and `rref` on a malformed literal, a ragged row, a
-non-UTF-8 byte and a missing file, so diagnostics and exit code 2 are
+and against itself with the right-hand side moved, and a pair whose
+coefficient ranks differ. The crafted inputs on which the image mod P or
+the rank loop mod q fails are written from the table in tests/crafted.py,
+which names each and says how it fails; they run as: `syseq` of the
+identity system against systems whose coefficient part loses rank mod P
+(one equivalent, one not) or mod q, so that the rank shortcut and the
+exact sweep each decide; `syseq` pairs whose second system fails the
+inclusion and cannot be shown consistent on the image of its sweep (the
+pairs of crafted.FALLBACKS), at 2 rows and at 16, since the image is tried
+only from 16 rows; `null`, `graph`, `solve` and `syseq` on three 16-row
+inputs on which the image RREF is refused, one for each branch of that
+route; and `pivots` and `basis` on matrices whose image mod q or mod P
+drops rank or does not exist, so that the rank shortcut falls back or
+proves rank. Then `rref`, `null` and `graph` on a Q matrix whose first
+column is zero and whose keeper columns, over distinct denominators, are
+each followed by a column on all the keepers so far, and `rref` on a
+seeded 10x11 matrix of a/b literals with 64-bit a and b; `equiv` pairs
+that differ only in their first column and only in their last; `script`
+on an all-zero matrix and the identity (empty logs), on a GF(2) matrix
+whose first pivot needs a swap and on a Q matrix of a/b literals
+(Fraction coefficients); `pivots` and `basis` on a wide full-row-rank Q
+matrix; and `rref` on a malformed literal, a ragged row, a non-UTF-8 byte
+and a missing file, so diagnostics and exit code 2 are
 compared too. Last come argv forms, each run once as it
 stands: help, no arguments, an unknown command, a missing and an extra FILE,
 options before the command, `--field=V`, an abbreviated `--fo`, a format
@@ -78,6 +72,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import corpus  # noqa: E402
+from crafted import CRAFTED, SYSTEMS, rows_text  # noqa: E402
 
 # run in a child process: argv 1 is the src directory, argv 2 a JSON file of
 # argvs; prints one JSON list of [exit code or raise, stdout, stderr] per argv
@@ -164,46 +159,51 @@ def _size(src: str) -> tuple[int, int]:
     return lines, code
 
 
-# 16-row inputs, at the size where null, graph, solve and syseq lay the RREF
-# out from the image mod P and take it only through the certificate, each
-# refused by another branch: diag(1, ..., 1, 268435399) loses rank mod P;
-# the system diag(3, 1, ..., 1) x = (2**40, 1, ..., 1) has a solution with
-# no reconstruction mod P; diag(1, ..., 1, 268435367) keeps full rank mod P
-# and loses it mod the certificate's prime. The last three are, at 16 rows,
-# the second systems that the image cannot prove consistent (see
-# column_p.sys below); thirds16 is the fourth. A system's right-hand side
-# is its diagonal unless given; the .mat file holds the same rows, unbarred.
-_DIAGONALS = [
-    ("diag_p16", [1] * 15 + [268435399], None),
-    ("thirds16", [3] + [1] * 15, [2**40] + [1] * 15),
-    ("diag_q16", [1] * 15 + [268435367], None),
-    ("eye16", [1] * 16, None),
-    ("column_p16", [1, 0] + [1] * 14, [0, 268435399] + [0] * 14),
-    ("inverse_p16", [1] * 16, [1] * 15 + ["1/268435399"]),
-    ("thirds43_16", [3] + [1] * 15, [2**43] + [1] * 15),
-]
-
-
-def _diagonal(entries: list[int], rhs: list[int], bar: list[str]) -> bytes:
-    """diag(entries), each row followed by the tokens of bar and its entry of rhs."""
-    rows = [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
-    return "".join(" ".join(map(str, [*row, *bar, b])) + "\n" for row, b in zip(rows, rhs)).encode()
+# the crafted inputs of tests/crafted.py by file name: a .mat file holds
+# the rows as a matrix, a .sys file as a system
+_CRAFTED_FILES = {
+    "ok.sys": SYSTEMS["eye"],
+    "column.sys": SYSTEMS["column"],
+    "minor_p.mat": CRAFTED["minor-P"],
+    "inverse_p.mat": CRAFTED["1/P-rank-1"],
+    "minor_q.mat": CRAFTED["minor-q"],
+    "inverse_q.mat": CRAFTED["1/q-rank-1"],
+    "diag_p.sys": CRAFTED["drop-P"],
+    "diag_p_moved.sys": SYSTEMS["drop-P-moved"],
+    "diag_q.sys": CRAFTED["drop-q"],
+    "column_p.sys": CRAFTED["diag(1,P)"],
+    "inverse_p.sys": CRAFTED["1/P"],
+    "thirds40.sys": CRAFTED["2^40/3"],
+    "thirds43.sys": CRAFTED["2^43/3"],
+    # the 16-row systems, also as unbarred matrices
+    **{
+        f"{name}.{ext}": SYSTEMS[key]
+        for name, key in [
+            ("diag_p16", "diag-P-ones"),
+            ("thirds16", "2^40/3-16rows"),
+            ("diag_q16", "diag-q-ones"),
+            ("eye16", "eye16"),
+            ("column_p16", "zero-mod-P-16rows"),
+            ("inverse_p16", "1/P-16rows"),
+            ("thirds43_16", "2^43/3-16rows"),
+        ]
+        for ext in ("sys", "mat")
+    },
+}
 
 
 def _int64_fractions(rows: int, cols: int) -> bytes:
     """A seeded rows x cols matrix of a/b literals with 64-bit a and b."""
     rng = random.Random(2022)
-    lines = (
-        " ".join(f"{rng.randint(-(2**63), 2**63)}/{rng.randint(1, 2**63)}" for _ in range(cols))
-        for _ in range(rows)
-    )
-    return "".join(line + "\n" for line in lines).encode()
+    return rows_text(
+        [[f"{rng.randint(-(2**63), 2**63)}/{rng.randint(1, 2**63)}" for _ in range(cols)]
+         for _ in range(rows)]
+    ).encode()
 
 
 # inputs no corpus holds, so that diagnostics and exit code 2 are diffed too:
 # file name -> bytes, then the argvs that read them (with --format appended)
 _EDGE_FILES = {
-    "ok.sys": b"1 0 | 1\n0 1 | 1\n",
     "twin.sys": b"1 1 | 0\n0 1 | 1\n",
     "inconsistent.sys": b"1 1 | 0\n1 1 | 1\n",
     "wide.sys": b"1 0 0 | 1\n0 1 0 | 1\n",
@@ -240,30 +240,7 @@ _EDGE_FILES = {
     "bytes.mat": b"1 2\n3 \xff\n",
     # the identity over Q, rank 1 over GF(2)
     "field.mat": b"1 1\n1 3\n",
-    # inputs whose image mod 268435399, the prime of the image sweep, loses
-    # rank or does not exist: a leading 2x2 minor of 268435399, a literal
-    # 1/268435399, and systems whose coefficient part is diag(1, 268435399);
-    # the rank shortcut, mod 268435367, proves the full-rank ones
-    "minor_p.mat": b"268435399 0 1\n0 1 0\n",
-    "inverse_p.mat": b"1/268435399 1\n2/268435399 2\n",
     "wide_full.mat": b"1 2 0 -1 3 0 1\n0 1 1 2 -1 1 0\n2 -3 1 1/2 4 0 5\n",
-    "diag_p.sys": b"1 0 | 1\n0 268435399 | 268435399\n",
-    "diag_p_moved.sys": b"1 0 | 1\n0 268435399 | 1\n",
-    # the same against 268435367, the prime of the rank shortcut and the
-    # certificate, on which that shortcut proves nothing
-    "minor_q.mat": b"268435367 0 1\n0 1 0\n",
-    "inverse_q.mat": b"1/268435367 1\n2/268435367 2\n",
-    "diag_q.sys": b"1 0 | 1\n0 268435367 | 268435367\n",
-    # second systems that the image of their sweep cannot prove consistent:
-    # a right-hand side that is 0 mod P (the image offers x = 0, which
-    # refutes it, and the system is inconsistent), the literal 1/P (no
-    # image), and solutions 2**40/3 (no reconstruction mod P) and 2**43/3
-    # (reconstructed as 1083/8192, which refutes it)
-    "column.sys": b"1 | 1\n0 | 0\n",
-    "column_p.sys": b"1 | 0\n0 | 268435399\n",
-    "inverse_p.sys": b"1 0 | 1\n0 1 | 1/268435399\n",
-    "thirds40.sys": b"3 0 | 1099511627776\n0 1 | 1\n",
-    "thirds43.sys": b"3 0 | 8796093022208\n0 1 | 1\n",
     # a zero first column, then after each of three keeper columns over
     # denominators 3, 5 and 7 a column on all the keepers so far, and e_1
     "subordinates.mat": (
@@ -278,9 +255,8 @@ _EDGE_FILES = {
     "pair_first.mat": b"0 2 0 1\n0 1 1 2\n",
     "pair_last.mat": b"1 2 0 2\n0 1 1 2\n",
     **{
-        f"{name}.{ext}": _diagonal(entries, rhs or entries, bar)
-        for name, entries, rhs in _DIAGONALS
-        for ext, bar in (("sys", ["|"]), ("mat", []))
+        name: rows_text(rows, bar=name.endswith(".sys")).encode()
+        for name, rows in _CRAFTED_FILES.items()
     },
 }
 

@@ -1,11 +1,14 @@
 """The one home of the tests' inputs: the worked-example fixtures, seeded
 random generators for matrices, vectors, row operations and systems, built
-inputs of a known RREF, the crafted inputs on which a modular route fails,
-the writers of the CLI's matrix and system texts, and the CLI runner."""
+inputs of a known RREF, the crafted inputs on which a modular route fails
+(their raw rows are in crafted.py, which imports no echelon, so that
+compare_outputs.py writes the same ones), the writers of the CLI's matrix
+and system texts, the CLI runner, and `spy`, the one call counter."""
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import os
@@ -28,13 +31,13 @@ from echelon import (
     as_scalar,
 )
 from echelon.cli import main
-from echelon.gauche import P, _CHECK
+
+# the crafted table, its primes and its writers, also for the test modules
+from crafted import CRAFTED, FALLBACKS, P, Q, SYSTEMS, diagonal_rows, rows_text
 
 GF7 = GF(7)
 # the field name of the GF(P) image, as the routes fixture names it
 IMAGE = str(GF(P))
-# the prime of the certificate's rank loop, gauche._independent
-Q = _CHECK.modulus
 FIELDS = (QQ, GF7)
 # the properties checked across fields: (field, entry bound), with GF(2),
 # a word-sized prime, and 64-bit entries over Q, where Fractions grow
@@ -103,32 +106,34 @@ def scalar_rows(m: Matrix) -> list[list[Scalar]]:
     return [list(m.row(i).entries) for i in range(1, m.rows + 1)]
 
 
-# the entry kinds of random_matrix and random_low_rank_matrix: integers in
-# -bound..bound, a/b with |a| <= bound and 1 <= b <= bound (a drawn first),
-# and integers in -2**63..2**63
+# the entry kinds of the random builders: integers in -bound..bound, a/b
+# with |a| <= bound and 1 <= b <= bound, b drawn first and drawn again while
+# the field's prime divides it, and integers in -2**63..2**63
 KINDS = ["small", "a/b", "int64"]
 
 
-def _random_rows(rng, rows, cols, bound, kind) -> list[list]:
-    if kind == "a/b":
-        return [
-            [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    if kind == "int64":
-        bound = 2**63
-    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+def _random_rows(rng, rows, cols, field, bound, kind) -> list[list]:
+    p, bound = field.modulus, 2**63 if kind == "int64" else bound
+
+    def entry():
+        while kind == "a/b":
+            b = rng.randint(1, bound)
+            if p is None or b % p:
+                return Fraction(rng.randint(-bound, bound), b)
+        return rng.randint(-bound, bound)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
 def random_matrix(rng, rows, cols, field, bound=5, kind="small") -> Matrix:
-    return mat(_random_rows(rng, rows, cols, bound, kind), field)
+    return mat(_random_rows(rng, rows, cols, field, bound, kind), field)
 
 
 def random_low_rank_matrix(rng, rows, cols, rank, field, bound=5, kind="small") -> Matrix:
     """A product of random rows x rank and rank x cols factors, so of rank
     at most `rank`; rank 0 gives the zero matrix."""
-    left = _random_rows(rng, rows, rank, bound, kind)
-    right = _random_rows(rng, rank, cols, bound, kind)
+    left = _random_rows(rng, rows, rank, field, bound, kind)
+    right = _random_rows(rng, rank, cols, field, bound, kind)
     return mat(
         [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in left],
         field,
@@ -142,58 +147,32 @@ def random_low_rank_shape(rng, max_rows=6, max_cols=14) -> tuple[int, int, int]:
     return rows, cols, rng.randint(0, max(0, min(rows, cols) - 1))
 
 
-def random_matrices(rng, field, bound, count):
-    """`count` random matrices of random_shape, then half as many
-    rank-deficient ones, many of them wide."""
+def random_matrices(rng, field, bound, count, kind="small"):
+    """`count` random matrices of random_shape, of `small` or `a/b`
+    entries, then half as many rank-deficient ones, many of them wide: of
+    `a/b` kind, a low-rank integer matrix with each row scaled by a random
+    a/b, where that is nonzero in the field."""
     for _ in range(count):
         p, q = random_shape(rng)
-        yield random_matrix(rng, p, q, field, bound)
+        yield random_matrix(rng, p, q, field, bound, kind)
     for _ in range(count // 2):
         p, q, rank = random_low_rank_shape(rng)
-        yield random_low_rank_matrix(rng, p, q, rank, field, bound)
-
-
-def random_fraction_matrix(rng, rows, cols, field, bound=5) -> Matrix:
-    """Entries a/b with |a| <= bound and 1 <= b <= bound, b a unit of the
-    field."""
-    p = field.modulus
-
-    def entry() -> Fraction:
-        while True:
-            b = rng.randint(1, bound)
-            if p is None or b % p:
-                return Fraction(rng.randint(-bound, bound), b)
-
-    return mat([[entry() for _ in range(cols)] for _ in range(rows)], field)
-
-
-def random_fraction_matrices(rng, field, bound, count):
-    """`count` random a/b matrices of random_shape, then half as many
-    rank-deficient ones: low-rank integer matrices with each row scaled by a
-    random a/b, where that is nonzero in the field."""
-    for _ in range(count):
-        p, q = random_shape(rng)
-        yield random_fraction_matrix(rng, p, q, field, bound)
-    for _ in range(count // 2):
-        p, q, rank = random_low_rank_shape(rng)
-        low = scalar_rows(random_low_rank_matrix(rng, p, q, rank, field, bound))
-        scales = random_fraction_matrix(rng, p, 1, field, bound).column(1).entries
-        yield Matrix.from_rows(
-            [[c * x for x in row] if c else row for c, row in zip(scales, low)], field
-        )
-
-
-def random_fraction_vector(rng, dim, field, bound=5) -> Vector:
-    """Entries a/b as in random_fraction_matrix."""
-    return random_fraction_matrix(rng, dim, 1, field, bound).column(1)
+        low = random_low_rank_matrix(rng, p, q, rank, field, bound)
+        if kind == "a/b":
+            scales = random_vector(rng, p, field, bound, kind).entries
+            low = Matrix.from_rows(
+                [[c * x for x in row] if c else row for c, row in zip(scales, scalar_rows(low))],
+                field,
+            )
+        yield low
 
 
 def random_shape(rng, max_rows=8, max_cols=10) -> tuple[int, int]:
     return rng.randint(1, max_rows), rng.randint(1, max_cols)
 
 
-def random_vector(rng, dim, field) -> Vector:
-    return vec([rng.randint(-5, 5) for _ in range(dim)], field)
+def random_vector(rng, dim, field, bound=5, kind="small") -> Vector:
+    return random_matrix(rng, dim, 1, field, bound, kind).column(1)
 
 
 def random_ops(rng, rows, field, max_len=20) -> list:
@@ -217,11 +196,11 @@ def random_ops(rng, rows, field, max_len=20) -> list:
     return ops
 
 
-def random_consistent_system(rng, rows, cols, field) -> LinearSystem:
-    """Consistency by construction: the right-hand side is a known image."""
-    m = random_matrix(rng, rows, cols, field)
-    x = random_vector(rng, cols, field)
-    return LinearSystem(m, m @ x)
+def random_consistent_system(rng, rows, cols, field, bound=5, kind="small") -> LinearSystem:
+    """Consistency by construction: the right-hand side is the reference
+    product with a random solution."""
+    m = random_matrix(rng, rows, cols, field, bound, kind)
+    return LinearSystem(m, reference_matvec(m, random_vector(rng, cols, field, bound, kind)))
 
 
 def system_from_augmented(aug: Matrix) -> LinearSystem:
@@ -240,13 +219,6 @@ def exhaustive_solutions(system: LinearSystem, p: int) -> set[tuple[int, ...]]:
         for x in itertools.product(range(p), repeat=q)
         if all(sum(a * xi for a, xi in zip(row, x)) % p == row[q] for row in rows)
     }
-
-
-def random_fraction_system(rng, rows, cols, field, bound=5) -> LinearSystem:
-    """A consistent system with a/b entries: the right-hand side is the
-    reference product with an a/b solution."""
-    m = random_fraction_matrix(rng, rows, cols, field, bound)
-    return LinearSystem(m, reference_matvec(m, random_fraction_vector(rng, cols, field, bound)))
 
 
 def with_free_entry_moved(rng, m: Matrix) -> Matrix | None:
@@ -270,13 +242,6 @@ def with_free_entry_moved(rng, m: Matrix) -> Matrix | None:
 def padded(m: Matrix, rows: int) -> Matrix:
     """m over zero rows, to `rows` rows."""
     return mat([*m.raw_rows(), *[[0] * m.cols] * (rows - m.rows)], m.field)
-
-
-def diagonal(entries, rhs=None):
-    """diag(entries) over Q, or with rhs the system diag(entries) x = rhs."""
-    n = len(entries)
-    m = mat([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
-    return m if rhs is None else LinearSystem(m, vec(rhs))
 
 
 def unimodular(rng, n) -> list[list[int]]:
@@ -303,68 +268,19 @@ def matrix_with_rref(rng, rows, cols, rank) -> Matrix:
     return mat([[x * lcm(*[Fraction(y).denominator for y in row]) for x in row] for row in m])
 
 
-def _crafted(name: str, p: int) -> dict[str, list[list]]:
-    """The inputs on which a sweep mod the prime p, called name, fails."""
-    return {
-        # the leading 2x2 minor is p, zero mod p, while the pivots are 1 and 2
-        f"minor-{name}": [[p, 0, 1], [0, 1, 0]],
-        # p divides a denominator, so there is no image: rank 1 with pivot
-        # 1, and full rank
-        f"1/{name}-rank-1": [[Fraction(1, p), 1], [Fraction(2, p), 2]],
-        f"1/{name}-full-rank": [[Fraction(1, p), 0], [0, 1]],
-        # full rank in the first two columns, rank 1 there mod p
-        f"drop-{name}": [[1, 0, 1], [0, p, p]],
-        f"diag(1,{name})": [[1, 0], [0, p]],
-        # diag(1, ..., 1, p), 16 x 16: from 16 rows the readers try the image
-        f"diag-{name}": diagonal([1] * 15 + [p]).raw_rows(),
-    }
-
-
-# Crafted inputs on which a modular route of gauche fails: the image mod P
-# (the GF(P) sweep, its reconstruction and the certificate's product check),
-# or the rank loop mod Q (gauche._independent, the certificate's last leg)
-# drops rank, does not exist, or offers an answer that does not reconstruct
-# or that the exact check refutes. Each test takes them from here by name,
-# as raw rows over Q, and names its cases after them.
-CRAFTED = {
-    **_crafted("P", P),
-    **_crafted("q", Q),
-    # as [B | d], B x = d has a solution that the image mod P cannot give:
-    # P divides the denominator of 1/P, so there is no image; 2**40/3 has no
-    # reconstruction mod P; 2**43/3 reconstructs as 1083/8192, which B x = d
-    # refutes
-    "1/P": [[1, 0, 1], [0, 1, Fraction(1, P)]],
-    "2^40/3": [[3, 0, 2**40], [0, 1, 1]],
-    "2^43/3": [[3, 0, 2**43], [0, 1, 1]],
-}
-
-# the 2 x 2 identity system, whose solution is (1, 1), and an inconsistent one
-EYE = LinearSystem(mat([[1, 0], [0, 1]]), vec([1, 1]))
+# CRAFTED (from crafted.py): the inputs on which the image mod P or the rank
+# loop mod Q fails, as raw rows over Q, each test naming its cases after them;
+# crafted.SYSTEMS as LinearSystems over Q
+CRAFTED_SYSTEMS = {name: system_from_augmented(mat(rows)) for name, rows in SYSTEMS.items()}
+# the 2 x 2 and 16 x 16 identity systems, whose solutions are all ones, and
+# an inconsistent one
+EYE, EYE16 = CRAFTED_SYSTEMS["eye"], CRAFTED_SYSTEMS["eye16"]
 INCONSISTENT = LinearSystem(mat([[1, 1], [1, 1]]), vec([0, 1]))
-EYE16 = diagonal([1] * 16, [1] * 16)
-# pairs whose [B | d] fails the inclusion, and where the GF(P) image cannot
-# prove [B | d] consistent, with the CLI's exit code: d = (0, P) is 0 mod P,
-# so the image offers x = 0, which B x = d refutes, and [B | d] is
-# inconsistent; and the three solutions of CRAFTED above. Each comes as a
-# 2-row pair, below the image's gate, and as a 16-row one against the
-# identity system.
+# the syseq pairs of crafted.FALLBACKS, whose second system the GF(P) image
+# cannot prove consistent, with the CLI's exit code
 CRAFTED_FALLBACKS = [
-    pytest.param(
-        LinearSystem(mat([[1], [0]]), vec([1, 0])),
-        system_from_augmented(mat(CRAFTED["diag(1,P)"])),
-        2,
-        id="zero-mod-P",
-    ),
-    *(
-        pytest.param(EYE, system_from_augmented(mat(CRAFTED[name])), 1, id=name)
-        for name in ("1/P", "2^40/3", "2^43/3")
-    ),
-    pytest.param(
-        EYE16, diagonal([1, 0] + [1] * 14, [0, P] + [0] * 14), 2, id="zero-mod-P-16rows"
-    ),
-    pytest.param(EYE16, diagonal([1] * 16, [1] * 15 + [Fraction(1, P)]), 1, id="1/P-16rows"),
-    pytest.param(EYE16, diagonal([3] + [1] * 15, [2**40] + [1] * 15), 1, id="2^40/3-16rows"),
-    pytest.param(EYE16, diagonal([3] + [1] * 15, [2**43] + [1] * 15), 1, id="2^43/3-16rows"),
+    pytest.param(system_from_augmented(mat(a)), system_from_augmented(mat(b)), code, id=name)
+    for a, b, code, name in FALLBACKS
 ]
 
 
@@ -378,14 +294,13 @@ def _rows(m) -> list:
 def matrix_text(m, sep=" ") -> str:
     """A Matrix, or rows of values or strings, as the CLI reads and prints a
     matrix: one line per row, its literals joined by sep."""
-    return "".join(sep.join(map(str, row)) + "\n" for row in _rows(m))
+    return rows_text(_rows(m), sep)
 
 
 def system_text(s, sep=" ") -> str:
     """A LinearSystem, or an augmented Matrix or its rows, as the CLI reads a
     system: as matrix_text, with a `|` before each row's last entry."""
-    aug = s.augmented() if isinstance(s, LinearSystem) else s
-    return matrix_text([[*row[:-1], "|", row[-1]] for row in _rows(aug)], sep)
+    return rows_text(_rows(s.augmented() if isinstance(s, LinearSystem) else s), sep, bar=True)
 
 
 def run_cli(argv, *texts) -> tuple[int, str, str]:
@@ -401,6 +316,29 @@ def run_cli(argv, *texts) -> tuple[int, str, str]:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv[:1], *paths, *argv[1:]])
     return code, out.getvalue(), err.getvalue()
+
+
+def spy(monkeypatch, name, *owners, log=None) -> list[tuple]:
+    """Patch `name` on each owner (a module or a class) to log each call, as
+    (name, *positional arguments), self or cls first where the original
+    takes one, and then call the original; a classmethod or staticmethod
+    stays one. Returns the log: `log` when given, so that several names
+    share one ordered log."""
+    log = [] if log is None else log
+    for owner in owners:
+        original = inspect.getattr_static(owner, name)
+        kind = type(original) if isinstance(original, (classmethod, staticmethod)) else None
+        called = _calling(log, name, original.__func__ if kind else original)
+        monkeypatch.setattr(owner, name, kind(called) if kind else called)
+    return log
+
+
+def _calling(log, name, fn):
+    def called(*args, **kwargs):
+        log.append((name, *args))
+        return fn(*args, **kwargs)
+
+    return called
 
 
 # Reference kernels: the matrix-vector product and linear combinations of

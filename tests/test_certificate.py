@@ -31,10 +31,10 @@ from echelon.rowops import rref_violation
 
 from helpers import (
     CRAFTED,
+    CRAFTED_SYSTEMS,
     EYE16,
     IMAGE,
     Sweep,
-    diagonal,
     mat,
     matrix_with_rref,
     random_matrix,
@@ -103,7 +103,7 @@ def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, routes):
 def test_unreconstructible_solution_falls_back(routes):
     """A 16 x 17 system whose solution holds 2**40/3: no reconstruction mod
     P, so no certificate is asked, and the exact sweep answers."""
-    system = diagonal([3] + [1] * 15, [2**40] + [1] * 15)
+    system = CRAFTED_SYSTEMS["2^40/3-16rows"]
     sol = solve(system)
     aug = system.augmented()
     assert routes == [Sweep(aug, IMAGE, 17), Sweep(aug, "Q", 17)]

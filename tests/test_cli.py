@@ -43,12 +43,12 @@ from helpers import (
     mat,
     matrix_t,
     matrix_text,
-    random_fraction_matrix,
-    random_fraction_vector,
     random_low_rank_matrix,
     random_matrix,
+    random_vector,
     run_cli,
     sc,
+    spy,
     scalar_rows,
     system_text,
     vec,
@@ -361,14 +361,7 @@ class TestScript:
         text = matrix_text(m)
         pivots = len(gauss_jordan(m).pivot_set)
         names = ("quotient", "quotients") if field.modulus is None else ("unpack",)
-        calls = {name: [] for name in names}
-
-        def counting(name):
-            kernel = getattr(FieldSpec, name)
-            return lambda self, *args: calls[name].append(1) or kernel(self, *args)
-
-        for name in names:
-            monkeypatch.setattr(FieldSpec, name, counting(name))
+        calls = {name: spy(monkeypatch, name, FieldSpec) for name in names}
         flag = "q" if field.modulus is None else f"gf:{field.modulus}"
         code, out, _ = run_cli(["script", "--field", flag], text)
         assert code == 0
@@ -516,7 +509,7 @@ class TestLongAnswers:
     @needs_digit_limit
     def test_answers_over_the_digit_limit_print_in_full(self):
         # 64-bit a/b entries: the reduced form has entries of 4,792 digits
-        m = random_fraction_matrix(random.Random(2022), 16, 17, QQ, bound=2**63)
+        m = random_matrix(random.Random(2022), 16, 17, QQ, bound=2**63, kind="a/b")
         code, out, _ = run_cli(["rref"], matrix_text(m))
         assert code == 0
         assert sys.get_int_max_str_digits() == DIGIT_LIMIT
@@ -536,14 +529,8 @@ def test_cli_path_makes_no_scalar(field, monkeypatch):
     is made on the way."""
     m = random_low_rank_matrix(random.Random(5), 8, 60, 3, field)
     mat_text, sys_text = matrix_text(m), system_text(m)
-    calls = []
-    init, raw = Scalar.__init__, Scalar._raw
-    monkeypatch.setattr(
-        Scalar, "__init__", lambda s, spec, v: calls.append("__init__") or init(s, spec, v)
-    )
-    monkeypatch.setattr(
-        Scalar, "_raw", classmethod(lambda cls, spec, v: calls.append("_raw") or raw(spec, v))
-    )
+    calls = spy(monkeypatch, "__init__", Scalar)
+    spy(monkeypatch, "_raw", Scalar, log=calls)
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
     for cmd, texts, code in [
         ("rref", [mat_text], 0), ("pivots", [mat_text], 0), ("basis", [mat_text], 0),
@@ -559,7 +546,7 @@ def test_cli_path_makes_no_scalar(field, monkeypatch):
     # the counters do count
     Scalar(field, 2)
     Scalar._raw(field, 2)
-    assert calls == ["__init__", "_raw"]
+    assert [name for name, *_ in calls] == ["__init__", "_raw"]
 
 
 def _script_shapes(field, bound):
@@ -602,17 +589,9 @@ def test_script_text_is_format_op_and_replays(field, bound):
 def test_graph_formats_each_coefficient_once(fmt, monkeypatch):
     """Both renderings of `graph` come from one list of literals: on T (3
     pivot expressions over 2 free variables) 6 values are formatted."""
-    formatted = []
-    fmt_values = echelon.cli.format_values
-
-    def counted(values):
-        formatted.extend(values)
-        return fmt_values(values)
-
-    monkeypatch.setattr(echelon.cli, "format_values", counted)
-    monkeypatch.setattr(echelon.nullspace, "format_values", counted)
+    formatted = spy(monkeypatch, "format_values", echelon.cli, echelon.nullspace)
     assert run_cli(["graph", "--format", fmt], T_TEXT)[0] == 0
-    assert len(formatted) == 6
+    assert sum(len(values) for _, values in formatted) == 6
 
 
 WIDE_TEXT = "1 2 3 4 5 6 7 8\n2 4 6 8 10 12 14 16\n"
@@ -640,18 +619,10 @@ def test_null_and_solve_format_each_coefficient_once(
     inputs (1 pivot over 7 free variables) format 7 and 8 + 7. Either way
     `solve` makes two Vectors, the parsed right-hand side and the particular
     solution, and none per free variable."""
-    formatted, vectors = [], []
-    fmt_values, raw = echelon.cli.format_values, Vector._raw
-
-    def counted(values):
-        formatted.extend(values)
-        return fmt_values(values)
-
-    monkeypatch.setattr(echelon.cli, "format_values", counted)
-    monkeypatch.setattr(echelon.nullspace, "format_values", counted)
-    monkeypatch.setattr(Vector, "_raw", staticmethod(lambda v, f: vectors.append(v) or raw(v, f)))
+    formatted = spy(monkeypatch, "format_values", echelon.cli, echelon.nullspace)
+    vectors = spy(monkeypatch, "_raw", Vector)
     assert run_cli([cmd, "--format", fmt], text)[0] == 0
-    assert len(formatted) == count
+    assert sum(len(values) for _, values in formatted) == count
     assert len(vectors) == made
 
 
@@ -686,14 +657,14 @@ def _null_space_case(rng, field, bound, kind) -> Matrix:
         # unit upper triangular over the first cols rows, a/b entries
         # everywhere else, then the rows shuffled
         cols = rng.randint(1, rows)
-        noise = [list(r) for r in random_fraction_matrix(rng, rows, cols, field, bound).raw_rows()]
+        noise = random_matrix(rng, rows, cols, field, bound, kind="a/b").raw_rows()
         for i in range(cols):
             noise[i][: i + 1] = [0] * i + [1]
         rng.shuffle(noise)
         return Matrix.from_rows(noise, field)
     cols = rng.randint(rows, 4 * rows + 4)
     low = random_low_rank_matrix(rng, rows, cols, rng.randint(0, rows - 1), field, bound)
-    scales = random_fraction_matrix(rng, 1, cols, field, bound).row(1).entries
+    scales = random_matrix(rng, 1, cols, field, bound, kind="a/b").row(1).entries
     units = [c if c else field.one() for c in scales]
     return Matrix.from_rows([[c * x for c, x in zip(units, r)] for r in scalar_rows(low)], field)
 
@@ -706,9 +677,9 @@ def test_null_and_solve_print_what_their_vectors_hold(field, bound, kind, rng):
     null_basis(m) and solve(system) on its own prints."""
     m = _null_space_case(rng, field, bound, kind)
     if rng.random() < 0.7:
-        rhs = m @ random_fraction_vector(rng, m.cols, field, bound)
+        rhs = m @ random_vector(rng, m.cols, field, bound, kind="a/b")
     else:
-        rhs = random_fraction_vector(rng, m.rows, field, bound)
+        rhs = random_vector(rng, m.rows, field, bound, kind="a/b")
     flag = "q" if field.modulus is None else f"gf:{field.modulus}"
     system = LinearSystem(m, rhs)
     for cmd, input_text, (code, text, payload) in [
@@ -853,13 +824,7 @@ def test_one_parser_per_call(t_path, monkeypatch):
     process's one parser on first use (no subparser, no parent parser), and
     later calls reuse it, with the same exit code, stdout and stderr as the
     call that built it."""
-    made = []
-    init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(
-        argparse.ArgumentParser,
-        "__init__",
-        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs),
-    )
+    made = spy(monkeypatch, "__init__", argparse.ArgumentParser)
     plain = [
         ["rref", t_path],
         ["equiv", t_path, "--field=gf:7", t_path],
@@ -873,14 +838,14 @@ def test_one_parser_per_call(t_path, monkeypatch):
         echelon.cli.build_parser.cache_clear()
         made.clear()
         built = run_cli(first)
-        assert made == [1] and built[0] == code, first
+        assert len(made) == 1 and built[0] == code, first
         assert [run_cli(argv)[0] for argv in plain + others] == [0, 0, 0] + codes
         assert run_cli(first) == built, first
-        assert made == [1], first
+        assert len(made) == 1, first
     # the counter does count
     made.clear()
     argparse.ArgumentParser()
-    assert made == [1]
+    assert len(made) == 1
 
 
 # every command name, two file names, both options in each spelling, their
@@ -929,13 +894,7 @@ def test_usage_rendered_once(t_path, monkeypatch):
     """Valid calls after the first main call do not render the usage text:
     the parser keeps it from when it was built."""
     assert run_cli(["rref", t_path])[0] == 0
-    rendered = []
-    format_usage = argparse.ArgumentParser.format_usage
-    monkeypatch.setattr(
-        argparse.ArgumentParser,
-        "format_usage",
-        lambda self: rendered.append(1) or format_usage(self),
-    )
+    rendered = spy(monkeypatch, "format_usage", argparse.ArgumentParser)
     for argv in (["rref", t_path], ["equiv", t_path, "--field", "gf:7", t_path], ["null", t_path]):
         assert run_cli(argv)[0] == 0
     assert rendered == []

@@ -36,13 +36,14 @@ from echelon.scalars import format_values
 
 from helpers import (
     CRAFTED,
+    CRAFTED_SYSTEMS,
     EYE,
     FIELD_CASES,
     INCONSISTENT,
     KINDS,
     Q,
     Sweep,
-    diagonal,
+    diagonal_rows,
     mat,
     matrix_text,
     padded,
@@ -135,7 +136,7 @@ def test_image_rank_drop_takes_the_exact_route(routes):
     so its exact sweep is skipped."""
     eye = mat([[1, 0], [0, 1]])
     for prime, full in ((Q, False), (P, True)):
-        diag = diagonal([1, prime])
+        diag = mat(diagonal_rows([1, prime]))
         a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, prime]))
         aug_a, aug_b = a.augmented(), b.augmented()
 
@@ -162,7 +163,7 @@ def test_inconsistent_or_excluded_b_answers_as_before():
     for a, b in ((EYE, INCONSISTENT), (INCONSISTENT, EYE)):
         with pytest.raises(InconsistentSystemError):
             solution_equivalent(a, b)
-    assert not solution_equivalent(EYE, diagonal([1, P], [1, 1]))
+    assert not solution_equivalent(EYE, CRAFTED_SYSTEMS["drop-P-moved"])
 
 
 def test_unknown_image_is_never_independent(routes):

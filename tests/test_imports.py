@@ -3,7 +3,9 @@ only the standard library, only gauche.py knows the GF(P) image of the
 sweep, and only its _reader_rref and _consistent sweep that image, only
 scalars.py reads a value class's __slots__, only FieldSpec.quotient takes
 a modular inverse, and the bench's verifier does not import the toolkit
-it checks; at run time, importing the CLI leaves `typing`, `dataclasses`,
+it checks; the crafted-input table's primes are gauche's, and
+compare_outputs.py writes its edge-case files without loading echelon; at
+run time, importing the CLI leaves `typing`, `dataclasses`,
 `inspect`, `ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and
 `re` unloaded, a plain-argv job loads neither argparse nor, unless a value
 it reads or prints is not whole, `fractions`; the package's `__all__`
@@ -22,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+import crafted
 import echelon
+from echelon import gauche
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,6 +189,30 @@ def test_the_field_divides_in_one_place():
 def test_bench_verifier_does_not_import_the_toolkit():
     """The verifier checks the toolkit's answers, so it must not share its code."""
     assert "echelon" not in absolute_imports(ROOT / "perfbench" / "verify.py")
+
+
+def test_crafted_primes_are_gauches():
+    """crafted.py holds the primes as literals, as it imports no echelon."""
+    assert (crafted.P, crafted.Q) == (gauche.P, gauche._CHECK.modulus)
+
+
+def test_compare_outputs_writes_its_edge_files_without_echelon(tmp_path):
+    """Neither compared tree is on the path of compare_outputs.py's parent
+    process: writing its edge-case files, the crafted ones among them,
+    loads no echelon module."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import compare_outputs; "
+        "compare_outputs._edge_cases(sys.argv[2]); "
+        "print([name for name in sys.modules if name.split('.')[0] == 'echelon'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "tests"), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[]\n"
+    assert (tmp_path / "diag_p16.sys").read_text() == crafted.rows_text(
+        crafted.SYSTEMS["diag-P-ones"], bar=True
+    )
 
 
 UNNEEDED_AT_IMPORT = (

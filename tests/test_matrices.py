@@ -32,9 +32,6 @@ from helpers import (
     mat,
     matrix_j,
     matrix_t,
-    random_fraction_matrices,
-    random_fraction_matrix,
-    random_fraction_vector,
     random_matrices,
     random_matrix,
     random_shape,
@@ -212,7 +209,7 @@ class TestTakeColumns:
         rng = random.Random(5353)
         for _ in range(40):
             p, q = random_shape(rng)
-            m = random_fraction_matrix(rng, p, q, field)
+            m = random_matrix(rng, p, q, field, kind="a/b")
             js = [rng.randint(1, q) for _ in range(rng.randint(1, 2 * q))]
             picked = Matrix.from_rows([[row[j - 1] for j in js] for row in m.raw_rows()], field)
             assert m.take_columns(js) == picked
@@ -264,7 +261,7 @@ def test_parsed_entries_are_canonical_scalars(field, bound):
     rng = random.Random(6060)
     for m in [
         *random_matrices(rng, field, bound, 12),
-        *random_fraction_matrices(rng, field, bound, 12),
+        *random_matrices(rng, field, bound, 12, kind="a/b"),
     ]:
         text = str(m)
         expected = [[as_scalar(tok, field) for tok in line.split()] for line in text.splitlines()]
@@ -323,13 +320,13 @@ def test_product_matches_reference(field, bound):
     rng = random.Random(909)
     for m in [
         *random_matrices(rng, field, bound, 12),
-        *random_fraction_matrices(rng, field, bound, 24),
+        *random_matrices(rng, field, bound, 24, kind="a/b"),
     ]:
         q = m.cols
         # numerators and denominators odd and nonzero in every field used
         c = Fraction(rng.choice([-1, 3, -5, 2**61 + 1]), rng.choice([1, 3, 5, 2**31 - 1]))
         vectors = [
-            random_fraction_vector(rng, q, field, bound),
+            random_vector(rng, q, field, bound, kind="a/b"),
             random_vector(rng, q, field),
             Vector.zero(q, field),
             reference_combination(

@@ -31,7 +31,6 @@ from helpers import (
     exhaustive_solutions,
     mat,
     matrix_t,
-    random_fraction_matrix,
     random_low_rank_matrix,
     random_low_rank_shape,
     random_matrix,
@@ -159,7 +158,7 @@ class TestNullEqual:
         rng = random.Random(1618)
         for k in range(30):
             p, q = random_shape(rng, 5, 6)
-            a = (random_fraction_matrix if k % 2 else random_matrix)(rng, p, q, field, bound)
+            a = random_matrix(rng, p, q, field, bound, "a/b" if k % 2 else "small")
             rows = scalar_rows(a)
             assert null_equal(a, mat(rows + [[0] * q], field))
             assert null_equal(mat(rows + [rng.choice(rows)], field), a)
@@ -181,7 +180,7 @@ class TestNullEqual:
         moved_pairs = 0
         for k in range(60):
             p, q = random_shape(rng, 5, 6)
-            a = (random_fraction_matrix if k % 2 else random_matrix)(rng, p, q, field, bound)
+            a = random_matrix(rng, p, q, field, bound, "a/b" if k % 2 else "small")
             pick = rng.random()
             moved = with_free_entry_moved(rng, a) if pick < 0.4 else None
             if moved is not None:
@@ -191,7 +190,7 @@ class TestNullEqual:
             elif pick < 0.7:
                 b = apply_ops(a, random_ops(rng, p, field))
             else:
-                b = random_fraction_matrix(rng, p, q, field, bound)
+                b = random_matrix(rng, p, q, field, bound, kind="a/b")
             same_null = null_equal(a, b)
             same_rref = gauche_rref(a).rref == gauche_rref(b).rref
             assert same_null == same_rref

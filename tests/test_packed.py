@@ -25,6 +25,7 @@ from helpers import (
     random_low_rank_matrix,
     reference_gauss_jordan,
     reference_sweep,
+    spy,
 )
 
 # a prime just below the bound where primality is decided: its slots need
@@ -128,22 +129,17 @@ def test_packed_kernels_unpack_once_per_column_or_pivot(monkeypatch):
     more, or never."""
     field = GF(32003)
     m = uniform(random.Random(8081), 80, 81, field)
-    calls = []
-
-    def counted(name, fn):
-        return lambda self, *args: calls.append(name) or fn(self, *args)
-
-    for name in ("pack", "unpack"):
-        monkeypatch.setattr(FieldSpec, name, counted(name, getattr(FieldSpec, name)))
+    calls = {name: spy(monkeypatch, name, FieldSpec) for name in ("pack", "unpack")}
     res = gauche_rref(m)
     assert len(res.pivot_set) == 80
-    assert calls.count("unpack") == m.cols
-    assert calls.count("pack") == m.cols + len(res.pivot_set)
-    calls.clear()
+    assert len(calls["unpack"]) == m.cols
+    assert len(calls["pack"]) == m.cols + len(res.pivot_set)
+    for log in calls.values():
+        log.clear()
     oracle = gauss_jordan(m)
     assert oracle.rref == res.rref
-    assert calls.count("unpack") == len(oracle.pivot_set) + m.rows
-    assert calls.count("pack") == m.rows + len(oracle.pivot_set)
+    assert len(calls["unpack"]) == len(oracle.pivot_set) + m.rows
+    assert len(calls["pack"]) == m.rows + len(oracle.pivot_set)
     scales = sum(isinstance(op, Scale) for op in oracle.ops)
     assert scales > 0
     assert apply_ops(m, oracle.ops) == oracle.rref

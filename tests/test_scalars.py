@@ -33,9 +33,8 @@ from helpers import (
     GF7,
     is_canonical,
     matrix_t,
-    random_fraction_matrices,
-    random_fraction_vector,
     random_matrices,
+    random_vector,
     sc,
     system_from_augmented,
 )
@@ -313,7 +312,7 @@ class TestCanonicalForm:
         ]
         for x in built:
             values.extend(x.values)
-        for r in random_fraction_matrices(rng, field, bound, 12):
+        for r in random_matrices(rng, field, bound, 12, kind="a/b"):
             ops = gauss_jordan(r).ops
             for op in ops:
                 if isinstance(op, (Scale, Axpy)):
@@ -334,14 +333,14 @@ class TestCanonicalForm:
         rng = random.Random(5150)
         for m in [
             *random_matrices(rng, field, bound, 12),
-            *random_fraction_matrices(rng, field, bound, 12),
+            *random_matrices(rng, field, bound, 12, kind="a/b"),
         ]:
             res = gauche_rref(m)
             assert canonical(res.rref.values)
             assert all(canonical(j.values) for j in res.journals)
             assert canonical(gauss_jordan(m).rref.values)
             assert all(canonical(v.values) for v in null_basis(m).basis)
-            assert canonical((m @ random_fraction_vector(rng, m.cols, field, bound)).values)
+            assert canonical((m @ random_vector(rng, m.cols, field, bound, kind="a/b")).values)
             if m.cols > 1:
                 sol = solve(system_from_augmented(m))
                 if isinstance(sol, Affine):

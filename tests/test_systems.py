@@ -54,7 +54,6 @@ from helpers import (
     matrix_text,
     padded,
     random_consistent_system,
-    random_fraction_system,
     random_low_rank_matrix,
     random_low_rank_shape,
     random_matrix,
@@ -63,6 +62,7 @@ from helpers import (
     random_vector,
     run_cli,
     sc,
+    spy,
     system_from_augmented,
     system_text,
     vec,
@@ -172,7 +172,7 @@ class TestSolutionEquivalent:
         for k in range(60):
             p, q = rng.randint(1, 5), rng.randint(1, 5)
             if k % 2:
-                a = random_fraction_system(rng, p, q, field, bound)
+                a = random_consistent_system(rng, p, q, field, bound, kind="a/b")
             else:
                 a = random_consistent_system(rng, p, q, field)
             pick = rng.random()
@@ -186,7 +186,7 @@ class TestSolutionEquivalent:
                     apply_ops(a.augmented(), random_ops(rng, p, field, max_len=10))
                 )
             else:
-                b = random_fraction_system(rng, p, q, field, bound)
+                b = random_consistent_system(rng, p, q, field, bound, kind="a/b")
             same_solutions = solution_equivalent(a, b)
             same_reduced = gauche_rref(a.augmented()).rref == gauche_rref(b.augmented()).rref
             assert same_solutions == same_reduced
@@ -394,11 +394,7 @@ class TestOneSweepPerQuestion:
         loop on its first min(rows, cols) columns, mod q; a rank-deficient
         one takes one exact sweep, after a loop that stops at its first
         dependent column. No GF(P) image is taken."""
-        read = []
-        residues = gauche._residues
-        monkeypatch.setattr(
-            gauche, "_residues", lambda values, field: read.append(field) or residues(values, field)
-        )
+        read = spy(monkeypatch, "_residues", gauche)
         cases = (
             ([[2, 1]], False, 1),
             ([[1, 2], [2, 4]], True, 2),
@@ -411,7 +407,7 @@ class TestOneSweepPerQuestion:
                 read.clear()
                 assert run_cli([command], matrix_text(rows))[0] == 0
                 assert routes == ([False, Sweep(m, "Q", m.cols)] if exact else [True])
-                assert read == [_CHECK] * columns
+                assert [field for *_, field in read] == [_CHECK] * columns
 
     def test_null_space_views_sweep_once(self, routes):
         null_basis(matrix_t())
@@ -421,17 +417,12 @@ class TestOneSweepPerQuestion:
         assert routes == [Sweep(matrix_t(), "Q", 5)]
 
     def test_llq_eliminates_through_the_raw_entry(self, monkeypatch):
-        eliminated = []
-        eliminate = KeeperState.eliminate
-        monkeypatch.setattr(
-            KeeperState,
-            "eliminate",
-            lambda state, values: eliminated.append(values) or eliminate(state, values),
-        )
+        eliminated = spy(monkeypatch, "eliminate", KeeperState)
         state = KeeperState(QQ, 3)
         for j in (1, 2, 3):
             state.llq(matrix_t().column(j))
-        assert eliminated == [matrix_t().column(j).values for j in (1, 2, 3)]
+        columns = [matrix_t().column(j).values for j in (1, 2, 3)]
+        assert [values for *_, values in eliminated] == columns
 
     def test_independence_stops_at_the_first_dependent_column(self, routes):
         # column 3 = 3*column 1 + column 2, so columns 4 and 5 are never read
