@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import cache, partial
 from itertools import chain
 
 from .errors import EchelonError, ParseError
@@ -18,7 +17,7 @@ from .gauche import _keepers, gauche_rref
 from .matrices import Matrix
 from .nullspace import basis_rows, graph_relations, relation_lines
 from .rowops import rref_violation, script_lines
-from .scalars import GF, QQ, FieldSpec, data_lines, format_values, parse_value, text_lines
+from .scalars import GF, QQ, FieldSpec, _Memo, data_lines, format_values, parse_value, text_lines
 from .systems import Inconsistent, LinearSystem, row_equivalent, solve, solution_equivalent
 
 
@@ -33,9 +32,9 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
     through parse_value, so every diagnostic is the same on either path."""
     rows: list[list] = []
     width = None
-    # each distinct literal of the file is parsed once: parse_value depends
-    # on nothing but the token and the field
-    p, literal = field.modulus, cache(partial(parse_value, field=field))
+    # each distinct literal of the file is parsed once, when first read:
+    # parse_value depends on nothing but the token and the field
+    p, literals = field.modulus, _Memo(lambda token: parse_value(token, field))
     for lineno, line in data_lines(text):
         try:
             tokens = _augmented_tokens(line.split()) if augmented else line.split()
@@ -47,7 +46,7 @@ def _scalar_rows(text: str, field: FieldSpec, augmented: bool) -> Matrix:
                 except ValueError:
                     pass
             if row is None:
-                row = list(map(literal, tokens))
+                row = list(map(literals.__getitem__, tokens))
         except (ParseError, ZeroDivisionError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         entries = len(row) - augmented
@@ -234,10 +233,15 @@ def _plain_args(argv: list[str]) -> tuple[str, list[str], str, str] | None:
     return argv[0], files, field, fmt
 
 
-@cache
+_parser = None  # build_parser's memo
+
+
 def build_parser():
     """The one argparse.ArgumentParser of the process, built on first use;
     only an argv that is not in the plain form loads argparse."""
+    global _parser
+    if _parser is not None:
+        return _parser
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -267,6 +271,7 @@ def build_parser():
     )
     # preset, or parse_intermixed_args renders the usage text on every call
     parser.usage = parser.format_usage()[7:]
+    _parser = parser
     return parser
 
 

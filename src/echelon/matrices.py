@@ -15,8 +15,6 @@ from __future__ import annotations
 
 __all__ = ["Matrix", "Vector", "std_basis"]
 
-from collections.abc import Sequence
-
 from .errors import FieldMismatchError, ShapeError
 from .scalars import FieldSpec, Frozen, Scalar, as_raw, format_values
 
@@ -24,7 +22,7 @@ from .scalars import FieldSpec, Frozen, Scalar, as_raw, format_values
 class Vector(Frozen):
     __slots__ = ("values", "field")
 
-    def __init__(self, entries: Sequence, field: FieldSpec):
+    def __init__(self, entries: list | tuple, field: FieldSpec):
         values = tuple(as_raw(e, field) for e in entries)
         if not values:
             raise ShapeError("a vector needs at least one entry")
@@ -66,7 +64,7 @@ def std_basis(dim: int, i: int, field: FieldSpec) -> Vector:
 class Matrix(Frozen):
     __slots__ = ("rows", "cols", "values", "field")  # values row-major
 
-    def __init__(self, rows: int, cols: int, entries: Sequence, field: FieldSpec):
+    def __init__(self, rows: int, cols: int, entries: list | tuple, field: FieldSpec):
         if rows < 1 or cols < 1:
             raise ShapeError("matrices must have at least one row and one column")
         if len(entries) != rows * cols:
@@ -76,7 +74,7 @@ class Matrix(Frozen):
         self._freeze(rows, cols, tuple(as_raw(e, field) for e in entries), field)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], field: FieldSpec) -> Matrix:
+    def from_rows(cls, rows: list[list] | tuple[tuple, ...], field: FieldSpec) -> Matrix:
         if not rows:
             raise ShapeError("no rows given")
         width = len(rows[0])
@@ -140,7 +138,7 @@ class Matrix(Frozen):
         values = self.values[:k] + (as_raw(value, self.field),) + self.values[k + 1 :]
         return Matrix._raw(self.rows, self.cols, values, self.field)
 
-    def take_columns(self, js: Sequence[int]) -> Matrix:
+    def take_columns(self, js: list[int] | tuple[int, ...] | range) -> Matrix:
         """Submatrix of the given columns, in the given order (1-based)."""
         if not js:
             raise ShapeError("no columns given")

@@ -20,8 +20,6 @@ __all__ = [
     "null_contains", "null_equal"
 ]
 
-from collections.abc import Sequence
-
 from .gauche import GaucheResult, _answers, _factors_through, _keepers, _reader_rref
 from .matrices import Matrix, Vector, index_offset
 from .scalars import FieldSpec, Frozen, Scalar, format_values
@@ -142,7 +140,7 @@ def null_equal(a: Matrix, b: Matrix) -> bool:
     return _factors_through(res, b) and _keepers(b, res.pivot_set) == res.pivot_set
 
 
-def _check_selection(m: Matrix, js: Sequence[int]) -> None:
+def _check_selection(m: Matrix, js: list[int] | tuple[int, ...]) -> None:
     """Columns js must be indices of m and pairwise distinct."""
     for j in js:
         index_offset("column", j, m.cols)
@@ -150,7 +148,7 @@ def _check_selection(m: Matrix, js: Sequence[int]) -> None:
         raise ValueError("selected column indices must be pairwise distinct")
 
 
-def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] | None:
+def column_in_span(m: Matrix, k: int, js: list[int] | tuple[int, ...]) -> tuple[Scalar, ...] | None:
     """Coefficients writing column k over columns js, or None if impossible.
 
     Found by a restricted column sweep over the selected columns; selected
@@ -168,7 +166,7 @@ def column_in_span(m: Matrix, k: int, js: Sequence[int]) -> tuple[Scalar, ...] |
     return tuple(Scalar._raw(m.field, next(coefficients) if c is None else 0) for c in selected)
 
 
-def columns_independent(m: Matrix, js: Sequence[int]) -> bool:
+def columns_independent(m: Matrix, js: list[int] | tuple[int, ...]) -> bool:
     """Do the selected columns form a linearly independent set?
 
     Decided by a restricted column sweep that stops at the first selected

@@ -21,17 +21,42 @@ from __future__ import annotations
 __all__ = ["GF", "QQ", "FieldSpec", "Scalar", "as_scalar"]
 
 import sys
-from functools import cache
 from math import lcm
 from operator import add, mul, sub
 
 from .errors import FieldMismatchError, ParseError
 
-# typecodes by item size: packed slots of 1, 2, 4 or 8 bytes convert in
-# one call; on a big-endian machine every width takes the byte path
-_SLOT_CODES = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QIHB"}
-if sys.byteorder != "little":
-    _SLOT_CODES = {}
+
+class _Memo(dict):
+    """fn's value at each key, computed when the key is first missed: a hit
+    is a dict lookup, at C speed through `memo.__getitem__`, and fn is called
+    once per distinct key. A failing call stores nothing."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# struct codes by slot size: packed slots of 1, 2, 4 or 8 bytes convert in
+# one call, on a machine of either byte order
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _struct(key: tuple[int, int]):
+    """The struct.Struct of n little-endian unsigned slots of size bytes,
+    for key (n, size); only packed rows import `struct`."""
+    import struct
+
+    n, size = key
+    return struct.Struct(f"<{n}{_SLOT_CODES[size]}")
+
+
+# one Struct per row length and slot size: rows of different lengths
+# never share one
+_STRUCTS = _Memo(_struct)
 
 
 def Fraction(numerator, denominator=None):
@@ -50,11 +75,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
-@cache
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, memoized per modulus; raises ValueError
-    for n at or above _MR_BOUND, where these bases no longer decide
-    primality. FieldSpec rejects a non-int before asking, so the memo,
+    """Deterministic Miller-Rabin; raises ValueError for n at or above
+    _MR_BOUND, where these bases no longer decide primality. FieldSpec asks
+    through _PRIMES, its memo, and rejects a non-int first, so the memo,
     which keys 7.0 like 7, never answers for a float."""
     if n >= _MR_BOUND:
         raise ValueError(f"modulus {n} is too large: primality is only decided below {_MR_BOUND}")
@@ -75,6 +99,8 @@ def _is_prime(n: int) -> bool:
             return False
     return True
 
+
+_PRIMES = _Memo(_is_prime)  # modulus -> primality, decided once per modulus
 
 _set = object.__setattr__  # writes a field past Frozen.__setattr__
 _new = object.__new__
@@ -139,7 +165,7 @@ class FieldSpec(Frozen):
     def __init__(self, modulus: int | None = None):
         if modulus is not None and not isinstance(modulus, int):
             raise TypeError(f"modulus must be an int or None, got {type(modulus).__name__}")
-        if modulus is not None and not _is_prime(modulus):
+        if modulus is not None and not _PRIMES[modulus]:
             raise ValueError(f"modulus must be a prime, got {modulus!r}")
         self._freeze(modulus)
 
@@ -194,24 +220,21 @@ class FieldSpec(Frozen):
 
     def pack(self, xs, w: int) -> int:
         """The row of least residues xs packed into w-bit slots."""
-        # imported on first use, so that starting the CLI does not load it
-        import array
-
+        # slots of up to 8 bytes go through one cached Struct per row length
+        # and width; wider ones are joined byte by byte
         size = w // 8
-        code = _SLOT_CODES.get(size)
-        if code is None:
+        if size not in _SLOT_CODES:
             return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]), "little")
-        return int.from_bytes(array.array(code, xs), "little")
+        return int.from_bytes(_STRUCTS[len(xs), size].pack(*xs), "little")
 
     def unpack(self, packed: int, n: int, w: int) -> list[int]:
         """The least residues of the first n slots of a packed row."""
         p, size = self.modulus, w // 8
         data = packed.to_bytes(n * size, "little")
-        code = _SLOT_CODES.get(size)
-        if code is None:
+        if size not in _SLOT_CODES:
             slots = [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
         else:
-            slots = memoryview(data).cast(code)
+            slots = _STRUCTS[n, size].unpack(data)
         return [x % p for x in slots]
 
     def quotient(self, x, d):

@@ -51,7 +51,11 @@ tree does not import). Last it prints the size of `src/echelon` in both
 trees, as `src/echelon: A -> B lines, C -> D code lines`: code lines are the
 lines that hold a token other than a comment, a newline or indentation (per
 `tokenize`), less the lines of module, class and function docstrings (per
-`ast`).
+`ast`). Then it reports how many modules outside echelon a fresh
+`python -I -S` loads under each tree to import `echelon.cli` and run one
+plain GF(7) `rref`, as `start-up modules: A -> B (added: ...; removed:
+...)`, naming each module only one tree loads; this line only reports, and
+leaves the exit code alone.
 """
 from __future__ import annotations
 
@@ -94,14 +98,43 @@ json.dump(results, sys.stdout)
 """
 
 
-def _outputs(src: str, argvs_path: str) -> list:
-    child = subprocess.run(
-        [sys.executable, "-c", _CHILD, src, argvs_path], capture_output=True, text=True
-    )
+# run in a fresh `python -I -S`, as the bench's worker runs: argv 1 is the
+# src directory, argv 2 a GF(7) matrix file; prints, one a line, the modules
+# outside echelon that `import echelon.cli` and one plain `rref` load
+_STARTUP = """
+import io, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import echelon.cli
+sys.stdout = io.StringIO()
+echelon.cli.main(["rref", sys.argv[2], "--field", "gf:7"])
+sys.stdout = sys.__stdout__
+print("\\n".join(sorted(n for n in set(sys.modules) - before if n.split(".")[0] != "echelon")))
+"""
+
+
+def _child(src: str, *args: str) -> str:
+    """The stdout of `python *args` run on the tree src; exits 2 with the
+    child's stderr if it fails."""
+    child = subprocess.run([sys.executable, *args], capture_output=True, text=True)
     if child.returncode != 0:
         sys.stderr.write(f"the child under {src} exited {child.returncode}:\n{child.stderr}")
         sys.exit(2)
-    return json.loads(child.stdout)
+    return child.stdout
+
+
+def _outputs(src: str, argvs_path: str) -> list:
+    return json.loads(_child(src, "-c", _CHILD, src, argvs_path))
+
+
+def _startup_modules(src: str) -> set[str]:
+    """The modules outside echelon that a fresh interpreter loads to import
+    the tree's CLI and run one plain GF(7) `rref`."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "m.mat")
+        with open(path, "w") as fh:
+            fh.write("2 4\n1 3\n")
+        return set(_child(src, "-I", "-S", "-c", _STARTUP, src, path).split())
 
 
 def _src_dir(arg: str, stack: contextlib.ExitStack) -> str:
@@ -130,6 +163,13 @@ def main() -> int:
         code = _compare(old_src, new_src, args.seeds)
         (lines, old_code), (new_lines, new_code) = _size(old_src), _size(new_src)
         print(f"src/echelon: {lines} -> {new_lines} lines, {old_code} -> {new_code} code lines")
+        old_mods, new_mods = _startup_modules(old_src), _startup_modules(new_src)
+        added = ", ".join(sorted(new_mods - old_mods)) or "none"
+        removed = ", ".join(sorted(old_mods - new_mods)) or "none"
+        print(
+            f"start-up modules: {len(old_mods)} -> {len(new_mods)} "
+            f"(added: {added}; removed: {removed})"
+        )
         return code
 
 
@@ -168,9 +208,9 @@ _CRAFTED_FILES = {
     "inverse_p.mat": CRAFTED["1/P-rank-1"],
     "minor_q.mat": CRAFTED["minor-q"],
     "inverse_q.mat": CRAFTED["1/q-rank-1"],
-    "diag_p.sys": CRAFTED["drop-P"],
+    "diag_p.sys": SYSTEMS["drop-P"],
     "diag_p_moved.sys": SYSTEMS["drop-P-moved"],
-    "diag_q.sys": CRAFTED["drop-q"],
+    "diag_q.sys": SYSTEMS["drop-q"],
     "column_p.sys": CRAFTED["diag(1,P)"],
     "inverse_p.sys": CRAFTED["1/P"],
     "thirds40.sys": CRAFTED["2^40/3"],

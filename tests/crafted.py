@@ -75,7 +75,10 @@ SYSTEMS = {
     "eye": diagonal_rows([1, 1], [1, 1]),
     "eye16": diagonal_rows([1] * 16, [1] * 16),
     "column": [[1, 1], [0, 0]],
-    # drop-P with d = (1, 1): the solution (1, 1/P) has no image mod P
+    # drop-P and drop-q read as systems, diag(1, p) x = (1, p), and drop-P
+    # with d = (1, 1), whose solution (1, 1/P) has no image mod P
+    "drop-P": CRAFTED["drop-P"],
+    "drop-q": CRAFTED["drop-q"],
     "drop-P-moved": [[1, 0, 1], [0, P, 1]],
     # diag-P and diag-q, d their diagonal: the solution is all ones
     "diag-P-ones": diagonal_rows([1] * 15 + [P], [1] * 15 + [P]),

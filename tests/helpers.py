@@ -33,7 +33,7 @@ from echelon import (
 from echelon.cli import main
 
 # the crafted table, its primes and its writers, also for the test modules
-from crafted import CRAFTED, FALLBACKS, P, Q, SYSTEMS, diagonal_rows, rows_text
+from crafted import CRAFTED, FALLBACKS, P, Q, SYSTEMS, rows_text
 
 GF7 = GF(7)
 # the field name of the GF(P) image, as the routes fixture names it

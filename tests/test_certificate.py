@@ -16,7 +16,6 @@ import pytest
 from echelon import (
     QQ,
     GaucheResult,
-    LinearSystem,
     Matrix,
     Vector,
     gauche_rref,
@@ -30,7 +29,6 @@ from echelon.nullspace import _relations
 from echelon.rowops import rref_violation
 
 from helpers import (
-    CRAFTED,
     CRAFTED_SYSTEMS,
     EYE16,
     IMAGE,
@@ -75,20 +73,21 @@ def test_image_answers_a_reconstructible_rref(routes):
 
 
 @pytest.mark.parametrize(
-    ("m", "rank_answers"),
+    ("system", "rank_answers"),
     [
         # the image drops rank: it offers 0 for the last column, and the
         # product refutes it before the rank loop runs
-        pytest.param(mat(CRAFTED["diag-P"]), [], id="diag-P"),
+        pytest.param(CRAFTED_SYSTEMS["diag-P-ones"], [], id="diag-P"),
         # the image keeps every column, R = I passes shape and product, and
         # only the rank loop, mod its own prime, refuses
-        pytest.param(mat(CRAFTED["diag-q"]), [False], id="diag-q"),
+        pytest.param(CRAFTED_SYSTEMS["diag-q-ones"], [False], id="diag-q"),
     ],
 )
-def test_refused_image_falls_back_to_the_exact_sweep(m, rank_answers, routes):
-    """graph on m, and solve on m x = diag(m), whose solution is all ones:
-    one image sweep, then the exact one."""
-    system = LinearSystem(m, vec(m.values[:: m.cols + 1]))
+def test_refused_image_falls_back_to_the_exact_sweep(system, rank_answers, routes):
+    """graph on m, the coefficients of the system (crafted diag-P or
+    diag-q), and solve on m x = diag(m), whose solution is all ones: one
+    image sweep, then the exact one."""
+    m = system.coeff
     reads = ((lambda: graph_relations(m), m), (lambda: solve(system), system.augmented()))
     for read, matrix in reads:
         routes.clear()

@@ -831,11 +831,11 @@ def test_one_parser_per_call(t_path, monkeypatch):
         ["rref", "--format", "json", t_path, "--field", "q"],
     ]
     others, codes = [["rref"], ["--help"]], [2, 0]
-    echelon.cli.build_parser.cache_clear()  # as in a fresh process
+    monkeypatch.setattr(echelon.cli, "_parser", None)  # as in a fresh process
     assert [run_cli(argv)[0] for argv in plain] == [0, 0, 0]
     assert made == []
     for first, code in zip(others, codes):
-        echelon.cli.build_parser.cache_clear()
+        monkeypatch.setattr(echelon.cli, "_parser", None)
         made.clear()
         built = run_cli(first)
         assert len(made) == 1 and built[0] == code, first

@@ -43,7 +43,6 @@ from helpers import (
     KINDS,
     Q,
     Sweep,
-    diagonal_rows,
     mat,
     matrix_text,
     padded,
@@ -134,11 +133,11 @@ def test_image_rank_drop_takes_the_exact_route(routes):
     share the null space {0}, and only the exact sweep of b's two pivot
     columns, after a's sweep, can tell. diag(1, P) keeps full rank mod q,
     so its exact sweep is skipped."""
-    eye = mat([[1, 0], [0, 1]])
-    for prime, full in ((Q, False), (P, True)):
-        diag = mat(diagonal_rows([1, prime]))
-        a, b = LinearSystem(eye, vec([1, 1])), LinearSystem(diag, vec([1, prime]))
-        aug_a, aug_b = a.augmented(), b.augmented()
+    a = EYE
+    eye, aug_a = a.coeff, a.augmented()
+    for name, full in (("q", False), ("P", True)):
+        b = CRAFTED_SYSTEMS[f"drop-{name}"]
+        diag, aug_b = b.coeff, b.augmented()
 
         def rank(m):
             """The rank loop on m's two pivot columns, then their exact

@@ -5,13 +5,15 @@ scalars.py reads a value class's __slots__, only FieldSpec.quotient takes
 a modular inverse, and the bench's verifier does not import the toolkit
 it checks; the crafted-input table's primes are gauche's, and
 compare_outputs.py writes its edge-case files without loading echelon; at
-run time, importing the CLI leaves `typing`, `dataclasses`,
-`inspect`, `ast`, `json`, `array`, `argparse`, `fractions`, `decimal` and
-`re` unloaded, a plain-argv job loads neither argparse nor, unless a value
-it reads or prints is not whole, `fractions`; the package's `__all__`
-names exactly its public attributes, each declared once, in its own
-module's `__all__`, and the README's library quick start prints what its
-comments say."""
+run time, importing the CLI leaves `typing`, `dataclasses`, `inspect`,
+`ast`, `json`, `collections`, `functools`, `array`, `struct`, `argparse`,
+`fractions`, `decimal` and `re` unloaded, and a plain-argv job over GF(p),
+or over Q with integer literals and answer, loads none of `collections`,
+`functools`, `array`, argparse or `fractions`: a value it reads or prints
+that is not whole loads `fractions`, and `fractions` loads `collections`
+and `functools` itself; the package's `__all__` names exactly its public
+attributes, each declared once, in its own module's `__all__`, and the
+README's library quick start prints what its comments say."""
 import ast
 import contextlib
 import importlib
@@ -216,16 +218,17 @@ def test_compare_outputs_writes_its_edge_files_without_echelon(tmp_path):
 
 
 UNNEEDED_AT_IMPORT = (
-    "typing", "dataclasses", "inspect", "ast", "json", "array",
-    "argparse", "fractions", "decimal", "re",
+    "typing", "dataclasses", "inspect", "ast", "json", "collections", "functools", "array",
+    "struct", "argparse", "fractions", "decimal", "re",
 )
 
 
 def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
     """A fresh isolated interpreter without `site`, as the bench's worker
     runs: `import echelon.cli` must not pull in `typing`, `dataclasses`,
-    `inspect`, `ast`, `json`, `array` (only packed GF(p) rows need it),
-    `argparse` (only an argv not in the plain form needs it), `fractions`
+    `inspect`, `ast`, `json`, `collections`, `functools`, `array` (no code
+    needs them), `struct` (only packed GF(p) rows need it), `argparse`
+    (only an argv not in the plain form needs it), `fractions`
     (only a non-integer needs it), or the `decimal` and `re` that
     `fractions` imports, and a `--format json` job in that interpreter still
     prints its JSON."""
@@ -245,8 +248,11 @@ def test_cli_import_leaves_unneeded_modules_unloaded(tmp_path):
 
 
 # argparse loads gettext and shutil to build a parser; fractions loads
-# decimal, re and enum
-AFTER_ONE_JOB = ("argparse", "fractions", "re", "decimal", "enum", "gettext", "shutil")
+# decimal, re, enum, collections and functools
+AFTER_ONE_JOB = (
+    "argparse", "fractions", "re", "decimal", "enum", "gettext", "shutil", "collections",
+    "functools", "array",
+)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The packed GF(p) kernels against the classical loops of tests/helpers.py,
 at sizes and entries where a slot takes many updates before it is reduced,
-and a guard on how often they unpack a row."""
+a guard on how often they unpack a row, and FieldSpec.pack and unpack
+against the sum they stand for, at every slot width."""
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from echelon import (
     gauche_rref,
     gauss_jordan,
 )
+from echelon import scalars
 from echelon.scalars import FieldSpec
 
 from helpers import (
@@ -48,6 +50,48 @@ def heavy(rows, cols, field):
 
 def test_big_prime_needs_wide_slots():
     assert GF(BIG_P).slot_bits(1) > 64
+
+
+def packed_sum(xs, w) -> int:
+    """What pack stands for: slot j holds xs[j] at bit w*j."""
+    return sum(x << (w * j) for j, x in enumerate(xs))
+
+
+# the struct widths, then GF(BIG_P)'s own, which takes the byte path
+WIDTHS = [8, 16, 32, 64, GF(BIG_P).slot_bits(1)]
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+@pytest.mark.parametrize("n", [1, 2, 81, 400])
+def test_pack_is_the_sum_and_unpack_reads_it_back(n, w):
+    """Rows of all-zero slots, of all 2**w - 1 slots and of random slots
+    with both extremes at the ends: pack is the sum of x * 2**(w*j), and
+    unpack gives each slot back mod p, unchanged where it is below p."""
+    field, top = GF(BIG_P), 2**w - 1
+    rng = random.Random(n * w)
+    mixed = [rng.randrange(2**w) for _ in range(n)]
+    mixed[0], mixed[-1] = top, 0
+    for xs in ([0] * n, [top] * n, mixed):
+        packed = field.pack(xs, w)
+        assert packed == packed_sum(xs, w)
+        assert field.unpack(packed, n, w) == [x % BIG_P for x in xs]
+    if w <= 64:
+        assert field.unpack(field.pack(mixed, w), n, w) == mixed
+
+
+@pytest.mark.parametrize("w", WIDTHS[:4])
+def test_rows_of_other_lengths_share_no_struct(w):
+    """Rows of lengths 2, 3 and 2 again at one width, packed in turn: each
+    is its own sum and reads back, so no row took another's Struct, and
+    each length has a Struct of its own size."""
+    field, size = GF(BIG_P), w // 8
+    rows = [[1, 2**w - 1], [2**w - 1, 0, 5], [0, 7]]
+    for xs in rows:
+        assert field.pack(xs, w) == packed_sum(xs, w)
+        assert field.unpack(packed_sum(xs, w), len(xs), w) == xs
+    two, three = scalars._STRUCTS[2, size], scalars._STRUCTS[3, size]
+    assert two is not three
+    assert (two.size, three.size) == (2 * size, 3 * size)
 
 
 @pytest.mark.parametrize("field", GF_FIELDS, ids=str)
