@@ -233,15 +233,10 @@ def _plain_args(argv: list[str]) -> tuple[str, list[str], str, str] | None:
     return argv[0], files, field, fmt
 
 
-_parser = None  # build_parser's memo
-
-
 def build_parser():
-    """The one argparse.ArgumentParser of the process, built on first use;
-    only an argv that is not in the plain form loads argparse."""
-    global _parser
-    if _parser is not None:
-        return _parser
+    """A new argparse.ArgumentParser for the commands, built for the one
+    argv that needs it: only an argv that is not in the plain form loads
+    argparse, and no parser outlives its call."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -269,15 +264,12 @@ def build_parser():
         default="plain",
         help="output format (default plain)",
     )
-    # preset, or parse_intermixed_args renders the usage text on every call
-    parser.usage = parser.format_usage()[7:]
-    _parser = parser
     return parser
 
 
 def _parsed_args(argv: list[str]) -> tuple[str, list[str], str, str]:
-    """What _plain_args gives, read by the parser; a usage error, or help,
-    raises SystemExit once argparse has printed it."""
+    """What _plain_args gives, read by a parser built for this argv; a
+    usage error, or help, raises SystemExit once argparse has printed it."""
     parser = build_parser()
     # intermixed: parse_args ends FILE at the first option, so in
     # `equiv A --field gf:7 B` the B would be an unrecognized argument

@@ -28,7 +28,7 @@ from __future__ import annotations
 __all__ = ["GaucheResult", "Keeper", "KeeperState", "LLQAnswer", "Subordinate", "gauche_rref"]
 
 from itertools import compress, count
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 
 from .errors import FieldMismatchError, ShapeError
@@ -204,17 +204,19 @@ _IMAGE = FieldSpec(P)
 
 
 def _rational(u: int, m: int):
-    """The raw Q value a/b with a = u*b mod m and |a|, b <= sqrt(m/2), or
-    ArithmeticError when there is none: rational reconstruction (Wang, Guy
-    & Davenport, SIGSAM Bull. 16 (1982)), the extended Euclidean algorithm
-    on m and u stopped at the first remainder within the bound. Such an a/b
-    is unique."""
+    """A candidate raw Q value a/b with a = u*b mod m and |a|, b <= sqrt(m/2),
+    or ArithmeticError when the numbers leave that bound: rational
+    reconstruction (Wang, Guy & Davenport, SIGSAM Bull. 16 (1982)), the
+    extended Euclidean algorithm on m and u stopped at the first remainder
+    within the bound. Such an a/b is unique, but u need not be the residue
+    of the true value, so each caller checks the candidate exactly:
+    _reader_rref by the certificate, _consistent by the product."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
+    if abs(t1) > bound:
         raise ArithmeticError(f"{u} has no rational reconstruction mod {m}")
     return QQ.quotient(r1, t1)
 

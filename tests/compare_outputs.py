@@ -39,12 +39,15 @@ whose first pivot needs a swap and on a Q matrix of a/b literals
 (Fraction coefficients); `pivots` and `basis` on a wide full-row-rank Q
 matrix; and `rref` on a malformed literal, a ragged row, a non-UTF-8 byte
 and a missing file, so diagnostics and exit code 2 are
-compared too. Last come argv forms, each run once as it
+compared too. Last come argv forms, each run as it
 stands: help, no arguments, an unknown command, a missing and an extra FILE,
 options before the command, `--field=V`, an abbreviated `--fo`, a format
 argparse rejects, a trailing `--field`, `--` before a file, a repeated
-`--field`, and a rejected `--format` followed by a good one, so that help,
-usage and error text are compared too. Prints the number of runs, of
+`--field`, a rejected `--format` followed by a good one, `-h`, an
+ambiguous `--f`, an unknown option, and the abbreviated `--fo` a second
+time, so that help, usage and error text are compared too, and a tree that
+keeps a parser between calls is compared with one that builds one per
+call. Prints the number of runs, of
 edge-case runs among them, and each run that differs; exits 1 if any does,
 and 2, with the child's stderr, if a child itself fails (for example, when a
 tree does not import). Last it prints the size of `src/echelon` in both
@@ -386,6 +389,10 @@ _ARGV_FORMS = [
     ["rref", "--", "field.mat"],
     ["rref", "field.mat", "--field", "q", "--field", "gf:2"],
     ["rref", "field.mat", "--format", "bogus", "--format", "json"],
+    ["rref", "-h"],
+    ["rref", "eye.mat", "--f", "q"],
+    ["rref", "eye.mat", "--bogus"],
+    ["rref", "fractions.mat", "--fo", "json"],
 ]
 
 

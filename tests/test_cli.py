@@ -820,28 +820,25 @@ class TestArgumentForms:
 
 def test_one_parser_per_call(t_path, monkeypatch):
     """Plain argvs (a command, its FILEs, `--field` and `--format`) are read
-    without argparse and build no ArgumentParser. Any other argv builds the
-    process's one parser on first use (no subparser, no parent parser), and
-    later calls reuse it, with the same exit code, stdout and stderr as the
-    call that built it."""
+    without argparse and build no ArgumentParser. Every other argv builds
+    exactly one (no subparser, no parent parser) for its own call, and no
+    parser outlives it: run again after the others, each argv builds its
+    parser again and prints the same exit code, stdout and stderr."""
     made = spy(monkeypatch, "__init__", argparse.ArgumentParser)
     plain = [
         ["rref", t_path],
         ["equiv", t_path, "--field=gf:7", t_path],
         ["rref", "--format", "json", t_path, "--field", "q"],
     ]
-    others, codes = [["rref"], ["--help"]], [2, 0]
-    monkeypatch.setattr(echelon.cli, "_parser", None)  # as in a fresh process
-    assert [run_cli(argv)[0] for argv in plain] == [0, 0, 0]
-    assert made == []
-    for first, code in zip(others, codes):
-        monkeypatch.setattr(echelon.cli, "_parser", None)
+    others = [["rref"], ["--help"], ["rref", t_path, "--bogus"], ["rref", t_path, "--fo", "json"]]
+    runs = []
+    for argv in plain + others + plain + others:
         made.clear()
-        built = run_cli(first)
-        assert len(made) == 1 and built[0] == code, first
-        assert [run_cli(argv)[0] for argv in plain + others] == [0, 0, 0] + codes
-        assert run_cli(first) == built, first
-        assert len(made) == 1, first
+        runs.append(run_cli(argv))
+        assert len(made) == (argv in others), argv
+    half = len(plain + others)
+    assert runs[half:] == runs[:half]
+    assert [code for code, _, _ in runs[:half]] == [0, 0, 0, 2, 0, 2, 0]
     # the counter does count
     made.clear()
     argparse.ArgumentParser()
@@ -888,19 +885,6 @@ def test_every_format_value_is_checked():
     code, out, err = run_cli(argv, T_TEXT)
     assert (code, out) == (2, "")
     assert "argument --format: invalid choice: 'bogus'" in err
-
-
-def test_usage_rendered_once(t_path, monkeypatch):
-    """Valid calls after the first main call do not render the usage text:
-    the parser keeps it from when it was built."""
-    assert run_cli(["rref", t_path])[0] == 0
-    rendered = spy(monkeypatch, "format_usage", argparse.ArgumentParser)
-    for argv in (["rref", t_path], ["equiv", t_path, "--field", "gf:7", t_path], ["null", t_path]):
-        assert run_cli(argv)[0] == 0
-    assert rendered == []
-    # the counter does count
-    assert run_cli(["rref"])[0] == 2
-    assert rendered
 
 
 @pytest.mark.parametrize("field", [QQ, GF7], ids=str)

@@ -11,12 +11,15 @@ answer as before; where the rank drops mod q, or the image cannot be taken
 because its prime divides a denominator, the exact route must run. The
 `routes` log of sweeps and rank-loop verdicts shows which route ran;
 full-rank inputs crafted against P take the rank shortcut. Entries are
-small integers, a/b literals and 64-bit integers.
+small integers, a/b literals and 64-bit integers. Each coefficient the
+GF(P) sweep proposes is read back as a rational by `_rational`, tested
+here at and past its bound.
 """
 import itertools
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -31,7 +34,7 @@ from echelon import (
     null_equal,
     solution_equivalent,
 )
-from echelon.gauche import P, _consistent, _keepers
+from echelon.gauche import P, _consistent, _keepers, _rational
 from echelon.scalars import format_values
 
 from helpers import (
@@ -268,3 +271,33 @@ def test_keepers_and_spans_answer_as_the_exact_sweep(field, bound):
             for k in set(range(1, m.cols + 1)) - set(js):
                 spans = column_in_span(m, k, js) is not None
                 assert _consistent(m.take_columns([*js, k])) == spans, (m, js, k)
+
+
+# _rational's bound on |a| and b
+BOUND = isqrt(P // 2)
+
+
+def test_every_small_rational_comes_back_from_its_residue():
+    """Every a/b with |a|, b <= isqrt(P // 2) is what _rational reads back
+    from a·b⁻¹ mod P, as a raw Q value (an int where b divides a): the
+    corners 0, ±bound, 1/bound and ±bound/(bound − 1), every a/b with
+    |a|, b <= 20, and a seeded sample."""
+    rng = random.Random("rational")
+    corners = [(0, 1), (BOUND, 1), (-BOUND, 1), (1, BOUND)]
+    corners += [(BOUND, BOUND - 1), (-BOUND, BOUND - 1)]
+    small = itertools.product(range(-20, 21), range(1, 21))
+    sample = [(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND)) for _ in range(2000)]
+    for a, b in itertools.chain(corners, small, sample):
+        value = _rational(a * pow(b, -1, P) % P, P)
+        assert value == Fraction(a, b), (a, b)
+        assert (type(value) is int) == (a % b == 0), (a, b)
+
+
+@pytest.mark.parametrize(
+    "u", [pow(BOUND + 1, -1, P), BOUND + 1], ids=["1/(bound+1)", "bound+1"]
+)
+def test_a_residue_past_the_bound_has_no_reconstruction(u):
+    """Just past the bound no a/b within it has the residue, and _rational
+    raises ArithmeticError rather than return one outside it."""
+    with pytest.raises(ArithmeticError, match=f"^{u} has no rational reconstruction mod {P}$"):
+        _rational(u, P)

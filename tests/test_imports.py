@@ -1,8 +1,10 @@
 """Runtime invariants: read from the source with `ast`, the toolkit imports
 only the standard library, only gauche.py knows the GF(P) image of the
-sweep, and only its _reader_rref and _consistent sweep that image, only
-scalars.py reads a value class's __slots__, only FieldSpec.quotient takes
-a modular inverse, and the bench's verifier does not import the toolkit
+sweep, and only its _reader_rref and _consistent sweep that image and
+read rationals back from it, the one `global` statement is the lazy
+`fractions` import's, only scalars.py reads a value class's __slots__,
+only FieldSpec.quotient takes a modular inverse, and the bench's verifier
+does not import the toolkit
 it checks; the crafted-input table's primes are gauche's, and
 compare_outputs.py writes its edge-case files without loading echelon; at
 run time, importing the CLI leaves `typing`, `dataclasses`, `inspect`,
@@ -137,6 +139,39 @@ def test_only_two_questions_sweep_the_image():
         if isinstance(node, ast.Call) and "_imaged" in _names(node.func)
     }
     assert gated == scopes
+
+
+def test_reconstructions_are_checked_by_their_callers():
+    """_rational only proposes a candidate a/b: it is called only inside
+    _reader_rref, whose R is taken only through the certificate, and
+    _consistent, whose x is taken only when aug x = 0 exactly. So neither
+    needs _rational to refuse a candidate that its check refuses."""
+    calls = []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [
+            (path.name, ".".join(scope))
+            for scope, node in _scoped(tree)
+            if isinstance(node, ast.Call) and "_rational" in _names(node.func)
+        ]
+    assert sorted(set(calls)) == [("gauche.py", "_consistent"), ("gauche.py", "_reader_rref")]
+
+
+def test_no_function_rebinds_a_module_name():
+    """The one `global` statement of the toolkit is scalars.Fraction's, the
+    lazy `fractions` import that rebinds the name to the class. No other
+    function rebinds a module name, so a call leaves no value behind for
+    the next, beyond the memos of pure functions (`_Memo`); the CLI builds
+    a parser for each argv that needs one."""
+    found = []
+    for path in sorted((ROOT / "src" / "echelon").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            (path.name, ".".join(scope), tuple(node.names))
+            for scope, node in _scoped(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert found == [("scalars.py", "Fraction", ("Fraction",))]
 
 
 def _builds_state(node) -> bool:
